@@ -21,7 +21,6 @@ import weakref
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import simpson
 
 from . import expr
 from .config import get_default
@@ -111,6 +110,8 @@ def _chart(tau, theta, phi):
 
 
 def _sphere_area_once(structure, tau, n_theta, n_phi):
+    from scipy.integrate import simpson
+
     theta, phi = sphere_grid(n_theta, n_phi)
     x, dth, dph = _chart(tau, theta, phi)
     shape = x.shape[1:]

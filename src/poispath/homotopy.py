@@ -30,8 +30,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import simpson
-from scipy.interpolate import CubicSpline
 
 from . import expr
 from .config import get_default
@@ -40,6 +38,10 @@ from .paths import CotangentPath, differentiate_samples, path_defect
 
 _TIME = "t"
 _EPS = "eps"
+
+# time nodes per dpi_many batch in the variation solve; even, so that each
+# two-cell RK4 step lies inside one block
+_DPI_BLOCK = 64
 
 
 def _generator_components(structure, values):
@@ -83,11 +85,22 @@ def _even_intervals(n, least, what):
     return n
 
 
+def _frozen(array):
+    array.setflags(write=False)
+    return array
+
+
 class PathFamily:
     """Generator-defined family over a uniform (eps, t) grid.
 
     Arbitrary sample-level families are rejected by construction: without a
     generator there is no way to keep the slices honest cotangent paths.
+
+    The base is solved once, on the fine grid eps_fine of 2M - 1 slices that
+    the resolution check needs; gamma and a are its even slices, which is
+    exact because linspace(lo, hi, 2M - 1)[::2] equals linspace(lo, hi, M)
+    and the RK4 rows do not depend on each other. Solved arrays and variation
+    fields are cached and read-only.
     """
 
     def __init__(self, structure, generator, x0, eps_range=(0.0, 1.0),
@@ -103,12 +116,15 @@ class PathFamily:
         n_t = get_default("t_intervals") if t_intervals is None else t_intervals
         self.eps_intervals = _even_intervals(n_eps, 8, "eps interval count")
         self.t_intervals = _even_intervals(n_t, 8, "t interval count")
-        self.t = np.linspace(0.0, 1.0, self.t_intervals + 1)
-        self.eps = np.linspace(lo, hi, self.eps_intervals + 1)
+        self.t = _frozen(np.linspace(0.0, 1.0, self.t_intervals + 1))
+        self.eps = _frozen(np.linspace(lo, hi, self.eps_intervals + 1))
+        self.eps_fine = _frozen(np.linspace(lo, hi, 2 * self.eps_intervals + 1))
         self.gamma = None
         self.a = None
         self.d_eps_a = None
         self.max_defect = None
+        self._fine = None      # (gamma, a, d_eps_a) over eps_fine
+        self._fields = {}      # (fine, sign) -> variation field b
         params = structure.params
         self._gen_fn = expr.compile_exprs_vec(
             self.generator, symbols=(_TIME, _EPS), params=params)
@@ -169,7 +185,12 @@ class PathFamily:
 
     def solve(self):
         if self.gamma is None:
-            self.gamma, self.a, self.d_eps_a = self._solve_on(self.eps)
+            self._fine = tuple(_frozen(v) for v in self._solve_on(self.eps_fine))
+            gamma_f, a_f, _ = self._fine
+            self.gamma = _frozen(gamma_f[::2].copy())
+            self.a = _frozen(a_f[::2].copy())
+            self.d_eps_a = _frozen(
+                differentiate_samples(self.a, self.eps[1] - self.eps[0]))
             self.max_defect = max(
                 path_defect(self.structure, self.t, self.gamma[m], self.a[m])
                 for m in range(len(self.eps)))
@@ -178,8 +199,23 @@ class PathFamily:
     def slice_path(self, m):
         """The m-th eps slice as a standalone cotangent path."""
         self.solve()
-        return CotangentPath(self.structure, self.t, self.gamma[m].copy(),
+        return CotangentPath(self.structure, self.t.copy(), self.gamma[m].copy(),
                              self.a[m].copy())
+
+    def variation_field(self, sign, fine=False):
+        """Variation field b with coupling sign +1 (pinned) or -1 (flipped,
+        the transport field) over the coarse or the fine eps grid; solved once
+        per (grid, sign), read-only."""
+        key = (bool(fine), float(sign))
+        if key not in self._fields:
+            self.solve()
+            if fine:
+                eps, (gamma, a, d_eps_a) = self.eps_fine, self._fine
+            else:
+                eps, gamma, a, d_eps_a = self.eps, self.gamma, self.a, self.d_eps_a
+            self._fields[key] = _frozen(_variation_field(
+                self.structure, self.t, eps, gamma, a, d_eps_a, key[1]))
+        return self._fields[key]
 
 
 @dataclass
@@ -197,24 +233,33 @@ class VariationResult:
 
 def _variation_field(structure, t, eps, gamma, a, d_eps_a, sign):
     """RK4 for the linear b-equation, stepped two grid cells at a time so the
-    stage values sit on stored nodes."""
+    stage values sit on stored nodes. The gradients d_i Pi^(jk) come from one
+    dpi_many call per block of _DPI_BLOCK time nodes across all slices."""
+    from scipy.interpolate import CubicSpline
+
     M, nodes, n = gamma.shape
     N = nodes - 1
     h = t[1] - t[0]
     coarse = np.empty((M, N // 2 + 1, n))
     coarse[:, 0] = 0.0
     cur = np.zeros((M, n))
+    for start in range(0, N, _DPI_BLOCK):
+        stop = min(start + _DPI_BLOCK, N)
+        # node-major rows, so that each node's (M, n, n, n) block is contiguous
+        points = gamma[:, start:stop + 1].transpose(1, 0, 2).reshape(-1, n)
+        D = structure.dpi_many(points).reshape(stop + 1 - start, M, n, n, n)
 
-    def rhs(node, b):
-        return d_eps_a[:, node] + sign * structure.coupling_many(gamma[:, node], a[:, node], b)
+        def rhs(node, b):
+            return d_eps_a[:, node] + sign * np.einsum(
+                "mijk,mj,mk->mi", D[node - start], a[:, node], b)
 
-    for i in range(0, N, 2):
-        k1 = rhs(i, cur)
-        k2 = rhs(i + 1, cur + h * k1)
-        k3 = rhs(i + 1, cur + h * k2)
-        k4 = rhs(i + 2, cur + 2.0 * h * k3)
-        cur = cur + (h / 3.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        coarse[:, i // 2 + 1] = cur
+        for i in range(start, stop, 2):
+            k1 = rhs(i, cur)
+            k2 = rhs(i + 1, cur + h * k1)
+            k3 = rhs(i + 1, cur + h * k2)
+            k4 = rhs(i + 2, cur + 2.0 * h * k3)
+            cur = cur + (h / 3.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            coarse[:, i // 2 + 1] = cur
     if not np.all(np.isfinite(coarse)):
         raise NumericalError("variation equation produced non-finite values")
     b = CubicSpline(t[::2], coarse, axis=1)(t)
@@ -230,25 +275,22 @@ def solve_variation(family, order="pinned", check_resolution=True):
 
     order "pinned" is the convention fixed by the group-path test; "flipped"
     exists for the sign-discrimination check and equals the transport field.
-    With check_resolution the eps step is halved once and the endpoint curve
-    compared on shared nodes; a change above 10% flags the grid as coarse.
+    With check_resolution the endpoint curve is compared with the one over
+    the family's fine grid (eps step halved) on shared nodes; a change above
+    10% flags the grid as coarse. The returned field b is the family's cached,
+    read-only array.
     """
     if order not in _ORDER_SIGNS:
         raise ValidationError(f"order must be 'pinned' or 'flipped', got {order!r}")
     sign = _ORDER_SIGNS[order]
-    family.solve()
-    S = family.structure
-    b = _variation_field(S, family.t, family.eps, family.gamma, family.a,
-                         family.d_eps_a, sign)
+    b = family.variation_field(sign)
     var = b[:, -1].copy()
     max_var = float(np.max(np.linalg.norm(var, axis=1)))
 
     change = 0.0
     coarse_flag = False
     if check_resolution:
-        eps_fine = np.linspace(family.eps[0], family.eps[-1], 2 * len(family.eps) - 1)
-        gamma_f, a_f, da_f = family._solve_on(eps_fine)
-        b_f = _variation_field(S, family.t, eps_fine, gamma_f, a_f, da_f, sign)
+        b_f = family.variation_field(sign, fine=True)
         delta = float(np.max(np.abs(b_f[::2, -1] - var)))
         floor = 1e-8 * max(1.0, float(np.max(np.abs(family.a))))
         scale = max(float(np.max(np.abs(b_f[:, -1]))), floor)
@@ -343,17 +385,20 @@ def invariance_report(family, field):
 
     holds exactly for the transport field (the one moving the base), and
     that field is used here; the residual reports the quadrature error only.
+    Non-finite field values or L_X Pi densities raise NumericalError.
     """
-    family.solve()
+    from scipy.integrate import simpson
+
     S = family.structure
     X = _field_components(S, field)
-    b = _variation_field(S, family.t, family.eps, family.gamma, family.a,
-                         family.d_eps_a, -1.0)
+    b = family.variation_field(-1.0)
 
     M, nodes, n = family.gamma.shape
     flat = family.gamma.reshape(M * nodes, n)
     X_fn = expr.compile_exprs_vec(X, params=S.params)
     X_vals = X_fn(flat.T).T.reshape(M, nodes, n)
+    if not np.all(np.isfinite(X_vals)):
+        raise NumericalError("vector field X is not finite along the family")
 
     line = simpson(np.einsum("mti,mti->mt", family.a, X_vals), x=family.t, axis=1)
     lhs = float(line[-1] - line[0])
@@ -370,6 +415,8 @@ def invariance_report(family, field):
             density += lx[:, :, col] * (family.a[:, :, j] * b[:, :, k]
                                         - family.a[:, :, k] * b[:, :, j])
             col += 1
+    if not np.all(np.isfinite(density)):
+        raise NumericalError("(L_X Pi)(a, b) density is not finite along the family")
     bulk = float(simpson(simpson(density, x=family.t, axis=1), x=family.eps))
 
     residual = abs(lhs - endpoint - bulk)

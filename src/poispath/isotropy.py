@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import qr
 
 from .config import get_default
 from .errors import ValidationError
@@ -51,6 +50,8 @@ def _aligned_kernel_basis(raw):
     decreasing-pivot order; when the kernel is a coordinate subspace the
     result is the corresponding signed unit vectors.
     """
+    from scipy.linalg import qr
+
     k = raw.shape[0]
     proj = raw.T @ raw
     Q, _, _ = qr(proj, pivoting=True)

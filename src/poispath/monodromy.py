@@ -22,13 +22,12 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import simpson
 
 from . import expr
 from .config import get_default
 from .connection import (_chart, _stencil_derivative, _sphere_area_once,
                          leaf_form_many, sphere_grid)
-from .errors import ValidationError
+from .errors import NumericalError, ValidationError
 
 VERDICT_OK = "INTEGRABLE_EVIDENCE"
 VERDICT_BAD = "NON_INTEGRABLE"
@@ -94,6 +93,8 @@ def curvature_periods(structure, splitting, tau, grid=None):
     pairing with the radially aligned unit kernel covector is integrated with
     the same shifted-pole Simpson rule the areas use.
     """
+    from scipy.integrate import simpson
+
     if structure.dim != 3:
         raise ValidationError("curvature quadrature works on dim-3 sphere leaves")
     tau = float(tau)
@@ -230,11 +231,14 @@ def gcd_analysis(values, denominator_bound=None, ratio_tol=None):
     they exceed denominator_bound before the remainder dies, the set is
     declared dense: no rational relation with denominator inside the budget
     exists. An empty surviving set yields generator inf (trivial group).
+    A non-finite value raises NumericalError.
     """
     bound = get_default("denominator_bound") if denominator_bound is None \
         else float(denominator_bound)
     tol = get_default("ratio_tol") if ratio_tol is None else float(ratio_tol)
     vals = [abs(float(v)) for v in values]
+    if not all(math.isfinite(v) for v in vals):
+        raise NumericalError(f"gcd input is not finite: {vals}")
     scale = max(vals, default=0.0)
     eps = tol * scale
     used = sorted(v for v in vals if v > eps)
@@ -371,6 +375,8 @@ class SigmaSphereFamily:
                 f"tau {tau:g} outside the family range [{lo:g}, {hi:g}]")
 
     def area(self, tau):
+        from scipy.integrate import simpson
+
         tau = float(tau)
         self._check_tau(tau)
         theta, phi = sphere_grid(*self.grid)

@@ -17,8 +17,6 @@ with a single global ENDPOINT_SIGN = -1 fixed by the anchor convention.
 from __future__ import annotations
 
 import numpy as np
-from scipy.integrate import simpson, solve_ivp
-from scipy.interpolate import CubicSpline
 
 from . import expr
 from .config import get_default
@@ -27,6 +25,14 @@ from .errors import NumericalError, ValidationError
 ENDPOINT_SIGN = -1.0
 
 _TIME = "t"
+
+
+def solve_ivp(fun, t_span, y0, **options):
+    """scipy.integrate.solve_ivp, imported on first use to keep scipy out of
+    start-up; integrate_base and transport call it through this name."""
+    from scipy.integrate import solve_ivp as scipy_solve_ivp
+
+    return scipy_solve_ivp(fun, t_span, y0, **options)
 
 
 def _as_components(values, dim, params, symbols=(_TIME,)):
@@ -182,6 +188,8 @@ def constant_path(structure, x0, n_intervals=None):
 
 def path_integral(path, h):
     """Simpson value of integral <a(t), X_h(gamma(t))> dt over the samples."""
+    from scipy.integrate import simpson
+
     structure = path.structure
     h_expr = h if isinstance(h, expr.Expression) else expr.parse(
         str(h), structure.dim, params=tuple(structure.params))
@@ -194,6 +202,8 @@ def path_integral(path, h):
 
 def field_integral(path, components):
     """Line integral <a(t), X(gamma(t))> dt for a vector field X on M."""
+    from scipy.integrate import simpson
+
     structure = path.structure
     exprs = []
     for c in components:
@@ -265,6 +275,8 @@ def transport(path, s0, rtol=None, atol=None):
     returning s(1). Depends only on the covector values along the path, not
     on any off-path extension.
     """
+    from scipy.interpolate import CubicSpline
+
     structure = path.structure
     rtol = get_default("ode_rtol") if rtol is None else float(rtol)
     atol = get_default("ode_atol") if atol is None else float(atol)

@@ -1,9 +1,14 @@
 """Independent cross-checks used by the test suite.
 
-Everything here is assembled directly from raw entry dictionaries with the
-expression layer only, deliberately bypassing the library's own bracket and
-anchor code so the two can disagree.
+The bracket oracles are assembled directly from raw entry dictionaries with
+the expression layer only, deliberately bypassing the library's own bracket
+and anchor code so the two can disagree. The variation reference keeps the
+straightforward form of the family variation solve, so that the cached,
+blocked library solve can be held to it bit for bit.
 """
+
+import numpy as np
+from scipy.interpolate import CubicSpline
 
 from poispath import expr
 
@@ -79,3 +84,52 @@ def koszul_bracket_oracle(pi, dim, alpha, beta, params=()):
         total = expr.sub(total, expr.differentiate(pairing, i))
         out.append(total)
     return out
+
+
+def variation_field_reference(structure, t, gamma, a, d_eps_a, sign):
+    """RK4 for db/dt = da/deps + sign (d_i Pi^(jk)) a_j b_k, two grid cells
+    per step, with the coupling (one dpi_many call) at every stage."""
+    M, nodes, n = gamma.shape
+    N = nodes - 1
+    h = t[1] - t[0]
+    coarse = np.empty((M, N // 2 + 1, n))
+    coarse[:, 0] = 0.0
+    cur = np.zeros((M, n))
+
+    def rhs(node, b):
+        return d_eps_a[:, node] + sign * structure.coupling_many(
+            gamma[:, node], a[:, node], b)
+
+    for i in range(0, N, 2):
+        k1 = rhs(i, cur)
+        k2 = rhs(i + 1, cur + h * k1)
+        k3 = rhs(i + 1, cur + h * k2)
+        k4 = rhs(i + 2, cur + 2.0 * h * k3)
+        cur = cur + (h / 3.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        coarse[:, i // 2 + 1] = cur
+    b = CubicSpline(t[::2], coarse, axis=1)(t)
+    b[:, 0] = 0.0
+    return b
+
+
+def variation_reference(family, signs=(1.0, -1.0)):
+    """Base arrays and variation fields of a family, with the coarse and the
+    halved-step eps grids solved separately.
+
+    Returns (gamma, a, d_eps_a, fields) over family.eps, where fields[sign]
+    is (b, b_fine, resolution_change) and b_fine lives on
+    linspace(eps[0], eps[-1], 2M - 1).
+    """
+    S, t, eps = family.structure, family.t, family.eps
+    gamma, a, d_eps_a = family._solve_on(eps)
+    eps_fine = np.linspace(eps[0], eps[-1], 2 * len(eps) - 1)
+    gamma_f, a_f, d_eps_a_f = family._solve_on(eps_fine)
+    fields = {}
+    for sign in signs:
+        b = variation_field_reference(S, t, gamma, a, d_eps_a, sign)
+        b_fine = variation_field_reference(S, t, gamma_f, a_f, d_eps_a_f, sign)
+        delta = float(np.max(np.abs(b_fine[::2, -1] - b[:, -1])))
+        floor = 1e-8 * max(1.0, float(np.max(np.abs(a))))
+        change = delta / max(float(np.max(np.abs(b_fine[:, -1]))), floor)
+        fields[sign] = (b, b_fine, change)
+    return gamma, a, d_eps_a, fields

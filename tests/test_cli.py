@@ -218,6 +218,16 @@ class TestVariationCommand:
         assert report["reason"] == "not a family with fixed endpoints"
         assert report["end_spread"] > 1e-3
 
+    def test_non_finite_identity_fails_closed(self, tmp_path):
+        fam = tmp_path / "fam.json"
+        fam.write_text(json.dumps(GROUP_FAMILY))
+        with np.errstate(divide="ignore"):
+            code, out, err = run_cli("variation", "builtin:linear?preset=su2",
+                                     "--family", str(fam), "--X", "1/x1,0,0")
+        assert code == 3
+        assert out == ""
+        assert "not finite" in err
+
     def test_family_file_must_be_complete(self, tmp_path):
         fam = tmp_path / "fam.json"
         fam.write_text(json.dumps({"generator": ["0", "0", "1"]}))
@@ -380,6 +390,30 @@ class TestDeterminism:
         _, first, _ = run_cli(*argv)
         _, second, _ = run_cli(*argv)
         assert first == second
+
+
+class TestStartup:
+    """scipy is imported by the commands that integrate, not at start-up."""
+
+    def _run(self, *argv):
+        proc = subprocess.run([sys.executable, *argv], capture_output=True,
+                              cwd="/", env=helpers.module_env())
+        assert proc.returncode == 0, proc.stderr.decode()
+        return proc
+
+    def test_importing_the_cli_loads_no_scipy(self):
+        proc = self._run("-c", "import sys, poispath.cli; print(sorted("
+                         "m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        assert proc.stdout.decode().strip() == "[]"
+
+    def test_show_config_loads_no_scipy(self):
+        proc = self._run("-X", "importtime", "-m", "poispath", "--show-config")
+        assert json.loads(proc.stdout)
+        imported = [line.rsplit("|", 1)[-1].strip()
+                    for line in proc.stderr.decode().splitlines()
+                    if line.startswith("import time:")]
+        assert "poispath.cli" in imported
+        assert [m for m in imported if m.split(".")[0] == "scipy"] == []
 
 
 @pytest.fixture(scope="module")

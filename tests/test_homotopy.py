@@ -5,8 +5,9 @@ import pytest
 from scipy.linalg import expm
 
 import helpers
+import oracles
 from helpers import seeded_family, seeded_fields
-from poispath import expr
+from poispath import expr, homotopy
 from poispath.core import PoissonStructure
 from poispath.errors import ParseError, NumericalError, ValidationError
 from poispath.homotopy import (PathFamily, flow_by_action, invariance_identity_residual,
@@ -258,6 +259,113 @@ class TestInvariance:
     def test_field_component_count_checked(self, su2, reparam_family):
         with pytest.raises(ValidationError, match="components"):
             invariance_report(reparam_family, ("1", "0"))
+
+    def test_non_finite_field_fails_closed(self, group_family):
+        # the group family sits at the origin, where 1/x1 is infinite
+        with np.errstate(divide="ignore"):
+            with pytest.raises(NumericalError, match="vector field X is not finite"):
+                invariance_report(group_family, ("1/x1", "0", "0"))
+
+    def test_non_finite_density_fails_closed(self, group_family):
+        # sqrt(x1) vanishes at the origin, its derivative does not exist there
+        with np.errstate(divide="ignore", invalid="ignore"):
+            with pytest.raises(NumericalError, match="density is not finite"):
+                invariance_report(group_family, ("sqrt(x1)", "0", "0"))
+
+
+def _same_bits(actual, expected):
+    assert actual.shape == expected.shape
+    assert actual.tobytes() == expected.tobytes()
+
+
+# fresh, unsolved families for the solve-once checks
+SOLVE_ONCE_CASES = {
+    "su2-group": lambda: PathFamily(helpers.su2(), GROUP_GENERATOR, (0.0, 0.0, 0.0)),
+    "su2_scaled-drift": lambda: PathFamily(
+        helpers.su2_scaled("1 + R^2"),
+        ("0.2*eps*(1 - 2*t) + 0.1*eps*sin(t) + 0.3*eps*x1",
+         "-0.25*eps*(1-2*t) + 0.1*eps^2*t*(1-t)", "1 + 0.15*eps*x3"),
+        (0.8, 0.1, 0.3), t_intervals=400),
+    # 250 time intervals leave a partial last block of dpi nodes
+    "su3-partial-block": lambda: PathFamily(
+        helpers.su3(),
+        ["0.1*eps*(1-2*t) + 0.2*x2", "0.3*eps*t*(1-t)", "0.2*eps*sin(t)",
+         "0.1", "-0.15*eps*x5", "0.05*eps", "0.1*x1", "1"],
+        (0.3, 0.2, 0.1, 0.0, 0.4, 0.5, 0.1, 0.2), eps_intervals=16,
+        t_intervals=250),
+    # transcendental entries and generator
+    "transcendental": lambda: PathFamily(
+        helpers.su2_scaled("exp(-R^2/4) + sin(R)/3"),
+        ("0.2*eps*(1 - 2*t) + 0.1*eps*sin(t)", "-0.25*eps*cos(t)",
+         "1 + 0.15*eps*exp(x3)"),
+        ("0.7", "0.1*cos(eps)", "0.3"), eps_intervals=16, t_intervals=200),
+}
+
+
+class TestSolveOnce:
+    def test_partial_block_is_covered(self):
+        assert homotopy._DPI_BLOCK % 2 == 0
+        assert 250 % homotopy._DPI_BLOCK != 0
+
+    @pytest.mark.parametrize("case", sorted(SOLVE_ONCE_CASES))
+    def test_bitwise_equal_to_separate_solves(self, case):
+        fam = SOLVE_ONCE_CASES[case]().solve()
+        gamma, a, d_eps_a, fields = oracles.variation_reference(
+            SOLVE_ONCE_CASES[case]())
+        _same_bits(fam.eps_fine[::2], fam.eps)
+        _same_bits(fam.gamma, gamma)
+        _same_bits(fam.a, a)
+        _same_bits(fam.d_eps_a, d_eps_a)
+        for order, sign in (("pinned", 1.0), ("flipped", -1.0)):
+            b, b_fine, change = fields[sign]
+            result = solve_variation(fam, order=order)
+            _same_bits(result.b, b)
+            _same_bits(result.var, b[:, -1])
+            _same_bits(fam.variation_field(sign, fine=True), b_fine)
+            assert result.resolution_change == change
+        assert np.max(np.abs(fields[-1.0][0])) > 0.0
+
+    def test_each_grid_and_sign_is_solved_once(self, su2, monkeypatch):
+        solves, fields = [], []
+        solve_on, field = PathFamily._solve_on, homotopy._variation_field
+
+        def counted_solve_on(self, eps):
+            solves.append(len(eps))
+            return solve_on(self, eps)
+
+        def counted_field(structure, t, eps, gamma, a, d_eps_a, sign):
+            fields.append((len(eps), sign))
+            return field(structure, t, eps, gamma, a, d_eps_a, sign)
+
+        monkeypatch.setattr(PathFamily, "_solve_on", counted_solve_on)
+        monkeypatch.setattr(homotopy, "_variation_field", counted_field)
+        fam = PathFamily(su2, GROUP_GENERATOR, (0.0, 0.0, 0.0),
+                         eps_intervals=8, t_intervals=200)
+        is_homotopy(fam)
+        solve_variation(fam)
+        invariance_report(fam, ("0", "0", "0.5"))
+        solve_variation(fam, order="flipped")
+        assert solves == [17]
+        assert sorted(fields) == [(9, -1.0), (9, 1.0), (17, -1.0), (17, 1.0)]
+
+    def test_cached_arrays_are_read_only(self, group_family):
+        result = solve_variation(group_family)
+        assert result.b is group_family.variation_field(1.0)
+        cached = (group_family.t, group_family.eps, group_family.eps_fine,
+                  group_family.gamma, group_family.a, group_family.d_eps_a,
+                  result.b, group_family.variation_field(1.0, fine=True),
+                  group_family.variation_field(-1.0))
+        for array in cached:
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 1.0
+        # what callers get besides the cached fields are their own copies
+        result.var[0] = 1.0
+        path = group_family.slice_path(0)
+        path.gamma[0] = 1.0
+        path.t[0] = 1.0
+        assert solve_variation(group_family).var[0, 0] != 1.0
+        assert group_family.gamma[0, 0, 0] == 0.0
+        assert group_family.t[0] == 0.0
 
 
 @pytest.fixture(scope="module")

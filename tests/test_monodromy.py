@@ -5,7 +5,7 @@ import pytest
 
 from helpers import su2, su2_scaled, su2_splitting, symplectic_plane
 from poispath import connection, monodromy
-from poispath.errors import ValidationError
+from poispath.errors import NumericalError, ValidationError
 
 FOUR_PI = 4 * math.pi
 
@@ -79,6 +79,11 @@ class TestGcd:
         res = monodromy.gcd_analysis([FOUR_PI, 1e-12])
         assert res.dropped == 1
         assert res.generator == pytest.approx(FOUR_PI, rel=1e-12)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_input_fails_closed(self, bad):
+        with pytest.raises(NumericalError, match="not finite"):
+            monodromy.gcd_analysis([bad, 1.0])
 
     def test_binary_scale_equivariance(self):
         vals = [6.0, 4.0, 10.0]
