@@ -24,8 +24,8 @@ from .core import PoissonStructure
 from .errors import EvalDomainError, NumericalError, ParseError, ValidationError
 from .homotopy import PathFamily, invariance_report, is_homotopy, solve_variation
 from .isotropy import isotropy_data
-from .monodromy import (SigmaSphereFamily, curvature_periods, gcd_analysis,
-                        integrability_scan)
+from .monodromy import (SigmaSphereFamily, curvature_periods, integrability_scan,
+                        lattice)
 
 
 def _fmt(x):
@@ -102,12 +102,8 @@ def _components(text, what="components"):
 
 
 def _parse_forms(structure, text, what):
-    comps = _components(text, what)
-    if len(comps) != structure.dim:
-        raise ValidationError(
-            f"{what} needs {structure.dim} components, got {len(comps)}")
-    params = tuple(structure.params)
-    return [expr.parse(c, structure.dim, params=params) for c in comps]
+    return expr.components(_components(text, what), structure.dim,
+                           params=structure.params, what=what)
 
 
 def _values_at(structure, exprs, point):
@@ -436,8 +432,7 @@ def cmd_monodromy(args):
     else:
         family = _need_family(record)
     area, deriv, gens = family.row_data(args.tau)
-    floor = 1e-8 * max(1.0, abs(area))
-    live = [g for g in gens if g > floor]
+    g = lattice(gens, area)
     report = {
         "source": record.source,
         "label": record.label,
@@ -445,6 +440,9 @@ def cmd_monodromy(args):
         "area": area,
         "derivative": deriv,
         "generators": list(gens),
+        "lattice_generator": g.generator,
+        "dense": g.dense,
+        "dropped": g.dropped,
         "settings": {
             "denominator_bound": config.get_default("denominator_bound"),
             "ratio_tol": config.get_default("ratio_tol"),
@@ -453,15 +451,6 @@ def cmd_monodromy(args):
     quad_grid = getattr(family, "grid", None)
     if quad_grid is not None:
         report["settings"]["grid"] = list(quad_grid)
-    if live:
-        g = gcd_analysis(live)
-        report["lattice_generator"] = g.generator
-        report["dense"] = g.dense
-        report["dropped"] = g.dropped
-    else:
-        report["lattice_generator"] = math.inf
-        report["dense"] = False
-        report["dropped"] = 0
     splitting = None
     if args.splitting is not None:
         splitting = _load_json_file(args.splitting, "splitting")
@@ -721,7 +710,10 @@ def main(argv=None):
         parser.print_usage(sys.stderr)
         return 1
     try:
-        return args.func(args)
+        # the program reports non-finite values itself (exit 3), so numpy's
+        # floating-point warnings would only duplicate them on stderr
+        with np.errstate(all="ignore"):
+            return args.func(args)
     except (ValidationError, ParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -109,9 +109,15 @@ def _chart(tau, theta, phi):
     return x, dth, dph
 
 
-def _sphere_area_once(structure, tau, n_theta, n_phi):
+def sphere_simpson(dens, theta, phi):
+    """Simpson rule over phi, then over theta, of a density sampled on the
+    (theta, phi) nodes of sphere_grid."""
     from scipy.integrate import simpson
 
+    return float(simpson(simpson(dens, x=phi, axis=1), x=theta))
+
+
+def _sphere_area_once(structure, tau, n_theta, n_phi):
     theta, phi = sphere_grid(n_theta, n_phi)
     x, dth, dph = _chart(tau, theta, phi)
     shape = x.shape[1:]
@@ -119,7 +125,7 @@ def _sphere_area_once(structure, tau, n_theta, n_phi):
                           x.reshape(3, -1).T,
                           dth.reshape(3, -1).T,
                           dph.reshape(3, -1).T).reshape(shape)
-    return float(simpson(simpson(dens, x=phi, axis=1), x=theta))
+    return sphere_simpson(dens, theta, phi)
 
 
 def sphere_area(structure, tau, grid=None, check=True):

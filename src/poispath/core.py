@@ -25,14 +25,6 @@ from .errors import ValidationError
 from .config import get_default
 
 
-def _as_expression(value, dim, params):
-    if isinstance(value, expr.Expression):
-        return value
-    if isinstance(value, (int, float)):
-        return expr.Num(value)
-    return expr.parse(str(value), dim, params=tuple(params))
-
-
 class PoissonStructure:
     def __init__(self, dim, pi, params=None, label=None):
         """Args:
@@ -57,7 +49,7 @@ class PoissonStructure:
                     f"entry index ({i},{j}) is not strictly upper triangular in dim {dim}")
             if (i, j) in upper:
                 raise ValidationError(f"duplicate entry for ({i},{j})")
-            upper[(i, j)] = _as_expression(value, dim, self.params)
+            upper[(i, j)] = expr.as_expression(value, dim, params=self.params)
         self._upper = {k: upper[k] for k in sorted(upper)}
 
     # -- symbolic access ----------------------------------------------------

@@ -30,10 +30,6 @@ class ValidationError(PoispathError):
     covector not in the anchor kernel, invalid splitting, bad JSON)."""
 
 
-class GridError(PoispathError):
-    """Sampled data does not fit together: mismatched grids or endpoints."""
-
-
 class NumericalError(PoispathError):
     """A numerical procedure failed to meet its tolerance: ODE blow-up,
     non-convergent quadrature, degenerate transverse displacement."""

@@ -20,7 +20,7 @@ import math
 
 import numpy as np
 
-from .errors import EvalDomainError, ParseError
+from .errors import EvalDomainError, ParseError, ValidationError
 
 FUNCTIONS = ("sin", "cos", "exp", "log", "sqrt", "atan")
 
@@ -401,6 +401,26 @@ def parse(text, dim, symbols=(), params=()):
     return _Parser(text, dim, symbols, params).parse()
 
 
+def as_expression(value, dim, symbols=(), params=()):
+    """An Expression as it is, a number as Num, anything else parsed from
+    its string form with ``parse(str(value), dim, symbols, params)``."""
+    if isinstance(value, Expression):
+        return value
+    if isinstance(value, (int, float)):
+        return Num(value)
+    return parse(str(value), dim, symbols=symbols, params=tuple(params))
+
+
+def components(values, dim, symbols=(), params=(), what="expression", count=None):
+    """as_expression for each of values, which must have count entries
+    (dim when count is None); a mismatch raises ValidationError naming what."""
+    values = list(values)
+    count = dim if count is None else count
+    if len(values) != count:
+        raise ValidationError(f"{what} needs {count} components, got {len(values)}")
+    return [as_expression(v, dim, symbols, params) for v in values]
+
+
 # ---------------------------------------------------------------------------
 # printing (parse(to_source(e)) rebuilds an identically evaluating tree)
 
@@ -622,7 +642,7 @@ def evaluate(e, point=(), env=None):
 # ---------------------------------------------------------------------------
 # compilation to fast evaluators
 
-def _codegen(e, params, mode):
+def _codegen(e, params):
     if isinstance(e, Num):
         return f"({e.value!r})"
     if isinstance(e, Var):
@@ -632,25 +652,25 @@ def _codegen(e, params, mode):
             return f"({float(params[e.name])!r})"
         return f"_s_{e.name}"
     if isinstance(e, Add):
-        return f"({_codegen(e.left, params, mode)} + {_codegen(e.right, params, mode)})"
+        return f"({_codegen(e.left, params)} + {_codegen(e.right, params)})"
     if isinstance(e, Sub):
-        return f"({_codegen(e.left, params, mode)} - {_codegen(e.right, params, mode)})"
+        return f"({_codegen(e.left, params)} - {_codegen(e.right, params)})"
     if isinstance(e, Mul):
-        return f"({_codegen(e.left, params, mode)} * {_codegen(e.right, params, mode)})"
+        return f"({_codegen(e.left, params)} * {_codegen(e.right, params)})"
     if isinstance(e, Div):
-        return f"({_codegen(e.left, params, mode)} / {_codegen(e.right, params, mode)})"
+        return f"({_codegen(e.left, params)} / {_codegen(e.right, params)})"
     if isinstance(e, Pow):
-        return f"({_codegen(e.base, params, mode)} ** ({e.exponent!r}))"
+        return f"({_codegen(e.base, params)} ** ({e.exponent!r}))"
     if isinstance(e, Neg):
-        return f"(-{_codegen(e.operand, params, mode)})"
+        return f"(-{_codegen(e.operand, params)})"
     if isinstance(e, Call):
-        return f"_f_{e.func}({_codegen(e.arg, params, mode)})"
+        return f"_f_{e.func}({_codegen(e.arg, params)})"
     raise TypeError(f"not an expression: {e!r}")
 
 
-def _build(exprs, symbols, params, funcs, mode):
+def _build(exprs, symbols, params, funcs):
     args = ", ".join(["x"] + [f"_s_{name}" for name in symbols])
-    body = ", ".join(_codegen(e, params, mode) for e in exprs)
+    body = ", ".join(_codegen(e, params) for e in exprs)
     source = f"def _compiled({args}):\n    return ({body}{',' if len(list(exprs)) == 1 else ''})\n"
     namespace = {f"_f_{name}": fn for name, fn in funcs.items()}
     exec(source, namespace)  # noqa: S102 - generated from a closed AST
@@ -665,7 +685,7 @@ def compile_exprs(exprs, symbols=(), params=None):
     reporting matters.
     """
     exprs = list(exprs)
-    return _build(exprs, symbols, params, _SCALAR_FUNCS, "scalar")
+    return _build(exprs, symbols, params, _SCALAR_FUNCS)
 
 
 def compile_exprs_vec(exprs, symbols=(), params=None):
@@ -676,7 +696,7 @@ def compile_exprs_vec(exprs, symbols=(), params=None):
     is the number of expressions. Constant expressions are broadcast.
     """
     exprs = list(exprs)
-    raw = _build(exprs, symbols, params, _VECTOR_FUNCS, "vector")
+    raw = _build(exprs, symbols, params, _VECTOR_FUNCS)
     k = len(exprs)
 
     def evaluate_grid(x, *sym_values):

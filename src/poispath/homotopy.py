@@ -44,39 +44,6 @@ _EPS = "eps"
 _DPI_BLOCK = 64
 
 
-def _generator_components(structure, values):
-    out = []
-    for v in values:
-        if isinstance(v, expr.Expression):
-            out.append(v)
-        elif isinstance(v, (int, float)):
-            out.append(expr.Num(v))
-        else:
-            out.append(expr.parse(str(v), structure.dim, symbols=(_TIME, _EPS),
-                                  params=tuple(structure.params)))
-    if len(out) != structure.dim:
-        raise ValidationError(
-            f"generator needs {structure.dim} components, got {len(out)}")
-    return out
-
-
-def _start_components(structure, x0):
-    # fixed numbers or expressions in eps
-    out = []
-    for v in x0:
-        if isinstance(v, expr.Expression):
-            out.append(v)
-        elif isinstance(v, (int, float)):
-            out.append(expr.Num(float(v)))
-        else:
-            out.append(expr.parse(str(v), 0, symbols=(_EPS,),
-                                  params=tuple(structure.params)))
-    if len(out) != structure.dim:
-        raise ValidationError(
-            f"start point needs {structure.dim} components, got {len(out)}")
-    return out
-
-
 def _even_intervals(n, least, what):
     n = int(n)
     if n < least or n % 2:
@@ -106,8 +73,12 @@ class PathFamily:
     def __init__(self, structure, generator, x0, eps_range=(0.0, 1.0),
                  eps_intervals=None, t_intervals=None):
         self.structure = structure
-        self.generator = _generator_components(structure, generator)
-        self.x0_exprs = _start_components(structure, x0)
+        self.generator = expr.components(
+            generator, structure.dim, symbols=(_TIME, _EPS),
+            params=structure.params, what="generator")
+        self.x0_exprs = expr.components(
+            x0, 0, symbols=(_EPS,), params=structure.params,
+            what="start point", count=structure.dim)
         lo, hi = (float(eps_range[0]), float(eps_range[1]))
         if not hi > lo:
             raise ValidationError(f"bad eps range ({lo}, {hi})")
@@ -333,20 +304,6 @@ def is_homotopy(family, tol=None):
                             start_spread, end_spread, tol)
 
 
-def _field_components(structure, components):
-    out = []
-    for c in components:
-        if isinstance(c, expr.Expression):
-            out.append(c)
-        else:
-            out.append(expr.parse(str(c), structure.dim,
-                                  params=tuple(structure.params)))
-    if len(out) != structure.dim:
-        raise ValidationError(
-            f"vector field needs {structure.dim} components, got {len(out)}")
-    return out
-
-
 def _lie_derivative_upper(structure, X):
     """(L_X Pi)^(jk) for j < k as expressions: X^l d_l Pi^(jk)
     - Pi^(lk) d_l X^j - Pi^(jl) d_l X^k."""
@@ -390,7 +347,7 @@ def invariance_report(family, field):
     from scipy.integrate import simpson
 
     S = family.structure
-    X = _field_components(S, field)
+    X = expr.components(field, S.dim, params=S.params, what="vector field")
     b = family.variation_field(-1.0)
 
     M, nodes, n = family.gamma.shape
@@ -443,15 +400,7 @@ def flow_by_action(path, eta, step=2e-4, count=25, defect_tol=None):
     S = path.structure
     n = S.dim
     defect_tol = get_default("flow_defect_tol") if defect_tol is None else float(defect_tol)
-    comps = []
-    for c in eta:
-        if isinstance(c, expr.Expression):
-            comps.append(c)
-        else:
-            comps.append(expr.parse(str(c), n, symbols=(_TIME,),
-                                    params=tuple(S.params)))
-    if len(comps) != n:
-        raise ValidationError(f"eta needs {n} components, got {len(comps)}")
+    comps = expr.components(eta, n, symbols=(_TIME,), params=S.params, what="eta")
 
     eta_fn = expr.compile_exprs_vec(comps, symbols=(_TIME,), params=S.params)
     eta_t = expr.compile_exprs_vec(

@@ -139,10 +139,6 @@ def isotropy_data(structure, x, rank_tol=None, gap_min=None):
         is_abelian=is_abelian, is_semisimple=is_semisimple)
 
 
-def kernel_basis(structure, x, rank_tol=None):
-    return isotropy_data(structure, x, rank_tol=rank_tol).basis
-
-
 def _coefficient_interpolant(coeffs):
     coeffs = np.asarray(coeffs, dtype=float)
     if coeffs.ndim != 2 or coeffs.shape[0] < 2:

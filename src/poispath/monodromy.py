@@ -26,8 +26,9 @@ import numpy as np
 from . import expr
 from .config import get_default
 from .connection import (_chart, _stencil_derivative, _sphere_area_once,
-                         leaf_form_many, sphere_grid)
+                         leaf_form_many, sphere_grid, sphere_simpson)
 from .errors import NumericalError, ValidationError
+from .paths import fd_weights
 
 VERDICT_OK = "INTEGRABLE_EVIDENCE"
 VERDICT_BAD = "NON_INTEGRABLE"
@@ -44,7 +45,6 @@ class CurvatureResult:
     tau: float
     integral: float           # quadrature of <Omega, zeta> over the chart
     xi: np.ndarray            # integral * zeta at the base point (tau, 0, 0)
-    zeta0: np.ndarray
     center_residual: float
     splitting_residual: float
 
@@ -54,18 +54,7 @@ def _parse_splitting(splitting, structure):
     rows = list(splitting)
     if len(rows) != n or any(len(list(r)) != n for r in rows):
         raise ValidationError(f"splitting must be a {n}x{n} matrix of expressions")
-    out = []
-    for row in rows:
-        comps = []
-        for cell in row:
-            if isinstance(cell, expr.Expression):
-                comps.append(cell)
-            elif isinstance(cell, (int, float)):
-                comps.append(expr.Num(cell))
-            else:
-                comps.append(expr.parse(str(cell), n, params=tuple(structure.params)))
-        out.append(comps)
-    return out
+    return [expr.components(row, n, params=structure.params) for row in rows]
 
 
 def _sphere_chart_exprs(tau):
@@ -91,10 +80,9 @@ def curvature_periods(structure, splitting, tau, grid=None):
     alpha = sigma(sigma_theta), beta = sigma(sigma_phi), D the coupling term
     (d_i Pi^(jk)) alpha_j beta_k; it must be kernel-valued (checked). The
     pairing with the radially aligned unit kernel covector is integrated with
-    the same shifted-pole Simpson rule the areas use.
+    the same shifted-pole Simpson rule the areas use. Non-finite curvature,
+    residuals or densities raise NumericalError.
     """
-    from scipy.integrate import simpson
-
     if structure.dim != 3:
         raise ValidationError("curvature quadrature works on dim-3 sphere leaves")
     tau = float(tau)
@@ -148,20 +136,24 @@ def curvature_periods(structure, splitting, tau, grid=None):
     dummy = np.zeros((1, m))
     omega_fn = expr.compile_exprs_vec(omega, symbols=_ANGLES, params=params)
     Om = omega_fn(dummy, T, F).T                       # (m, 3)
+    if not np.all(np.isfinite(Om)):
+        raise NumericalError("curvature is not finite on the leaf")
 
     # splitting validity: #(M v) = v for both chart tangents
     M_flat = [M[i][j] for i in range(3) for j in range(3)]
     M_fn = expr.compile_exprs_vec(M_flat, params=params)
     Mnum = M_fn(pts).T.reshape(m, 3, 3)
     P = structure.pi_many(pts.T)
-    split_res = 0.0
+    errs = []
     for v in (dth.reshape(3, -1).T, dph.reshape(3, -1).T):
         w = np.einsum("mij,mj->mi", Mnum, v)
         back = np.einsum("mjk,mj->mk", P, w)
         vn = np.linalg.norm(v, axis=1)
-        err = np.linalg.norm(back - v, axis=1) / np.maximum(vn, 1e-300)
-        split_res = max(split_res, float(np.max(err)))
-    if split_res > 1e-8:
+        errs.append(np.linalg.norm(back - v, axis=1) / np.maximum(vn, 1e-300))
+    split_res = float(np.max(errs))
+    if not np.isfinite(split_res):
+        raise NumericalError("splitting residual is not finite on the leaf")
+    if not (split_res <= 1e-8):
         raise ValidationError(
             f"matrix is not a splitting of the anchor on the leaf "
             f"(residual {split_res:.3e})")
@@ -169,7 +161,9 @@ def curvature_periods(structure, splitting, tau, grid=None):
     sharp_om = np.einsum("mjk,mj->mk", P, Om)
     om_scale = max(1.0, float(np.max(np.abs(Om))))
     center_res = float(np.max(np.linalg.norm(sharp_om, axis=1))) / om_scale
-    if center_res > 1e-8:
+    if not np.isfinite(center_res):
+        raise NumericalError("curvature center residual is not finite on the leaf")
+    if not (center_res <= 1e-8):
         raise ValidationError(
             f"curvature is not kernel-valued (residual {center_res:.3e}); "
             f"refusing to project it")
@@ -190,11 +184,12 @@ def curvature_periods(structure, splitting, tau, grid=None):
     zeta *= np.sign(align)[:, None]
 
     dens = np.einsum("mi,mi->m", Om, zeta).reshape(shape)
-    integral = float(simpson(simpson(dens, x=phi, axis=1), x=theta))
-    zeta0 = np.array([1.0, 0.0, 0.0])
-    return CurvatureResult(tau=tau, integral=integral, xi=integral * zeta0,
-                           zeta0=zeta0, center_residual=center_res,
-                           splitting_residual=split_res)
+    if not np.all(np.isfinite(dens)):
+        raise NumericalError("curvature density is not finite on the leaf")
+    integral = sphere_simpson(dens, theta, phi)
+    return CurvatureResult(tau=tau, integral=integral,
+                           xi=integral * np.array([1.0, 0.0, 0.0]),
+                           center_residual=center_res, splitting_residual=split_res)
 
 
 # ---------------------------------------------------------------------------
@@ -253,6 +248,17 @@ def gcd_analysis(values, denominator_bound=None, ratio_tol=None):
     return GcdResult(float(g), False, tuple(used), dropped, bound, tol)
 
 
+def lattice(gens, area, bound=None, tol=None):
+    """gcd_analysis of the generators above the floor 1e-8 * max(1, |area|);
+    an empty surviving set gives the trivial lattice (generator inf). A
+    non-finite area or generator raises NumericalError."""
+    gens = tuple(float(g) for g in gens)
+    if not all(math.isfinite(v) for v in (area, *gens)):
+        raise NumericalError(f"lattice input is not finite: area {area}, generators {gens}")
+    floor = 1e-8 * max(1.0, abs(area))
+    return gcd_analysis([g for g in gens if g > floor], bound, tol)
+
+
 # ---------------------------------------------------------------------------
 # one-parameter sphere families
 
@@ -297,14 +303,10 @@ class FoliatedSphereProduct:
     def __init__(self, invariants, label=None):
         if not invariants:
             raise ValidationError("need at least one invariant")
-        self.f = []
-        for source in invariants:
-            if isinstance(source, expr.Expression):
-                e = source
-            else:
-                e = expr.parse(str(source), 1, symbols=("tau",))
-                e = expr.substitute(e, sym_map={"tau": expr.Var(1)})
-            self.f.append(e)
+        # tau is an alias of the single coordinate x1
+        self.f = [expr.substitute(expr.as_expression(source, 1, symbols=("tau",)),
+                                  sym_map={"tau": expr.Var(1)})
+                  for source in invariants]
         self.df = [expr.differentiate(e, 1) for e in self.f]
         self.label = label or f"foliated-spheres[{len(self.f)}]"
 
@@ -340,17 +342,9 @@ class SigmaSphereFamily:
                  label=None):
         if structure.dim != 3:
             raise ValidationError("sigma sphere families need dimension 3")
-        comps = list(sigma)
-        if len(comps) != 3:
-            raise ValidationError(f"sigma needs 3 components, got {len(comps)}")
         names = ("tau",) + _ANGLES
-        parsed = []
-        for c in comps:
-            if isinstance(c, expr.Expression):
-                parsed.append(c)
-            else:
-                parsed.append(expr.parse(str(c), 0, symbols=names,
-                                         params=tuple(structure.params)))
+        parsed = expr.components(sigma, 0, symbols=names, params=structure.params,
+                                 what="sigma", count=3)
         try:
             lo, hi = (float(v) for v in tau_range)
         except (TypeError, ValueError):
@@ -375,8 +369,6 @@ class SigmaSphereFamily:
                 f"tau {tau:g} outside the family range [{lo:g}, {hi:g}]")
 
     def area(self, tau):
-        from scipy.integrate import simpson
-
         tau = float(tau)
         self._check_tau(tau)
         theta, phi = sphere_grid(*self.grid)
@@ -385,7 +377,7 @@ class SigmaSphereFamily:
         vals = self._fn(dummy, tau, T.ravel(), F.ravel())
         dens = leaf_form_many(self.structure, vals[0:3].T, vals[3:6].T,
                               vals[6:9].T).reshape(T.shape)
-        return float(simpson(simpson(dens, x=phi, axis=1), x=theta))
+        return sphere_simpson(dens, theta, phi)
 
     def row_data(self, tau):
         tau = float(tau)
@@ -399,12 +391,7 @@ class SigmaSphereFamily:
             nodes += math.ceil((lo - tau) / h) + 2
         elif tau + nodes[-1] * h > hi:
             nodes -= math.ceil((tau - hi) / h) + 2
-        # derivative weights for the (possibly shifted) nodes from the
-        # order-conditions Vandermonde system
-        A = np.vander(nodes, 5, increasing=True).T
-        rhs = np.zeros(5)
-        rhs[1] = 1.0
-        w = np.linalg.solve(A, rhs) / h
+        w = fd_weights(nodes) / h
         areas = [self.area(tau + s * h) for s in nodes]
         deriv = float(np.dot(w, areas))
         area = areas[int(np.argmin(np.abs(nodes)))] if 0.0 in nodes \
@@ -449,19 +436,19 @@ class ScanResult:
     notes: tuple = field(default_factory=tuple)
 
     def finite_minimum(self):
-        vals = [r.r_value for r in self.rows if math.isfinite(r.r_value)]
-        for c in self.candidates:
-            vals.extend(v for v in c.round_minima if math.isfinite(v))
-        return min(vals, default=math.inf)
+        return _finite_floor(self.rows, self.candidates)
+
+
+def _finite_floor(rows, candidates):
+    """Smallest finite lattice generator over the rows and the refinement
+    minima; inf when there is none."""
+    vals = [r.r_value for r in rows] + [v for c in candidates for v in c.round_minima]
+    return min((v for v in vals if math.isfinite(v)), default=math.inf)
 
 
 def _make_row(family, tau, bound, tol):
     area, deriv, gens = family.row_data(tau)
-    floor = 1e-8 * max(1.0, abs(area))
-    live = [g for g in gens if g > floor]
-    if not live:
-        return ScanRow(tau, area, deriv, tuple(gens), math.inf, False)
-    res = gcd_analysis(live, bound, tol)
+    res = lattice(gens, area, bound, tol)
     r = math.nan if res.dense else res.generator
     return ScanRow(tau, area, deriv, tuple(gens), r, res.dense)
 
@@ -551,11 +538,7 @@ def integrability_scan(family, taus, threshold=None, refine_rounds=None,
         verdict = VERDICT_BAD
         notes.append("lattice generator collapses to zero inside the range")
     else:
-        result_floor = min(
-            [r.r_value for r in rows if math.isfinite(r.r_value)]
-            + [v for c in candidates for v in c.round_minima if math.isfinite(v)],
-            default=math.inf)
-        if result_floor >= threshold:
+        if _finite_floor(rows, candidates) >= threshold:
             verdict = VERDICT_OK
         else:
             verdict = VERDICT_OPEN

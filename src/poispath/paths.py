@@ -35,22 +35,10 @@ def solve_ivp(fun, t_span, y0, **options):
     return scipy_solve_ivp(fun, t_span, y0, **options)
 
 
-def _as_components(values, dim, params, symbols=(_TIME,)):
-    out = []
-    for v in values:
-        if isinstance(v, expr.Expression):
-            out.append(v)
-        elif isinstance(v, (int, float)):
-            out.append(expr.Num(v))
-        else:
-            out.append(expr.parse(str(v), dim, symbols=symbols, params=tuple(params)))
-    if len(out) != dim:
-        raise ValidationError(f"need {dim} covector components, got {len(out)}")
-    return out
-
-
-def _stencil_weights(offsets):
-    # derivative weights: sum_j w_j f(x + o_j h) = h f'(x) + O(h^7)
+def fd_weights(offsets):
+    """First-derivative weights on the given node offsets (in steps h):
+    sum_j w_j f(x + o_j h) = h f'(x) + O(h^k) for k offsets, from the
+    order-conditions Vandermonde system."""
     k = len(offsets)
     V = np.vander(np.asarray(offsets, dtype=float), k, increasing=True).T
     rhs = np.zeros(k)
@@ -65,13 +53,13 @@ def differentiate_samples(y, h):
     if m < 7:
         raise ValidationError("need at least 7 samples for the derivative stencils")
     d = np.empty_like(y)
-    w = _stencil_weights(np.arange(-3, 4))
+    w = fd_weights(np.arange(-3, 4))
     core = sum(w[k] * y[k:m - 6 + k] for k in range(7))
     d[3:m - 3] = core / h
     for i in range(3):
-        wl = _stencil_weights(np.arange(7) - i)
+        wl = fd_weights(np.arange(7) - i)
         d[i] = np.tensordot(wl, y[:7], axes=(0, 0)) / h
-        wr = _stencil_weights(np.arange(7) - 6 + i)
+        wr = fd_weights(np.arange(7) - 6 + i)
         d[m - 1 - i] = np.tensordot(wr, y[m - 7:], axes=(0, 0)) / h
     return d
 
@@ -137,7 +125,8 @@ def integrate_base(structure, a, x0, n_intervals=None, method=None,
     rtol = get_default("ode_rtol") if rtol is None else float(rtol)
     atol = get_default("ode_atol") if atol is None else float(atol)
     dim = structure.dim
-    a_exprs = _as_components(a, dim, structure.params)
+    a_exprs = expr.components(a, dim, symbols=(_TIME,), params=structure.params,
+                              what="covector")
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (dim,):
         raise ValidationError(f"start point must have shape ({dim},), got {x0.shape}")
@@ -191,8 +180,7 @@ def path_integral(path, h):
     from scipy.integrate import simpson
 
     structure = path.structure
-    h_expr = h if isinstance(h, expr.Expression) else expr.parse(
-        str(h), structure.dim, params=tuple(structure.params))
+    h_expr = expr.as_expression(h, structure.dim, params=structure.params)
     field = expr.compile_exprs_vec(structure.hamiltonian_field(h_expr),
                                    params=structure.params)
     X = field(path.gamma.T).T
@@ -205,15 +193,8 @@ def field_integral(path, components):
     from scipy.integrate import simpson
 
     structure = path.structure
-    exprs = []
-    for c in components:
-        if isinstance(c, expr.Expression):
-            exprs.append(c)
-        else:
-            exprs.append(expr.parse(str(c), structure.dim, params=tuple(structure.params)))
-    if len(exprs) != structure.dim:
-        raise ValidationError(
-            f"vector field needs {structure.dim} components, got {len(exprs)}")
+    exprs = expr.components(components, structure.dim, params=structure.params,
+                            what="vector field")
     fn = expr.compile_exprs_vec(exprs, params=structure.params)
     X = fn(path.gamma.T).T
     integrand = np.einsum("mi,mi->m", path.a, X)
@@ -223,8 +204,7 @@ def field_integral(path, components):
 def endpoint_pairing(path, h):
     """ENDPOINT_SIGN * (h at the far end minus h at the start)."""
     structure = path.structure
-    h_expr = h if isinstance(h, expr.Expression) else expr.parse(
-        str(h), structure.dim, params=tuple(structure.params))
+    h_expr = expr.as_expression(h, structure.dim, params=structure.params)
     env = dict(structure.params)
     return ENDPOINT_SIGN * (expr.evaluate(h_expr, path.end, env)
                             - expr.evaluate(h_expr, path.start, env))

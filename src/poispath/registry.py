@@ -18,15 +18,12 @@ extra arguments.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from urllib.parse import unquote
 
 from .core import PoissonStructure
 from .errors import ValidationError
 from .monodromy import FoliatedSphereProduct, RadialSphereFamily
-
-_RESERVED = {"n", "preset", "a", "k", "label"}
 
 
 @dataclass

@@ -221,12 +221,13 @@ class TestVariationCommand:
     def test_non_finite_identity_fails_closed(self, tmp_path):
         fam = tmp_path / "fam.json"
         fam.write_text(json.dumps(GROUP_FAMILY))
-        with np.errstate(divide="ignore"):
-            code, out, err = run_cli("variation", "builtin:linear?preset=su2",
-                                     "--family", str(fam), "--X", "1/x1,0,0")
+        code, out, err = run_cli("variation", "builtin:linear?preset=su2",
+                                 "--family", str(fam), "--X", "1/x1,0,0")
         assert code == 3
         assert out == ""
-        assert "not finite" in err
+        # the diagnostic alone: no numpy warning in front of it
+        assert err.count("\n") == 1
+        assert err.startswith("numerical failure:") and "not finite" in err
 
     def test_family_file_must_be_complete(self, tmp_path):
         fam = tmp_path / "fam.json"
@@ -268,6 +269,13 @@ class TestLeafReports:
         assert report["dense"] is True
         # non-finite floats are serialized as strings to keep the JSON valid
         assert report["lattice_generator"] == "nan"
+
+    def test_monodromy_without_live_generators_is_the_trivial_lattice(self):
+        report = run_json("monodromy", "builtin:foliated_spheres?f1=2", "--tau", "1")
+        assert report["generators"] == [0.0]
+        assert report["lattice_generator"] == "inf"
+        assert report["dense"] is False
+        assert report["dropped"] == 0
 
     def test_splitting_file_override(self, tmp_path):
         spl = tmp_path / "spl.json"

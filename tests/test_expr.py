@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from poispath import expr
-from poispath.errors import EvalDomainError, ParseError
+from poispath.errors import EvalDomainError, ParseError, ValidationError
 
 
 def ev(text, point, dim=None, **env):
@@ -272,3 +272,38 @@ class TestCompiled:
         for k, e in enumerate(exprs):
             want = [expr.evaluate(e, x[:, j]) for j in range(40)]
             np.testing.assert_allclose(out[k], want, rtol=1e-14)
+
+
+class TestComponents:
+    def test_expression_passes_through_as_the_same_object(self):
+        e = expr.parse("x1*x2", 2)
+        assert expr.as_expression(e, 2) is e
+        assert expr.components([e, "x1"], 2)[0] is e
+
+    @pytest.mark.parametrize("value", [3, -2.5])
+    def test_numbers_become_num(self, value):
+        out = expr.as_expression(value, 1)
+        assert isinstance(out, expr.Num) and out.value == float(value)
+
+    def test_strings_with_symbols_and_params_are_parsed(self):
+        out = expr.components(["c*t*x1", "x2 - t"], 2, symbols=("t",),
+                              params={"c": 3.0})
+        assert [expr.to_source(e) for e in out] == ["c * t * x1", "x2 - t"]
+        assert expr.evaluate(out[0], (2.0, 0.0), {"c": 3.0, "t": 0.5}) == 3.0
+
+    def test_count_mismatch_names_what(self):
+        # the count is checked before any component is parsed
+        with pytest.raises(ValidationError,
+                           match="generator needs 3 components, got 2"):
+            expr.components(["x9", "x1"], 3, what="generator")
+
+    def test_count_may_differ_from_dim(self):
+        # a sphere chart: three components in tau, theta, phi, no coordinates
+        names = ("tau", "theta", "phi")
+        out = expr.components(["tau*sin(theta)", "tau*cos(phi)", 0], 0,
+                              symbols=names, what="sigma", count=3)
+        assert len(out) == 3 and isinstance(out[2], expr.Num)
+        with pytest.raises(ValidationError, match="sigma needs 3 components, got 2"):
+            expr.components(["tau", "tau"], 0, symbols=names, what="sigma", count=3)
+        with pytest.raises(ParseError, match="out of range"):
+            expr.components(["x1", "0", "0"], 0, symbols=names, count=3)

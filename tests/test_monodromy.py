@@ -41,6 +41,16 @@ class TestCurvature:
         with pytest.raises(ValidationError):
             monodromy.curvature_periods(su2(), [["0"] * 3] * 2, 1.0)
 
+    # on the phi = 0 and phi = pi meridians of the chart x2 = 0: the first
+    # entry is 0/0 there, the second is finite but its derivative is not
+    @pytest.mark.parametrize("change", ["*(x2/x2)", " + ((x2^2)^0.5 - (x2^2)^0.5)"])
+    def test_non_finite_splitting_fails_closed(self, change):
+        spl = su2_splitting()
+        spl[0][1] = f"({spl[0][1]}){change}"
+        with np.errstate(divide="ignore", invalid="ignore"):
+            with pytest.raises(NumericalError, match="not finite"):
+                monodromy.curvature_periods(su2(), spl, 1.0)
+
     def test_dimension_and_radius_guards(self):
         with pytest.raises(ValidationError):
             monodromy.curvature_periods(symplectic_plane(), [["0", "0"]] * 2, 1.0)
@@ -92,6 +102,24 @@ class TestGcd:
             lam = 2.0 ** k
             scaled = monodromy.gcd_analysis([lam * v for v in vals]).generator
             assert scaled == lam * base
+
+
+class TestLattice:
+    def test_generators_below_the_area_floor_are_removed(self):
+        res = monodromy.lattice([FOUR_PI, 1e-9], 1.0)
+        assert res.generator == FOUR_PI and res.dropped == 0
+        assert res.used == (FOUR_PI,)
+
+    def test_no_live_generator_is_the_trivial_lattice(self):
+        res = monodromy.lattice([0.0], 25.0)
+        assert res.generator == math.inf
+        assert not res.dense and res.dropped == 0
+
+    @pytest.mark.parametrize("gens, area", [([math.nan], 1.0), ([math.inf, 1.0], 1.0),
+                                            ([1.0], math.nan)])
+    def test_non_finite_input_fails_closed(self, gens, area):
+        with pytest.raises(NumericalError, match="not finite"):
+            monodromy.lattice(gens, area)
 
 
 class TestFoliatedProduct:
@@ -163,6 +191,18 @@ class TestScan:
         assert res.verdict == monodromy.VERDICT_OPEN
         assert res.candidates and not any(c.collapses for c in res.candidates)
         assert res.finite_minimum() < res.threshold
+
+    def test_non_finite_row_fails_closed(self):
+        class NanDerivative:
+            def row_data(self, tau):
+                return FOUR_PI * tau, math.nan, (math.nan,)
+
+            def minimum_radius(self):
+                return 0.0
+
+        # a NaN generator must not pass as a trivial lattice
+        with pytest.raises(NumericalError, match="not finite"):
+            monodromy.integrability_scan(NanDerivative(), [0.5, 1.0, 1.5])
 
     def test_needs_at_least_two_radii(self):
         with pytest.raises(ValidationError):
