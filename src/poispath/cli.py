@@ -72,17 +72,6 @@ def _emit_json(report, out):
     _emit(json.dumps(_clean(report), sort_keys=True, indent=2), out)
 
 
-def _load_json_file(path_, what):
-    try:
-        with open(path_, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except OSError as exc:
-        raise ValidationError(
-            f"cannot read {what} file {path_!r}: {exc.strerror or exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"bad JSON in {what} file {path_!r}: {exc}") from exc
-
-
 def _point(text, dim, what="point"):
     parts = [p.strip() for p in str(text).split(",")]
     try:
@@ -106,9 +95,12 @@ def _parse_forms(structure, text, what):
                            params=structure.params, what=what)
 
 
-def _values_at(structure, exprs, point):
-    fn = expr.compile_exprs_vec(exprs, params=structure.params)
-    return fn(np.asarray(point, dtype=float)[:, None])[:, 0]
+def _add_values(report, structure, exprs, at):
+    """The values of exprs at the --at point, when one is given."""
+    if at is not None:
+        point = _point(at, structure.dim, "--at")
+        fn = expr.compile_exprs_vec(exprs, params=structure.params)
+        report.update(at=point, value=fn(point[:, None])[:, 0])
 
 
 def _need_structure(record):
@@ -127,17 +119,17 @@ def _need_family(record):
     return record.family
 
 
-def _sphere_family(record, file_, grid=None, step=None):
+def _sphere_family(record, file_, grid=None):
     """Chart-described sphere family from a {"sigma": [...], "tau_range": [...]}
     file, overriding the record's default family."""
-    data = _load_json_file(file_, "sphere family")
+    data = registry.load_json_file(file_, "sphere family")
     missing = [k for k in ("sigma", "tau_range") if k not in data]
     if missing:
         raise ValidationError(
             f"sphere-family file lacks fields: {', '.join(missing)}")
     structure = _need_structure(record)
     return SigmaSphereFamily(structure, data["sigma"], data["tau_range"],
-                             grid=grid, step=step, label=data.get("label"))
+                             grid=grid, label=data.get("label"))
 
 
 def _tau_range(text):
@@ -195,10 +187,7 @@ def cmd_bracket(args):
         "source": record.source,
         "bracket": [expr.to_source(c) for c in bracket],
     }
-    if args.at is not None:
-        point = _point(args.at, structure.dim, "--at")
-        report["at"] = point
-        report["value"] = _values_at(structure, bracket, point)
+    _add_values(report, structure, bracket, args.at)
     _emit_json(report, args.out)
     return 0
 
@@ -212,10 +201,7 @@ def cmd_sharp(args):
         "source": record.source,
         "field": [expr.to_source(c) for c in field],
     }
-    if args.at is not None:
-        point = _point(args.at, structure.dim, "--at")
-        report["at"] = point
-        report["value"] = _values_at(structure, field, point)
+    _add_values(report, structure, field, args.at)
     _emit_json(report, args.out)
     return 0
 
@@ -230,10 +216,7 @@ def cmd_hamiltonian(args):
         "h": expr.to_source(h),
         "field": [expr.to_source(c) for c in field],
     }
-    if args.at is not None:
-        point = _point(args.at, structure.dim, "--at")
-        report["at"] = point
-        report["value"] = _values_at(structure, field, point)
+    _add_values(report, structure, field, args.at)
     _emit_json(report, args.out)
     return 0
 
@@ -268,15 +251,16 @@ def cmd_path(args):
 
 
 def _read_path(file_):
-    data = _load_json_file(file_, "path")
+    data = registry.load_json_file(file_, "path")
     missing = [k for k in ("structure", "t", "gamma", "a") if k not in data]
     if missing:
         raise ValidationError(f"path file lacks fields: {', '.join(missing)}")
     structure = PoissonStructure.from_dict(data["structure"])
-    return pth.CotangentPath(structure,
-                             np.asarray(data["t"], dtype=float),
-                             np.asarray(data["gamma"], dtype=float),
-                             np.asarray(data["a"], dtype=float))
+    arrays = {k: np.asarray(data[k], dtype=float) for k in ("t", "gamma", "a")}
+    for key, values in arrays.items():
+        if not np.all(np.isfinite(values)):
+            raise ValidationError(f"path file holds non-finite values in {key!r}")
+    return pth.CotangentPath(structure, arrays["t"], arrays["gamma"], arrays["a"])
 
 
 def cmd_integrate_field(args):
@@ -313,7 +297,7 @@ def cmd_transport(args):
 def cmd_variation(args):
     record = registry.load(args.source)
     structure = _need_structure(record)
-    family = PathFamily.from_dict(structure, _load_json_file(args.family, "family"))
+    family = PathFamily.from_dict(structure, registry.load_json_file(args.family, "family"))
     decision = is_homotopy(family)
     result = solve_variation(family, order=args.order)
     report = {
@@ -378,23 +362,9 @@ def cmd_area(args):
 
 def cmd_area_variation(args):
     record = registry.load(args.source)
-    if args.family is not None:
-        grid = args.grid or tuple(config.get_default("area_grid"))
-        family = _sphere_family(record, args.family, grid=grid, step=args.step)
-        area, deriv, gens = family.row_data(args.tau)
-        report = {
-            "source": record.source,
-            "family": args.family,
-            "tau": args.tau,
-            "area": area,
-            "derivative": deriv,
-            "generators": list(gens),
-            "settings": {"grid": list(grid), "step": family.step},
-        }
-    elif record.structure is not None:
-        grid = args.grid or tuple(config.get_default("area_grid"))
-        step = args.step if args.step is not None else config.get_default("variation_step")
-        av = area_variation(record.structure, args.tau, step=step, grid=grid)
+    grid = args.grid or tuple(config.get_default("area_grid"))
+    if args.family is None and record.structure is not None:
+        av = area_variation(record.structure, args.tau, grid=grid)
         report = {
             "source": record.source,
             "tau": av.tau,
@@ -404,18 +374,17 @@ def cmd_area_variation(args):
             "xi": av.xi,
             "zeta": av.zeta,
             "base_point": av.base_point,
-            "settings": {"grid": list(grid), "step": step},
+            "settings": {"grid": list(grid)},
         }
     else:
-        area, deriv, gens = _need_family(record).row_data(args.tau)
-        report = {
-            "source": record.source,
-            "tau": args.tau,
-            "area": area,
-            "derivative": deriv,
-            "generators": list(gens),
-            "settings": {"exact": True},
-        }
+        if args.family is not None:
+            family = _sphere_family(record, args.family, grid=grid)
+            extra = {"family": args.family, "settings": {"grid": list(grid)}}
+        else:
+            family, extra = _need_family(record), {"settings": {"exact": True}}
+        area, deriv, gens = family.row_data(args.tau)
+        report = {"source": record.source, "tau": args.tau, "area": area,
+                  "derivative": deriv, "generators": list(gens), **extra}
     _emit_json(report, args.out)
     return 0
 
@@ -453,7 +422,7 @@ def cmd_monodromy(args):
         report["settings"]["grid"] = list(quad_grid)
     splitting = None
     if args.splitting is not None:
-        splitting = _load_json_file(args.splitting, "splitting")
+        splitting = registry.load_json_file(args.splitting, "splitting")
     elif record.splitting is not None:
         splitting = record.splitting
     if splitting is not None:
@@ -649,13 +618,12 @@ def build_parser():
     _add_out(p)
     p.set_defaults(func=cmd_area)
 
-    p = sub.add_parser("area-variation",
+    # no prefix matching, so that a stray "--h 0.002" is an error, not --help
+    p = sub.add_parser("area-variation", allow_abbrev=False,
                        help="radial derivative of leaf area and its covector")
     _add_source(p)
     p.add_argument("--tau", type=float, required=True, help="leaf radius")
     p.add_argument("--family", default=None, help=_FAMILY_HELP)
-    p.add_argument("--step", "--h", type=float, default=None, dest="step",
-                   help="stencil step in tau")
     p.add_argument("--grid", type=_grid_pair, default=None, help="n_theta,n_phi override")
     _add_out(p)
     p.set_defaults(func=cmd_area_variation)

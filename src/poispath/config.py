@@ -22,7 +22,6 @@ DEFAULTS = {
     "flow_defect_tol": 1e-5,
     # sphere quadrature and monodromy
     "area_grid": [200, 100],    # (theta intervals, phi intervals)
-    "variation_step": 1e-3,     # tau step for the area derivative stencil
     "area_check_rel": 1e-4,     # grid-doubling convergence requirement
     # rank decisions
     "rank_tol": 1e-8,

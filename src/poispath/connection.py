@@ -10,9 +10,10 @@ vector p = (Pi^23, Pi^31, Pi^12), which gives the closed forms
 
 used on quadrature grids. Spheres about the origin are integrated in the
 usual polar chart with the theta nodes pulled half a cell off the poles;
-Simpson weights on both axes. Areas carry a grid-doubling consistency check,
-derivatives a step-halving one, so silent quadrature garbage gets raised as
-NumericalError instead of returned.
+Simpson weights on both axes. dA/dtau of a sphere family is differentiated
+under the integral, in the same pass over the nodes as the area. Areas and
+derivatives carry a grid-doubling consistency check, so silent quadrature
+garbage gets raised as NumericalError instead of returned.
 """
 
 from __future__ import annotations
@@ -27,29 +28,38 @@ from .config import get_default
 from .errors import NumericalError, ValidationError
 
 _P_CACHE: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
+_J_CACHE: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 
 _TANGENCY_TOL = 1e-8
 
+# nodes per block of a sphere quadrature pass; bounds its working arrays
+_BLOCK_NODES = 1 << 13
 
-def dual_vector_field(structure):
-    """Compiled evaluator for p = (Pi^23, Pi^31, Pi^12), dim 3 only."""
+
+def dual_vector_field(structure, jacobian=False):
+    """Compiled evaluator for p = (Pi^23, Pi^31, Pi^12), dim 3 only; with
+    jacobian set, for its Jacobian d_j p_i in row-major (i, j) order."""
     if structure.dim != 3:
         raise ValidationError("dual vector shortcut needs dimension 3")
-    fn = _P_CACHE.get(structure)
+    cache = _J_CACHE if jacobian else _P_CACHE
+    fn = cache.get(structure)
     if fn is None:
         comps = [structure.entry(2, 3), structure.entry(3, 1), structure.entry(1, 2)]
-        fn = expr.compile_exprs_vec(comps, params=structure.params)
-        _P_CACHE[structure] = fn
+        if jacobian:
+            comps = [expr.differentiate(c, j) for c in comps for j in (1, 2, 3)]
+        fn = cache[structure] = expr.compile_exprs_vec(comps, params=structure.params)
     return fn
 
 
-def leaf_form_many(structure, xs, us, vs):
+def leaf_form_many(structure, xs, us, vs, p=None):
     """omega(u, v) rows on a batch of dim-3 points. Raises if the structure
-    vanishes somewhere or a vector sticks out of its leaf."""
+    vanishes somewhere or a vector sticks out of its leaf. p, when given, is
+    the dual vector at xs as (m, 3) rows."""
     xs = np.asarray(xs, dtype=float)
     us = np.asarray(us, dtype=float)
     vs = np.asarray(vs, dtype=float)
-    p = dual_vector_field(structure)(xs.T).T
+    if p is None:
+        p = dual_vector_field(structure)(xs.T).T
     nrm2 = np.einsum("mi,mi->m", p, p)
     if np.any(nrm2 <= 0.0) or not np.all(np.isfinite(nrm2)):
         raise ValidationError("structure is degenerate on the evaluation set")
@@ -100,12 +110,12 @@ def sphere_grid(n_theta, n_phi):
 
 
 def _chart(tau, theta, phi):
-    T, F = np.meshgrid(theta, phi, indexing="ij")
-    st, ct = np.sin(T), np.cos(T)
-    sf, cf = np.sin(F), np.cos(F)
-    x = tau * np.stack([st * cf, st * sf, ct])
-    dth = tau * np.stack([ct * cf, ct * sf, -st])
-    dph = tau * np.stack([-st * sf, st * cf, np.zeros_like(T)])
+    st, ct = np.sin(theta)[:, None], np.cos(theta)[:, None]
+    sf, cf = np.sin(phi), np.cos(phi)
+    shape = (theta.size, phi.size)
+    x = tau * np.stack([st * cf, st * sf, np.broadcast_to(ct, shape)])
+    dth = tau * np.stack([ct * cf, ct * sf, np.broadcast_to(-st, shape)])
+    dph = tau * np.stack([-st * sf, st * cf, np.zeros(shape)])
     return x, dth, dph
 
 
@@ -117,15 +127,63 @@ def sphere_simpson(dens, theta, phi):
     return float(simpson(simpson(dens, x=phi, axis=1), x=theta))
 
 
-def _sphere_area_once(structure, tau, n_theta, n_phi):
+def _det(a, b, c):
+    """det(a, b, c) = a . (b x c) for each column of (3, m) arrays."""
+    return (a[0] * (b[1] * c[2] - b[2] * c[1]) + a[1] * (b[2] * c[0] - b[0] * c[2])
+            + a[2] * (b[0] * c[1] - b[1] * c[0]))
+
+
+def _rate_density(structure, x, u, v, p, dens, x_t, u_t, v_t):
+    """tau-derivative of dens = -det(u, p, v)/|p|^2 on (3, m) columns, with
+    p moving along q = J_p(x) x_t."""
+    jac = dual_vector_field(structure, jacobian=True)(x)
+    if not np.all(np.isfinite(jac)):
+        raise NumericalError("Jacobian of the structure is not finite on the sphere")
+    q = np.einsum("ijm,jm->im", jac.reshape(3, 3, -1), x_t)
+    rate = -(_det(u_t, p, v) + _det(u, q, v) + _det(u, p, v_t)
+             + 2.0 * dens * np.einsum("im,im->m", p, q)) / np.einsum("im,im->m", p, p)
+    if not np.all(np.isfinite(rate)):
+        raise NumericalError("area rate density is not finite on the sphere")
+    return rate
+
+
+def sphere_quadrature(structure, nodes, theta, phi, rate=False):
+    """Area of one sphere of a family and, with rate set, dA/dtau, from one
+    pass over the (theta, phi) nodes of sphere_grid in blocks of theta rows.
+
+    nodes(rows, rate) gives the chart x, u = d_theta x and v = d_phi x on
+    theta[rows] x phi as (3, m) arrays, then with rate set x_t, u_t, v_t, their
+    tau-derivatives. The density dens = -det(u, p, v)/|p|^2 is differentiated
+    under the integral by the chain rule with q = J_p(x) x_t:
+
+        -(det(u_t, p, v) + det(u, q, v) + det(u, p, v_t) + 2 dens (p.q)) / |p|^2
+
+    A non-finite Jacobian or rate density is a NumericalError.
+    """
+    dens = np.empty((theta.size, phi.size))
+    drate = np.empty_like(dens) if rate else None
+    step = max(1, _BLOCK_NODES // phi.size)
+    for lo in range(0, theta.size, step):
+        rows = slice(lo, lo + step)
+        x, u, v, *moving = nodes(rows, rate)
+        p = dual_vector_field(structure)(x)
+        d = leaf_form_many(structure, x.T, u.T, v.T, p=p.T)
+        dens[rows] = d.reshape(-1, phi.size)
+        if rate:
+            drate[rows] = _rate_density(structure, x, u, v, p, d, *moving).reshape(-1, phi.size)
+    area = sphere_simpson(dens, theta, phi)
+    return (area, sphere_simpson(drate, theta, phi)) if rate else area
+
+
+def _sphere_area_once(structure, tau, n_theta, n_phi, rate=False):
+    """sphere_quadrature of the radius-tau sphere: d_tau = chart / tau."""
     theta, phi = sphere_grid(n_theta, n_phi)
-    x, dth, dph = _chart(tau, theta, phi)
-    shape = x.shape[1:]
-    dens = leaf_form_many(structure,
-                          x.reshape(3, -1).T,
-                          dth.reshape(3, -1).T,
-                          dph.reshape(3, -1).T).reshape(shape)
-    return sphere_simpson(dens, theta, phi)
+
+    def nodes(rows, rate):
+        chart = [c.reshape(3, -1) for c in _chart(tau, theta[rows], phi)]
+        return chart + [c / tau for c in chart] if rate else chart
+
+    return sphere_quadrature(structure, nodes, theta, phi, rate)
 
 
 def sphere_area(structure, tau, grid=None, check=True):
@@ -186,34 +244,23 @@ def _kernel_and_image(structure, x):
     if corank != 1:
         raise ValidationError(
             f"variation needs a corank-1 point, got corank {corank} at {x.tolist()}")
-    zeta = Vh[-1]
-    image = U[:, :rank]
-    return zeta, image
+    return Vh[-1], U[:, :rank]
 
 
-def _stencil_derivative(structure, tau, step, grid):
-    vals = [
-        _sphere_area_once(structure, tau + k * step, *grid)
-        for k in (-2, -1, 1, 2)
-    ]
-    return (vals[0] - 8.0 * vals[1] + 8.0 * vals[2] - vals[3]) / (12.0 * step)
-
-
-def area_variation(structure, tau, step=None, grid=None, verify=True):
+def area_variation(structure, tau, grid=None, verify=True):
     """dA/dtau of the sphere family, packaged as a transverse covector.
 
-    Five-point central differences of the quadrature areas; with verify=True
-    the derivative is recomputed at half the step and both must agree inside
-    max(1e-3 relative, 1e-6 in units of the area) or NumericalError is
-    raised. The returned derivative is the half-step one.
+    Area and derivative come from one sphere_quadrature pass on the grid;
+    with verify=True the derivative is recomputed on the doubled grid and
+    both must agree inside max(1e-3 relative, 1e-6 in units of the area) or
+    NumericalError is raised. The returned values are those of the grid.
     """
     if structure.dim != 3:
         raise ValidationError("area variation is defined for dimension 3")
     tau = float(tau)
-    step = get_default("variation_step") if step is None else float(step)
-    if step <= 0 or tau - 2 * step <= 0:
-        raise ValidationError(f"bad stencil: tau={tau}, step={step}")
-    grid = tuple(grid or get_default("area_grid"))
+    if not tau > 0.0:
+        raise ValidationError(f"sphere radius must be positive, got {tau}")
+    n_theta, n_phi = grid or get_default("area_grid")
 
     x0 = np.array([tau, 0.0, 0.0])
     zeta, image = _kernel_and_image(structure, x0)
@@ -232,19 +279,16 @@ def area_variation(structure, tau, step=None, grid=None, verify=True):
     # along the dual vector p); the xi formula is insensitive to this sign
     p0 = dual_vector_field(structure)(x0[:, None])[:, 0]
     if np.dot(zeta, p0) < 0:
-        zeta = -zeta
-        pairing = -pairing
+        zeta, pairing = -zeta, -pairing
 
-    area = sphere_area(structure, tau, grid=grid, check=False)
-    d = _stencil_derivative(structure, tau, step, grid)
+    area, d = _sphere_area_once(structure, tau, n_theta, n_phi, rate=True)
     if verify:
-        d_half = _stencil_derivative(structure, tau, step / 2.0, grid)
-        band = max(1e-3 * abs(d_half), 1e-6 * max(1.0, abs(area)))
-        if abs(d - d_half) > band:
+        _, d_fine = _sphere_area_once(structure, tau, 2 * n_theta, 2 * n_phi, rate=True)
+        band = max(1e-3 * abs(d_fine), 1e-6 * max(1.0, abs(area)))
+        if not abs(d - d_fine) <= band:
             raise NumericalError(
-                f"area derivative at tau={tau} unstable under step halving: "
-                f"{d:.10g} vs {d_half:.10g}")
-        d = d_half
+                f"area derivative at tau={tau} unstable under grid doubling: "
+                f"{d:.10g} vs {d_fine:.10g}")
 
     xi = (d / pairing) * zeta
     return AreaVariation(tau=tau, area=area, derivative=d, xi=xi,

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import get_default
-from .errors import ValidationError
+from .errors import NumericalError, ValidationError
 
 
 @dataclass
@@ -78,6 +78,8 @@ def isotropy_data(structure, x, rank_tol=None, gap_min=None):
         raise ValidationError(f"point must have shape ({n},), got {x.shape}")
 
     P = structure.pi_at(x)
+    if not np.all(np.isfinite(P)):
+        raise NumericalError(f"structure matrix is not finite at {x.tolist()}")
     U, s, Vh = np.linalg.svd(P)
     smax = s[0] if s.size and s[0] > 0 else 0.0
     rank = int(np.sum(s > rank_tol * smax)) if smax > 0 else 0

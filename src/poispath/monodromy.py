@@ -5,8 +5,9 @@ Two routes produce the same invariant for a radius-tau sphere leaf:
 
   * quadrature of the curvature of a splitting of the anchor over the leaf
     (curvature_periods), and
-  * differentiation of the leaf symplectic area along the radius family
-    (connection.area_variation, wrapped here by RadialSphereFamily).
+  * differentiation of the leaf symplectic area along the sphere family,
+    with the tau-derivative taken under the integral
+    (connection.sphere_quadrature, run by the families here).
 
 Their common value generates the group of lattice periods at that leaf. A
 scan walks a radius range, reduces each leaf's generator set with a real gcd
@@ -25,10 +26,10 @@ import numpy as np
 
 from . import expr
 from .config import get_default
-from .connection import (_chart, _stencil_derivative, _sphere_area_once,
-                         leaf_form_many, sphere_grid, sphere_simpson)
+# leaf_form_many is re-exported: perfbench's tracer wraps it under this module
+from .connection import (_chart, _sphere_area_once, dual_vector_field,  # noqa: F401
+                         leaf_form_many, sphere_grid, sphere_quadrature, sphere_simpson)
 from .errors import NumericalError, ValidationError
-from .paths import fd_weights
 
 VERDICT_OK = "INTEGRABLE_EVIDENCE"
 VERDICT_BAD = "NON_INTEGRABLE"
@@ -129,8 +130,7 @@ def curvature_periods(structure, splitting, tau, grid=None):
     shape = x.shape[1:]
     pts = x.reshape(3, -1)
     m = pts.shape[1]
-    T = np.broadcast_to(np.meshgrid(theta, phi, indexing="ij")[0], shape).reshape(-1)
-    F = np.broadcast_to(np.meshgrid(theta, phi, indexing="ij")[1], shape).reshape(-1)
+    T, F = (a.ravel() for a in np.meshgrid(theta, phi, indexing="ij"))
 
     params = structure.params
     dummy = np.zeros((1, m))
@@ -169,8 +169,6 @@ def curvature_periods(structure, splitting, tau, grid=None):
             f"refusing to project it")
 
     # radially aligned unit kernel covector
-    from .connection import dual_vector_field
-
     p = dual_vector_field(structure)(pts).T
     pn = np.linalg.norm(p, axis=1)
     if np.any(pn <= 0):
@@ -265,30 +263,27 @@ def lattice(gens, area, bound=None, tol=None):
 class RadialSphereFamily:
     """Sphere leaves of a dim-3 structure, parametrized by radius.
 
-    row_data(tau) returns (area, dA/dtau, generator magnitudes) using the
-    five-point stencil without the cross-check re-runs; scans sample densely
-    enough to catch instability on their own.
+    row_data(tau) returns (area, dA/dtau, generator magnitudes) from one
+    sphere_quadrature pass, without the grid-doubling re-run; scans sample
+    densely enough to catch instability on their own.
     """
 
-    def __init__(self, structure, grid=None, step=None, label=None):
+    def __init__(self, structure, grid=None, label=None):
         if structure.dim != 3:
             raise ValidationError("radial sphere families need dimension 3")
         self.structure = structure
         self.grid = tuple(grid or get_default("area_grid"))
-        self.step = get_default("variation_step") if step is None else float(step)
         self.label = label or structure.label or "radial-family"
 
     def row_data(self, tau):
         tau = float(tau)
-        if tau - 2.0 * self.step <= 0.0:
-            raise ValidationError(
-                f"radius {tau} too small for the stencil step {self.step}")
-        area = _sphere_area_once(self.structure, tau, *self.grid)
-        deriv = _stencil_derivative(self.structure, tau, self.step, self.grid)
+        if not tau > 0.0:
+            raise ValidationError(f"sphere radius must be positive, got {tau}")
+        area, deriv = _sphere_area_once(self.structure, tau, *self.grid, rate=True)
         return area, deriv, (abs(deriv),)
 
     def minimum_radius(self):
-        return 2.0 * self.step
+        return 0.0
 
 
 class FoliatedSphereProduct:
@@ -331,15 +326,14 @@ class SigmaSphereFamily:
 
     The chart must stay inside leaves of a dim-3 structure; the tangency
     check in the leaf form evaluation rejects charts that cut across them.
-    Areas use the same shifted-pole Simpson quadrature as the radial family.
-    dA/dtau comes from a five-point 4th-order stencil whose nodes are shifted
-    one-sidedly near the ends of tau_range, so scans may include the range
-    endpoints; the generator magnitude is |dA/dtau| as for the other
-    families.
+    Areas and dA/dtau use the same one-pass sphere_quadrature as the radial
+    family, with the tau-derivatives of sigma, sigma_theta and sigma_phi
+    compiled beside the chart, so rows at the ends of tau_range need no
+    samples outside it; the generator magnitude is |dA/dtau| as for the
+    other families.
     """
 
-    def __init__(self, structure, sigma, tau_range, grid=None, step=None,
-                 label=None):
+    def __init__(self, structure, sigma, tau_range, grid=None, label=None):
         if structure.dim != 3:
             raise ValidationError("sigma sphere families need dimension 3")
         names = ("tau",) + _ANGLES
@@ -355,47 +349,32 @@ class SigmaSphereFamily:
         self.sigma = parsed
         self.tau_range = (lo, hi)
         self.grid = tuple(grid or get_default("area_grid"))
-        self.step = get_default("variation_step") if step is None else float(step)
         self.label = label or "sigma-family"
-        tangents = ([expr.differentiate_sym(c, "theta") for c in parsed]
-                    + [expr.differentiate_sym(c, "phi") for c in parsed])
-        self._fn = expr.compile_exprs_vec(parsed + tangents, symbols=names,
-                                          params=structure.params)
+        # sigma with its theta and phi tangents, then their tau-derivatives
+        chart = parsed + [expr.differentiate_sym(c, a) for a in _ANGLES for c in parsed]
+        self._fns = [expr.compile_exprs_vec(e, symbols=names, params=structure.params)
+                     for e in (chart, [expr.differentiate_sym(c, "tau") for c in chart])]
 
-    def _check_tau(self, tau):
+    def _quadrature(self, tau, rate):
+        tau = float(tau)
         lo, hi = self.tau_range
         if not lo <= tau <= hi:
-            raise ValidationError(
-                f"tau {tau:g} outside the family range [{lo:g}, {hi:g}]")
+            raise ValidationError(f"tau {tau:g} outside the family range [{lo:g}, {hi:g}]")
+        theta, phi = sphere_grid(*self.grid)
+
+        def nodes(rows, rate):
+            T, F = (a.ravel() for a in np.meshgrid(theta[rows], phi, indexing="ij"))
+            dummy = np.zeros((1, T.size))
+            vals = [fn(dummy, tau, T, F) for fn in self._fns[:2 if rate else 1]]
+            return [v[k:k + 3] for v in vals for k in (0, 3, 6)]
+
+        return sphere_quadrature(self.structure, nodes, theta, phi, rate)
 
     def area(self, tau):
-        tau = float(tau)
-        self._check_tau(tau)
-        theta, phi = sphere_grid(*self.grid)
-        T, F = np.meshgrid(theta, phi, indexing="ij")
-        dummy = np.zeros((1, T.size))
-        vals = self._fn(dummy, tau, T.ravel(), F.ravel())
-        dens = leaf_form_many(self.structure, vals[0:3].T, vals[3:6].T,
-                              vals[6:9].T).reshape(T.shape)
-        return sphere_simpson(dens, theta, phi)
+        return self._quadrature(tau, rate=False)
 
     def row_data(self, tau):
-        tau = float(tau)
-        self._check_tau(tau)
-        lo, hi = self.tau_range
-        h = self.step
-        if hi - lo < 5.0 * h:
-            h = (hi - lo) / 5.0
-        nodes = np.arange(-2.0, 3.0)
-        if tau + nodes[0] * h < lo:
-            nodes += math.ceil((lo - tau) / h) + 2
-        elif tau + nodes[-1] * h > hi:
-            nodes -= math.ceil((tau - hi) / h) + 2
-        w = fd_weights(nodes) / h
-        areas = [self.area(tau + s * h) for s in nodes]
-        deriv = float(np.dot(w, areas))
-        area = areas[int(np.argmin(np.abs(nodes)))] if 0.0 in nodes \
-            else self.area(tau)
+        area, deriv = self._quadrature(tau, rate=True)
         return area, deriv, (abs(deriv),)
 
     def minimum_radius(self):

@@ -203,14 +203,19 @@ def _load_builtin(spec):
     return builder(options)
 
 
-def _load_json(path):
+def load_json_file(path, what):
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+            return json.load(fh)
     except OSError as exc:
-        raise ValidationError(f"cannot read structure file {path!r}: {exc}") from None
+        raise ValidationError(
+            f"cannot read {what} file {path!r}: {exc.strerror or exc}") from exc
     except json.JSONDecodeError as exc:
-        raise ValidationError(f"bad JSON in {path!r}: {exc}") from None
+        raise ValidationError(f"bad JSON in {what} file {path!r}: {exc}") from exc
+
+
+def _load_json(path):
+    data = load_json_file(path, "structure")
     splitting = data.pop("splitting", None) if isinstance(data, dict) else None
     structure = PoissonStructure.from_dict(data)
     return structure, None, splitting

@@ -42,6 +42,10 @@ def su2_scaled(a):
     return PoissonStructure(3, pi, label=f"su2_scaled[{a}]")
 
 
+# the radius-tau sphere in polar coordinates, as a chart sigma(tau, theta, phi)
+ROUND_CHART = ("tau*sin(theta)*cos(phi)", "tau*sin(theta)*sin(phi)", "tau*cos(theta)")
+
+
 def symplectic_plane():
     return PoissonStructure(2, {(1, 2): "1"}, label="plane")
 

@@ -4,7 +4,9 @@ The bracket oracles are assembled directly from raw entry dictionaries with
 the expression layer only, deliberately bypassing the library's own bracket
 and anchor code so the two can disagree. The variation reference keeps the
 straightforward form of the family variation solve, so that the cached,
-blocked library solve can be held to it bit for bit.
+blocked library solve can be held to it bit for bit. The area-derivative
+stencil differentiates quadrature areas in tau, a route that never touches
+the library's under-the-integral derivative.
 """
 
 import numpy as np
@@ -133,3 +135,10 @@ def variation_reference(family, signs=(1.0, -1.0)):
         change = delta / max(float(np.max(np.abs(b_fine[:, -1]))), floor)
         fields[sign] = (b, b_fine, change)
     return gamma, a, d_eps_a, fields
+
+
+def stencil_area_derivative(area, tau, step=1e-3):
+    """dA/dtau by the fourth-order central stencil on area(tau + k step),
+    k = -2, -1, 1, 2, for any callable tau -> area."""
+    a = [area(tau + k * step) for k in (-2, -1, 1, 2)]
+    return (a[0] - 8.0 * a[1] + 8.0 * a[2] - a[3]) / (12.0 * step)

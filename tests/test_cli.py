@@ -183,6 +183,25 @@ class TestPathPipeline:
         assert code == 2
         assert "gamma" in err
 
+    @pytest.fixture
+    def nan_path(self, circle_path, tmp_path):
+        data = json.loads(circle_path.read_text())
+        data["gamma"][5][0] = math.nan
+        target = tmp_path / "nan.json"
+        target.write_text(json.dumps(data))
+        return str(target)
+
+    def test_non_finite_path_file_rejected_by_integrate_field(self, nan_path):
+        code, out, err = run_cli("integrate-field", "--path", nan_path,
+                                 "--X", "0,x3,-x2")
+        assert code == 2 and out == ""
+        assert "non-finite" in err and "gamma" in err
+
+    def test_non_finite_path_file_rejected_by_transport(self, nan_path):
+        code, out, err = run_cli("transport", "--path", nan_path, "--s0", "1,0,0")
+        assert code == 2 and out == ""
+        assert "non-finite" in err and "gamma" in err
+
 
 class TestVariationCommand:
     def test_group_family_is_a_homotopy(self, tmp_path):
@@ -374,6 +393,13 @@ class TestIsotropyCommand:
         assert report["killing_rank"] == 3
         assert report["abelian"] is False
 
+    def test_non_finite_structure_matrix_exits_3(self):
+        # a = 1/R is singular at the origin: the matrix there is NaN
+        code, out, err = run_cli("isotropy", "builtin:su2_scaled?a=1/R",
+                                 "--at", "0,0,0")
+        assert code == 3 and out == ""
+        assert "not finite" in err
+
 
 class TestDeterminism:
     def _module_run(self, *argv):
@@ -453,11 +479,12 @@ class TestChartFamilies:
         assert report["settings"]["family"] == sigma_file
 
     def test_area_variation_at_the_range_edge(self, sigma_file):
+        # the row at the lower end of tau_range needs no radius outside it
         report = run_json("area-variation", "builtin:su2_scaled?a=1",
-                          "--tau", "0.2", "--family", sigma_file,
-                          "--h", "0.002")
+                          "--tau", "0.2", "--family", sigma_file)
+        assert report["area"] == pytest.approx(0.8 * math.pi, rel=1e-4)
         assert report["derivative"] == pytest.approx(4.0 * math.pi, rel=1e-3)
-        assert report["settings"]["step"] == pytest.approx(0.002)
+        assert report["settings"] == {"grid": [200, 100]}
 
     def test_scan_over_a_chart(self, sigma_file):
         code, out, _ = run_cli("scan", "builtin:su2_scaled?a=1",
@@ -469,6 +496,25 @@ class TestChartFamilies:
         for row in rows:
             assert float(row["r_value"]) == pytest.approx(4.0 * math.pi,
                                                           abs=2e-3)
+
+    def test_area_variation_takes_no_step(self):
+        code, out, err = run_cli("area-variation", "builtin:su2_scaled?a=1",
+                                 "--tau", "1", "--h", "0.002")
+        assert code == 1 and out == ""
+        assert "unrecognized arguments" in err
+
+    def test_non_finite_chart_derivative_exits_3(self, tmp_path):
+        # the radius 1 + sqrt(tau - 1) is finite at tau = 1, its derivative not
+        chart = tmp_path / "cusp.json"
+        chart.write_text(json.dumps({
+            "sigma": [f"(1 + sqrt(tau - 1))*{c}" for c in
+                      ("sin(theta)*cos(phi)", "sin(theta)*sin(phi)", "cos(theta)")],
+            "tau_range": [1.0, 2.0],
+        }))
+        code, out, err = run_cli("area-variation", "builtin:su2_scaled?a=1",
+                                 "--tau", "1", "--family", str(chart))
+        assert code == 3 and out == ""
+        assert "not finite" in err
 
     def test_monodromy_rejects_chart_plus_splitting(self, sigma_file):
         code, _, err = run_cli("monodromy", "builtin:su2_scaled?a=1",

@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from helpers import su2, su2_scaled, symplectic_plane
-from poispath import connection
+import oracles
+from helpers import ROUND_CHART, su2, su2_scaled, symplectic_plane
+from poispath import connection, monodromy
 from poispath.core import PoissonStructure
 from poispath.errors import NumericalError, ValidationError
 
@@ -157,6 +159,72 @@ class TestAreaVariation:
         with pytest.raises(ValidationError):
             connection.area_variation(symplectic_plane(), 1.0)
 
-    def test_stencil_must_stay_positive(self):
-        with pytest.raises(ValidationError):
-            connection.area_variation(su2(), 0.001)
+    def test_radius_must_be_positive(self):
+        for tau in (0.0, -1.0):
+            with pytest.raises(ValidationError):
+                connection.area_variation(su2(), tau)
+        # any positive radius gives a row: dA/dtau = 4 pi for su2
+        out = connection.area_variation(su2(), 0.001)
+        assert out.derivative == pytest.approx(4 * math.pi, rel=1e-4)
+
+    def test_non_finite_jacobian_fails_closed(self, monkeypatch):
+        s = su2()
+        monkeypatch.setitem(connection._J_CACHE, s,
+                            lambda x: np.full((9, x.shape[1]), np.nan))
+        with pytest.raises(NumericalError, match="Jacobian"):
+            connection.area_variation(s, 1.0)
+        with pytest.raises(NumericalError, match="Jacobian"):
+            monodromy.RadialSphereFamily(s).row_data(1.0)
+
+
+PROPERTY_GRID = (60, 30)
+
+
+def _profile(kind, c):
+    """Source of a(R) and the closed form of A'(R) = 4 pi (a - R a')/a^2."""
+    if kind == "poly":
+        return f"1 + {c!r}*R^2", lambda r: 4 * math.pi * (1 - c * r * r) / (1 + c * r * r) ** 2
+    if kind == "exp":
+        return f"exp(R^2/{c!r})", lambda r: 4 * math.pi * (1 - 2 * r * r / c) * math.exp(-r * r / c)
+    return f"{c!r}", lambda r: 4 * math.pi / c
+
+
+@st.composite
+def profile_and_radius(draw):
+    kind = draw(st.sampled_from(["poly", "exp", "const"]))
+    c = draw({"poly": st.floats(0.3, 2.0), "exp": st.floats(1.5, 6.0),
+              "const": st.floats(0.5, 3.0)}[kind])
+    zero = {"poly": 1 / math.sqrt(c), "exp": math.sqrt(c / 2)}.get(kind)
+    # hit the zero of A' exactly now and then
+    if zero is not None and draw(st.booleans()):
+        return kind, c, zero
+    return kind, c, draw(st.floats(0.3, 2.5))
+
+
+@settings(max_examples=25, deadline=None)
+@given(case=profile_and_radius())
+def test_under_integral_derivative_matches_stencil_oracle(case):
+    # radial row, round-chart sigma row and area_variation against the
+    # stencil on each route's own areas: 1e-9 relative away from the zeros
+    # of A', absolute 1e-6 max(1, |A|) near them
+    kind, c, tau = case
+    source, closed = _profile(kind, c)
+    s = su2_scaled(source)
+    radial = monodromy.RadialSphereFamily(s, grid=PROPERTY_GRID)
+    sigma = monodromy.SigmaSphereFamily(s, ROUND_CHART, (0.2, 3.0), grid=PROPERTY_GRID)
+    area, _, _ = radial.row_data(tau)
+    scale = max(1.0, abs(area))
+    near_zero = abs(closed(tau)) < 0.05 * scale
+    want = oracles.stencil_area_derivative(
+        lambda t: connection.sphere_area(s, t, grid=PROPERTY_GRID, check=False),
+        tau, step=2e-4)
+    want_sigma = oracles.stencil_area_derivative(sigma.area, tau, step=2e-4)
+    got = {
+        "radial": (radial.row_data(tau)[1], want),
+        "sigma": (sigma.row_data(tau)[1], want_sigma),
+        "area_variation": (connection.area_variation(s, tau, grid=PROPERTY_GRID).derivative,
+                           want),
+    }
+    for route, (value, oracle) in got.items():
+        tol = 1e-6 * scale if near_zero else 1e-9 * abs(oracle)
+        assert abs(value - oracle) <= tol, (route, value, oracle)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import su2, su2_scaled, su2_splitting, symplectic_plane
+from helpers import ROUND_CHART, su2, su2_scaled, su2_splitting, symplectic_plane
 from poispath import connection, monodromy
 from poispath.errors import NumericalError, ValidationError
 
@@ -211,11 +211,14 @@ class TestScan:
 
     def test_small_radius_guard(self):
         fam = monodromy.RadialSphereFamily(su2())
-        with pytest.raises(ValidationError):
-            fam.row_data(0.001)
-
-
-ROUND_CHART = ("tau*sin(theta)*cos(phi)", "tau*sin(theta)*sin(phi)", "tau*cos(theta)")
+        for tau in (0.0, -0.5):
+            with pytest.raises(ValidationError):
+                fam.row_data(tau)
+        # any positive radius gives a row: A = 4 pi tau, dA/dtau = 4 pi
+        area, deriv, gens = fam.row_data(0.001)
+        assert area == pytest.approx(FOUR_PI * 0.001, rel=1e-4)
+        assert deriv == pytest.approx(FOUR_PI, rel=1e-4)
+        assert fam.minimum_radius() == 0.0
 
 
 class TestSigmaSphereFamily:
@@ -249,7 +252,7 @@ class TestSigmaSphereFamily:
 
     @pytest.mark.parametrize("tau", [0.2, 3.0])
     def test_one_sided_rows_at_range_ends(self, tau):
-        # stencil nodes must stay inside tau_range at both ends
+        # rows at both ends of tau_range use no radius outside it
         fam = monodromy.SigmaSphereFamily(su2(), ROUND_CHART, (0.2, 3.0))
         area, deriv, _ = fam.row_data(tau)
         # symplectic area of the radius-tau leaf is 4*pi*tau for this scaling
