@@ -440,12 +440,12 @@ def integrability_scan(family, taus, threshold=None, refine_rounds=None,
     """Walk a radius range and judge the variation lattice.
 
     Per radius the generator set is floored (relative to the area scale) and
-    gcd-reduced. Suspicious radii, the strict interior minima of the
-    generator and any trivial-lattice radius flanked by nontrivial ones, are
-    re-sampled in up to refine_rounds punctured neighborhoods shrinking
-    tenfold; minima that decay geometrically below the threshold mean the
-    lattice degenerates there. Any dense reduction anywhere, or such a
-    collapse, gives NON_INTEGRABLE; a finite positive generator floor
+    gcd-reduced. Suspicious radii, interior minima below both neighbours by
+    more than the floor and any trivial-lattice radius flanked by nontrivial
+    ones, are re-sampled in up to refine_rounds punctured neighborhoods
+    shrinking tenfold; minima that decay geometrically below the threshold
+    mean the lattice degenerates there. Any dense reduction anywhere, or such
+    a collapse, gives NON_INTEGRABLE; a finite positive generator floor
     everywhere gives INTEGRABLE_EVIDENCE; otherwise INCONCLUSIVE.
     """
     threshold = get_default("rn_threshold") if threshold is None else float(threshold)
@@ -469,8 +469,10 @@ def integrability_scan(family, taus, threshold=None, refine_rounds=None,
         vals = (left.r_value, mid.r_value, right.r_value)
         if any(math.isnan(v) for v in vals):
             continue
+        # a dip inside the lattice floor is rounding noise of a flat generator
+        floor = 1e-8 * max(1.0, abs(mid.area))
         is_min = (math.isfinite(mid.r_value)
-                  and mid.r_value < left.r_value and mid.r_value < right.r_value)
+                  and mid.r_value < min(left.r_value, right.r_value) - floor)
         is_trivial = (math.isinf(mid.r_value)
                       and math.isfinite(left.r_value) and math.isfinite(right.r_value))
         if not (is_min or is_trivial):

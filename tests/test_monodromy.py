@@ -204,6 +204,22 @@ class TestScan:
         with pytest.raises(NumericalError, match="not finite"):
             monodromy.integrability_scan(NanDerivative(), [0.5, 1.0, 1.5])
 
+    @pytest.mark.parametrize("dip, refined", [(1e-12, False), (1e-6, True)])
+    def test_only_dips_beyond_the_floor_are_refined(self, dip, refined):
+        # a flat generator a hair low at tau = 1, inside the floor, is not a minimum;
+        # a dip above the lattice floor 1e-8 * area still is
+        class Flat:
+            def row_data(self, tau):
+                g = FOUR_PI * (1.0 - dip * (tau == 1.0))
+                return FOUR_PI, g, (g,)
+
+            def minimum_radius(self):
+                return 0.0
+
+        res = monodromy.integrability_scan(Flat(), [0.5, 1.0, 1.5])
+        assert res.verdict == monodromy.VERDICT_OK
+        assert [c.tau for c in res.candidates] == ([1.0] if refined else [])
+
     def test_needs_at_least_two_radii(self):
         with pytest.raises(ValidationError):
             monodromy.integrability_scan(
