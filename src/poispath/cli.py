@@ -379,10 +379,11 @@ def cmd_area_variation(args):
     else:
         if args.family is not None:
             family = _sphere_family(record, args.family, grid=grid)
+            area, deriv, gens = family.row_data(args.tau, verify=True)
             extra = {"family": args.family, "settings": {"grid": list(grid)}}
         else:
-            family, extra = _need_family(record), {"settings": {"exact": True}}
-        area, deriv, gens = family.row_data(args.tau)
+            area, deriv, gens = _need_family(record).row_data(args.tau)
+            extra = {"settings": {"exact": True}}
         report = {"source": record.source, "tau": args.tau, "area": area,
                   "derivative": deriv, "generators": list(gens), **extra}
     _emit_json(report, args.out)

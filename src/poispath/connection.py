@@ -247,13 +247,23 @@ def _kernel_and_image(structure, x):
     return Vh[-1], U[:, :rank]
 
 
+def check_rate_doubling(tau, area, d, d_fine):
+    """NumericalError unless dA/dtau d and its doubled-grid value d_fine
+    agree inside max(1e-3 relative, 1e-6 in units of the area)."""
+    band = max(1e-3 * abs(d_fine), 1e-6 * max(1.0, abs(area)))
+    if not abs(d - d_fine) <= band:
+        raise NumericalError(
+            f"area derivative at tau={tau} unstable under grid doubling: "
+            f"{d:.10g} vs {d_fine:.10g}")
+
+
 def area_variation(structure, tau, grid=None, verify=True):
     """dA/dtau of the sphere family, packaged as a transverse covector.
 
     Area and derivative come from one sphere_quadrature pass on the grid;
     with verify=True the derivative is recomputed on the doubled grid and
-    both must agree inside max(1e-3 relative, 1e-6 in units of the area) or
-    NumericalError is raised. The returned values are those of the grid.
+    both must pass check_rate_doubling. The returned values are those of the
+    grid.
     """
     if structure.dim != 3:
         raise ValidationError("area variation is defined for dimension 3")
@@ -284,11 +294,7 @@ def area_variation(structure, tau, grid=None, verify=True):
     area, d = _sphere_area_once(structure, tau, n_theta, n_phi, rate=True)
     if verify:
         _, d_fine = _sphere_area_once(structure, tau, 2 * n_theta, 2 * n_phi, rate=True)
-        band = max(1e-3 * abs(d_fine), 1e-6 * max(1.0, abs(area)))
-        if not abs(d - d_fine) <= band:
-            raise NumericalError(
-                f"area derivative at tau={tau} unstable under grid doubling: "
-                f"{d:.10g} vs {d_fine:.10g}")
+        check_rate_doubling(tau, area, d, d_fine)
 
     xi = (d / pairing) * zeta
     return AreaVariation(tau=tau, area=area, derivative=d, xi=xi,

@@ -11,7 +11,12 @@ Expressions are immutable trees. Differentiation is exact and symbolic with
 light constant folding; evaluation reports domain problems instead of letting
 non-finite values propagate. ``compile_exprs`` / ``compile_exprs_vec`` turn a
 list of expressions into fast plain-Python or numpy evaluators for the inner
-loops of the ODE and quadrature code.
+loops of the ODE and quadrature code. Both share one CSE emitter: a subtree
+that recurs (``R``, or a factor that differentiation copies) is computed once
+as a local, with the float operations of the tree in their order, so values
+match a plain tree walk bit for bit; ``.source`` holds the generated code.
+``split_free`` cuts out the subtrees that read no coordinate, for callers
+that evaluate them once for many points.
 """
 
 from __future__ import annotations
@@ -642,39 +647,99 @@ def evaluate(e, point=(), env=None):
 # ---------------------------------------------------------------------------
 # compilation to fast evaluators
 
-def _codegen(e, params):
-    if isinstance(e, Num):
-        return f"({e.value!r})"
-    if isinstance(e, Var):
-        return f"x[{e.index - 1}]"
-    if isinstance(e, Sym):
-        if params is not None and e.name in params:
-            return f"({float(params[e.name])!r})"
-        return f"_s_{e.name}"
-    if isinstance(e, Add):
-        return f"({_codegen(e.left, params)} + {_codegen(e.right, params)})"
-    if isinstance(e, Sub):
-        return f"({_codegen(e.left, params)} - {_codegen(e.right, params)})"
-    if isinstance(e, Mul):
-        return f"({_codegen(e.left, params)} * {_codegen(e.right, params)})"
-    if isinstance(e, Div):
-        return f"({_codegen(e.left, params)} / {_codegen(e.right, params)})"
-    if isinstance(e, Pow):
-        return f"({_codegen(e.base, params)} ** ({e.exponent!r}))"
-    if isinstance(e, Neg):
-        return f"(-{_codegen(e.operand, params)})"
-    if isinstance(e, Call):
-        return f"_f_{e.func}({_codegen(e.arg, params)})"
-    raise TypeError(f"not an expression: {e!r}")
+def _dag(exprs):
+    """Structurally distinct subtrees of exprs in topological order.
+
+    Returns (nodes, roots): nodes[i] is (node, child ids) and roots are the
+    ids of exprs. A node is keyed by its type, child ids and the repr of its
+    other slots, which tells 0.0 from -0.0.
+    """
+    ids, seen, nodes = {}, {}, []
+
+    def visit(e):
+        if id(e) not in seen:
+            if not isinstance(e, Expression):
+                raise TypeError(f"not an expression: {e!r}")
+            slots = [getattr(e, name) for name in type(e).__slots__]
+            kids = tuple(visit(v) for v in slots if isinstance(v, Expression))
+            key = (type(e), kids, repr([v for v in slots if not isinstance(v, Expression)]))
+            if key not in ids:
+                ids[key] = len(nodes)
+                nodes.append((e, kids))
+            seen[id(e)] = ids[key]
+        return seen[id(e)]
+
+    return nodes, [visit(e) for e in exprs]
 
 
 def _build(exprs, symbols, params, funcs):
-    args = ", ".join(["x"] + [f"_s_{name}" for name in symbols])
-    body = ", ".join(_codegen(e, params) for e in exprs)
-    source = f"def _compiled({args}):\n    return ({body}{',' if len(list(exprs)) == 1 else ''})\n"
-    namespace = {f"_f_{name}": fn for name, fn in funcs.items()}
+    """Emit and compile one function for exprs, returned with its source.
+    Each structurally distinct subtree is computed once: a node read more
+    than once becomes a local, assigned in topological order, and the others
+    are written inline, so every subtree keeps its float operations in their
+    order."""
+    nodes, roots = _dag(exprs)
+    uses = [0] * len(nodes)
+    for k in [k for _, kids in nodes for k in kids] + roots:
+        uses[k] += 1
+    code, lines = [], []
+    for i, (e, kids) in enumerate(nodes):
+        args = [code[k] for k in kids]
+        if isinstance(e, Num):
+            text = f"({e.value!r})"
+        elif isinstance(e, Var):
+            text = f"x[{e.index - 1}]"
+        elif isinstance(e, Sym):
+            text = f"({float(params[e.name])!r})" if e.name in (params or ()) else f"_s_{e.name}"
+        elif isinstance(e, Pow):
+            text = f"({args[0]} ** ({e.exponent!r}))"
+        elif isinstance(e, Call):
+            text = f"_f_{e.func}({args[0]})"
+        else:
+            text = f"({args[0]} {e.op} {args[1]})" if isinstance(e, _Binary) else f"(-{args[0]})"
+        if uses[i] > 1 and (kids or isinstance(e, Var)):
+            lines.append(f"    _{i} = {text}\n")
+            text = f"_{i}"
+        code.append(text)
+    head = ", ".join(["x"] + [f"_s_{name}" for name in symbols])
+    body = ", ".join(code[r] for r in roots)
+    source = (f"def _compiled({head}):\n{''.join(lines)}"
+              f"    return ({body}{',' if len(roots) == 1 else ''})\n")
+    # a literal beyond the float range parses to inf, and repr writes it so
+    namespace = {"inf": math.inf, **{f"_f_{name}": fn for name, fn in funcs.items()}}
     exec(source, namespace)  # noqa: S102 - generated from a closed AST
-    return namespace["_compiled"]
+    return namespace["_compiled"], source
+
+
+def split_free(exprs, name):
+    """Split exprs at their maximal compound subtrees that read no coordinate.
+
+    Returns (free, rest): free lists those subtrees once each, and rest is
+    exprs with the k-th of them replaced by Sym(f"{name}{k}"). Nodes are
+    rebuilt without folding, so rest, given the values of free, performs the
+    remaining float operations of exprs unchanged.
+    """
+    nodes, roots = _dag(exprs)
+    has_x = []
+    for e, kids in nodes:
+        has_x.append(isinstance(e, Var) or any(has_x[k] for k in kids))
+    free, rest = [], {}
+
+    def walk(i):
+        if i not in rest:
+            e, kids = nodes[i]
+            if kids and not has_x[i]:
+                rest[i] = Sym(f"{name}{len(free)}")
+                free.append(e)
+            elif kids:
+                new = iter([walk(k) for k in kids])
+                rest[i] = type(e)(*[next(new) if isinstance(v, Expression) else v
+                                    for v in (getattr(e, s) for s in type(e).__slots__)])
+            else:
+                rest[i] = e
+        return rest[i]
+
+    return free, [walk(r) for r in roots]
 
 
 def compile_exprs(exprs, symbols=(), params=None):
@@ -684,8 +749,8 @@ def compile_exprs(exprs, symbols=(), params=None):
     as constants. No domain checking is performed; use ``evaluate`` when error
     reporting matters.
     """
-    exprs = list(exprs)
-    return _build(exprs, symbols, params, _SCALAR_FUNCS)
+    fn, fn.source = _build(list(exprs), symbols, params, _SCALAR_FUNCS)
+    return fn
 
 
 def compile_exprs_vec(exprs, symbols=(), params=None):
@@ -696,7 +761,7 @@ def compile_exprs_vec(exprs, symbols=(), params=None):
     is the number of expressions. Constant expressions are broadcast.
     """
     exprs = list(exprs)
-    raw = _build(exprs, symbols, params, _VECTOR_FUNCS)
+    raw, source = _build(exprs, symbols, params, _VECTOR_FUNCS)
     k = len(exprs)
 
     def evaluate_grid(x, *sym_values):
@@ -708,4 +773,5 @@ def compile_exprs_vec(exprs, symbols=(), params=None):
             out[row] = value
         return out
 
+    evaluate_grid.source = source
     return evaluate_grid

@@ -39,8 +39,9 @@ from .paths import CotangentPath, differentiate_samples, path_defect
 _TIME = "t"
 _EPS = "eps"
 
-# time nodes per dpi_many batch in the variation solve; even, so that each
-# two-cell RK4 step lies inside one block
+# time steps per block: dpi_many nodes of the variation solve, and stage
+# times of the hoisted generator terms of the base solve; even, so that each
+# two-cell RK4 step of the variation solve lies inside one block
 _DPI_BLOCK = 64
 
 
@@ -99,6 +100,12 @@ class PathFamily:
         params = structure.params
         self._gen_fn = expr.compile_exprs_vec(
             self.generator, symbols=(_TIME, _EPS), params=params)
+        free, rest = expr.split_free(self.generator, "_free")
+        self._free_fn = expr.compile_exprs_vec(
+            free, symbols=(_TIME, _EPS), params=params) if free else None
+        self._stage_fn = expr.compile_exprs_vec(
+            _sharp_exprs(structure, rest), params=params,
+            symbols=(_TIME, _EPS) + tuple(f"_free{k}" for k in range(len(free))))
         self._x0_fn = expr.compile_exprs_vec(
             self.x0_exprs, symbols=(_EPS,), params=params)
 
@@ -125,31 +132,39 @@ class PathFamily:
         return self._x0_fn(dummy, np.asarray(eps)).T
 
     def _solve_on(self, eps):
-        """Vectorized RK4 of gamma' = #alpha over all given eps slices."""
-        S = self.structure
-        n, N = S.dim, self.t_intervals
+        """Vectorized RK4 of gamma' = #alpha over all given eps slices.
+
+        The state is component-major, (n, M) for M slices. The generator's
+        subtrees that read no coordinate are evaluated once per block of
+        _DPI_BLOCK steps, over the stage times t_i, t_i + h/2, t_i + h and
+        all slices. Each RK4 stage then runs one CSE-compiled kernel, which
+        shares subtrees between the rest of the generator and Pi and
+        contracts them in the order of sharp_many's einsum, so gamma has
+        the bits of the unstaged route."""
+        n, N, M = self.structure.dim, self.t_intervals, len(eps)
         t, h = self.t, 1.0 / N
-        starts = self.start_points(eps)
-        gamma = np.empty((len(eps), N + 1, n))
-        gamma[:, 0] = starts
-        state = starts.copy()
-
-        def rhs(tv, y):
-            av = self._gen_fn(y.T, tv, eps).T
-            return S.sharp_many(y, av)
-
-        for i in range(N):
-            tv = t[i]
-            k1 = rhs(tv, state)
-            k2 = rhs(tv + 0.5 * h, state + 0.5 * h * k1)
-            k3 = rhs(tv + 0.5 * h, state + 0.5 * h * k2)
-            k4 = rhs(tv + h, state + h * k3)
-            state = state + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            gamma[:, i + 1] = state
+        gamma = np.empty((M, N + 1, n))
+        state = self.start_points(eps).T
+        gamma[:, 0] = state.T
+        stage = self._stage_fn
+        for lo in range(0, N, _DPI_BLOCK):
+            ti = t[lo:min(lo + _DPI_BLOCK, N)]
+            free = np.empty((0, 3, len(ti), M))
+            if self._free_fn is not None:
+                times = np.concatenate([ti, ti + 0.5 * h, ti + h])
+                free = self._free_fn(np.empty((0, times.size * M)), np.repeat(times, M),
+                                     np.tile(eps, times.size)).reshape(-1, 3, len(ti), M)
+            for r, tv in enumerate(ti):
+                k1 = stage(state, tv, eps, *free[:, 0, r])
+                k2 = stage(state + 0.5 * h * k1, tv + 0.5 * h, eps, *free[:, 1, r])
+                k3 = stage(state + 0.5 * h * k2, tv + 0.5 * h, eps, *free[:, 1, r])
+                k4 = stage(state + h * k3, tv + h, eps, *free[:, 2, r])
+                state = state + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+                gamma[:, lo + r + 1] = state.T
         if not np.all(np.isfinite(gamma)):
             raise NumericalError("family base integration produced non-finite values")
         a = np.empty_like(gamma)
-        for m in range(len(eps)):
+        for m in range(M):
             a[m] = self._gen_fn(gamma[m].T, t, eps[m]).T
         d_eps_a = differentiate_samples(a, eps[1] - eps[0])
         return gamma, a, d_eps_a
@@ -187,6 +202,23 @@ class PathFamily:
             self._fields[key] = _frozen(_variation_field(
                 self.structure, self.t, eps, gamma, a, d_eps_a, key[1]))
         return self._fields[key]
+
+
+def _sharp_exprs(structure, alpha):
+    """(#alpha)^k = Pi^(jk) alpha_j summed as sharp_many's einsum sums it:
+    from a 0.0 accumulator, in j order. Structurally zero entries add only
+    signed zeros and are left out, except from the first component, which
+    keeps them so that a non-finite alpha_j reaches gamma."""
+    n = structure.dim
+    out = []
+    for k in range(1, n + 1):
+        total = expr.Num(0.0)
+        for j in range(1, n + 1):
+            p = structure.entry(j, k)
+            if k == 1 or not (isinstance(p, expr.Num) and p.value == 0.0):
+                total = expr.Add(total, expr.Mul(p, alpha[j - 1]))
+        out.append(total)
+    return out
 
 
 @dataclass

@@ -27,8 +27,9 @@ import numpy as np
 from . import expr
 from .config import get_default
 # leaf_form_many is re-exported: perfbench's tracer wraps it under this module
-from .connection import (_chart, _sphere_area_once, dual_vector_field,  # noqa: F401
-                         leaf_form_many, sphere_grid, sphere_quadrature, sphere_simpson)
+from .connection import (_chart, _sphere_area_once, check_rate_doubling,  # noqa: F401
+                         dual_vector_field, leaf_form_many, sphere_grid,
+                         sphere_quadrature, sphere_simpson)
 from .errors import NumericalError, ValidationError
 
 VERDICT_OK = "INTEGRABLE_EVIDENCE"
@@ -355,12 +356,12 @@ class SigmaSphereFamily:
         self._fns = [expr.compile_exprs_vec(e, symbols=names, params=structure.params)
                      for e in (chart, [expr.differentiate_sym(c, "tau") for c in chart])]
 
-    def _quadrature(self, tau, rate):
+    def _quadrature(self, tau, rate, grid=None):
         tau = float(tau)
         lo, hi = self.tau_range
         if not lo <= tau <= hi:
             raise ValidationError(f"tau {tau:g} outside the family range [{lo:g}, {hi:g}]")
-        theta, phi = sphere_grid(*self.grid)
+        theta, phi = sphere_grid(*(grid or self.grid))
 
         def nodes(rows, rate):
             T, F = (a.ravel() for a in np.meshgrid(theta[rows], phi, indexing="ij"))
@@ -373,8 +374,13 @@ class SigmaSphereFamily:
     def area(self, tau):
         return self._quadrature(tau, rate=False)
 
-    def row_data(self, tau):
+    def row_data(self, tau, verify=False):
+        """(area, dA/dtau, generators); with verify, dA/dtau on the doubled
+        grid must pass area_variation's check_rate_doubling."""
         area, deriv = self._quadrature(tau, rate=True)
+        if verify:
+            _, fine = self._quadrature(tau, rate=True, grid=[2 * g for g in self.grid])
+            check_rate_doubling(float(tau), area, deriv, fine)
         return area, deriv, (abs(deriv),)
 
     def minimum_radius(self):

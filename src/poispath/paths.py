@@ -16,6 +16,8 @@ with a single global ENDPOINT_SIGN = -1 fixed by the anchor convention.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from . import expr
@@ -46,6 +48,14 @@ def fd_weights(offsets):
     return np.linalg.solve(V, rhs)
 
 
+@functools.cache
+def _stencils():
+    """The 7-point weights of differentiate_samples: central, then for the
+    three nodes at each end the one-sided (left, right) pairs."""
+    return fd_weights(np.arange(-3, 4)), [
+        (fd_weights(np.arange(7) - i), fd_weights(np.arange(7) - 6 + i)) for i in range(3)]
+
+
 def differentiate_samples(y, h):
     """Sixth-order derivative of uniformly sampled values, axis 0."""
     y = np.asarray(y, dtype=float)
@@ -53,13 +63,11 @@ def differentiate_samples(y, h):
     if m < 7:
         raise ValidationError("need at least 7 samples for the derivative stencils")
     d = np.empty_like(y)
-    w = fd_weights(np.arange(-3, 4))
+    w, ends = _stencils()
     core = sum(w[k] * y[k:m - 6 + k] for k in range(7))
     d[3:m - 3] = core / h
-    for i in range(3):
-        wl = fd_weights(np.arange(7) - i)
+    for i, (wl, wr) in enumerate(ends):
         d[i] = np.tensordot(wl, y[:7], axes=(0, 0)) / h
-        wr = fd_weights(np.arange(7) - 6 + i)
         d[m - 1 - i] = np.tensordot(wr, y[m - 7:], axes=(0, 0)) / h
     return d
 

@@ -4,15 +4,22 @@ The bracket oracles are assembled directly from raw entry dictionaries with
 the expression layer only, deliberately bypassing the library's own bracket
 and anchor code so the two can disagree. The variation reference keeps the
 straightforward form of the family variation solve, so that the cached,
-blocked library solve can be held to it bit for bit. The area-derivative
-stencil differentiates quadrature areas in tau, a route that never touches
-the library's under-the-integral derivative.
+blocked library solve can be held to it bit for bit; its base comes from
+the straightforward RK4 of the family base (the compiled generator and
+sharp_many at every stage), not from the library's staged kernel. The
+tree-walk emitter compiles expressions with every subtree written out where
+it occurs, the form the CSE emitter must reproduce bit for bit. The
+area-derivative stencil differentiates quadrature areas in tau, a route that
+never touches the library's under-the-integral derivative.
 """
+
+import math
 
 import numpy as np
 from scipy.interpolate import CubicSpline
 
 from poispath import expr
+from poispath.paths import differentiate_samples
 
 
 def entry(pi, i, j, dim, params=()):
@@ -88,6 +95,76 @@ def koszul_bracket_oracle(pi, dim, alpha, beta, params=()):
     return out
 
 
+def _tree_walk_code(e, params):
+    if isinstance(e, expr.Num):
+        return f"({e.value!r})"
+    if isinstance(e, expr.Var):
+        return f"x[{e.index - 1}]"
+    if isinstance(e, expr.Sym):
+        if params is not None and e.name in params:
+            return f"({float(params[e.name])!r})"
+        return f"_s_{e.name}"
+    if isinstance(e, (expr.Add, expr.Sub, expr.Mul, expr.Div)):
+        return f"({_tree_walk_code(e.left, params)} {e.op} {_tree_walk_code(e.right, params)})"
+    if isinstance(e, expr.Pow):
+        return f"({_tree_walk_code(e.base, params)} ** ({e.exponent!r}))"
+    if isinstance(e, expr.Neg):
+        return f"(-{_tree_walk_code(e.operand, params)})"
+    if isinstance(e, expr.Call):
+        return f"_f_{e.func}({_tree_walk_code(e.arg, params)})"
+    raise TypeError(f"not an expression: {e!r}")
+
+
+TREE_WALK_FUNCS = {
+    "scalar": {"sin": math.sin, "cos": math.cos, "exp": math.exp,
+               "log": math.log, "sqrt": math.sqrt, "atan": math.atan},
+    "vector": {"sin": np.sin, "cos": np.cos, "exp": np.exp,
+               "log": np.log, "sqrt": np.sqrt, "atan": np.arctan},
+}
+
+
+def tree_walk_compile(exprs, symbols=(), params=None, kind="scalar"):
+    """f(x, *symbol_values) -> tuple of values, each expression emitted as
+    one nested Python expression with no shared subtree."""
+    args = ", ".join(["x"] + [f"_s_{name}" for name in symbols])
+    body = ", ".join(_tree_walk_code(e, params) for e in exprs)
+    source = f"def _compiled({args}):\n    return ({body}{',' if len(exprs) == 1 else ''})\n"
+    namespace = {f"_f_{name}": fn for name, fn in TREE_WALK_FUNCS[kind].items()}
+    exec(source, namespace)
+    return namespace["_compiled"]
+
+
+def base_reference(family, eps):
+    """(gamma, a, d_eps_a) of a family over the given eps slices by RK4 of
+    gamma' = #alpha, with the compiled generator and sharp_many at every
+    stage over row-major (M, n) states."""
+    S = family.structure
+    gen = expr.compile_exprs_vec(family.generator, symbols=("t", "eps"),
+                                 params=S.params)
+    n, N = S.dim, family.t_intervals
+    t, h = family.t, 1.0 / N
+    starts = family.start_points(eps)
+    gamma = np.empty((len(eps), N + 1, n))
+    gamma[:, 0] = starts
+    state = starts.copy()
+
+    def rhs(tv, y):
+        return S.sharp_many(y, gen(y.T, tv, eps).T)
+
+    for i in range(N):
+        tv = t[i]
+        k1 = rhs(tv, state)
+        k2 = rhs(tv + 0.5 * h, state + 0.5 * h * k1)
+        k3 = rhs(tv + 0.5 * h, state + 0.5 * h * k2)
+        k4 = rhs(tv + h, state + h * k3)
+        state = state + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        gamma[:, i + 1] = state
+    a = np.empty_like(gamma)
+    for m in range(len(eps)):
+        a[m] = gen(gamma[m].T, t, eps[m]).T
+    return gamma, a, differentiate_samples(a, eps[1] - eps[0])
+
+
 def variation_field_reference(structure, t, gamma, a, d_eps_a, sign):
     """RK4 for db/dt = da/deps + sign (d_i Pi^(jk)) a_j b_k, two grid cells
     per step, with the coupling (one dpi_many call) at every stage."""
@@ -115,17 +192,17 @@ def variation_field_reference(structure, t, gamma, a, d_eps_a, sign):
 
 
 def variation_reference(family, signs=(1.0, -1.0)):
-    """Base arrays and variation fields of a family, with the coarse and the
-    halved-step eps grids solved separately.
+    """Base arrays (from base_reference) and variation fields of a family,
+    with the coarse and the halved-step eps grids solved separately.
 
     Returns (gamma, a, d_eps_a, fields) over family.eps, where fields[sign]
     is (b, b_fine, resolution_change) and b_fine lives on
     linspace(eps[0], eps[-1], 2M - 1).
     """
     S, t, eps = family.structure, family.t, family.eps
-    gamma, a, d_eps_a = family._solve_on(eps)
+    gamma, a, d_eps_a = base_reference(family, eps)
     eps_fine = np.linspace(eps[0], eps[-1], 2 * len(eps) - 1)
-    gamma_f, a_f, d_eps_a_f = family._solve_on(eps_fine)
+    gamma_f, a_f, d_eps_a_f = base_reference(family, eps_fine)
     fields = {}
     for sign in signs:
         b = variation_field_reference(S, t, gamma, a, d_eps_a, sign)

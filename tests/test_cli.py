@@ -497,6 +497,15 @@ class TestChartFamilies:
             assert float(row["r_value"]) == pytest.approx(4.0 * math.pi,
                                                           abs=2e-3)
 
+    def test_area_variation_over_a_chart_checks_grid_doubling(self, sigma_file):
+        # a profile the default grid cannot resolve fails on both routes
+        for chart in ((), ("--family", sigma_file)):
+            code, out, err = run_cli("area-variation",
+                                     "builtin:su2_scaled?a=1+sin(200*x1)/2",
+                                     "--tau", "1", *chart)
+            assert code == 3 and out == ""
+            assert "unstable under grid doubling" in err
+
     def test_area_variation_takes_no_step(self):
         code, out, err = run_cli("area-variation", "builtin:su2_scaled?a=1",
                                  "--tau", "1", "--h", "0.002")

@@ -1,10 +1,14 @@
+import copy
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from poispath import expr
+import oracles
+from poispath import expr, registry
+from poispath.connection import dual_vector_field
 from poispath.errors import EvalDomainError, ParseError, ValidationError
 
 
@@ -272,6 +276,132 @@ class TestCompiled:
         for k, e in enumerate(exprs):
             want = [expr.evaluate(e, x[:, j]) for j in range(40)]
             np.testing.assert_allclose(out[k], want, rtol=1e-14)
+
+    def test_signed_zero_literals_stay_apart(self):
+        x = expr.Var(1)
+        exprs = [expr.Add(x, expr.Num(0.0)), expr.Add(x, expr.Num(-0.0))]
+        got = expr.compile_exprs(exprs)((-0.0,))
+        assert [math.copysign(1.0, v) for v in got] == [1.0, -1.0]
+
+    def test_literal_beyond_the_float_range_compiles_to_inf(self):
+        # 1e400 parses to inf, which the generated code must be able to name
+        exprs = [expr.parse("x1*1e400", 1), expr.parse("x1 - 1e400", 1)]
+        assert expr.compile_exprs(exprs)((-2.0,)) == (-math.inf, -math.inf)
+        assert expr.compile_exprs_vec(exprs)(np.array([[2.0]])).tolist() == [
+            [math.inf], [-math.inf]]
+
+    def test_shared_subtree_is_computed_once(self):
+        structure = registry.load("builtin:su2_scaled?a=exp(R^2/3)").structure
+        jacobian = dual_vector_field(structure, jacobian=True)
+        assert jacobian.source.count("_f_exp(") == 1
+        p = dual_vector_field(structure)
+        assert p.source.count("_f_exp(") == 1
+        assert expr.compile_exprs([expr.parse("exp(R)", 3)] * 2).source.count("exp") == 1
+
+    def test_split_free_hoists_coordinate_free_subtrees(self):
+        gen = [expr.parse(s, 2, symbols=("t", "eps"))
+               for s in ("sin(t)*eps*x1 + sin(t)*eps", "cos(t) + x2", "t")]
+        free, rest = expr.split_free(gen, "h")
+        assert [expr.to_source(e) for e in free] == ["sin(t) * eps", "cos(t)"]
+        assert [expr.to_source(e) for e in rest] == ["h0 * x1 + h0", "h1 + x2", "t"]
+
+
+# leaves and operators of random trees for the emitter properties: R, signed
+# zero literals, constant powers and every function
+_LEAVES = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -0.5, 2.0, 3.0]).map(expr.Num),
+    st.integers(1, 3).map(expr.Var),
+    st.just(expr.parse("R", 3)),
+)
+
+
+def _grow(children):
+    binary = st.sampled_from([expr.Add, expr.Sub, expr.Mul, expr.Div])
+    return st.one_of(
+        st.tuples(binary, children, children).map(lambda t: t[0](t[1], t[2])),
+        children.map(expr.Neg),
+        st.tuples(children, st.sampled_from([2.0, 3.0, 0.5, -1.0, -2.0]))
+        .map(lambda t: expr.Pow(*t)),
+        st.tuples(st.sampled_from(expr.FUNCTIONS), children)
+        .map(lambda t: expr.Call(*t)),
+    )
+
+
+_TREES = st.recursive(_LEAVES, _grow, max_leaves=10)
+_COORD = st.one_of(st.sampled_from([0.0, -0.0, 1e-300]), st.floats(-3.0, 3.0))
+
+
+def _ieee_exact(e):
+    """Only + - * /, negation and sqrt, which numpy and math both round
+    exactly; their pow, exp, log and atan may differ in the last bit."""
+    if isinstance(e, expr.Pow) or (isinstance(e, expr.Call) and e.func != "sqrt"):
+        return False
+    return all(_ieee_exact(getattr(e, attr)) for attr in ("left", "right", "operand", "arg")
+               if hasattr(e, attr))
+
+
+def _scalar(fn, point):
+    try:
+        return repr(fn(point))
+    except (ArithmeticError, ValueError, TypeError):
+        return "raised"
+
+
+def _vector(fn, points):
+    try:
+        with np.errstate(all="ignore"), warnings.catch_warnings():
+            warnings.simplefilter("error", np.exceptions.ComplexWarning)
+            values = fn(points)
+            out = np.empty((len(values), points.shape[1]))
+            for row, value in enumerate(values):
+                out[row] = value
+        return out
+    except (ArithmeticError, ValueError, TypeError, np.exceptions.ComplexWarning):
+        return None
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_cse_emitter_matches_the_tree_walk(data):
+    pool = data.draw(st.lists(_TREES, min_size=1, max_size=4))
+
+    def repeat():
+        # the same object or a structurally equal copy of it
+        e = data.draw(st.sampled_from(pool))
+        return copy.deepcopy(e) if data.draw(st.booleans()) else e
+
+    exprs = pool + [data.draw(st.sampled_from([expr.Add, expr.Mul, expr.Div]))(
+        repeat(), repeat()) for _ in range(data.draw(st.integers(1, 4)))]
+    points = np.array(data.draw(st.lists(st.tuples(_COORD, _COORD, _COORD),
+                                         min_size=1, max_size=5))).T
+    m = points.shape[1]
+
+    # constant subtrees run in Python floats, and may raise there
+    got = _vector(expr.compile_exprs_vec(exprs), points)
+    want = _vector(oracles.tree_walk_compile(exprs, kind="vector"), points)
+    assert (got is None) == (want is None)
+    if got is not None:
+        assert got.tobytes() == want.tobytes()
+
+    scalar = expr.compile_exprs(exprs)
+    walk = oracles.tree_walk_compile(exprs)
+    for j in range(m):
+        point = tuple(float(v) for v in points[:, j])
+        values = _scalar(scalar, point)
+        assert values == _scalar(walk, point)
+        for row, e in enumerate(exprs):
+            try:
+                value = expr.evaluate(e, point)
+            except EvalDomainError:
+                continue
+            if values != "raised":
+                assert repr(scalar(point)[row]) == repr(value)
+            if got is not None:
+                # evaluate raises on every non-finite intermediate, so a
+                # non-finite compiled value here would be one left unreported
+                assert np.isfinite(got[row, j])
+                if _ieee_exact(e):
+                    assert repr(float(got[row, j])) == repr(value)
 
 
 class TestComponents:

@@ -313,6 +313,8 @@ class TestSolveOnce:
         gamma, a, d_eps_a, fields = oracles.variation_reference(
             SOLVE_ONCE_CASES[case]())
         _same_bits(fam.eps_fine[::2], fam.eps)
+        for got, want in zip(fam._fine, oracles.base_reference(fam, fam.eps_fine)):
+            _same_bits(got, want)
         _same_bits(fam.gamma, gamma)
         _same_bits(fam.a, a)
         _same_bits(fam.d_eps_a, d_eps_a)
@@ -324,6 +326,16 @@ class TestSolveOnce:
             _same_bits(fam.variation_field(sign, fine=True), b_fine)
             assert result.resolution_change == change
         assert np.max(np.abs(fields[-1.0][0])) > 0.0
+
+    def test_non_finite_generator_on_an_unread_component_fails_closed(self):
+        # Pi reads only a1 and a2; the pole of a3 at t = 0.5 must still stop
+        # the solve, as it does through sharp_many's 0 * inf
+        S = PoissonStructure(3, {(1, 2): "1"})
+        fam = PathFamily(S, ("0.1*eps", "0.2", "1/(t - 0.5)"), (0.0, 0.0, 0.0),
+                         t_intervals=10, eps_intervals=8)
+        with np.errstate(all="ignore"), pytest.raises(
+                NumericalError, match="family base integration produced non-finite values"):
+            fam.solve()
 
     def test_each_grid_and_sign_is_solved_once(self, su2, monkeypatch):
         solves, fields = [], []

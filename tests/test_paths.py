@@ -35,6 +35,18 @@ class TestDerivativeStencils:
         with pytest.raises(ValidationError):
             paths.differentiate_samples(np.zeros((5, 2)), 0.1)
 
+    def test_cached_weights_are_the_solved_ones(self):
+        # the edge rows and the interior, each against a fresh weight solve
+        h = 0.05
+        y = np.random.default_rng(4).normal(size=(12, 3))
+        d = paths.differentiate_samples(y, h)
+        for row, offsets in ((4, np.arange(-3, 4)), (0, np.arange(7)),
+                             (2, np.arange(7) - 2), (10, np.arange(7) - 5)):
+            w, nodes = paths.fd_weights(offsets), y[row + offsets]
+            want = (sum(w[k] * nodes[k] for k in range(7)) if row == 4
+                    else np.tensordot(w, nodes, axes=(0, 0))) / h
+            assert d[row].tobytes() == want.tobytes()
+
 
 class TestIntegrateBase:
     def test_circle_solution(self, circle):
