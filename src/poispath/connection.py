@@ -14,6 +14,15 @@ Simpson weights on both axes. dA/dtau of a sphere family is differentiated
 under the integral, in the same pass over the nodes as the area. Areas and
 derivatives carry a grid-doubling consistency check, so silent quadrature
 garbage gets raised as NumericalError instead of returned.
+
+The pass runs in blocks of theta rows. Each block is one call of a fused
+kernel, compiled once per structure from one CSE graph: p, its Jacobian,
+|p|^2, p.u, p.v, |u|^2, |v|^2, the density and its tau-derivative, with
+every sum in the order of the np.cross/einsum code it replaced, so the
+values are the same bit for bit. The kernel writes into the calling
+thread's scratch arena (expr.arena_rows), and the radial chart writes its
+columns into the rows above the kernel's: a row allocates no block arrays.
+Kernel results stay valid until the next arena call on that thread.
 """
 
 from __future__ import annotations
@@ -28,51 +37,133 @@ from .config import get_default
 from .errors import NumericalError, ValidationError
 
 _P_CACHE: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
-_J_CACHE: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
+_KERNELS: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 
 _TANGENCY_TOL = 1e-8
 
-# nodes per block of a sphere quadrature pass; bounds its working arrays
+# nodes per block of a sphere quadrature pass; bounds the arena rows
 _BLOCK_NODES = 1 << 13
 
 
-def dual_vector_field(structure, jacobian=False):
-    """Compiled evaluator for p = (Pi^23, Pi^31, Pi^12), dim 3 only; with
-    jacobian set, for its Jacobian d_j p_i in row-major (i, j) order."""
+def _dual_exprs(structure):
+    """p = (Pi^23, Pi^31, Pi^12), dim 3 only."""
     if structure.dim != 3:
         raise ValidationError("dual vector shortcut needs dimension 3")
-    cache = _J_CACHE if jacobian else _P_CACHE
-    fn = cache.get(structure)
+    return [structure.entry(2, 3), structure.entry(3, 1), structure.entry(1, 2)]
+
+
+def _jacobian(p):
+    """d_j p_i in row-major (i, j) order."""
+    return [expr.differentiate(c, j) for c in p for j in (1, 2, 3)]
+
+
+def dual_vector_field(structure):
+    """Compiled evaluator for p = (Pi^23, Pi^31, Pi^12), dim 3 only."""
+    fn = _P_CACHE.get(structure)
     if fn is None:
-        comps = [structure.entry(2, 3), structure.entry(3, 1), structure.entry(1, 2)]
-        if jacobian:
-            comps = [expr.differentiate(c, j) for c in comps for j in (1, 2, 3)]
-        fn = cache[structure] = expr.compile_exprs_vec(comps, params=structure.params)
+        fn = _P_CACHE[structure] = expr.compile_exprs_vec(_dual_exprs(structure),
+                                                          params=structure.params)
     return fn
 
 
-def leaf_form_many(structure, xs, us, vs, p=None):
-    """omega(u, v) rows on a batch of dim-3 points. Raises if the structure
-    vanishes somewhere or a vector sticks out of its leaf. p, when given, is
-    the dual vector at xs as (m, 3) rows."""
-    xs = np.asarray(xs, dtype=float)
-    us = np.asarray(us, dtype=float)
-    vs = np.asarray(vs, dtype=float)
-    if p is None:
-        p = dual_vector_field(structure)(xs.T).T
-    nrm2 = np.einsum("mi,mi->m", p, p)
+def _dot(a, b):
+    """a . b from a 0.0 accumulator in index order, as einsum sums it."""
+    total = expr.Num(0.0)
+    for ai, bi in zip(a, b):
+        total = expr.Add(total, expr.Mul(ai, bi))
+    return total
+
+
+def _cross(a, b):
+    """a x b with the products and differences of np.cross."""
+    return [expr.Sub(expr.Mul(a[i], b[j]), expr.Mul(a[j], b[i]))
+            for i, j in ((1, 2), (2, 0), (0, 1))]
+
+
+def _triple(a, b, c):
+    """det(a, b, c) = a . (b x c), summed left to right."""
+    k = _cross(b, c)
+    return expr.Add(expr.Add(expr.Mul(a[0], k[0]), expr.Mul(a[1], k[1])), expr.Mul(a[2], k[2]))
+
+
+def _sphere_kernel(structure, rate):
+    """The fused sphere kernel of a structure, compiled once per rate flag.
+
+    It reads the columns x, u, v (with rate also x_t, u_t, v_t) and returns
+    as arena rows, with rate, the tau-derivative of the density, then the
+    density dens = -((u x p).v)/|p|^2, |p|^2, p.u, p.v, |u|^2 and |v|^2. The
+    tau-derivative is
+
+        -(det(u_t, p, v) + det(u, q, v) + det(u, p, v_t) + 2 dens (p.q)) / |p|^2
+
+    with q = J_p(x) x_t. Nodes are built without folding, so the float
+    operations are those of np.cross, einsum and a left-to-right det.
+    """
+    kernels = _KERNELS.setdefault(structure, {})
+    if rate not in kernels:
+        x, u, v, x_t, u_t, v_t = ([expr.Var(3 * k + i) for i in (1, 2, 3)] for k in range(6))
+        p = _dual_exprs(structure)
+        nrm2 = _dot(p, p)
+        dens = expr.Div(expr.Neg(_dot(_cross(u, p), v)), nrm2)
+        roots = [dens, nrm2, _dot(p, u), _dot(p, v), _dot(u, u), _dot(v, v)]
+        if rate:
+            jac = _jacobian(p)
+            q = [_dot(jac[3 * i:3 * i + 3], x_t) for i in range(3)]
+            total = expr.Add(expr.Add(expr.Add(_triple(u_t, p, v), _triple(u, q, v)),
+                                       _triple(u, p, v_t)),
+                             expr.Mul(expr.Mul(expr.Num(2.0), dens), _dot(p, q)))
+            # first, so that the rows of the later roots serve its temporaries
+            roots.insert(0, expr.Div(expr.Neg(total), nrm2))
+        kernels[rate] = expr.compile_exprs_vec(roots, params=structure.params, arena=True)
+    return kernels[rate]
+
+
+def leaf_form_many(structure, xs, us, vs, moving=None, out=None):
+    """omega(u, v) on a batch of dim-3 points xs with tangent vectors us and
+    vs, each given as (m, 3) rows.
+
+    One call of the structure's fused kernel (_sphere_kernel). With moving, the
+    tau-derivatives (x_t, u_t, v_t) of the batch as (m, 3) rows, it also
+    gives the tau-derivative of the density. Both go into out, a (1, m) or
+    (2, m) array (a new one when None), and out[0] is returned.
+
+    Raises ValidationError if the structure vanishes somewhere or a vector
+    sticks out of its leaf, and NumericalError if the Jacobian of p, the
+    rate density or the density is not finite.
+    """
+    rate = moving is not None
+    cols = [c for w in (xs, us, vs, *(moving or ())) for c in np.asarray(w, dtype=float).T]
+    # garbage at degenerate points is caught by the checks below
+    with np.errstate(all="ignore"):
+        *drate, dens, nrm2, pu, pv, uu, vv = _sphere_kernel(structure, rate)(cols)
     if np.any(nrm2 <= 0.0) or not np.all(np.isfinite(nrm2)):
         raise ValidationError("structure is degenerate on the evaluation set")
     scale = np.sqrt(nrm2)
-    for w, name in ((us, "first"), (vs, "second")):
-        wn = np.linalg.norm(w, axis=1)
-        resid = np.abs(np.einsum("mi,mi->m", p, w))
-        mask = wn > 1e-300
-        if np.any(resid[mask] > _TANGENCY_TOL * scale[mask] * wn[mask]):
+    bound = _TANGENCY_TOL * scale
+    for pw, ww, name in ((pu, uu, "first"), (pv, vv, "second")):
+        wn = np.sqrt(ww)
+        resid = np.abs(pw)
+        if np.any((resid > bound * wn) & (wn > 1e-300)):
+            mask = wn > 1e-300
             worst = float(np.max(resid[mask] / (scale[mask] * wn[mask])))
             raise ValidationError(
                 f"{name} argument is not tangent to the leaves (residual {worst:.3e})")
-    return -np.einsum("mi,mi->m", np.cross(us, p), vs) / nrm2
+    # a non-finite Jacobian always makes the rate non-finite (0 inf and
+    # inf - inf are NaN), so it is looked at only to name the failure
+    if rate and not np.all(np.isfinite(drate[0])):
+        jac = expr.compile_exprs_vec(_jacobian(_dual_exprs(structure)), params=structure.params)
+        with np.errstate(all="ignore"):
+            if not np.all(np.isfinite(jac(cols[:3]))):
+                raise NumericalError("Jacobian of the structure is not finite on the sphere")
+        raise NumericalError("area rate density is not finite on the sphere")
+    if not np.all(np.isfinite(dens)):
+        raise NumericalError("leaf density is not finite on the sphere")
+    if out is None:
+        out = np.empty((1 + rate, dens.size))
+    out[0] = dens
+    if rate:
+        out[1] = drate[0]
+    return out[0]
 
 
 def leaf_form(structure, x, u, v):
@@ -109,14 +200,22 @@ def sphere_grid(n_theta, n_phi):
     return theta, phi
 
 
-def _chart(tau, theta, phi):
+def _chart(tau, theta, phi, out=None):
+    """The radius-tau sphere x, u = d_theta x and v = d_phi x on the theta x
+    phi nodes, component by component: out holds nine (theta, phi) arrays
+    (a new (9, theta, phi) array when None). Returns x, u, v."""
     st, ct = np.sin(theta)[:, None], np.cos(theta)[:, None]
     sf, cf = np.sin(phi), np.cos(phi)
-    shape = (theta.size, phi.size)
-    x = tau * np.stack([st * cf, st * sf, np.broadcast_to(ct, shape)])
-    dth = tau * np.stack([ct * cf, ct * sf, np.broadcast_to(-st, shape)])
-    dph = tau * np.stack([-st * sf, st * cf, np.zeros(shape)])
-    return x, dth, dph
+    if out is None:
+        out = np.empty((9, theta.size, phi.size))
+    x0, x1, x2, u0, u1, u2, v0, v1, v2 = out
+    for o, a, b in ((x0, st, cf), (x1, st, sf), (u0, ct, cf), (u1, ct, sf),
+                    (v0, -st, sf), (v1, st, cf)):
+        np.multiply(tau, np.multiply(a, b, out=o), out=o)
+    np.multiply(tau, ct, out=x2)
+    np.multiply(tau, -st, out=u2)
+    v2[...] = tau * 0.0
+    return out[0:3], out[3:6], out[6:9]
 
 
 def sphere_simpson(dens, theta, phi):
@@ -127,61 +226,44 @@ def sphere_simpson(dens, theta, phi):
     return float(simpson(simpson(dens, x=phi, axis=1), x=theta))
 
 
-def _det(a, b, c):
-    """det(a, b, c) = a . (b x c) for each column of (3, m) arrays."""
-    return (a[0] * (b[1] * c[2] - b[2] * c[1]) + a[1] * (b[2] * c[0] - b[0] * c[2])
-            + a[2] * (b[0] * c[1] - b[1] * c[0]))
-
-
-def _rate_density(structure, x, u, v, p, dens, x_t, u_t, v_t):
-    """tau-derivative of dens = -det(u, p, v)/|p|^2 on (3, m) columns, with
-    p moving along q = J_p(x) x_t."""
-    jac = dual_vector_field(structure, jacobian=True)(x)
-    if not np.all(np.isfinite(jac)):
-        raise NumericalError("Jacobian of the structure is not finite on the sphere")
-    q = np.einsum("ijm,jm->im", jac.reshape(3, 3, -1), x_t)
-    rate = -(_det(u_t, p, v) + _det(u, q, v) + _det(u, p, v_t)
-             + 2.0 * dens * np.einsum("im,im->m", p, q)) / np.einsum("im,im->m", p, p)
-    if not np.all(np.isfinite(rate)):
-        raise NumericalError("area rate density is not finite on the sphere")
-    return rate
-
-
 def sphere_quadrature(structure, nodes, theta, phi, rate=False):
     """Area of one sphere of a family and, with rate set, dA/dtau, from one
     pass over the (theta, phi) nodes of sphere_grid in blocks of theta rows.
 
     nodes(rows, rate) gives the chart x, u = d_theta x and v = d_phi x on
     theta[rows] x phi as (3, m) arrays, then with rate set x_t, u_t, v_t, their
-    tau-derivatives. The density dens = -det(u, p, v)/|p|^2 is differentiated
-    under the integral by the chain rule with q = J_p(x) x_t:
+    tau-derivatives. leaf_form_many turns each block into the density
+    dens = -det(u, p, v)/|p|^2 and its derivative under the integral, by the
+    chain rule with q = J_p(x) x_t:
 
         -(det(u_t, p, v) + det(u, q, v) + det(u, p, v_t) + 2 dens (p.q)) / |p|^2
 
-    A non-finite Jacobian or rate density is a NumericalError.
+    A non-finite density, Jacobian or rate density is a NumericalError.
     """
-    dens = np.empty((theta.size, phi.size))
-    drate = np.empty_like(dens) if rate else None
+    vals = np.empty((1 + rate, theta.size, phi.size))
     step = max(1, _BLOCK_NODES // phi.size)
     for lo in range(0, theta.size, step):
         rows = slice(lo, lo + step)
         x, u, v, *moving = nodes(rows, rate)
-        p = dual_vector_field(structure)(x)
-        d = leaf_form_many(structure, x.T, u.T, v.T, p=p.T)
-        dens[rows] = d.reshape(-1, phi.size)
-        if rate:
-            drate[rows] = _rate_density(structure, x, u, v, p, d, *moving).reshape(-1, phi.size)
-    area = sphere_simpson(dens, theta, phi)
-    return (area, sphere_simpson(drate, theta, phi)) if rate else area
+        leaf_form_many(structure, x.T, u.T, v.T, [w.T for w in moving] if rate else None,
+                       out=vals[:, rows].reshape(len(vals), -1))
+    area = sphere_simpson(vals[0], theta, phi)
+    return (area, sphere_simpson(vals[1], theta, phi)) if rate else area
 
 
 def _sphere_area_once(structure, tau, n_theta, n_phi, rate=False):
-    """sphere_quadrature of the radius-tau sphere: d_tau = chart / tau."""
+    """sphere_quadrature of the radius-tau sphere: d_tau = chart / tau. The
+    chart goes into arena rows above those the kernel writes."""
     theta, phi = sphere_grid(n_theta, n_phi)
+    skip = _sphere_kernel(structure, rate).slots
 
     def nodes(rows, rate):
-        chart = [c.reshape(3, -1) for c in _chart(tau, theta[rows], phi)]
-        return chart + [c / tau for c in chart] if rate else chart
+        th = theta[rows]
+        cols = expr.arena_rows(skip + 18, th.size * phi.size)[skip:]
+        _chart(tau, th, phi, [c.reshape(th.size, phi.size) for c in cols[:9]])
+        if rate:
+            np.divide(cols[:9], tau, out=cols[9:])
+        return [cols[k:k + 3] for k in range(0, 18 if rate else 9, 3)]
 
     return sphere_quadrature(structure, nodes, theta, phi, rate)
 

@@ -22,6 +22,7 @@ that evaluate them once for many points.
 from __future__ import annotations
 
 import math
+import threading
 
 import numpy as np
 
@@ -221,6 +222,9 @@ def powc(base, exponent):
             value = base.value ** k
         except (OverflowError, ValueError, ZeroDivisionError):
             value = None
+        if isinstance(value, complex):
+            raise ValidationError(
+                f"negative base with fractional exponent in {to_source(Pow(base, k))}")
         if isinstance(value, float) and math.isfinite(value):
             return Num(value)
     return Pow(base, k)
@@ -672,25 +676,99 @@ def _dag(exprs):
     return nodes, [visit(e) for e in exprs]
 
 
-def _build(exprs, symbols, params, funcs):
-    """Emit and compile one function for exprs, returned with its source.
+# ufuncs of the buffered rendering; at these exponents numpy's ndarray **
+# gives the bits of the cheaper ufunc
+_UFUNCS = {Add: np.add, Sub: np.subtract, Mul: np.multiply, Div: np.divide, Neg: np.negative}
+_POW_UFUNCS = {2.0: np.square, 0.5: np.sqrt, 1.0: np.positive, -1.0: np.reciprocal}
+
+
+class _Arena(threading.local):
+    rows = np.empty((0, 0))
+
+
+_ARENA = _Arena()
+
+
+def arena_rows(n, m):
+    """Rows 0..n-1, m long each, of this thread's scratch arena.
+
+    Every call on a thread reuses the same memory: rows handed out stay
+    valid until a later call writes them (a buffered evaluator writes its
+    rows 0..slots-1) or asks for more rows or longer ones, which moves the
+    arena. A caller whose rows must outlive an evaluator's call takes them
+    above its slots."""
+    rows = _ARENA.rows
+    if n > rows.shape[0] or m > rows.shape[1]:
+        rows = _ARENA.rows = np.empty((max(n, rows.shape[0]), max(m, rows.shape[1])))
+    return rows[:n, :m]
+
+
+def _build(exprs, symbols, params, funcs, arena=False):
+    """Emit and compile one function for exprs; returns it with its source
+    and its arena slot count.
+
     Each structurally distinct subtree is computed once: a node read more
     than once becomes a local, assigned in topological order, and the others
     are written inline, so every subtree keeps its float operations in their
-    order."""
+    order. With arena set, every node that reads a coordinate or a symbol is
+    instead one ufunc call with out= a row of the extra argument _a, in the
+    order and with the ufunc of the inline rendering. Roots end in rows
+    0..k-1. A row is freed after its node's last reader and reused; a root's
+    row serves temporaries that die before the root is computed.
+    """
     nodes, roots = _dag(exprs)
     uses = [0] * len(nodes)
     for k in [k for _, kids in nodes for k in kids] + roots:
         uses[k] += 1
-    code, lines = [], []
+    params = params or {}
+    last = [0] * len(nodes)
+    for i, (_, kids) in enumerate(nodes):
+        for k in kids:
+            last[k] = i
+    # row j may hold a temporary whose last reader comes no later than node
+    # until[j], which computes the root of the row (never, for other rows)
+    root_slot, until = {}, [math.inf] * len(roots)
+    for j, r in enumerate(roots):
+        if r not in root_slot:
+            root_slot[r], until[j] = j, r
+    left, free, slot_of = list(uses), list(range(len(roots))), {}
+    varying, code, lines = [], [], []
     for i, (e, kids) in enumerate(nodes):
         args = [code[k] for k in kids]
+        varying.append(isinstance(e, Var) or (isinstance(e, Sym) and e.name not in params)
+                       or any(varying[k] for k in kids))
+        if arena and kids and varying[i]:
+            for k in kids:
+                left[k] -= 1
+                if left[k] == 0 and k in slot_of:
+                    free.append(slot_of.pop(k))
+            # the root's own row, else the free row that frees up soonest (the
+            # latest freed among those), else a new one
+            fits = [s for s in reversed(free) if until[s] >= last[i]]
+            slot = root_slot.get(i, min(fits, key=until.__getitem__) if fits else len(until))
+            if slot < len(until):
+                free.remove(slot)
+            else:
+                until.append(math.inf)
+            if i not in root_slot:
+                slot_of[i] = slot
+            if isinstance(e, Call):
+                name = f"_f_{e.func}"
+            elif isinstance(e, Pow):
+                name = f"_{_POW_UFUNCS.get(e.exponent, np.power).__name__}"
+                args += [] if e.exponent in _POW_UFUNCS else [repr(e.exponent)]
+            else:
+                name = f"_{_UFUNCS[type(e)].__name__}"
+            text = f"_a{slot}"
+            lines.append(f"    {name}({', '.join(args)}, out={text})\n")
+            code.append(text)
+            continue
         if isinstance(e, Num):
             text = f"({e.value!r})"
         elif isinstance(e, Var):
             text = f"x[{e.index - 1}]"
         elif isinstance(e, Sym):
-            text = f"({float(params[e.name])!r})" if e.name in (params or ()) else f"_s_{e.name}"
+            text = f"({float(params[e.name])!r})" if e.name in params else f"_s_{e.name}"
         elif isinstance(e, Pow):
             text = f"({args[0]} ** ({e.exponent!r}))"
         elif isinstance(e, Call):
@@ -702,13 +780,24 @@ def _build(exprs, symbols, params, funcs):
             text = f"_{i}"
         code.append(text)
     head = ", ".join(["x"] + [f"_s_{name}" for name in symbols])
-    body = ", ".join(code[r] for r in roots)
-    source = (f"def _compiled({head}):\n{''.join(lines)}"
-              f"    return ({body}{',' if len(roots) == 1 else ''})\n")
+    if arena:
+        # roots not written by their own ufunc call: repeats, constants, inputs
+        fills = [f"    _a{j}[...] = {code[r]}\n" for j, r in enumerate(roots)
+                 if code[r] != f"_a{j}"]
+        slots = len(until)
+        unpack = f"    {''.join(f'_a{j}, ' for j in range(slots))}= _a\n" if slots else ""
+        source = (f"def _compiled({head}, _a):\n{unpack}{''.join(lines + fills)}"
+                  f"    return _a[:{len(roots)}]\n")
+    else:
+        body = ", ".join(code[r] for r in roots)
+        source = (f"def _compiled({head}):\n{''.join(lines)}"
+                  f"    return ({body}{',' if len(roots) == 1 else ''})\n")
     # a literal beyond the float range parses to inf, and repr writes it so
-    namespace = {"inf": math.inf, **{f"_f_{name}": fn for name, fn in funcs.items()}}
+    ufuncs = (np.power, *_UFUNCS.values(), *_POW_UFUNCS.values())
+    namespace = {"inf": math.inf, "nan": math.nan, **{f"_{u.__name__}": u for u in ufuncs},
+                 **{f"_f_{name}": fn for name, fn in funcs.items()}}
     exec(source, namespace)  # noqa: S102 - generated from a closed AST
-    return namespace["_compiled"], source
+    return namespace["_compiled"], source, len(until) if arena else 0
 
 
 def split_free(exprs, name):
@@ -749,29 +838,42 @@ def compile_exprs(exprs, symbols=(), params=None):
     as constants. No domain checking is performed; use ``evaluate`` when error
     reporting matters.
     """
-    fn, fn.source = _build(list(exprs), symbols, params, _SCALAR_FUNCS)
+    fn, fn.source, _ = _build(list(exprs), symbols, params, _SCALAR_FUNCS)
     return fn
 
 
-def compile_exprs_vec(exprs, symbols=(), params=None):
+def compile_exprs_vec(exprs, symbols=(), params=None, arena=False):
     """Compile expressions into a numpy evaluator.
 
     The returned function takes ``x`` of shape (dim, m) plus one broadcastable
     array or scalar per symbol and returns an array of shape (k, m), where k
     is the number of expressions. Constant expressions are broadcast.
+
+    With arena set, ``x`` may also be any sequence of m-long float columns,
+    and the evaluator allocates nothing per call: it writes into rows of
+    this thread's scratch arena (``arena_rows``) and returns the (k, m) view
+    of rows 0..k-1, valid until the next arena call on the thread. Its
+    ``slots`` attribute is the number of rows it writes. The values are
+    those of the plain evaluator bit for bit.
     """
     exprs = list(exprs)
-    raw, source = _build(exprs, symbols, params, _VECTOR_FUNCS)
+    raw, source, slots = _build(exprs, symbols, params, _VECTOR_FUNCS, arena)
     k = len(exprs)
 
-    def evaluate_grid(x, *sym_values):
-        x = np.asarray(x, dtype=float)
-        m = x.shape[1] if x.ndim > 1 else 1
-        values = raw(x, *sym_values)
-        out = np.empty((k, m), dtype=float)
-        for row, value in enumerate(values):
-            out[row] = value
-        return out
+    if arena:
+        def evaluate_grid(x, *sym_values):
+            return raw(x, *sym_values, arena_rows(slots, len(x[0])))
+
+        evaluate_grid.slots = slots
+    else:
+        def evaluate_grid(x, *sym_values):
+            x = np.asarray(x, dtype=float)
+            m = x.shape[1] if x.ndim > 1 else 1
+            values = raw(x, *sym_values)
+            out = np.empty((k, m), dtype=float)
+            for row, value in enumerate(values):
+                out[row] = value
+            return out
 
     evaluate_grid.source = source
     return evaluate_grid

@@ -10,7 +10,10 @@ sharp_many at every stage), not from the library's staged kernel. The
 tree-walk emitter compiles expressions with every subtree written out where
 it occurs, the form the CSE emitter must reproduce bit for bit. The
 area-derivative stencil differentiates quadrature areas in tau, a route that
-never touches the library's under-the-integral derivative.
+never touches the library's under-the-integral derivative. The sphere row
+reference is the quadrature pass as it was before the fused sphere kernel:
+separate evaluators for p and its Jacobian, np.cross, einsum and a
+left-to-right det on fresh arrays, which the kernel must match bit for bit.
 """
 
 import math
@@ -219,3 +222,62 @@ def stencil_area_derivative(area, tau, step=1e-3):
     k = -2, -1, 1, 2, for any callable tau -> area."""
     a = [area(tau + k * step) for k in (-2, -1, 1, 2)]
     return (a[0] - 8.0 * a[1] + 8.0 * a[2] - a[3]) / (12.0 * step)
+
+
+def radial_nodes(tau, theta, phi):
+    """nodes(rows, rate) of the radius-tau sphere for sphere_row_reference:
+    the polar chart by broadcasting, and with rate its tau-derivatives
+    chart / tau, as (3, m) arrays."""
+    def nodes(rows, rate):
+        st, ct = np.sin(theta[rows])[:, None], np.cos(theta[rows])[:, None]
+        sf, cf = np.sin(phi), np.cos(phi)
+        shape = (st.size, phi.size)
+        x = tau * np.stack([st * cf, st * sf, np.broadcast_to(ct, shape)])
+        dth = tau * np.stack([ct * cf, ct * sf, np.broadcast_to(-st, shape)])
+        dph = tau * np.stack([-st * sf, st * cf, np.zeros(shape)])
+        chart = [c.reshape(3, -1) for c in (x, dth, dph)]
+        return chart + [c / tau for c in chart] if rate else chart
+
+    return nodes
+
+
+def _det(a, b, c):
+    """det(a, b, c) = a . (b x c) for each column of (3, m) arrays."""
+    return (a[0] * (b[1] * c[2] - b[2] * c[1]) + a[1] * (b[2] * c[0] - b[0] * c[2])
+            + a[2] * (b[0] * c[1] - b[1] * c[0]))
+
+
+def sphere_row_reference(structure, nodes, theta, phi, rate=False):
+    """Area and, with rate, dA/dtau of a sphere as sphere_quadrature's pass
+    computed them with numpy temporaries, over the same blocks of theta rows:
+
+        dens = -einsum(cross(u, p), v) / |p|^2
+        rate = -(det(u_t, p, v) + det(u, q, v) + det(u, p, v_t)
+                 + 2 dens (p.q)) / |p|^2,   q = einsum(J_p, x_t)
+
+    with p and J_p from their own compiled evaluators. No checks."""
+    from poispath.connection import _BLOCK_NODES, sphere_simpson
+
+    comps = [structure.entry(2, 3), structure.entry(3, 1), structure.entry(1, 2)]
+    p_fn = expr.compile_exprs_vec(comps, params=structure.params)
+    jac_fn = expr.compile_exprs_vec([expr.differentiate(c, j) for c in comps for j in (1, 2, 3)],
+                                    params=structure.params)
+    dens = np.empty((theta.size, phi.size))
+    drate = np.empty_like(dens)
+    step = max(1, _BLOCK_NODES // phi.size)
+    for lo in range(0, theta.size, step):
+        rows = slice(lo, lo + step)
+        x, u, v, *moving = nodes(rows, rate)
+        p = p_fn(x)
+        pr = p.T
+        nrm2 = np.einsum("mi,mi->m", pr, pr)
+        d = -np.einsum("mi,mi->m", np.cross(u.T, pr), v.T) / nrm2
+        dens[rows] = d.reshape(-1, phi.size)
+        if rate:
+            x_t, u_t, v_t = moving
+            q = np.einsum("ijm,jm->im", jac_fn(x).reshape(3, 3, -1), x_t)
+            r = -(_det(u_t, p, v) + _det(u, q, v) + _det(u, p, v_t)
+                  + 2.0 * d * np.einsum("im,im->m", p, q)) / np.einsum("im,im->m", p, p)
+            drate[rows] = r.reshape(-1, phi.size)
+    area = sphere_simpson(dens, theta, phi)
+    return (area, sphere_simpson(drate, theta, phi)) if rate else area

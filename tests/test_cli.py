@@ -102,6 +102,15 @@ class TestValidate:
         assert code == 2
         assert "ambient" in err
 
+    def test_complex_constant_is_an_input_error(self, tmp_path):
+        path = tmp_path / "complex.json"
+        path.write_text(json.dumps({"dim": 3, "pi": {"1,2": "x3*(-1)^0.5", "1,3": "-x2",
+                                                     "2,3": "x1"}}))
+        for argv in (("validate", str(path)), ("area", str(path), "--tau", "1")):
+            code, out, err = run_cli(*argv)
+            assert code == 2 and out == ""
+            assert "negative base with fractional exponent" in err
+
 
 class TestAlgebraCommands:
     def test_bracket_of_coordinate_forms(self):
@@ -524,6 +533,23 @@ class TestChartFamilies:
                                  "--tau", "1", "--family", str(chart))
         assert code == 3 and out == ""
         assert "not finite" in err
+
+    def test_non_finite_density_exits_3(self, tmp_path):
+        # the second component is inf - inf at phi = 0, where the tangency
+        # check cannot see it
+        chart = tmp_path / "nan.json"
+        chart.write_text(json.dumps({
+            "sigma": ["tau*sin(theta)*cos(phi)",
+                      "tau*sin(theta)*sin(phi)*(1+(sin(phi)^2)^0.5 - (sin(phi)^2)^0.5)",
+                      "tau*cos(theta)"],
+            "tau_range": [0.5, 2],
+        }))
+        for command, message in (("area", "leaf density is not finite"),
+                                 ("area-variation", "area rate density is not finite")):
+            code, out, err = run_cli(command, "builtin:linear?preset=su2",
+                                     "--tau", "1", "--family", str(chart))
+            assert code == 3 and out == ""
+            assert message in err
 
     def test_monodromy_rejects_chart_plus_splitting(self, sigma_file):
         code, _, err = run_cli("monodromy", "builtin:su2_scaled?a=1",

@@ -1,4 +1,7 @@
 import math
+import resource
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -6,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from helpers import ROUND_CHART, su2, su2_scaled, symplectic_plane
-from poispath import connection, monodromy
+from poispath import connection, expr, monodromy
 from poispath.core import PoissonStructure
 from poispath.errors import NumericalError, ValidationError
 
@@ -168,9 +171,9 @@ class TestAreaVariation:
         assert out.derivative == pytest.approx(4 * math.pi, rel=1e-4)
 
     def test_non_finite_jacobian_fails_closed(self, monkeypatch):
+        # the sphere kernel takes the Jacobian of p from _jacobian
         s = su2()
-        monkeypatch.setitem(connection._J_CACHE, s,
-                            lambda x: np.full((9, x.shape[1]), np.nan))
+        monkeypatch.setattr(connection, "_jacobian", lambda p: [expr.Num(math.nan)] * 9)
         with pytest.raises(NumericalError, match="Jacobian"):
             connection.area_variation(s, 1.0)
         with pytest.raises(NumericalError, match="Jacobian"):
@@ -228,3 +231,112 @@ def test_under_integral_derivative_matches_stencil_oracle(case):
     for route, (value, oracle) in got.items():
         tol = 1e-6 * scale if near_zero else 1e-9 * abs(oracle)
         assert abs(value - oracle) <= tol, (route, value, oracle)
+
+
+def _bits(values):
+    return [float(v).hex() for v in np.atleast_1d(values)]
+
+
+@st.composite
+def kernel_case(draw):
+    kind = draw(st.sampled_from(["poly", "exp", "const", "su2"]))
+    if kind == "su2":
+        structure = su2()
+    else:
+        c = draw({"poly": st.floats(0.3, 2.0), "exp": st.floats(1.5, 6.0),
+                  "const": st.floats(0.5, 3.0)}[kind])
+        structure = su2_scaled(_profile(kind, c)[0])
+    return structure, draw(st.floats(0.3, 2.5))
+
+
+# 61 theta rows of 301 nodes: blocks of 27 rows, the last one of 7
+PARTIAL_BLOCK_GRID = (60, 300)
+
+
+@settings(max_examples=30, deadline=None)
+@given(case=kernel_case(), rate=st.booleans(),
+       grid=st.sampled_from([PROPERTY_GRID, PARTIAL_BLOCK_GRID]))
+def test_sphere_kernel_matches_the_reference_row_bit_for_bit(case, rate, grid):
+    s, tau = case
+    theta, phi = connection.sphere_grid(*grid)
+    if rate:
+        got = monodromy.RadialSphereFamily(s, grid=grid).row_data(tau)[:2]
+    else:
+        got = connection.sphere_area(s, tau, grid=grid, check=False)
+    want = oracles.sphere_row_reference(s, oracles.radial_nodes(tau, theta, phi),
+                                        theta, phi, rate)
+    assert _bits(got) == _bits(want)
+
+    sigma = monodromy.SigmaSphereFamily(s, ROUND_CHART, (0.2, 3.0), grid=grid)
+    rows = [lambda: sigma.area(tau), lambda: sigma.row_data(tau)[:2]][rate]
+    got = rows()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(monodromy, "sphere_quadrature", oracles.sphere_row_reference)
+        want = rows()
+    assert _bits(got) == _bits(want)
+
+
+def _radial_rows(cases, taus):
+    """Bits of (area, dA/dtau) of each (structure, grid) case at each tau,
+    and of the area alone at the first tau."""
+    return [[_bits(monodromy.RadialSphereFamily(s, grid=grid).row_data(t)[:2]) for t in taus]
+            + [_bits(connection.sphere_area(s, taus[0], grid=grid, check=False))]
+            for s, grid in cases]
+
+
+def _in_threads(jobs, timeout=120.0):
+    results = [None] * len(jobs)
+
+    def run(k):
+        results[k] = jobs[k]()
+
+    threads = [threading.Thread(target=run, args=(k,)) for k in range(len(jobs))]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout)
+    assert not any(t.is_alive() for t in threads)
+    return results
+
+
+# kernels of 8 and 12 arena rows, blocks of 861 and 8,184 nodes
+ARENA_CASES = ((su2(), (40, 20)), (su2_scaled("exp(R^2/3)"), PROPERTY_GRID))
+
+
+class TestArena:
+    def test_interleaved_structures_and_grids_give_the_bits_of_separate_calls(self):
+        taus = (0.7, 1.3)
+        # each case alone, in a thread of its own with a fresh arena
+        alone = [r[0] for r in _in_threads([lambda c=c: _radial_rows([c], taus)
+                                             for c in ARENA_CASES])]
+        mixed = [[], []]
+        for t in taus:
+            for k, (s, grid) in enumerate(ARENA_CASES):
+                mixed[k].append(_bits(monodromy.RadialSphereFamily(s, grid=grid).row_data(t)[:2]))
+        for k, (s, grid) in enumerate(ARENA_CASES):
+            mixed[k].append(_bits(connection.sphere_area(s, taus[0], grid=grid, check=False)))
+        assert mixed == alone
+
+    def test_threads_at_the_same_time_give_the_serial_bits(self):
+        taus = (0.6, 1.1, 1.7)
+        serial = _radial_rows(ARENA_CASES, taus)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            # more threads than cores, each running both kernels
+            parallel = _in_threads([lambda: _radial_rows(ARENA_CASES, taus)] * 4)
+        finally:
+            sys.setswitchinterval(interval)
+        assert parallel == [serial] * 4
+
+    def test_warm_rows_fault_no_fresh_pages(self):
+        # the block arrays live in the reused arena, so a warm row maps no
+        # new memory (about 850 minor faults per row when they did not)
+        family = monodromy.RadialSphereFamily(su2_scaled("1 + 0.7*R^2"))
+        for tau in (0.9, 1.1):
+            family.row_data(tau)
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        for k in range(20):
+            family.row_data(0.5 + 0.1 * k)
+        per_row = (resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 20
+        assert per_row < 50, per_row

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from poispath import expr, registry
+from poispath import connection, expr, registry
 from poispath.connection import dual_vector_field
 from poispath.errors import EvalDomainError, ParseError, ValidationError
 
@@ -116,6 +116,12 @@ class TestDomainErrors:
     def test_fractional_power_of_negative(self):
         with pytest.raises(EvalDomainError):
             ev("x1^0.5", (-1.0,))
+
+    def test_complex_constant_power_is_rejected_at_parse_time(self):
+        # the compiled evaluators would otherwise meet a complex constant
+        with pytest.raises(ValidationError, match="negative base with fractional exponent"):
+            expr.parse("x3*(-1)^0.5", 3)
+        assert ev("x1*(-2)^3", (1.0,)) == -8.0
 
 
 class TestDifferentiate:
@@ -292,8 +298,9 @@ class TestCompiled:
 
     def test_shared_subtree_is_computed_once(self):
         structure = registry.load("builtin:su2_scaled?a=exp(R^2/3)").structure
-        jacobian = dual_vector_field(structure, jacobian=True)
-        assert jacobian.source.count("_f_exp(") == 1
+        # the sphere kernel holds p and its Jacobian in one DAG
+        kernel = connection._sphere_kernel(structure, rate=True)
+        assert kernel.source.count("_f_exp(") == 1
         p = dual_vector_field(structure)
         assert p.source.count("_f_exp(") == 1
         assert expr.compile_exprs([expr.parse("exp(R)", 3)] * 2).source.count("exp") == 1
@@ -379,9 +386,10 @@ def test_cse_emitter_matches_the_tree_walk(data):
     # constant subtrees run in Python floats, and may raise there
     got = _vector(expr.compile_exprs_vec(exprs), points)
     want = _vector(oracles.tree_walk_compile(exprs, kind="vector"), points)
-    assert (got is None) == (want is None)
+    buffered = _vector(expr.compile_exprs_vec(exprs, arena=True), points)
+    assert (got is None) == (want is None) == (buffered is None)
     if got is not None:
-        assert got.tobytes() == want.tobytes()
+        assert got.tobytes() == want.tobytes() == buffered.tobytes()
 
     scalar = expr.compile_exprs(exprs)
     walk = oracles.tree_walk_compile(exprs)
