@@ -221,11 +221,12 @@ def powc(base, exponent):
         try:
             value = base.value ** k
         except (OverflowError, ValueError, ZeroDivisionError):
-            value = None
+            raise ValidationError(
+                f"constant power has no finite value in {to_source(Pow(base, k))}") from None
         if isinstance(value, complex):
             raise ValidationError(
                 f"negative base with fractional exponent in {to_source(Pow(base, k))}")
-        if isinstance(value, float) and math.isfinite(value):
+        if math.isfinite(value):
             return Num(value)
     return Pow(base, k)
 
@@ -476,7 +477,9 @@ def to_source(e):
         return "-" + inner
     if isinstance(e, Pow):
         base = to_source(e.base)
-        if _prec(e.base) < _PREC_ATOM:
+        # a negative constant base is a unary minus in source, which binds
+        # more loosely than ^
+        if _prec(e.base) < _PREC_ATOM or base.startswith("-"):
             base = f"({base})"
         exp = _fmt_number(e.exponent) if e.exponent >= 0 else "-" + _fmt_number(-e.exponent)
         return f"{base}^{exp}"

@@ -7,7 +7,14 @@ samples. On top of that live
 
   * the variation field b of the homotopy equation
         db_i/dt = da_i/deps + (d_i Pi^(jk)) a_j b_k,   b(eps, 0) = 0,
-    whose endpoint curve b(eps, 1) decides membership in a homotopy class;
+    whose endpoint curve b(eps, 1) decides membership in a homotopy class.
+    A family keeps one field per (eps grid, coupling sign). Its first
+    request solves the pinned coarse, pinned fine and flipped coarse fields
+    (and the requested one) in one RK4 pass over all their slices, with one
+    dpi_many call per block on the fine slices only, since the coarse
+    slices are the even fine ones; a field still missing later is solved
+    alone. The contraction adds its terms in coupling_many's einsum order,
+    so a field's bits do not depend on the batch it was solved in;
   * the transport field of the transposed equation (coupling arguments
     swapped), which reproduces the base motion exactly: d(gamma)/deps equals
     #b_transport. The invariance identity is stated through this field.
@@ -43,6 +50,11 @@ _EPS = "eps"
 # times of the hoisted generator terms of the base solve; even, so that each
 # two-cell RK4 step of the variation solve lies inside one block
 _DPI_BLOCK = 64
+
+# (fine, sign) of the variation fields that a family's first request solves
+# in one pass: pinned coarse, pinned fine and flipped coarse, the fields that
+# `poispath variation --X` reads
+_FIRST_BATCH = ((False, 1.0), (True, 1.0), (False, -1.0))
 
 
 def _even_intervals(n, least, what):
@@ -191,16 +203,27 @@ class PathFamily:
     def variation_field(self, sign, fine=False):
         """Variation field b with coupling sign +1 (pinned) or -1 (flipped,
         the transport field) over the coarse or the fine eps grid; solved once
-        per (grid, sign), read-only."""
+        per (grid, sign), read-only.
+
+        The first request solves, in one pass of _variation_fields, the
+        requested field and those of _FIRST_BATCH (the three that
+        `poispath variation --X` reads). A field that is still missing
+        later is solved alone. A batched field with non-finite values is
+        not kept, so only a request for it raises NumericalError."""
         key = (bool(fine), float(sign))
         if key not in self._fields:
             self.solve()
-            if fine:
-                eps, (gamma, a, d_eps_a) = self.eps_fine, self._fine
-            else:
-                eps, gamma, a, d_eps_a = self.eps, self.gamma, self.a, self.d_eps_a
-            self._fields[key] = _frozen(_variation_field(
-                self.structure, self.t, eps, gamma, a, d_eps_a, key[1]))
+            keys = [key] if self._fields else list(dict.fromkeys((key,) + _FIRST_BATCH))
+            rows = np.arange(len(self.eps_fine))
+            parts = [(rows, self._fine[2], s) if f else (rows[::2], self.d_eps_a, s)
+                     for f, s in keys]
+            fields = _variation_fields(self.structure, self.t, self._fine[0],
+                                       self._fine[1], parts)
+            for k, b in zip(keys, fields):
+                if b is not None:
+                    self._fields[k] = _frozen(b)
+            if key not in self._fields:
+                raise NumericalError("variation equation produced non-finite values")
         return self._fields[key]
 
 
@@ -234,40 +257,97 @@ class VariationResult:
     grid_coarse: bool
 
 
-def _variation_field(structure, t, eps, gamma, a, d_eps_a, sign):
-    """RK4 for the linear b-equation, stepped two grid cells at a time so the
-    stage values sit on stored nodes. The gradients d_i Pi^(jk) come from one
-    dpi_many call per block of _DPI_BLOCK time nodes across all slices."""
+def _coupling_factor(D, a, rows):
+    """E[..., j, k, i, r] = (d_i Pi^(jk)) a_j, the first product that
+    coupling_many's einsum forms, from D[..., m, i, j, k] at the points
+    m = rows[r] and a[..., j, r]. One node's (n, n, n, R) block is
+    contiguous."""
+    E = np.take(np.ascontiguousarray(np.moveaxis(D, (-4, -3), (-1, -2))), rows, axis=-1)
+    E *= a[..., :, None, None, :]
+    return E
+
+
+def _coupling(E, b, buf):
+    """(d_i Pi^(jk)) a_j b_k per row, as (n, R), from one node's E (see
+    _coupling_factor) and the component-major state b (n, R).
+
+    The (j, k) terms (D a) b are added from a +0.0 accumulator in
+    lexicographic order, which is how coupling_many's einsum adds them, so
+    the bits are the same. buf is (n, n, n, R) scratch: its (j, k) axis is
+    the outermost, and numpy reduces an outer axis term by term (an inner
+    one it would sum pairwise)."""
+    np.multiply(E, b[None, :, None, :], out=buf)
+    return np.add.reduce(buf.reshape(-1, *b.shape), axis=0, initial=0.0)
+
+
+def _variation_fields(structure, t, gamma_f, a_f, parts):
+    """Variation fields of several (grid, sign) pairs in one RK4 pass.
+
+    Each part is (rows, d_eps_a, sign): the fine eps slices of the grid,
+    da/deps over them and the coupling sign. Every row has the bits of a
+    separate solve with coupling_many (see _variation_knots). Returns one
+    field per part, on t, or None where its values are not finite; each
+    field is its own cubic spline through the knots (one spline over all
+    rows would more than double the peak memory). The RK4 pass is a
+    function of its own so that its block arrays are freed before the
+    splines are built.
+    """
     from scipy.interpolate import CubicSpline
 
-    M, nodes, n = gamma.shape
-    N = nodes - 1
+    knots = _variation_knots(structure, t, gamma_f, a_f, parts)
+    fields = []
+    for part in np.split(knots, np.cumsum([len(p[0]) for p in parts])[:-1], axis=2):
+        b = None
+        if np.all(np.isfinite(part)):
+            # node-major and contiguous, as the spline works on axis 0
+            nodes = np.ascontiguousarray(part.transpose(0, 2, 1))
+            b = CubicSpline(t[::2], nodes, axis=0)(t).transpose(1, 0, 2)
+            b[:, 0] = 0.0
+        fields.append(b)
+    return fields
+
+
+def _variation_knots(structure, t, gamma_f, a_f, parts):
+    """RK4 for db/dt = da/deps + sign (d_i Pi^(jk)) a_j b_k over the rows of
+    all parts, stepped two grid cells at a time so the stage values sit on
+    stored nodes; returns b on t[::2], (N/2 + 1, n, R).
+
+    The state is component-major, (n, R). Per block of _DPI_BLOCK time
+    nodes, one dpi_many call covers all fine slices (the coarse ones are
+    the even fine ones), and E = (d_i Pi^(jk)) a_j is formed once; each
+    stage is one _coupling call. Non-finite values are left for the caller
+    to find: a diverging part must not stop the others, or warn while they
+    are solved.
+    """
+    n, N = gamma_f.shape[2], len(t) - 1
     h = t[1] - t[0]
-    coarse = np.empty((M, N // 2 + 1, n))
-    coarse[:, 0] = 0.0
-    cur = np.zeros((M, n))
-    for start in range(0, N, _DPI_BLOCK):
-        stop = min(start + _DPI_BLOCK, N)
-        # node-major rows, so that each node's (M, n, n, n) block is contiguous
-        points = gamma[:, start:stop + 1].transpose(1, 0, 2).reshape(-1, n)
-        D = structure.dpi_many(points).reshape(stop + 1 - start, M, n, n, n)
+    rows = np.concatenate([part[0] for part in parts])
+    sign = np.concatenate([np.full(len(part[0]), float(part[2])) for part in parts])
+    knots = np.empty((N // 2 + 1, n, rows.size))
+    knots[0] = 0.0
+    cur = np.zeros((n, rows.size))
+    buf = np.empty((n, n, n, rows.size))
+    with np.errstate(all="ignore"):
+        for start in range(0, N, _DPI_BLOCK):
+            stop = min(start + _DPI_BLOCK, N)
+            span = slice(start, stop + 1)
+            # node-major points, so that each node's dpi block is contiguous
+            points = gamma_f[:, span].transpose(1, 0, 2).reshape(-1, n)
+            D = structure.dpi_many(points).reshape(stop + 1 - start, -1, n, n, n)
+            E = _coupling_factor(D, a_f[rows, span].transpose(1, 2, 0), rows)
+            F = np.concatenate([d[:, span].transpose(1, 2, 0) for _, d, _ in parts], axis=2)
 
-        def rhs(node, b):
-            return d_eps_a[:, node] + sign * np.einsum(
-                "mijk,mj,mk->mi", D[node - start], a[:, node], b)
+            def rhs(node, b):
+                return F[node - start] + sign * _coupling(E[node - start], b, buf)
 
-        for i in range(start, stop, 2):
-            k1 = rhs(i, cur)
-            k2 = rhs(i + 1, cur + h * k1)
-            k3 = rhs(i + 1, cur + h * k2)
-            k4 = rhs(i + 2, cur + 2.0 * h * k3)
-            cur = cur + (h / 3.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            coarse[:, i // 2 + 1] = cur
-    if not np.all(np.isfinite(coarse)):
-        raise NumericalError("variation equation produced non-finite values")
-    b = CubicSpline(t[::2], coarse, axis=1)(t)
-    b[:, 0] = 0.0
-    return b
+            for i in range(start, stop, 2):
+                k1 = rhs(i, cur)
+                k2 = rhs(i + 1, cur + h * k1)
+                k3 = rhs(i + 1, cur + h * k2)
+                k4 = rhs(i + 2, cur + 2.0 * h * k3)
+                cur = cur + (h / 3.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+                knots[i // 2 + 1] = cur
+    return knots
 
 
 _ORDER_SIGNS = {"pinned": 1.0, "flipped": -1.0}
@@ -428,6 +508,8 @@ def flow_by_action(path, eta, step=2e-4, count=25, defect_tol=None):
     matching contravariant rate u = db/dt - coupling(b, a), where
     b(t) = eta(t, gamma(t)). The base endpoints carry zero field, so they
     never move; the result stays in the homotopy class of the input.
+    A non-finite eta at the ends or a non-finite flowed path raises
+    NumericalError.
     """
     S = path.structure
     n = S.dim
@@ -444,7 +526,9 @@ def flow_by_action(path, eta, step=2e-4, count=25, defect_tol=None):
 
     t = path.t
     ends = eta_fn(path.gamma[[0, -1]].T, t[[0, -1]])
-    if np.max(np.abs(ends)) > 1e-12:
+    if not np.all(np.isfinite(ends)):
+        raise NumericalError("eta is not finite at t = 0 or t = 1")
+    if not np.max(np.abs(ends)) <= 1e-12:
         raise ValidationError("eta must vanish at t = 0 and t = 1")
 
     gamma = path.gamma.copy()
@@ -459,8 +543,10 @@ def flow_by_action(path, eta, step=2e-4, count=25, defect_tol=None):
         phi = S.sharp_many(gamma, b)
         gamma = gamma + h * phi
         a = a + h * u
+    if not (np.all(np.isfinite(gamma)) and np.all(np.isfinite(a))):
+        raise NumericalError("action flow produced non-finite values")
     flowed = CotangentPath(S, t, gamma, a)
-    if flowed.defect > defect_tol:
+    if not flowed.defect <= defect_tol:
         raise NumericalError(
             f"flow defect {flowed.defect:.3e} exceeds {defect_tol:.1e}; "
             "reduce the step size")

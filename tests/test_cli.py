@@ -111,6 +111,16 @@ class TestValidate:
             assert code == 2 and out == ""
             assert "negative base with fractional exponent" in err
 
+    @pytest.mark.parametrize("entry", ["x3 + 1e200^2", "x3 + 0^-1"])
+    def test_constant_power_without_finite_value_is_an_input_error(self, tmp_path, entry):
+        path = tmp_path / "power.json"
+        path.write_text(json.dumps({"dim": 3, "pi": {"1,2": entry, "1,3": "-x2",
+                                                     "2,3": "x1"}}))
+        code, out, err = run_cli("validate", str(path))
+        assert code == 2 and out == ""
+        assert "constant power has no finite value" in err
+        assert "Traceback" not in err
+
 
 class TestAlgebraCommands:
     def test_bracket_of_coordinate_forms(self):

@@ -123,6 +123,24 @@ class TestDomainErrors:
             expr.parse("x3*(-1)^0.5", 3)
         assert ev("x1*(-2)^3", (1.0,)) == -8.0
 
+    @pytest.mark.parametrize("source", ["x3 + 1e200^2", "x3 + 0^-1", "x3 + (-0)^-0.5"])
+    def test_constant_power_without_finite_value_is_rejected(self, source):
+        # folding fails there, and the compiled code would raise
+        # OverflowError or ZeroDivisionError
+        with pytest.raises(ValidationError, match="constant power has no finite value"):
+            expr.parse(source, 3)
+
+    def test_negative_constant_base_is_printed_in_parentheses(self):
+        with pytest.raises(ValidationError, match=r"in \(-1\)\^0\.5$"):
+            expr.parse("x1*(-1)^0.5", 1)
+        for k in (2.0, 3.0):
+            e = expr.Pow(expr.Num(-2.0), k)
+            assert expr.to_source(e) == f"(-2)^{k:g}"
+            # the parser folds the power it reads back to the value of e
+            back = expr.parse(expr.to_source(e), 0)
+            assert isinstance(back, expr.Num) and back.value == (-2.0) ** k
+        assert expr.to_source(expr.Pow(expr.Num(-0.0), 3.0)) == "(-0)^3"
+
 
 class TestDifferentiate:
     def test_square(self):
@@ -203,6 +221,7 @@ ROUNDTRIP_SOURCES = FD_SOURCES + [
     "2^3^2 + x1",
     "-(x1 + x2)*x3",
     "x1^-2 + 0.125",
+    "(-2)^2*x1 - (-0.5)^3",
 ]
 
 

@@ -1,7 +1,12 @@
 """Path families, variation fields, the invariance identity, action flow."""
 
+import tracemalloc
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.linalg import expm
 
 import helpers
@@ -318,13 +323,20 @@ class TestSolveOnce:
         _same_bits(fam.gamma, gamma)
         _same_bits(fam.a, a)
         _same_bits(fam.d_eps_a, d_eps_a)
-        for order, sign in (("pinned", 1.0), ("flipped", -1.0)):
-            b, b_fine, change = fields[sign]
-            result = solve_variation(fam, order=order)
-            _same_bits(result.b, b)
-            _same_bits(result.var, b[:, -1])
-            _same_bits(fam.variation_field(sign, fine=True), b_fine)
-            assert result.resolution_change == change
+        # a different first request makes a different batch (here all four
+        # fields, the requested one first), with the same bits
+        flipped_first = SOLVE_ONCE_CASES[case]().solve()
+        flipped_first.variation_field(-1.0, fine=True)
+        for family, orders in ((fam, ("pinned", "flipped")),
+                               (flipped_first, ("flipped", "pinned"))):
+            for order in orders:
+                sign = 1.0 if order == "pinned" else -1.0
+                b, b_fine, change = fields[sign]
+                result = solve_variation(family, order=order)
+                _same_bits(result.b, b)
+                _same_bits(result.var, b[:, -1])
+                _same_bits(family.variation_field(sign, fine=True), b_fine)
+                assert result.resolution_change == change
         assert np.max(np.abs(fields[-1.0][0])) > 0.0
 
     def test_non_finite_generator_on_an_unread_component_fails_closed(self):
@@ -337,28 +349,65 @@ class TestSolveOnce:
                 NumericalError, match="family base integration produced non-finite values"):
             fam.solve()
 
+    def test_a_diverging_field_does_not_fail_its_batch(self):
+        # d_1 Pi^(12) a_2 = 1000: the flipped field grows like exp(1000 t)
+        # and overflows, the pinned one decays; the pinned request solves
+        # both in one pass and must neither fail nor warn
+        S = PoissonStructure(2, {(1, 2): "x1"})
+        fam = PathFamily(S, ("eps", "1000"), (0.0, 0.0), eps_intervals=8)
+        result = solve_variation(fam)
+        assert result.max_variation == pytest.approx(1e-3, rel=1e-6)
+        for fine in (False, True):
+            with pytest.raises(NumericalError, match="variation equation"):
+                fam.variation_field(-1.0, fine=fine)
+
     def test_each_grid_and_sign_is_solved_once(self, su2, monkeypatch):
-        solves, fields = [], []
-        solve_on, field = PathFamily._solve_on, homotopy._variation_field
+        solves, passes = [], []
+        solve_on, fields = PathFamily._solve_on, homotopy._variation_fields
 
         def counted_solve_on(self, eps):
             solves.append(len(eps))
             return solve_on(self, eps)
 
-        def counted_field(structure, t, eps, gamma, a, d_eps_a, sign):
-            fields.append((len(eps), sign))
-            return field(structure, t, eps, gamma, a, d_eps_a, sign)
+        def counted_fields(structure, t, gamma_f, a_f, parts):
+            passes.append([(len(rows), sign) for rows, _, sign in parts])
+            return fields(structure, t, gamma_f, a_f, parts)
 
         monkeypatch.setattr(PathFamily, "_solve_on", counted_solve_on)
-        monkeypatch.setattr(homotopy, "_variation_field", counted_field)
+        monkeypatch.setattr(homotopy, "_variation_fields", counted_fields)
         fam = PathFamily(su2, GROUP_GENERATOR, (0.0, 0.0, 0.0),
                          eps_intervals=8, t_intervals=200)
         is_homotopy(fam)
         solve_variation(fam)
         invariance_report(fam, ("0", "0", "0.5"))
+        # the first request solves the three fields of `variation --X`
+        assert [sorted(p) for p in passes] == [[(9, -1.0), (9, 1.0), (17, 1.0)]]
         solve_variation(fam, order="flipped")
         assert solves == [17]
-        assert sorted(fields) == [(9, -1.0), (9, 1.0), (17, -1.0), (17, 1.0)]
+        assert [sorted(p) for p in passes] == [[(9, -1.0), (9, 1.0), (17, 1.0)],
+                                               [(17, -1.0)]]
+
+    def test_three_fields_stay_within_the_memory_bound(self):
+        # tracemalloc peak over the start while a default-grid family solves
+        # the fields of `variation --X`: 14.7 MiB with three separate
+        # solves, 14.0 MiB in one pass with a spline per field, 26.2 MiB
+        # with one spline over all rows
+        structure = helpers.su2_scaled("1 + R^2")
+        generator = SOLVE_ONCE_CASES["su2_scaled-drift"]().generator
+        # compile dpi and import scipy's splines before tracing
+        PathFamily(structure, generator, (0.8, 0.1, 0.3), eps_intervals=8,
+                   t_intervals=8).variation_field(1.0)
+        fam = PathFamily(structure, generator, (0.8, 0.1, 0.3)).solve()
+        assert (len(fam.eps), len(fam.t)) == (41, 1001)
+        tracemalloc.start()
+        try:
+            start, _ = tracemalloc.get_traced_memory()
+            for fine, sign in homotopy._FIRST_BATCH:
+                fam.variation_field(sign, fine=fine)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (peak - start) / 2 ** 20 <= 16.0
 
     def test_cached_arrays_are_read_only(self, group_family):
         result = solve_variation(group_family)
@@ -378,6 +427,36 @@ class TestSolveOnce:
         assert solve_variation(group_family).var[0, 0] != 1.0
         assert group_family.gamma[0, 0, 0] == 0.0
         assert group_family.t[0] == 0.0
+
+
+_ENTRIES = st.one_of(st.sampled_from([0.0, -0.0, np.inf, -np.inf, np.nan]),
+                    st.floats(-4.0, 4.0), st.floats(allow_nan=False))
+
+
+@st.composite
+def _coupling_case(draw):
+    n, rows = draw(st.integers(1, 5)), draw(st.integers(1, 40))
+    D = draw(arrays(float, (rows, n, n, n), elements=_ENTRIES))
+    a, b = (draw(arrays(float, (rows, n), elements=_ENTRIES)) for _ in range(2))
+    return D, a, b
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_coupling_case())
+def test_block_contraction_matches_the_einsum_bit_for_bit(case):
+    # the variation solve's product and ordered reduce against
+    # coupling_many's einsum, fed the same gradients D; a numpy that
+    # changed einsum's loop order would fail here
+    D, a, b = case
+    rows, n = a.shape
+    with np.errstate(all="ignore"):
+        want = PoissonStructure.coupling_many(SimpleNamespace(dpi_many=lambda xs: D),
+                                              None, a, b)
+        E = homotopy._coupling_factor(D, a.T, np.arange(rows))
+        got = homotopy._coupling(E, b.T, np.empty((n, n, n, rows))).T
+    nan = np.isnan(want)
+    np.testing.assert_array_equal(np.isnan(got), nan)
+    assert got[~nan].tobytes() == want[~nan].tobytes()
 
 
 @pytest.fixture(scope="module")
@@ -424,3 +503,13 @@ class TestActionFlow:
     def test_component_count_checked(self, circle):
         with pytest.raises(ValidationError, match="components"):
             flow_by_action(circle, ("0", "0"))
+
+    def test_non_finite_eta_fails_closed(self, circle):
+        # the circle has x3 = 0, so sqrt(x3 - 5) is NaN everywhere, also
+        # at the ends, where NaN > 1e-12 used to read as "vanishes"
+        with np.errstate(all="ignore"):
+            with pytest.raises(NumericalError, match="eta is not finite"):
+                flow_by_action(circle, ("t*(1-t)*sqrt(x3-5)", "0", "0"))
+            # finite at the ends, infinite at the node t = 0.5
+            with pytest.raises(NumericalError, match="non-finite values"):
+                flow_by_action(circle, ("t*(1-t)/(t-0.5)", "0", "0"))
