@@ -13,7 +13,6 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import replace as _replace
 
 import numpy as np
 
@@ -24,8 +23,8 @@ from .core import PoissonStructure
 from .errors import EvalDomainError, NumericalError, ParseError, ValidationError
 from .homotopy import PathFamily, invariance_report, is_homotopy, solve_variation
 from .isotropy import isotropy_data
-from .monodromy import (SigmaSphereFamily, curvature_periods, integrability_scan,
-                        lattice)
+from .monodromy import (RadialSphereFamily, SigmaSphereFamily, curvature_periods,
+                        integrability_scan, lattice)
 
 
 def _fmt(x):
@@ -111,25 +110,26 @@ def _need_structure(record):
     return record.structure
 
 
-def _need_family(record):
+def _family(record, args):
+    """The sphere family a command runs on: the chart of a --family file
+    {"sigma": [...], "tau_range": [...]}, or else the record's family, built
+    on --grid when the command has one."""
+    grid = getattr(args, "grid", None)
+    if args.family is not None:
+        data = registry.load_json_file(args.family, "sphere family")
+        missing = [k for k in ("sigma", "tau_range") if k not in data]
+        if missing:
+            raise ValidationError(
+                f"sphere-family file lacks fields: {', '.join(missing)}")
+        return SigmaSphereFamily(_need_structure(record), data["sigma"], data["tau_range"],
+                                 grid=grid, label=data.get("label"))
     if record.family is None:
         raise ValidationError(
             f"source {record.source!r} has no sphere family attached "
             "(only available in dimension 3 or for foliated products)")
-    return record.family
-
-
-def _sphere_family(record, file_, grid=None):
-    """Chart-described sphere family from a {"sigma": [...], "tau_range": [...]}
-    file, overriding the record's default family."""
-    data = registry.load_json_file(file_, "sphere family")
-    missing = [k for k in ("sigma", "tau_range") if k not in data]
-    if missing:
-        raise ValidationError(
-            f"sphere-family file lacks fields: {', '.join(missing)}")
-    structure = _need_structure(record)
-    return SigmaSphereFamily(structure, data["sigma"], data["tau_range"],
-                             grid=grid, label=data.get("label"))
+    if grid is None or record.structure is None:
+        return record.family
+    return RadialSphereFamily(record.structure, grid, record.family.label)
 
 
 def _tau_range(text):
@@ -138,8 +138,8 @@ def _tau_range(text):
         lo, hi = float(lo), float(hi)
     except ValueError:
         raise ValidationError(f"range must look like lo:hi, got {text!r}")
-    if not hi > lo:
-        raise ValidationError(f"range needs hi > lo, got {text!r}")
+    if not -math.inf < lo < hi < math.inf:
+        raise ValidationError(f"range needs finite hi > lo, got {text!r}")
     return lo, hi
 
 
@@ -335,24 +335,20 @@ def cmd_variation(args):
 
 def cmd_area(args):
     record = registry.load(args.source)
-    grid = args.grid or tuple(config.get_default("area_grid"))
-    if args.family is not None:
-        family = _sphere_family(record, args.family, grid=grid)
-        value = family.area(args.tau)
-        settings = {"grid": list(grid), "family": args.family}
-        label = family.label
-    elif record.structure is not None:
-        value = sphere_area(record.structure, args.tau, grid=grid)
-        settings = {"grid": list(grid),
-                    "area_check_rel": config.get_default("area_check_rel")}
-        label = record.label
+    family = _family(record, args)
+    if record.structure is None:
+        value, settings = family.row_data(args.tau)[0], {"exact": True}
     else:
-        value = _need_family(record).row_data(args.tau)[0]
-        settings = {"exact": True}
-        label = record.label
+        settings = {"grid": list(family.grid),
+                    "area_check_rel": config.get_default("area_check_rel")}
+        if args.family is None:
+            value = sphere_area(family.structure, args.tau, grid=family.grid)
+        else:
+            value = family.area(args.tau)
+            settings["family"] = args.family
     _emit_json({
         "source": record.source,
-        "label": label,
+        "label": family.label,
         "tau": args.tau,
         "area": value,
         "settings": settings,
@@ -362,50 +358,38 @@ def cmd_area(args):
 
 def cmd_area_variation(args):
     record = registry.load(args.source)
-    grid = args.grid or tuple(config.get_default("area_grid"))
+    family = _family(record, args)
+    report = {"source": record.source, "tau": args.tau}
     if args.family is None and record.structure is not None:
-        av = area_variation(record.structure, args.tau, grid=grid)
-        report = {
-            "source": record.source,
-            "tau": av.tau,
-            "area": av.area,
-            "derivative": av.derivative,
-            "generator": av.generator_magnitude,
-            "xi": av.xi,
-            "zeta": av.zeta,
-            "base_point": av.base_point,
-            "settings": {"grid": list(grid)},
-        }
+        av = area_variation(family.structure, args.tau, grid=family.grid)
+        report.update(area=av.area, derivative=av.derivative,
+                      generator=av.generator_magnitude, xi=av.xi, zeta=av.zeta,
+                      base_point=av.base_point)
     else:
+        # exact rows of a foliated product, rate-checked rows of a chart
+        area, deriv, gens = (family.row_data(args.tau) if args.family is None
+                             else family.row_data(args.tau, verify=True))
+        report.update(area=area, derivative=deriv, generators=list(gens))
         if args.family is not None:
-            family = _sphere_family(record, args.family, grid=grid)
-            area, deriv, gens = family.row_data(args.tau, verify=True)
-            extra = {"family": args.family, "settings": {"grid": list(grid)}}
-        else:
-            area, deriv, gens = _need_family(record).row_data(args.tau)
-            extra = {"settings": {"exact": True}}
-        report = {"source": record.source, "tau": args.tau, "area": area,
-                  "derivative": deriv, "generators": list(gens), **extra}
+            report["family"] = args.family
+    report["settings"] = ({"exact": True} if record.structure is None
+                          else {"grid": list(family.grid)})
     _emit_json(report, args.out)
     return 0
 
 
 def cmd_monodromy(args):
     record = registry.load(args.source)
-    if args.family is not None:
-        if args.splitting is not None:
-            raise ValidationError(
-                "the curvature cross-check runs on the built-in radial chart; "
-                "it is not available together with --family")
-        family = _sphere_family(record, args.family)
-        record = _replace(record, splitting=None)
-    else:
-        family = _need_family(record)
+    if args.family is not None and args.splitting is not None:
+        raise ValidationError(
+            "the curvature cross-check runs on the built-in radial chart; "
+            "it is not available together with --family")
+    family = _family(record, args)
     area, deriv, gens = family.row_data(args.tau)
     g = lattice(gens, area)
     report = {
         "source": record.source,
-        "label": record.label,
+        "label": family.label,
         "tau": args.tau,
         "area": area,
         "derivative": deriv,
@@ -413,22 +397,15 @@ def cmd_monodromy(args):
         "lattice_generator": g.generator,
         "dense": g.dense,
         "dropped": g.dropped,
-        "settings": {
-            "denominator_bound": config.get_default("denominator_bound"),
-            "ratio_tol": config.get_default("ratio_tol"),
-        },
+        "settings": {"denominator_bound": g.denominator_bound, "ratio_tol": g.ratio_tol},
     }
-    quad_grid = getattr(family, "grid", None)
-    if quad_grid is not None:
-        report["settings"]["grid"] = list(quad_grid)
-    splitting = None
+    if record.structure is not None:
+        report["settings"]["grid"] = list(family.grid)
+    splitting = record.splitting if args.family is None else None
     if args.splitting is not None:
         splitting = registry.load_json_file(args.splitting, "splitting")
-    elif record.splitting is not None:
-        splitting = record.splitting
     if splitting is not None:
-        structure = _need_structure(record)
-        cr = curvature_periods(structure, splitting, args.tau)
+        cr = curvature_periods(_need_structure(record), splitting, args.tau)
         gap = abs(abs(cr.integral) - abs(deriv))
         report["curvature"] = {
             "integral": cr.integral,
@@ -445,10 +422,7 @@ _SCAN_COLUMNS = "tau,area,derivative,r_value,dense,generators"
 
 def cmd_scan(args):
     record = registry.load(args.source)
-    if args.family is not None:
-        family = _sphere_family(record, args.family)
-    else:
-        family = _need_family(record)
+    family = _family(record, args)
     lo, hi = _tau_range(args.tau_range)
     if args.samples < 2:
         raise ValidationError(f"--samples must be at least 2, got {args.samples}")
@@ -456,14 +430,13 @@ def cmd_scan(args):
     result = integrability_scan(family, taus, threshold=args.threshold)
     lines = [
         f"# source={args.source}",
-        f"# label={family.label if args.family else record.label}",
+        f"# label={family.label}",
         f"# tau_range={_fmt(lo)}:{_fmt(hi)} samples={args.samples}",
         f"# threshold={_fmt(result.threshold)} refine_rounds={result.refine_rounds}",
         f"# denominator_bound={_fmt(result.denominator_bound)} ratio_tol={_fmt(result.ratio_tol)}",
     ]
-    quad_grid = getattr(family, "grid", None)
-    if quad_grid is not None:
-        lines.append(f"# area_grid={quad_grid[0]}x{quad_grid[1]}")
+    if record.structure is not None:
+        lines.append(f"# area_grid={family.grid[0]}x{family.grid[1]}")
     for note in result.notes:
         lines.append(f"# note={note}")
     for c in result.candidates:

@@ -1,5 +1,6 @@
-"""Leafwise symplectic geometry: the induced 2-form, sphere areas, and the
-transverse variation covector of radius families.
+"""Leafwise symplectic geometry: the induced 2-form, the sphere families
+(RadialSphereFamily and its chart form SigmaSphereFamily) with their areas
+and dA/dtau, and the transverse variation covector of the radial family.
 
 The induced form on a leaf is evaluated by inverting the anchor on tangent
 vectors: omega(u, v) = -<alpha, v> where #alpha = u, taking the minimum-norm
@@ -11,9 +12,10 @@ vector p = (Pi^23, Pi^31, Pi^12), which gives the closed forms
 used on quadrature grids. Spheres about the origin are integrated in the
 usual polar chart with the theta nodes pulled half a cell off the poles;
 Simpson weights on both axes. dA/dtau of a sphere family is differentiated
-under the integral, in the same pass over the nodes as the area. Areas and
-derivatives carry a grid-doubling consistency check, so silent quadrature
-garbage gets raised as NumericalError instead of returned.
+under the integral, in the same pass over the nodes as the area. Every
+sphere takes one quadrature entry (_sphere_area_once); the families' area
+and rate checks repeat it on the doubled grid, so silent quadrature garbage
+gets raised as NumericalError instead of returned.
 
 The pass runs in blocks of theta rows. Each block is one call of a fused
 kernel, compiled once per structure from one CSE graph: p, its Jacobian,
@@ -27,6 +29,7 @@ Kernel results stay valid until the next arena call on that thread.
 
 from __future__ import annotations
 
+import math
 import weakref
 from dataclasses import dataclass
 
@@ -40,6 +43,8 @@ _P_CACHE: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 _KERNELS: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 
 _TANGENCY_TOL = 1e-8
+
+_ANGLES = ("theta", "phi")
 
 # nodes per block of a sphere quadrature pass; bounds the arena rows
 _BLOCK_NODES = 1 << 13
@@ -251,48 +256,148 @@ def sphere_quadrature(structure, nodes, theta, phi, rate=False):
     return (area, sphere_simpson(vals[1], theta, phi)) if rate else area
 
 
-def _sphere_area_once(structure, tau, n_theta, n_phi, rate=False):
-    """sphere_quadrature of the radius-tau sphere: d_tau = chart / tau. The
-    chart goes into arena rows above those the kernel writes."""
-    theta, phi = sphere_grid(n_theta, n_phi)
-    skip = _sphere_kernel(structure, rate).slots
+def _sphere_area_once(family, tau, grid, rate=False):
+    """sphere_quadrature of the family's sphere at tau on grid: the one entry
+    through which every sphere area and dA/dtau is computed."""
+    theta, phi = sphere_grid(*grid)
+    return sphere_quadrature(family.structure, family._nodes(tau, theta, phi), theta, phi, rate)
 
-    def nodes(rows, rate):
-        th = theta[rows]
-        cols = expr.arena_rows(skip + 18, th.size * phi.size)[skip:]
-        _chart(tau, th, phi, [c.reshape(th.size, phi.size) for c in cols[:9]])
-        if rate:
-            np.divide(cols[:9], tau, out=cols[9:])
-        return [cols[k:k + 3] for k in range(0, 18 if rate else 9, 3)]
 
-    return sphere_quadrature(structure, nodes, theta, phi, rate)
+class RadialSphereFamily:
+    """Sphere leaves of a dim-3 structure, parametrized by radius, and the
+    rules every sphere family shares: the radius guard, the area check and
+    the rate check under grid doubling, and the minimum radius.
+
+    row_data(tau) returns (area, dA/dtau, generator magnitudes) from one
+    sphere_quadrature pass, without the grid-doubling re-run unless asked;
+    scans sample densely enough to catch instability on their own.
+    """
+
+    tau_range = (0.0, math.inf)
+
+    def __init__(self, structure, grid=None, label=None):
+        if structure.dim != 3:
+            raise ValidationError("sphere families need dimension 3")
+        self.structure = structure
+        self.grid = tuple(grid or get_default("area_grid"))
+        self.label = label or structure.label or "radial-family"
+
+    def _radius(self, tau):
+        tau = float(tau)
+        if not 0.0 < tau < math.inf:
+            raise ValidationError(f"sphere radius must be positive and finite, got {tau}")
+        return tau
+
+    def _nodes(self, tau, theta, phi):
+        """The radius-tau sphere: d_tau = chart / tau. The chart goes into
+        arena rows above those the kernel writes."""
+        def nodes(rows, rate):
+            skip = _sphere_kernel(self.structure, rate).slots
+            th = theta[rows]
+            cols = expr.arena_rows(skip + 18, th.size * phi.size)[skip:]
+            _chart(tau, th, phi, [c.reshape(th.size, phi.size) for c in cols[:9]])
+            if rate:
+                np.divide(cols[:9], tau, out=cols[9:])
+            return [cols[k:k + 3] for k in range(0, 18 if rate else 9, 3)]
+
+        return nodes
+
+    def area(self, tau, check=True):
+        """Symplectic area of the sphere at tau. With check the quadrature is
+        repeated on the doubled grid and the finer value is returned;
+        disagreement beyond the configured relative band is a NumericalError.
+        """
+        tau = self._radius(tau)
+        value = _sphere_area_once(self, tau, self.grid)
+        if not check:
+            return value
+        finer = _sphere_area_once(self, tau, [2 * g for g in self.grid])
+        if not abs(finer - value) <= get_default("area_check_rel") * max(1.0, abs(finer)):
+            raise NumericalError(
+                f"sphere area at tau={tau} unstable under grid doubling: "
+                f"{value:.10g} vs {finer:.10g}")
+        return finer
+
+    def _rate(self, tau, verify):
+        """(area, dA/dtau) at tau from one pass on the grid. With verify, dA/dtau
+        d and its doubled-grid value d_fine must agree inside
+        max(1e-3 relative, 1e-6 in units of the area)."""
+        tau = self._radius(tau)
+        area, d = _sphere_area_once(self, tau, self.grid, rate=True)
+        if verify:
+            _, d_fine = _sphere_area_once(self, tau, [2 * g for g in self.grid], rate=True)
+            if not abs(d - d_fine) <= max(1e-3 * abs(d_fine), 1e-6 * max(1.0, abs(area))):
+                raise NumericalError(
+                    f"area derivative at tau={tau} unstable under grid doubling: "
+                    f"{d:.10g} vs {d_fine:.10g}")
+        return area, d
+
+    def row_data(self, tau, verify=False):
+        area, d = self._rate(tau, verify)
+        return area, d, (abs(d),)
+
+    def minimum_radius(self):
+        return self.tau_range[0]
+
+
+class SigmaSphereFamily(RadialSphereFamily):
+    """Sphere leaves given by an explicit chart sigma(tau, theta, phi) in M,
+    over a closed tau range.
+
+    The chart must stay inside leaves of a dim-3 structure; the tangency
+    check in the leaf form evaluation rejects charts that cut across them.
+    Everything but the radius guard and the chart nodes is the radial
+    family's: the tau-derivatives of sigma, sigma_theta and sigma_phi are
+    compiled beside the chart, so rows at the ends of tau_range need no
+    samples outside it.
+    """
+
+    # perfbench's tracer wraps row_data in each family class's own namespace
+    row_data = RadialSphereFamily.row_data
+
+    def __init__(self, structure, sigma, tau_range, grid=None, label=None):
+        super().__init__(structure, grid, label or "sigma-family")
+        names = ("tau",) + _ANGLES
+        parsed = expr.components(sigma, 0, symbols=names, params=structure.params,
+                                 what="sigma", count=3)
+        try:
+            lo, hi = (float(v) for v in tau_range)
+        except (TypeError, ValueError):
+            raise ValidationError(f"tau_range must be a [lo, hi] pair, got {tau_range!r}")
+        if not -math.inf < lo < hi < math.inf:
+            raise ValidationError(f"tau_range needs finite hi > lo, got [{lo:g}, {hi:g}]")
+        self.sigma = parsed
+        self.tau_range = (lo, hi)
+        # sigma with its theta and phi tangents, then their tau-derivatives
+        chart = parsed + [expr.differentiate_sym(c, a) for a in _ANGLES for c in parsed]
+        self._fns = [expr.compile_exprs_vec(e, symbols=names, params=structure.params)
+                     for e in (chart, [expr.differentiate_sym(c, "tau") for c in chart])]
+
+    def _radius(self, tau):
+        tau = float(tau)
+        lo, hi = self.tau_range
+        if not lo <= tau <= hi:
+            raise ValidationError(f"tau {tau:g} outside the family range [{lo:g}, {hi:g}]")
+        return tau
+
+    def _nodes(self, tau, theta, phi):
+        def nodes(rows, rate):
+            T, F = (a.ravel() for a in np.meshgrid(theta[rows], phi, indexing="ij"))
+            dummy = np.zeros((1, T.size))
+            vals = [fn(dummy, tau, T, F) for fn in self._fns[:2 if rate else 1]]
+            return [v[k:k + 3] for v in vals for k in (0, 3, 6)]
+
+        return nodes
 
 
 def sphere_area(structure, tau, grid=None, check=True):
-    """Symplectic area of the radius-tau sphere about the origin.
+    """Symplectic area of the radius-tau sphere about the origin: the area of
+    the radial family (RadialSphereFamily.area).
 
     The sphere must be (numerically) a union of leaves; the tangency check
-    inside the form evaluation rejects charts that cut across leaves. With
-    check=True the quadrature is repeated on a doubled grid and the finer
-    value is returned; disagreement beyond the configured relative band is a
-    NumericalError.
+    inside the form evaluation rejects charts that cut across leaves.
     """
-    if structure.dim != 3:
-        raise ValidationError("sphere areas are defined for dimension 3")
-    tau = float(tau)
-    if tau <= 0.0:
-        raise ValidationError(f"sphere radius must be positive, got {tau}")
-    n_theta, n_phi = grid or get_default("area_grid")
-    value = _sphere_area_once(structure, tau, n_theta, n_phi)
-    if not check:
-        return value
-    finer = _sphere_area_once(structure, tau, 2 * n_theta, 2 * n_phi)
-    band = get_default("area_check_rel") * max(1.0, abs(finer))
-    if abs(finer - value) > band:
-        raise NumericalError(
-            f"sphere area at tau={tau} unstable under grid doubling: "
-            f"{value:.10g} vs {finer:.10g}")
-    return finer
+    return RadialSphereFamily(structure, grid).area(tau, check)
 
 
 @dataclass
@@ -329,30 +434,15 @@ def _kernel_and_image(structure, x):
     return Vh[-1], U[:, :rank]
 
 
-def check_rate_doubling(tau, area, d, d_fine):
-    """NumericalError unless dA/dtau d and its doubled-grid value d_fine
-    agree inside max(1e-3 relative, 1e-6 in units of the area)."""
-    band = max(1e-3 * abs(d_fine), 1e-6 * max(1.0, abs(area)))
-    if not abs(d - d_fine) <= band:
-        raise NumericalError(
-            f"area derivative at tau={tau} unstable under grid doubling: "
-            f"{d:.10g} vs {d_fine:.10g}")
-
-
 def area_variation(structure, tau, grid=None, verify=True):
-    """dA/dtau of the sphere family, packaged as a transverse covector.
+    """dA/dtau of the radial family, packaged as a transverse covector.
 
-    Area and derivative come from one sphere_quadrature pass on the grid;
-    with verify=True the derivative is recomputed on the doubled grid and
-    both must pass check_rate_doubling. The returned values are those of the
-    grid.
+    Area and derivative are those of one pass on the grid; with verify=True
+    the derivative must also pass the family's rate check on the doubled
+    grid (RadialSphereFamily._rate).
     """
-    if structure.dim != 3:
-        raise ValidationError("area variation is defined for dimension 3")
-    tau = float(tau)
-    if not tau > 0.0:
-        raise ValidationError(f"sphere radius must be positive, got {tau}")
-    n_theta, n_phi = grid or get_default("area_grid")
+    family = RadialSphereFamily(structure, grid)
+    tau = family._radius(tau)
 
     x0 = np.array([tau, 0.0, 0.0])
     zeta, image = _kernel_and_image(structure, x0)
@@ -373,10 +463,7 @@ def area_variation(structure, tau, grid=None, verify=True):
     if np.dot(zeta, p0) < 0:
         zeta, pairing = -zeta, -pairing
 
-    area, d = _sphere_area_once(structure, tau, n_theta, n_phi, rate=True)
-    if verify:
-        _, d_fine = _sphere_area_once(structure, tau, 2 * n_theta, 2 * n_phi, rate=True)
-        check_rate_doubling(tau, area, d, d_fine)
+    area, d = family._rate(tau, verify)
 
     xi = (d / pairing) * zeta
     return AreaVariation(tau=tau, area=area, derivative=d, xi=xi,

@@ -361,6 +361,8 @@ class _Parser:
         tok = self.advance()
         kind, text, pos = tok
         if kind == "num":
+            if math.isinf(float(text)):
+                raise ParseError(f"number {text} overflows to infinity", pos)
             return Num(float(text))
         if kind == "(":
             e = self.expr()
@@ -454,7 +456,8 @@ def _prec(e):
 
 
 def _fmt_number(value):
-    if value == int(value) and abs(value) < 1e16:
+    # inf and nan fail the first test, so int() never sees them
+    if abs(value) < 1e16 and value == int(value):
         return str(int(value))
     return repr(value)
 

@@ -6,15 +6,17 @@ Two routes produce the same invariant for a radius-tau sphere leaf:
   * quadrature of the curvature of a splitting of the anchor over the leaf
     (curvature_periods), and
   * differentiation of the leaf symplectic area along the sphere family,
-    with the tau-derivative taken under the integral
-    (connection.sphere_quadrature, run by the families here).
+    with the tau-derivative taken under the integral (the families of
+    connection, re-exported here).
 
-Their common value generates the group of lattice periods at that leaf. A
-scan walks a radius range, reduces each leaf's generator set with a real gcd
-(continued fractions with a denominator budget), refines suspicious radii,
-and reports one of INTEGRABLE_EVIDENCE / NON_INTEGRABLE / INCONCLUSIVE.
-Verdicts are numerical evidence relative to the printed denominator bound
-and tolerance, never proofs.
+Their common value generates the group of lattice periods at that leaf.
+This module keeps the curvature route, the lattice reduction, the exact
+foliated sphere products and the scan. A scan walks a radius range,
+reduces each leaf's generator set with a real gcd (continued fractions with
+a denominator budget), refines suspicious radii, and reports one of
+INTEGRABLE_EVIDENCE / NON_INTEGRABLE / INCONCLUSIVE. Verdicts are numerical
+evidence relative to the printed denominator bound and tolerance, never
+proofs.
 """
 
 from __future__ import annotations
@@ -26,18 +28,16 @@ import numpy as np
 
 from . import expr
 from .config import get_default
-# leaf_form_many is re-exported: perfbench's tracer wraps it under this module
-from .connection import (_chart, _sphere_area_once, check_rate_doubling,  # noqa: F401
-                         dual_vector_field, leaf_form_many, sphere_grid,
-                         sphere_quadrature, sphere_simpson)
+# the families and leaf_form_many are re-exported: perfbench's tracer wraps
+# them under this module
+from .connection import (_ANGLES, RadialSphereFamily, SigmaSphereFamily,  # noqa: F401
+                         _chart, dual_vector_field, leaf_form_many, sphere_grid,
+                         sphere_simpson)
 from .errors import NumericalError, ValidationError
 
 VERDICT_OK = "INTEGRABLE_EVIDENCE"
 VERDICT_BAD = "NON_INTEGRABLE"
 VERDICT_OPEN = "INCONCLUSIVE"
-
-_ANGLES = ("theta", "phi")
-
 
 # ---------------------------------------------------------------------------
 # curvature of a splitting over a sphere leaf
@@ -259,33 +259,7 @@ def lattice(gens, area, bound=None, tol=None):
 
 
 # ---------------------------------------------------------------------------
-# one-parameter sphere families
-
-class RadialSphereFamily:
-    """Sphere leaves of a dim-3 structure, parametrized by radius.
-
-    row_data(tau) returns (area, dA/dtau, generator magnitudes) from one
-    sphere_quadrature pass, without the grid-doubling re-run; scans sample
-    densely enough to catch instability on their own.
-    """
-
-    def __init__(self, structure, grid=None, label=None):
-        if structure.dim != 3:
-            raise ValidationError("radial sphere families need dimension 3")
-        self.structure = structure
-        self.grid = tuple(grid or get_default("area_grid"))
-        self.label = label or structure.label or "radial-family"
-
-    def row_data(self, tau):
-        tau = float(tau)
-        if not tau > 0.0:
-            raise ValidationError(f"sphere radius must be positive, got {tau}")
-        area, deriv = _sphere_area_once(self.structure, tau, *self.grid, rate=True)
-        return area, deriv, (abs(deriv),)
-
-    def minimum_radius(self):
-        return 0.0
-
+# exact sphere products (the quadrature families live in connection)
 
 class FoliatedSphereProduct:
     """Product of sphere factors over a line, scaled by invariants f_i(tau).
@@ -308,8 +282,8 @@ class FoliatedSphereProduct:
 
     def row_data(self, tau):
         tau = float(tau)
-        if tau <= 0:
-            raise ValidationError(f"parameter must be positive, got {tau}")
+        if not 0.0 < tau < math.inf:
+            raise ValidationError(f"parameter must be positive and finite, got {tau}")
         point = (tau,)
         fvals = [expr.evaluate(e, point) for e in self.f]
         dvals = [expr.evaluate(e, point) for e in self.df]
@@ -320,71 +294,6 @@ class FoliatedSphereProduct:
 
     def minimum_radius(self):
         return 0.0
-
-
-class SigmaSphereFamily:
-    """Sphere leaves given by an explicit chart sigma(tau, theta, phi) in M.
-
-    The chart must stay inside leaves of a dim-3 structure; the tangency
-    check in the leaf form evaluation rejects charts that cut across them.
-    Areas and dA/dtau use the same one-pass sphere_quadrature as the radial
-    family, with the tau-derivatives of sigma, sigma_theta and sigma_phi
-    compiled beside the chart, so rows at the ends of tau_range need no
-    samples outside it; the generator magnitude is |dA/dtau| as for the
-    other families.
-    """
-
-    def __init__(self, structure, sigma, tau_range, grid=None, label=None):
-        if structure.dim != 3:
-            raise ValidationError("sigma sphere families need dimension 3")
-        names = ("tau",) + _ANGLES
-        parsed = expr.components(sigma, 0, symbols=names, params=structure.params,
-                                 what="sigma", count=3)
-        try:
-            lo, hi = (float(v) for v in tau_range)
-        except (TypeError, ValueError):
-            raise ValidationError(f"tau_range must be a [lo, hi] pair, got {tau_range!r}")
-        if not hi > lo:
-            raise ValidationError(f"tau_range needs hi > lo, got [{lo:g}, {hi:g}]")
-        self.structure = structure
-        self.sigma = parsed
-        self.tau_range = (lo, hi)
-        self.grid = tuple(grid or get_default("area_grid"))
-        self.label = label or "sigma-family"
-        # sigma with its theta and phi tangents, then their tau-derivatives
-        chart = parsed + [expr.differentiate_sym(c, a) for a in _ANGLES for c in parsed]
-        self._fns = [expr.compile_exprs_vec(e, symbols=names, params=structure.params)
-                     for e in (chart, [expr.differentiate_sym(c, "tau") for c in chart])]
-
-    def _quadrature(self, tau, rate, grid=None):
-        tau = float(tau)
-        lo, hi = self.tau_range
-        if not lo <= tau <= hi:
-            raise ValidationError(f"tau {tau:g} outside the family range [{lo:g}, {hi:g}]")
-        theta, phi = sphere_grid(*(grid or self.grid))
-
-        def nodes(rows, rate):
-            T, F = (a.ravel() for a in np.meshgrid(theta[rows], phi, indexing="ij"))
-            dummy = np.zeros((1, T.size))
-            vals = [fn(dummy, tau, T, F) for fn in self._fns[:2 if rate else 1]]
-            return [v[k:k + 3] for v in vals for k in (0, 3, 6)]
-
-        return sphere_quadrature(self.structure, nodes, theta, phi, rate)
-
-    def area(self, tau):
-        return self._quadrature(tau, rate=False)
-
-    def row_data(self, tau, verify=False):
-        """(area, dA/dtau, generators); with verify, dA/dtau on the doubled
-        grid must pass area_variation's check_rate_doubling."""
-        area, deriv = self._quadrature(tau, rate=True)
-        if verify:
-            _, fine = self._quadrature(tau, rate=True, grid=[2 * g for g in self.grid])
-            check_rate_doubling(float(tau), area, deriv, fine)
-        return area, deriv, (abs(deriv),)
-
-    def minimum_radius(self):
-        return self.tau_range[0]
 
 
 # ---------------------------------------------------------------------------

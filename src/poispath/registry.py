@@ -230,11 +230,8 @@ def load(source, validate=True):
         structure, family, splitting = _load_json(source)
     if structure is not None and validate:
         structure.validate()
+    label = structure.label or source if structure is not None else family.label
     if structure is not None and family is None and structure.dim == 3:
-        family = RadialSphereFamily(structure, label=structure.label)
-    if structure is not None:
-        label = structure.label or source
-    else:
-        label = family.label
+        family = RadialSphereFamily(structure, label=label)
     return StructureRecord(label=label, structure=structure, family=family,
                            splitting=splitting, source=source)

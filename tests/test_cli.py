@@ -8,6 +8,7 @@ import json
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -149,6 +150,14 @@ class TestAlgebraCommands:
                                "--alpha", "x1+,0,0", "--beta", "0,0,1")
         assert code == 2
         assert "offset" in err
+
+    def test_literal_beyond_the_float_range_exits_2(self):
+        for argv in (("hamiltonian", "builtin:linear?preset=su2", "--h", "x1*1e400"),
+                     ("bracket", "builtin:su2_scaled?a=1", "--alpha", "1e400,0,0",
+                      "--beta", "0,1,0")):
+            code, out, err = run_cli(*argv)
+            assert code == 2 and out == ""
+            assert "1e400 overflows to infinity" in err
 
     def test_wrong_component_count_exits_2(self):
         code, _, err = run_cli("sharp", "builtin:linear", "--alpha", "1,0")
@@ -517,13 +526,35 @@ class TestChartFamilies:
                                                           abs=2e-3)
 
     def test_area_variation_over_a_chart_checks_grid_doubling(self, sigma_file):
-        # a profile the default grid cannot resolve fails on both routes
-        for chart in ((), ("--family", sigma_file)):
-            code, out, err = run_cli("area-variation",
-                                     "builtin:su2_scaled?a=1+sin(200*x1)/2",
-                                     "--tau", "1", *chart)
-            assert code == 3 and out == ""
-            assert "unstable under grid doubling" in err
+        # a profile the default grid cannot resolve fails on both routes, for
+        # the area as for its derivative
+        for command in ("area", "area-variation"):
+            for chart in ((), ("--family", sigma_file)):
+                code, out, err = run_cli(command, "builtin:su2_scaled?a=1+sin(200*x1)/2",
+                                         "--tau", "1", *chart)
+                assert code == 3 and out == ""
+                assert "unstable under grid doubling" in err
+
+    @pytest.mark.parametrize("tau", ["nan", "inf"])
+    @pytest.mark.parametrize("route, message", [
+        ("builtin:su2_scaled?a=1", "sphere radius must be positive and finite"),
+        ("chart", "outside the family range"),
+        ("builtin:foliated_spheres?f1=1/tau", "parameter must be positive and finite"),
+    ])
+    def test_non_finite_radius_is_an_input_error(self, sigma_file, route, message, tau):
+        chart = ("--family", sigma_file) if route == "chart" else ()
+        source = "builtin:su2_scaled?a=1" if route == "chart" else route
+        for command in ("area", "area-variation", "monodromy"):
+            code, out, err = run_cli(command, source, "--tau", tau, *chart)
+            assert code == 2 and out == ""
+            assert message in err and tau in err
+
+    def test_non_finite_scan_range_is_an_input_error(self):
+        for text in ("0.5:inf", "nan:1", "-inf:1"):
+            code, out, err = run_cli("scan", "builtin:su2_scaled?a=1",
+                                     f"--tau-range={text}", "--samples", "3")
+            assert code == 2 and out == ""
+            assert f"range needs finite hi > lo, got {text!r}" in err
 
     def test_area_variation_takes_no_step(self):
         code, out, err = run_cli("area-variation", "builtin:su2_scaled?a=1",
@@ -584,3 +615,27 @@ class TestChartFamilies:
         code, _, err = run_cli("area", "builtin:su2_scaled?a=1", "--tau", "1",
                                "--family", str(squashed))
         assert code == 2 and "tangent" in err
+
+
+# written byte for byte as the files the golden reports were captured with
+GOLDEN_FILES = {
+    "struct.json": '{"dim": 3, "pi": {"1,2": "(1+R^2)*x3", "1,3": "-(1+R^2)*x2", '
+                   '"2,3": "(1+R^2)*x1"}}\n',
+    "round.json": '{"sigma": ["tau*sin(theta)*cos(phi)", "tau*sin(theta)*sin(phi)", '
+                  '"tau*cos(theta)"], "tau_range": [0.2, 3.0], "label": "round-chart"}\n',
+}
+GOLDEN = json.loads((Path(__file__).parent / "report_bytes.json").read_text())
+
+
+class TestReportBytes:
+    """Exit code, stdout and stderr of the sphere-family commands, byte for
+    byte as report_bytes.json holds them; a change there is a report change
+    to document. The files they read sit in the working directory, so
+    sources and labels are bare names."""
+
+    @pytest.mark.parametrize("case", GOLDEN, ids=[" ".join(c["argv"]) for c in GOLDEN])
+    def test_report_bytes(self, case, tmp_path, monkeypatch):
+        for name, text in GOLDEN_FILES.items():
+            (tmp_path / name).write_text(text)
+        monkeypatch.chdir(tmp_path)
+        assert run_cli(*case["argv"]) == (case["code"], case["stdout"], case["stderr"])

@@ -221,7 +221,8 @@ def test_under_integral_derivative_matches_stencil_oracle(case):
     want = oracles.stencil_area_derivative(
         lambda t: connection.sphere_area(s, t, grid=PROPERTY_GRID, check=False),
         tau, step=2e-4)
-    want_sigma = oracles.stencil_area_derivative(sigma.area, tau, step=2e-4)
+    want_sigma = oracles.stencil_area_derivative(lambda t: sigma.area(t, check=False),
+                                                  tau, step=2e-4)
     got = {
         "radial": (radial.row_data(tau)[1], want),
         "sigma": (sigma.row_data(tau)[1], want_sigma),
@@ -231,6 +232,22 @@ def test_under_integral_derivative_matches_stencil_oracle(case):
     for route, (value, oracle) in got.items():
         tol = 1e-6 * scale if near_zero else 1e-9 * abs(oracle)
         assert abs(value - oracle) <= tol, (route, value, oracle)
+
+
+def test_each_row_takes_the_one_quadrature_entry_once(monkeypatch):
+    once, seen = connection._sphere_area_once, []
+
+    def counted(family, *args, **kwargs):
+        seen.append(family)
+        return once(family, *args, **kwargs)
+
+    monkeypatch.setattr(connection, "_sphere_area_once", counted)
+    s = su2()
+    radial = monodromy.RadialSphereFamily(s, grid=PROPERTY_GRID)
+    sigma = monodromy.SigmaSphereFamily(s, ROUND_CHART, (0.2, 3.0), grid=PROPERTY_GRID)
+    for family in (radial, sigma):
+        family.row_data(1.0)
+    assert seen == [radial, sigma]
 
 
 def _bits(values):
@@ -268,10 +285,10 @@ def test_sphere_kernel_matches_the_reference_row_bit_for_bit(case, rate, grid):
     assert _bits(got) == _bits(want)
 
     sigma = monodromy.SigmaSphereFamily(s, ROUND_CHART, (0.2, 3.0), grid=grid)
-    rows = [lambda: sigma.area(tau), lambda: sigma.row_data(tau)[:2]][rate]
+    rows = [lambda: sigma.area(tau, check=False), lambda: sigma.row_data(tau)[:2]][rate]
     got = rows()
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(monodromy, "sphere_quadrature", oracles.sphere_row_reference)
+        patch.setattr(connection, "sphere_quadrature", oracles.sphere_row_reference)
         want = rows()
     assert _bits(got) == _bits(want)
 

@@ -42,6 +42,17 @@ class TestParseEvaluate:
             expr.parse("x1 + $", 2)
         assert info.value.offset == 5
 
+    def test_literal_beyond_the_float_range_is_rejected_at_its_offset(self):
+        with pytest.raises(ParseError, match="1e400 overflows") as info:
+            expr.parse("x1*1e400", 1)
+        assert info.value.offset == 3
+
+    def test_non_finite_constants_print(self):
+        # trees built by hand can hold them; printing must not raise
+        assert expr.to_source(expr.Num(math.inf)) == "inf"
+        assert expr.to_source(expr.Num(-math.inf)) == "-inf"
+        assert repr(expr.Add(expr.Var(1), expr.Num(math.nan))) == "Add('x1 + nan')"
+
     def test_empty_input(self):
         with pytest.raises(ParseError):
             expr.parse("   ", 2)
@@ -309,8 +320,10 @@ class TestCompiled:
         assert [math.copysign(1.0, v) for v in got] == [1.0, -1.0]
 
     def test_literal_beyond_the_float_range_compiles_to_inf(self):
-        # 1e400 parses to inf, which the generated code must be able to name
-        exprs = [expr.parse("x1*1e400", 1), expr.parse("x1 - 1e400", 1)]
+        # the parser rejects 1e400, but a tree built by hand can hold inf,
+        # and the generated code must be able to name it
+        x, inf = expr.Var(1), expr.Num(math.inf)
+        exprs = [expr.Mul(x, inf), expr.Sub(x, inf)]
         assert expr.compile_exprs(exprs)((-2.0,)) == (-math.inf, -math.inf)
         assert expr.compile_exprs_vec(exprs)(np.array([[2.0]])).tolist() == [
             [math.inf], [-math.inf]]
