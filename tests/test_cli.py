@@ -623,19 +623,24 @@ GOLDEN_FILES = {
                    '"2,3": "(1+R^2)*x1"}}\n',
     "round.json": '{"sigma": ["tau*sin(theta)*cos(phi)", "tau*sin(theta)*sin(phi)", '
                   '"tau*cos(theta)"], "tau_range": [0.2, 3.0], "label": "round-chart"}\n',
+    "family.json": '{"generator": ["eps*(1-2*t)*cos(t)", "eps*(1-2*t)*sin(t)", "1"], '
+                   '"x0": [0.5, 0.0, 0.25]}\n',
 }
 GOLDEN = json.loads((Path(__file__).parent / "report_bytes.json").read_text())
 
 
 class TestReportBytes:
-    """Exit code, stdout and stderr of the sphere-family commands, byte for
-    byte as report_bytes.json holds them; a change there is a report change
-    to document. The files they read sit in the working directory, so
-    sources and labels are bare names."""
+    """Exit code, stdout and stderr of the commands, byte for byte as
+    report_bytes.json holds them; a change there is a report change to
+    document. The files they read sit in the working directory, so sources
+    and labels are bare names; a case's "setup" commands write the ones that
+    are reports themselves (a stored path)."""
 
     @pytest.mark.parametrize("case", GOLDEN, ids=[" ".join(c["argv"]) for c in GOLDEN])
     def test_report_bytes(self, case, tmp_path, monkeypatch):
         for name, text in GOLDEN_FILES.items():
             (tmp_path / name).write_text(text)
         monkeypatch.chdir(tmp_path)
+        for argv in case.get("setup", []):
+            assert run_cli(*argv)[0] == 0
         assert run_cli(*case["argv"]) == (case["code"], case["stdout"], case["stderr"])
