@@ -161,18 +161,15 @@ def cmd_show_config(args):
 def cmd_validate(args):
     record = registry.load(args.source, validate=False)
     structure = _need_structure(record)
-    n_points = args.points if args.points is not None else config.get_default("jacobi_points")
-    tol = args.tol if args.tol is not None else config.get_default("jacobi_tol")
-    seed = args.seed if args.seed is not None else config.get_default("seed")
     box = config.get_default("sample_box")
-    residual = structure.validate(n_points=n_points, tol=tol, seed=seed, box=box)
+    residual = structure.validate(n_points=args.points, tol=args.tol, seed=args.seed, box=box)
     _emit_json({
         "source": record.source,
         "label": record.label,
         "dim": structure.dim,
         "max_jacobi_residual": residual,
         "ok": True,
-        "settings": {"points": n_points, "box": box, "tol": tol, "seed": seed},
+        "settings": {"points": args.points, "box": box, "tol": args.tol, "seed": args.seed},
     }, args.out)
     return 0
 
@@ -241,9 +238,9 @@ def cmd_path(args):
         "a": path.a,
         "settings": {
             "n_intervals": path.n_intervals,
-            "method": args.method or config.get_default("ode_method"),
-            "ode_rtol": args.rtol if args.rtol is not None else config.get_default("ode_rtol"),
-            "ode_atol": args.atol if args.atol is not None else config.get_default("ode_atol"),
+            "method": args.method,
+            "ode_rtol": args.rtol,
+            "ode_atol": args.atol,
         },
     }
     _emit_json(report, args.out)
@@ -518,9 +515,12 @@ def build_parser():
 
     p = sub.add_parser("validate", help="check the Jacobi identity at random points")
     _add_source(p)
-    p.add_argument("--points", type=int, default=None, help="sample count")
-    p.add_argument("--tol", type=float, default=None, help="residual bound")
-    p.add_argument("--seed", type=int, default=None, help="sampling seed")
+    p.add_argument("--points", type=int, default=config.get_default("jacobi_points"),
+                   help="sample count")
+    p.add_argument("--tol", type=float, default=config.get_default("jacobi_tol"),
+                   help="residual bound")
+    p.add_argument("--seed", type=int, default=config.get_default("seed"),
+                   help="sampling seed")
     _add_out(p)
     p.set_defaults(func=cmd_validate)
 
@@ -552,9 +552,10 @@ def build_parser():
                    help="covector components, expressions in t and x")
     p.add_argument("--x0", required=True, help="start point, comma-separated")
     p.add_argument("--n-intervals", type=int, default=None, help="time grid intervals")
-    p.add_argument("--method", default=None, choices=["rk45", "rk4"], help="ODE method")
-    p.add_argument("--rtol", type=float, default=None)
-    p.add_argument("--atol", type=float, default=None)
+    p.add_argument("--method", default=config.get_default("ode_method"),
+                   choices=["rk45", "rk4"], help="ODE method")
+    p.add_argument("--rtol", type=float, default=config.get_default("ode_rtol"))
+    p.add_argument("--atol", type=float, default=config.get_default("ode_atol"))
     _add_out(p)
     p.set_defaults(func=cmd_path)
 

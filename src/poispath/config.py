@@ -1,6 +1,6 @@
 """Central defaults for grids, tolerances, and sampling.
 
-Every tunable the CLI exposes lives here so that ``--show-config`` can print
+Every default the library reads lives here so that ``--show-config`` can print
 the complete picture and reports can embed the values they actually used.
 """
 
@@ -18,7 +18,6 @@ DEFAULTS = {
     # path families and homotopy
     "eps_intervals": 40,        # 41 slices across the deformation parameter
     "homotopy_tol": 1e-5,
-    "endpoint_tol": 1e-6,
     "flow_defect_tol": 1e-5,
     # sphere quadrature and monodromy
     "area_grid": [200, 100],    # (theta intervals, phi intervals)

@@ -422,48 +422,34 @@ class AreaVariation:
         return abs(self.derivative)
 
 
-def _kernel_and_image(structure, x):
-    P = structure.pi_at(x)
-    U, s, Vh = np.linalg.svd(P)
-    tol = get_default("rank_tol") * (s[0] if s[0] > 0 else 1.0)
-    rank = int(np.sum(s > tol))
-    corank = structure.dim - rank
-    if corank != 1:
-        raise ValidationError(
-            f"variation needs a corank-1 point, got corank {corank} at {x.tolist()}")
-    return Vh[-1], U[:, :rank]
-
-
-def area_variation(structure, tau, grid=None, verify=True):
+def area_variation(structure, tau, grid=None):
     """dA/dtau of the radial family, packaged as a transverse covector.
 
-    Area and derivative are those of one pass on the grid; with verify=True
-    the derivative must also pass the family's rate check on the doubled
-    grid (RadialSphereFamily._rate).
+    Area and derivative are those of one pass on the grid; the derivative
+    must also pass the family's rate check on the doubled grid
+    (RadialSphereFamily._rate). A non-finite structure at the base point
+    raises NumericalError.
     """
     family = RadialSphereFamily(structure, grid)
     tau = family._radius(tau)
 
     x0 = np.array([tau, 0.0, 0.0])
-    zeta, image = _kernel_and_image(structure, x0)
-    # transverse component of the family velocity (radial unit at x0)
-    v = x0 / tau
-    w = v - image @ (image.T @ v)
-    wn = np.linalg.norm(w)
-    if wn < 1e-8:
+    # dim 3: the anchor's kernel is span(p) and its image p-perp, so the unit
+    # kernel covector is p/|p| (oriented by the structure; xi does not see the
+    # sign), and it pairs with the family velocity e1 at x0 through p_1
+    p = dual_vector_field(structure)(x0[:, None])[:, 0]
+    if not np.all(np.isfinite(p)):
+        raise NumericalError(f"structure matrix is not finite at {x0.tolist()}")
+    if not np.any(p):
+        raise ValidationError(
+            f"variation needs a corank-1 point, got corank 3 at {x0.tolist()}")
+    zeta = p / np.linalg.norm(p)
+    pairing = float(zeta[0])
+    if abs(pairing) < 1e-8:
         raise NumericalError("family velocity is tangent to the leaf; "
                              "variation direction degenerate")
-    pairing = float(np.dot(zeta, w))
-    if abs(pairing) < 1e-8 * wn:
-        raise NumericalError("kernel covector nearly annihilates the "
-                             "variation direction")
-    # orient the reported kernel covector by the structure itself (dim 3:
-    # along the dual vector p); the xi formula is insensitive to this sign
-    p0 = dual_vector_field(structure)(x0[:, None])[:, 0]
-    if np.dot(zeta, p0) < 0:
-        zeta, pairing = -zeta, -pairing
 
-    area, d = family._rate(tau, verify)
+    area, d = family._rate(tau, verify=True)
 
     xi = (d / pairing) * zeta
     return AreaVariation(tau=tau, area=area, derivative=d, xi=xi,

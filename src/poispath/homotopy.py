@@ -398,10 +398,10 @@ class HomotopyDecision:
         return self.ok
 
 
-def is_homotopy(family, tol=None):
-    """Decide fixed endpoints plus vanishing variation, with the failure
-    cause kept apart."""
-    tol = get_default("homotopy_tol") if tol is None else float(tol)
+def is_homotopy(family):
+    """Decide fixed endpoints plus vanishing variation, to the configured
+    homotopy_tol, with the failure cause kept apart."""
+    tol = get_default("homotopy_tol")
     family.solve()
     start_spread = float(np.max(np.abs(family.gamma[:, 0] - family.gamma[0, 0])))
     end_spread = float(np.max(np.abs(family.gamma[:, -1] - family.gamma[0, -1])))
@@ -500,7 +500,7 @@ def invariance_identity_residual(family, field):
     return invariance_report(family, field).residual
 
 
-def flow_by_action(path, eta, step=2e-4, count=25, defect_tol=None):
+def flow_by_action(path, eta, step=2e-4, count=25):
     """Deform a cotangent path by the action flow of a time-dependent 1-form.
 
     eta components are expressions in t and x with eta(0,.) = eta(1,.) = 0.
@@ -508,12 +508,11 @@ def flow_by_action(path, eta, step=2e-4, count=25, defect_tol=None):
     matching contravariant rate u = db/dt - coupling(b, a), where
     b(t) = eta(t, gamma(t)). The base endpoints carry zero field, so they
     never move; the result stays in the homotopy class of the input.
-    A non-finite eta at the ends or a non-finite flowed path raises
-    NumericalError.
+    A non-finite eta at the ends, a non-finite flowed path or a flowed
+    defect above the configured flow_defect_tol raises NumericalError.
     """
     S = path.structure
     n = S.dim
-    defect_tol = get_default("flow_defect_tol") if defect_tol is None else float(defect_tol)
     comps = expr.components(eta, n, symbols=(_TIME,), params=S.params, what="eta")
 
     eta_fn = expr.compile_exprs_vec(comps, symbols=(_TIME,), params=S.params)
@@ -546,6 +545,7 @@ def flow_by_action(path, eta, step=2e-4, count=25, defect_tol=None):
     if not (np.all(np.isfinite(gamma)) and np.all(np.isfinite(a))):
         raise NumericalError("action flow produced non-finite values")
     flowed = CotangentPath(S, t, gamma, a)
+    defect_tol = get_default("flow_defect_tol")
     if not flowed.defect <= defect_tol:
         raise NumericalError(
             f"flow defect {flowed.defect:.3e} exceeds {defect_tol:.1e}; "

@@ -63,15 +63,13 @@ def _aligned_kernel_basis(raw):
     return basis
 
 
-def isotropy_data(structure, x, rank_tol=None, gap_min=None):
+def isotropy_data(structure, x):
     """Kernel Lie algebra of the structure at x.
 
-    rank_tol is the relative singular-value cutoff; gap_min the smallest
-    kept/dropped ratio considered trustworthy (below it the data is still
-    returned but flagged ambiguous_rank).
+    The configured rank_tol is the relative singular-value cutoff;
+    gap_ratio_min the smallest kept/dropped ratio considered trustworthy
+    (below it the data is still returned but flagged ambiguous_rank).
     """
-    rank_tol = get_default("rank_tol") if rank_tol is None else float(rank_tol)
-    gap_min = get_default("gap_ratio_min") if gap_min is None else float(gap_min)
     x = np.asarray(x, dtype=float)
     n = structure.dim
     if x.shape != (n,):
@@ -82,14 +80,14 @@ def isotropy_data(structure, x, rank_tol=None, gap_min=None):
         raise NumericalError(f"structure matrix is not finite at {x.tolist()}")
     U, s, Vh = np.linalg.svd(P)
     smax = s[0] if s.size and s[0] > 0 else 0.0
-    rank = int(np.sum(s > rank_tol * smax)) if smax > 0 else 0
+    rank = int(np.sum(s > get_default("rank_tol") * smax)) if smax > 0 else 0
     corank = n - rank
     if 0 < rank < n:
         dropped = max(s[rank], 1e-300)
         gap = float(s[rank - 1] / dropped)
     else:
         gap = float("inf")
-    ambiguous = gap < gap_min
+    ambiguous = gap < get_default("gap_ratio_min")
 
     if corank == 0:
         empty = np.zeros((0, 0))

@@ -69,7 +69,7 @@ def _sphere_chart_exprs(tau):
             expr.mul(r, ct)]
 
 
-def curvature_periods(structure, splitting, tau, grid=None):
+def curvature_periods(structure, splitting, tau):
     """Integrate the curvature of an anchor splitting over the radius-tau
     sphere leaf.
 
@@ -82,16 +82,17 @@ def curvature_periods(structure, splitting, tau, grid=None):
     alpha = sigma(sigma_theta), beta = sigma(sigma_phi), D the coupling term
     (d_i Pi^(jk)) alpha_j beta_k; it must be kernel-valued (checked). The
     pairing with the radially aligned unit kernel covector is integrated with
-    the same shifted-pole Simpson rule the areas use. Non-finite curvature,
-    residuals or densities raise NumericalError.
+    the same shifted-pole Simpson rule the areas use, on the configured area
+    grid. A radius that is not positive and finite raises ValidationError;
+    non-finite curvature, residuals or densities raise NumericalError.
     """
     if structure.dim != 3:
         raise ValidationError("curvature quadrature works on dim-3 sphere leaves")
     tau = float(tau)
-    if tau <= 0:
-        raise ValidationError(f"radius must be positive, got {tau}")
+    if not 0.0 < tau < math.inf:
+        raise ValidationError(f"sphere radius must be positive and finite, got {tau}")
     M = _parse_splitting(splitting, structure)
-    n_theta, n_phi = grid or get_default("area_grid")
+    n_theta, n_phi = get_default("area_grid")
 
     sigma = _sphere_chart_exprs(tau)
     var_map = {1: sigma[0], 2: sigma[1], 3: sigma[2]}
@@ -216,20 +217,19 @@ def _gcd_pair(a, b, eps, bound):
     return r0
 
 
-def gcd_analysis(values, denominator_bound=None, ratio_tol=None):
+def gcd_analysis(values):
     """Common generator of a finite set of nonnegative reals, or a density
     report.
 
-    Values within ratio_tol (relative to the largest) of zero are dropped.
-    The continued-fraction reduction keeps the convergent denominators; once
-    they exceed denominator_bound before the remainder dies, the set is
-    declared dense: no rational relation with denominator inside the budget
-    exists. An empty surviving set yields generator inf (trivial group).
-    A non-finite value raises NumericalError.
+    Values within the configured ratio_tol (relative to the largest) of zero
+    are dropped. The continued-fraction reduction keeps the convergent
+    denominators; once they exceed denominator_bound before the remainder
+    dies, the set is declared dense: no rational relation with denominator
+    inside the budget exists. An empty surviving set yields generator inf
+    (trivial group). A non-finite value raises NumericalError.
     """
-    bound = get_default("denominator_bound") if denominator_bound is None \
-        else float(denominator_bound)
-    tol = get_default("ratio_tol") if ratio_tol is None else float(ratio_tol)
+    bound = get_default("denominator_bound")
+    tol = get_default("ratio_tol")
     vals = [abs(float(v)) for v in values]
     if not all(math.isfinite(v) for v in vals):
         raise NumericalError(f"gcd input is not finite: {vals}")
@@ -247,7 +247,7 @@ def gcd_analysis(values, denominator_bound=None, ratio_tol=None):
     return GcdResult(float(g), False, tuple(used), dropped, bound, tol)
 
 
-def lattice(gens, area, bound=None, tol=None):
+def lattice(gens, area):
     """gcd_analysis of the generators above the floor 1e-8 * max(1, |area|);
     an empty surviving set gives the trivial lattice (generator inf). A
     non-finite area or generator raises NumericalError."""
@@ -255,7 +255,7 @@ def lattice(gens, area, bound=None, tol=None):
     if not all(math.isfinite(v) for v in (area, *gens)):
         raise NumericalError(f"lattice input is not finite: area {area}, generators {gens}")
     floor = 1e-8 * max(1.0, abs(area))
-    return gcd_analysis([g for g in gens if g > floor], bound, tol)
+    return gcd_analysis([g for g in gens if g > floor])
 
 
 # ---------------------------------------------------------------------------
@@ -340,9 +340,9 @@ def _finite_floor(rows, candidates):
     return min((v for v in vals if math.isfinite(v)), default=math.inf)
 
 
-def _make_row(family, tau, bound, tol):
+def _make_row(family, tau):
     area, deriv, gens = family.row_data(tau)
-    res = lattice(gens, area, bound, tol)
+    res = lattice(gens, area)
     r = math.nan if res.dense else res.generator
     return ScanRow(tau, area, deriv, tuple(gens), r, res.dense)
 
@@ -350,30 +350,25 @@ def _make_row(family, tau, bound, tol):
 _REFINE_OFFSETS = (0.05, 0.15, 0.45)
 
 
-def integrability_scan(family, taus, threshold=None, refine_rounds=None,
-                       denominator_bound=None, ratio_tol=None):
+def integrability_scan(family, taus, threshold=None):
     """Walk a radius range and judge the variation lattice.
 
     Per radius the generator set is floored (relative to the area scale) and
     gcd-reduced. Suspicious radii, interior minima below both neighbours by
     more than the floor and any trivial-lattice radius flanked by nontrivial
-    ones, are re-sampled in up to refine_rounds punctured neighborhoods
+    ones, are re-sampled in scan_refine_rounds punctured neighborhoods
     shrinking tenfold; minima that decay geometrically below the threshold
     mean the lattice degenerates there. Any dense reduction anywhere, or such
     a collapse, gives NON_INTEGRABLE; a finite positive generator floor
     everywhere gives INTEGRABLE_EVIDENCE; otherwise INCONCLUSIVE.
     """
     threshold = get_default("rn_threshold") if threshold is None else float(threshold)
-    rounds = get_default("scan_refine_rounds") if refine_rounds is None \
-        else int(refine_rounds)
-    bound = get_default("denominator_bound") if denominator_bound is None \
-        else float(denominator_bound)
-    tol = get_default("ratio_tol") if ratio_tol is None else float(ratio_tol)
+    rounds = get_default("scan_refine_rounds")
 
     taus = sorted(float(t) for t in taus)
     if len(taus) < 2:
         raise ValidationError("scan needs at least two radii")
-    rows = [_make_row(family, t, bound, tol) for t in taus]
+    rows = [_make_row(family, t) for t in taus]
     notes = []
 
     dense_hit = any(r.dense for r in rows)
@@ -407,7 +402,7 @@ def integrability_scan(family, taus, threshold=None, refine_rounds=None,
                     t = center + s * f * delta
                     if t <= rmin:
                         continue
-                    row = _make_row(family, t, bound, tol)
+                    row = _make_row(family, t)
                     if row.dense:
                         local_dense = True
                     elif row.r_value < best:
@@ -442,5 +437,7 @@ def integrability_scan(family, taus, threshold=None, refine_rounds=None,
                 f"generator dips below threshold {threshold:g} without clean collapse")
 
     return ScanResult(rows=rows, candidates=candidates, verdict=verdict,
-                      threshold=threshold, denominator_bound=bound,
-                      ratio_tol=tol, refine_rounds=rounds, notes=tuple(notes))
+                      threshold=threshold,
+                      denominator_bound=get_default("denominator_bound"),
+                      ratio_tol=get_default("ratio_tol"), refine_rounds=rounds,
+                      notes=tuple(notes))

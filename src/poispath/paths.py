@@ -218,10 +218,11 @@ def endpoint_pairing(path, h):
                             - expr.evaluate(h_expr, path.start, env))
 
 
-def concatenate(first, second, tol=1e-8):
+def concatenate(first, second):
     """Run two paths back to back, reparametrized to [0, 1].
 
-    Requires matching structures, equal grids, and first.end == second.start.
+    Requires matching structures, equal grids, and first.end == second.start
+    to 1e-8.
     The covector doubles under the reparametrization so the compatibility
     gamma' = #a survives; integrals of the pieces add. The defect is carried
     over as the max of the inputs, since the seam is generally a corner the
@@ -234,8 +235,8 @@ def concatenate(first, second, tol=1e-8):
         raise ValidationError(
             f"grid mismatch: {first.n_intervals} vs {second.n_intervals} intervals")
     gap = float(np.max(np.abs(first.end - second.start)))
-    if gap > tol:
-        raise ValidationError(f"endpoint mismatch {gap:.3e} exceeds {tol:.1e}")
+    if not gap <= 1e-8:
+        raise ValidationError(f"endpoint mismatch {gap:.3e} exceeds 1.0e-08")
     n = first.n_intervals
     grid = np.linspace(0.0, 1.0, 2 * n + 1)
     gamma = np.vstack([first.gamma, second.gamma[1:]])
@@ -255,19 +256,17 @@ def reverse(path):
                          -path.a[::-1], a_exprs=a_exprs, defect=path.defect)
 
 
-def transport(path, s0, rtol=None, atol=None):
+def transport(path, s0):
     """Carry a covector along the path by the canonical linear transport
 
         ds_i/dt = -(d_i Pi^(jk))(gamma(t)) a_j(t) s_k,
 
-    returning s(1). Depends only on the covector values along the path, not
-    on any off-path extension.
+    returning s(1), integrated at the configured ODE tolerances. Depends only
+    on the covector values along the path, not on any off-path extension.
     """
     from scipy.interpolate import CubicSpline
 
     structure = path.structure
-    rtol = get_default("ode_rtol") if rtol is None else float(rtol)
-    atol = get_default("ode_atol") if atol is None else float(atol)
     gamma_sp = CubicSpline(path.t, path.gamma, axis=0)
     a_sp = CubicSpline(path.t, path.a, axis=0)
 
@@ -279,7 +278,8 @@ def transport(path, s0, rtol=None, atol=None):
     s0 = np.asarray(s0, dtype=float)
     if s0.shape != (structure.dim,):
         raise ValidationError(f"covector must have shape ({structure.dim},)")
-    sol = solve_ivp(rhs, (0.0, 1.0), s0, method="RK45", rtol=rtol, atol=atol)
+    sol = solve_ivp(rhs, (0.0, 1.0), s0, method="RK45",
+                    rtol=get_default("ode_rtol"), atol=get_default("ode_atol"))
     if not sol.success:
         raise NumericalError(f"transport integration failed: {sol.message}")
     return sol.y[:, -1]

@@ -6,6 +6,7 @@ import csv
 import io
 import json
 import math
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -71,6 +72,13 @@ class TestUsageAndConfig:
         report = run_json("show-config")
         assert set(report) == set(config.DEFAULTS)
         assert report["area_grid"] == [200, 100]
+
+    def test_every_default_is_read_and_every_read_is_a_default(self):
+        # a key nothing reads would still be printed as a setting
+        src = Path(config.__file__).parent
+        read = {name for path in src.glob("*.py")
+                for name in re.findall(r'get_default\(\s*"(\w+)"\s*\)', path.read_text())}
+        assert read == set(config.DEFAULTS)
 
     def test_report_can_go_to_a_file(self, tmp_path):
         target = tmp_path / "cfg.json"
@@ -345,6 +353,14 @@ class TestLeafReports:
                                "--tau", "1")
         assert code == 3
         assert "doubling" in err
+
+    def test_area_variation_on_a_singular_leaf_exits_3(self):
+        # a is infinite on the unit sphere, so is the structure at the base
+        # point (1, 0, 0)
+        code, out, err = run_cli("area-variation", "builtin:su2_scaled?a=1/(R-1)",
+                                 "--tau", "1")
+        assert code == 3 and out == ""
+        assert "not finite" in err
 
 
 class TestScanCommand:

@@ -54,8 +54,9 @@ class TestCurvature:
     def test_dimension_and_radius_guards(self):
         with pytest.raises(ValidationError):
             monodromy.curvature_periods(symplectic_plane(), [["0", "0"]] * 2, 1.0)
-        with pytest.raises(ValidationError):
-            monodromy.curvature_periods(su2(), su2_splitting(), -1.0)
+        for tau in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ValidationError, match="positive and finite"):
+                monodromy.curvature_periods(su2(), su2_splitting(), tau)
 
 
 class TestGcd:
