@@ -79,6 +79,8 @@ def _point(text, dim, what="point"):
         raise ValidationError(f"{what} must be comma-separated numbers, got {text!r}")
     if len(values) != dim:
         raise ValidationError(f"{what} needs {dim} components, got {len(values)}")
+    if not all(map(math.isfinite, values)):
+        raise ValidationError(f"{what} must have finite components, got {text!r}")
     return np.asarray(values, dtype=float)
 
 

@@ -38,6 +38,7 @@ import numpy as np
 from . import expr
 from .config import get_default
 from .errors import NumericalError, ValidationError
+from .quadrature import simpson
 
 _P_CACHE: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 _KERNELS: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
@@ -226,9 +227,7 @@ def _chart(tau, theta, phi, out=None):
 def sphere_simpson(dens, theta, phi):
     """Simpson rule over phi, then over theta, of a density sampled on the
     (theta, phi) nodes of sphere_grid."""
-    from scipy.integrate import simpson
-
-    return float(simpson(simpson(dens, x=phi, axis=1), x=theta))
+    return float(simpson(simpson(dens, phi, axis=1), theta))
 
 
 def sphere_quadrature(structure, nodes, theta, phi, rate=False):

@@ -42,6 +42,7 @@ from . import expr
 from .config import get_default
 from .errors import NumericalError, ValidationError
 from .paths import CotangentPath, differentiate_samples, path_defect
+from .quadrature import simpson
 
 _TIME = "t"
 _EPS = "eps"
@@ -456,8 +457,6 @@ def invariance_report(family, field):
     that field is used here; the residual reports the quadrature error only.
     Non-finite field values or L_X Pi densities raise NumericalError.
     """
-    from scipy.integrate import simpson
-
     S = family.structure
     X = expr.components(field, S.dim, params=S.params, what="vector field")
     b = family.variation_field(-1.0)
@@ -469,11 +468,10 @@ def invariance_report(family, field):
     if not np.all(np.isfinite(X_vals)):
         raise NumericalError("vector field X is not finite along the family")
 
-    line = simpson(np.einsum("mti,mti->mt", family.a, X_vals), x=family.t, axis=1)
+    line = simpson(np.einsum("mti,mti->mt", family.a, X_vals), family.t, axis=1)
     lhs = float(line[-1] - line[0])
 
-    endpoint = float(simpson(np.einsum("mi,mi->m", b[:, -1], X_vals[:, -1]),
-                             x=family.eps))
+    endpoint = float(simpson(np.einsum("mi,mi->m", b[:, -1], X_vals[:, -1]), family.eps))
 
     lx_fn = expr.compile_exprs_vec(_lie_derivative_upper(S, X), params=S.params)
     lx = lx_fn(flat.T).T.reshape(M, nodes, -1)
@@ -486,7 +484,7 @@ def invariance_report(family, field):
             col += 1
     if not np.all(np.isfinite(density)):
         raise NumericalError("(L_X Pi)(a, b) density is not finite along the family")
-    bulk = float(simpson(simpson(density, x=family.t, axis=1), x=family.eps))
+    bulk = float(simpson(simpson(density, family.t, axis=1), family.eps))
 
     residual = abs(lhs - endpoint - bulk)
     return InvarianceReport(lhs=lhs, endpoint_term=endpoint, bulk_term=bulk,

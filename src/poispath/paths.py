@@ -17,24 +17,142 @@ with a single global ENDPOINT_SIGN = -1 fixed by the anchor convention.
 from __future__ import annotations
 
 import functools
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import expr
 from .config import get_default
 from .errors import NumericalError, ValidationError
+from .quadrature import simpson
 
 ENDPOINT_SIGN = -1.0
 
 _TIME = "t"
 
 
-def solve_ivp(fun, t_span, y0, **options):
-    """scipy.integrate.solve_ivp, imported on first use to keep scipy out of
-    start-up; integrate_base and transport call it through this name."""
-    from scipy.integrate import solve_ivp as scipy_solve_ivp
+# The Dormand-Prince 5(4) pair and its quartic dense output, written as the
+# same fractions as scipy's RK45 writes them.
+_C = np.array([0, 1/5, 3/10, 4/5, 8/9, 1])
+_A = np.array([
+    [0, 0, 0, 0, 0],
+    [1/5, 0, 0, 0, 0],
+    [3/40, 9/40, 0, 0, 0],
+    [44/45, -56/15, 32/9, 0, 0],
+    [19372/6561, -25360/2187, 64448/6561, -212/729, 0],
+    [9017/3168, -355/33, 46732/5247, 49/176, -5103/18656]])
+_B = np.array([35/384, 0, 500/1113, 125/192, -2187/6784, 11/84])
+_E = np.array([-71/57600, 0, 71/16695, -71/1920, 17253/339200, -22/525, 1/40])
+_P = np.array([
+    [1, -8048581381/2820520608, 8663915743/2820520608, -12715105075/11282082432],
+    [0, 0, 0, 0],
+    [0, 131558114200/32700410799, -68118460800/10900136933, 87487479700/32700410799],
+    [0, -1754552775/470086768, 14199869525/1410260304, -10690763975/1880347072],
+    [0, 127303824393/49829197408, -318862633887/49829197408,
+     701980252875 / 199316789632],
+    [0, -282668133/205662961, 2019193451/616988883, -1453857185/822651844],
+    [0, 40617522/29380423, -110615467/29380423, 69997945/29380423]])
+_SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10
+_ERROR_EXPONENT = -1 / 5
+_TOO_SMALL_STEP = "Required step size is less than spacing between numbers."
+# scipy raises a smaller rtol to this floor with a warning; integrate_base
+# rejects it instead, so a report never states a tolerance it did not use
+_MIN_RTOL = 100 * np.finfo(float).eps
 
-    return scipy_solve_ivp(fun, t_span, y0, **options)
+
+@dataclass
+class OdeResult:
+    """A solve_ivp run: y is (dim, samples), nfev counts every RHS call."""
+    y: np.ndarray
+    success: bool
+    message: str
+    nfev: int
+
+
+def _rms(x):
+    return np.linalg.norm(x) / x.size ** 0.5
+
+
+def solve_ivp(fun, t_span, y0, *, rtol, atol, t_eval=None):
+    """Adaptive Dormand-Prince 5(4) for y' = fun(t, y) forward over t_span.
+
+    The RK45 path of scipy's solve_ivp, float operation for float
+    operation: its initial step, its accept and reject loop, its error norm
+    and, at t_eval, its dense output, so y and nfev carry scipy's bits. Without
+    t_eval, y holds y0 and the state after each step. The caller checks y0 and
+    the tolerances. integrate_base and transport call it through this name.
+    """
+    t0, tf = map(float, t_span)
+    if not tf > t0:
+        raise ValidationError(f"solve_ivp integrates forward, got t_span {t_span}")
+    nfev = 0
+
+    def rhs(t, y):
+        nonlocal nfev
+        nfev += 1
+        return np.asarray(fun(t, y), dtype=float)
+
+    y = np.asarray(y0).astype(float, copy=False)
+    f = rhs(t0, y)
+    scale = atol + np.abs(y) * rtol
+    d0, d1 = _rms(y / scale), _rms(f / scale)
+    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    h0 = min(h0, tf - t0)
+    d2 = _rms((rhs(t0 + h0, y + h0 * f) - f) / scale) / h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** (1 / 5)
+    h_abs = min(100 * h0, h1, tf - t0)
+
+    K = np.empty((len(_C) + 1, y.size))
+    t, samples, t_eval_i = t0, ([y0] if t_eval is None else []), 0
+    while t < tf:
+        min_step = 10 * np.abs(np.nextafter(t, np.inf) - t)
+        h_abs = max(h_abs, min_step)
+        rejected = False
+        while True:
+            if not h_abs >= min_step:  # a NaN step fails here too
+                return OdeResult(_stack(samples, t_eval), False, _TOO_SMALL_STEP, nfev)
+            t_new = min(t + h_abs, tf)
+            h = t_new - t
+            h_abs = np.abs(h)
+            K[0] = f
+            for s in range(1, len(_C)):
+                K[s] = rhs(t + _C[s] * h, y + np.dot(K[:s].T, _A[s, :s]) * h)
+            y_new = y + h * np.dot(K[:-1].T, _B)
+            K[-1] = f_new = rhs(t + h, y_new)
+            scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
+            error_norm = _rms(np.dot(K.T, _E) * h / scale)
+            if error_norm < 1:
+                factor = _MAX_FACTOR if error_norm == 0 else \
+                    min(_MAX_FACTOR, _SAFETY * error_norm ** _ERROR_EXPONENT)
+                h_abs *= min(1, factor) if rejected else factor
+                break
+            h_abs *= max(_MIN_FACTOR, _SAFETY * error_norm ** _ERROR_EXPONENT)
+            rejected = True
+        t_old, y_old = t, y
+        t, y, f = t_new, y_new, f_new
+        if t_eval is None:
+            samples.append(y)
+            continue
+        t_eval_i_new = np.searchsorted(t_eval, t, side="right")
+        t_step = t_eval[t_eval_i:t_eval_i_new]
+        if t_step.size:
+            h = t - t_old
+            powers = np.cumprod(np.tile((t_step - t_old) / h, (_P.shape[1], 1)), axis=0)
+            samples.append(h * np.dot(K.T.dot(_P), powers) + y_old[:, None])
+            t_eval_i = t_eval_i_new
+    return OdeResult(_stack(samples, t_eval), True,
+                     "The solver successfully reached the end of the integration interval.",
+                     nfev)
+
+
+def _stack(samples, t_eval):
+    if t_eval is None:
+        return np.vstack(samples).T
+    return np.hstack(samples) if samples else np.empty((0, 0))
 
 
 def fd_weights(offsets):
@@ -138,6 +256,13 @@ def integrate_base(structure, a, x0, n_intervals=None, method=None,
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (dim,):
         raise ValidationError(f"start point must have shape ({dim},), got {x0.shape}")
+    if not np.all(np.isfinite(x0)):
+        raise ValidationError(f"start point must be finite, got {x0}")
+    if not _MIN_RTOL <= rtol < math.inf:
+        raise ValidationError(f"ODE rtol must be finite and at least {_MIN_RTOL:.3g}, "
+                              f"got {rtol}")
+    if not 0 < atol < math.inf:  # atol = 0 makes the error scale 0/0 at a zero component
+        raise ValidationError(f"ODE atol must be positive and finite, got {atol}")
 
     field_exprs = structure.sharp_form(a_exprs)
     field = expr.compile_exprs(field_exprs, symbols=(_TIME,), params=structure.params)
@@ -145,7 +270,7 @@ def integrate_base(structure, a, x0, n_intervals=None, method=None,
 
     if method == "rk45":
         sol = solve_ivp(lambda t, y: field(y, t), (0.0, 1.0), x0,
-                        method="RK45", t_eval=grid, rtol=rtol, atol=atol)
+                        t_eval=grid, rtol=rtol, atol=atol)
         if not sol.success:
             raise NumericalError(f"base integration failed: {sol.message}")
         gamma = sol.y.T
@@ -185,28 +310,24 @@ def constant_path(structure, x0, n_intervals=None):
 
 def path_integral(path, h):
     """Simpson value of integral <a(t), X_h(gamma(t))> dt over the samples."""
-    from scipy.integrate import simpson
-
     structure = path.structure
     h_expr = expr.as_expression(h, structure.dim, params=structure.params)
     field = expr.compile_exprs_vec(structure.hamiltonian_field(h_expr),
                                    params=structure.params)
     X = field(path.gamma.T).T
     integrand = np.einsum("mi,mi->m", path.a, X)
-    return float(simpson(integrand, x=path.t))
+    return float(simpson(integrand, path.t))
 
 
 def field_integral(path, components):
     """Line integral <a(t), X(gamma(t))> dt for a vector field X on M."""
-    from scipy.integrate import simpson
-
     structure = path.structure
     exprs = expr.components(components, structure.dim, params=structure.params,
                             what="vector field")
     fn = expr.compile_exprs_vec(exprs, params=structure.params)
     X = fn(path.gamma.T).T
     integrand = np.einsum("mi,mi->m", path.a, X)
-    return float(simpson(integrand, x=path.t))
+    return float(simpson(integrand, path.t))
 
 
 def endpoint_pairing(path, h):
@@ -278,7 +399,9 @@ def transport(path, s0):
     s0 = np.asarray(s0, dtype=float)
     if s0.shape != (structure.dim,):
         raise ValidationError(f"covector must have shape ({structure.dim},)")
-    sol = solve_ivp(rhs, (0.0, 1.0), s0, method="RK45",
+    if not np.all(np.isfinite(s0)):
+        raise ValidationError(f"covector must be finite, got {s0}")
+    sol = solve_ivp(rhs, (0.0, 1.0), s0,
                     rtol=get_default("ode_rtol"), atol=get_default("ode_atol"))
     if not sol.success:
         raise NumericalError(f"transport integration failed: {sol.message}")

@@ -238,6 +238,40 @@ class TestPathPipeline:
         assert code == 2 and out == ""
         assert "non-finite" in err and "gamma" in err
 
+    @pytest.mark.parametrize("method", ["rk45", "rk4"])
+    def test_non_finite_start_point_exits_2(self, method):
+        code, out, err = run_cli("path", "builtin:linear?preset=su2", "--generator",
+                                 "0,0,1", "--x0=nan,0,0", "--method", method)
+        assert code == 2 and out == ""
+        assert "--x0 must have finite components" in err
+
+    @pytest.mark.parametrize("s0", ["nan,0,0", "0,inf,0"])
+    def test_non_finite_transport_covector_exits_2(self, circle_path, s0):
+        code, out, err = run_cli("transport", "--path", str(circle_path), f"--s0={s0}")
+        assert code == 2 and out == ""
+        assert "--s0 must have finite components" in err
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--atol", "-1", "atol must be positive and finite"),
+        ("--atol", "0", "atol must be positive and finite"),
+        ("--atol", "inf", "atol must be positive and finite"),
+        ("--rtol", "1e-20", "rtol must be finite and at least"),
+        ("--rtol", "nan", "rtol must be finite and at least"),
+    ])
+    def test_bad_ode_tolerance_exits_2(self, flag, value, message):
+        code, out, err = run_cli("path", "builtin:linear?preset=su2", "--generator",
+                                 "0,0,1", "--x0", "1,0,0", flag, value)
+        assert code == 2 and out == ""
+        assert message in err and "Warning" not in err
+
+    def test_generator_singular_at_the_start_exits_3(self):
+        # #a is NaN at x0, so the first step size is NaN; the solve must fail,
+        # not retry that step for ever
+        code, out, err = run_cli("path", "builtin:linear?preset=su2", "--generator",
+                                 "1/x1,0,0", "--x0", "0,0,1")
+        assert code == 3 and out == ""
+        assert "base integration failed" in err
+
 
 class TestVariationCommand:
     def test_group_family_is_a_homotopy(self, tmp_path):
@@ -437,6 +471,12 @@ class TestIsotropyCommand:
         assert report["killing_rank"] == 3
         assert report["abelian"] is False
 
+    def test_non_finite_point_exits_2(self):
+        code, out, err = run_cli("isotropy", "builtin:linear?preset=su2",
+                                 "--at", "0,-inf,0")
+        assert code == 2 and out == ""
+        assert "--at must have finite components" in err
+
     def test_non_finite_structure_matrix_exits_3(self):
         # a = 1/R is singular at the origin: the matrix there is NaN
         code, out, err = run_cli("isotropy", "builtin:su2_scaled?a=1/R",
@@ -471,13 +511,20 @@ class TestDeterminism:
 
 
 class TestStartup:
-    """scipy is imported by the commands that integrate, not at start-up."""
+    """scipy is imported only by the commands that need its splines or its
+    pivoted QR (transport, variation, isotropy), never at start-up."""
 
-    def _run(self, *argv):
+    def _run(self, *argv, cwd="/"):
         proc = subprocess.run([sys.executable, *argv], capture_output=True,
-                              cwd="/", env=helpers.module_env())
+                              cwd=cwd, env=helpers.module_env())
         assert proc.returncode == 0, proc.stderr.decode()
         return proc
+
+    def _imported(self, *argv, cwd="/"):
+        proc = self._run("-X", "importtime", "-m", "poispath", *argv, cwd=cwd)
+        return [line.rsplit("|", 1)[-1].strip()
+                for line in proc.stderr.decode().splitlines()
+                if line.startswith("import time:")]
 
     def test_importing_the_cli_loads_no_scipy(self):
         proc = self._run("-c", "import sys, poispath.cli; print(sorted("
@@ -485,12 +532,25 @@ class TestStartup:
         assert proc.stdout.decode().strip() == "[]"
 
     def test_show_config_loads_no_scipy(self):
-        proc = self._run("-X", "importtime", "-m", "poispath", "--show-config")
-        assert json.loads(proc.stdout)
-        imported = [line.rsplit("|", 1)[-1].strip()
-                    for line in proc.stderr.decode().splitlines()
-                    if line.startswith("import time:")]
+        imported = self._imported("--show-config")
         assert "poispath.cli" in imported
+        assert [m for m in imported if m.split(".")[0] == "scipy"] == []
+
+    @pytest.mark.parametrize("argv", [
+        ("area", "builtin:su2_scaled?a=1+R^2", "--tau", "2"),
+        ("area-variation", "builtin:su2_scaled?a=1+R^2", "--tau", "0.5"),
+        ("monodromy", "builtin:su2_scaled?a=1+R^2", "--tau", "0.5"),
+        ("path", "builtin:linear?preset=su2", "--generator", "0,0,1", "--x0", "1,0,0",
+         "--method", "rk45", "--out", "path.json"),
+        ("path", "builtin:linear?preset=su2", "--generator", "0,0,1", "--x0", "1,0,0",
+         "--method", "rk4"),
+        ("integrate-field", "--path", "path.json", "--X", "0,x3,-x2"),
+        ("scan", "builtin:su2_scaled?a=1+R^2", "--tau-range", "0.5:2", "--samples", "4"),
+    ], ids=lambda argv: " ".join(argv[:1] + argv[-2:]))
+    def test_quadrature_and_rk45_commands_load_no_scipy(self, argv, tmp_path, circle_path):
+        (tmp_path / "path.json").write_text(circle_path.read_text())
+        imported = self._imported(*argv, cwd=tmp_path)
+        assert "poispath.quadrature" in imported
         assert [m for m in imported if m.split(".")[0] == "scipy"] == []
 
 

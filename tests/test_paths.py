@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.integrate import solve_ivp as scipy_solve_ivp
 
 from helpers import su2, su2_scaled, symplectic_plane
 from poispath import expr, paths
@@ -85,6 +87,27 @@ class TestIntegrateBase:
     def test_bad_start_shape(self):
         with pytest.raises(ValidationError):
             paths.integrate_base(su2(), ("0", "0", "1"), (1.0, 0.0))
+
+    @pytest.mark.parametrize("method", ["rk45", "rk4"])
+    @pytest.mark.parametrize("x0", [(math.nan, 0.0, 0.0), (1.0, -math.inf, 0.0)])
+    def test_non_finite_start_rejected(self, method, x0):
+        with pytest.raises(ValidationError, match="start point must be finite"):
+            paths.integrate_base(su2(), ("0", "0", "1"), x0, method=method)
+
+    @pytest.mark.parametrize("tols", [dict(atol=-1.0), dict(atol=0.0), dict(atol=math.inf),
+                                      dict(atol=math.nan), dict(rtol=1e-20),
+                                      dict(rtol=0.0), dict(rtol=math.nan),
+                                      dict(rtol=math.inf)])
+    def test_bad_tolerances_rejected(self, tols):
+        with pytest.raises(ValidationError, match="ODE [ar]tol"):
+            paths.integrate_base(su2(), ("0", "0", "1"), (1.0, 0.0, 0.0), **tols)
+
+    def test_smallest_accepted_rtol(self):
+        path = paths.integrate_base(su2(), ("0", "0", "1"), (1.0, 0.0, 0.0),
+                                    n_intervals=100, rtol=100 * np.finfo(float).eps,
+                                    atol=1e-14)
+        np.testing.assert_allclose(path.end, [math.cos(1.0), -math.sin(1.0), 0.0],
+                                   atol=1e-12)
 
 
 class TestIntegrals:
@@ -197,3 +220,49 @@ class TestTransport:
         p = paths.constant_path(su2(), (1.0, 0.0, 0.0), n_intervals=100)
         with pytest.raises(ValidationError):
             paths.transport(p, np.zeros(2))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_covector_rejected(self, bad):
+        p = paths.constant_path(su2(), (1.0, 0.0, 0.0), n_intervals=100)
+        with pytest.raises(ValidationError, match="covector must be finite"):
+            paths.transport(p, np.array([0.0, bad, 1.0]))
+
+
+@st.composite
+def ode_case(draw):
+    """A random smooth system y' = M sin(y) + c cos(w t) - y^3/10 of
+    dimension 1-8, its start, tolerances and whether to sample a t grid."""
+    n = draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    M, c, w = rng.normal(size=(n, n)), rng.normal(size=n), rng.uniform(0.5, 6.0)
+    t_eval = np.linspace(0.0, 1.0, draw(st.integers(2, 300))) if draw(st.booleans()) else None
+    return (lambda t, y: M @ np.sin(y) + c * np.cos(w * t) - 0.1 * y**3,
+            rng.normal(size=n), dict(rtol=10.0 ** draw(st.floats(-12, -3)),
+                                     atol=10.0 ** draw(st.floats(-12, -3)), t_eval=t_eval))
+
+
+def _same_solve(fun, y0, **options):
+    ours = paths.solve_ivp(fun, (0.0, 1.0), y0, **options)
+    theirs = scipy_solve_ivp(fun, (0.0, 1.0), y0, method="RK45", **options)
+    assert (ours.success, ours.message, ours.nfev) == \
+        (theirs.success, theirs.message, theirs.nfev)
+    assert np.array_equal(ours.y, theirs.y)
+    return ours
+
+
+class TestSolveIvp:
+    """paths.solve_ivp against scipy's RK45, bit for bit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=ode_case())
+    def test_matches_scipy_rk45(self, case):
+        fun, y0, options = case
+        assert _same_solve(fun, y0, **options).success
+
+    @pytest.mark.parametrize("t_eval", [None, np.linspace(0.0, 1.0, 101)])
+    def test_too_small_step_fails_as_scipy_does(self, t_eval):
+        # y' = y^2 from 2 blows up at t = 1/2
+        sol = _same_solve(lambda t, y: y**2, np.array([2.0]), rtol=1e-8, atol=1e-8,
+                          t_eval=t_eval)
+        assert not sol.success
+        assert sol.message == "Required step size is less than spacing between numbers."
