@@ -264,6 +264,9 @@ def _read_path(file_):
 
 def cmd_integrate_field(args):
     path = _read_path(args.path)
+    if path.t.size % 2 == 0:  # the Simpson rule takes odd counts; path writes them
+        raise ValidationError(f"integrate-field needs a path file with an odd sample count "
+                              f"(an even number of intervals), {args.path} has {path.t.size}")
     comps = _components(args.X, "--X")
     value = pth.field_integral(path, comps)
     _emit_json({

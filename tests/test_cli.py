@@ -233,6 +233,19 @@ class TestPathPipeline:
         assert code == 2 and out == ""
         assert "non-finite" in err and "gamma" in err
 
+    def test_even_sample_count_rejected_by_integrate_field(self, circle_path, tmp_path):
+        data = json.loads(circle_path.read_text())
+        for key in ("t", "gamma", "a"):
+            data[key] = data[key][:-1]
+        target = tmp_path / "even.json"
+        target.write_text(json.dumps(data))
+        code, out, err = run_cli("integrate-field", "--path", str(target), "--X", "0,x3,-x2")
+        assert code == 2 and out == ""
+        assert "odd sample count" in err and "has 1000" in err
+        # transport takes any count
+        code, _, err = run_cli("transport", "--path", str(target), "--s0", "0,0,1")
+        assert code == 0, err
+
     def test_non_finite_path_file_rejected_by_transport(self, nan_path):
         code, out, err = run_cli("transport", "--path", nan_path, "--s0", "1,0,0")
         assert code == 2 and out == ""
@@ -521,10 +534,11 @@ class TestStartup:
         return proc
 
     def _imported(self, *argv, cwd="/"):
+        """The process and the modules it imported, from -X importtime."""
         proc = self._run("-X", "importtime", "-m", "poispath", *argv, cwd=cwd)
-        return [line.rsplit("|", 1)[-1].strip()
-                for line in proc.stderr.decode().splitlines()
-                if line.startswith("import time:")]
+        return proc, [line.rsplit("|", 1)[-1].strip()
+                      for line in proc.stderr.decode().splitlines()
+                      if line.startswith("import time:")]
 
     def test_importing_the_cli_loads_no_scipy(self):
         proc = self._run("-c", "import sys, poispath.cli; print(sorted("
@@ -532,7 +546,8 @@ class TestStartup:
         assert proc.stdout.decode().strip() == "[]"
 
     def test_show_config_loads_no_scipy(self):
-        imported = self._imported("--show-config")
+        proc, imported = self._imported("--show-config")
+        assert json.loads(proc.stdout)
         assert "poispath.cli" in imported
         assert [m for m in imported if m.split(".")[0] == "scipy"] == []
 
@@ -549,7 +564,7 @@ class TestStartup:
     ], ids=lambda argv: " ".join(argv[:1] + argv[-2:]))
     def test_quadrature_and_rk45_commands_load_no_scipy(self, argv, tmp_path, circle_path):
         (tmp_path / "path.json").write_text(circle_path.read_text())
-        imported = self._imported(*argv, cwd=tmp_path)
+        _, imported = self._imported(*argv, cwd=tmp_path)
         assert "poispath.quadrature" in imported
         assert [m for m in imported if m.split(".")[0] == "scipy"] == []
 

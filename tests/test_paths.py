@@ -266,3 +266,10 @@ class TestSolveIvp:
                           t_eval=t_eval)
         assert not sol.success
         assert sol.message == "Required step size is less than spacing between numbers."
+
+    def test_nan_field_fails_before_the_first_sample(self):
+        # scipy would retry its NaN first step for ever; here it fails at once
+        sol = paths.solve_ivp(lambda t, y: np.full_like(y, np.nan), (0.0, 1.0), np.ones(2),
+                              rtol=1e-8, atol=1e-8, t_eval=np.linspace(0.0, 1.0, 11))
+        assert (sol.success, sol.nfev, sol.y.size) == (False, 2, 0)
+        assert sol.message == "Required step size is less than spacing between numbers."
