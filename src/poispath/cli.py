@@ -154,10 +154,17 @@ def _grid_pair(text):
 
 
 # -- subcommands -------------------------------------------------------------
+#
+# Each command returns its report, which main writes to stdout or --out;
+# scan, whose output is CSV, writes its own.
+
+def _settings(*keys):
+    """The settings block of the config defaults a command ran with."""
+    return {key: config.get_default(key) for key in keys}
+
 
 def cmd_show_config(args):
-    _emit_json(dict(config.DEFAULTS), args.out)
-    return 0
+    return dict(config.DEFAULTS)
 
 
 def cmd_validate(args):
@@ -165,59 +172,45 @@ def cmd_validate(args):
     structure = _need_structure(record)
     box = config.get_default("sample_box")
     residual = structure.validate(n_points=args.points, tol=args.tol, seed=args.seed, box=box)
-    _emit_json({
+    return {
         "source": record.source,
         "label": record.label,
         "dim": structure.dim,
         "max_jacobi_residual": residual,
         "ok": True,
         "settings": {"points": args.points, "box": box, "tol": args.tol, "seed": args.seed},
-    }, args.out)
-    return 0
+    }
+
+
+def _expression_report(args, key, build):
+    """The report of an expression command: the components that
+    build(structure, report) returns under key, with their values at --at."""
+    record = registry.load(args.source)
+    structure = _need_structure(record)
+    report = {"source": record.source}
+    exprs = build(structure, report)
+    report[key] = [expr.to_source(c) for c in exprs]
+    _add_values(report, structure, exprs, args.at)
+    return report
 
 
 def cmd_bracket(args):
-    record = registry.load(args.source)
-    structure = _need_structure(record)
-    alpha = _parse_forms(structure, args.alpha, "--alpha")
-    beta = _parse_forms(structure, args.beta, "--beta")
-    bracket = structure.bracket_one_forms(alpha, beta)
-    report = {
-        "source": record.source,
-        "bracket": [expr.to_source(c) for c in bracket],
-    }
-    _add_values(report, structure, bracket, args.at)
-    _emit_json(report, args.out)
-    return 0
+    return _expression_report(args, "bracket", lambda structure, report: (
+        structure.bracket_one_forms(_parse_forms(structure, args.alpha, "--alpha"),
+                                    _parse_forms(structure, args.beta, "--beta"))))
 
 
 def cmd_sharp(args):
-    record = registry.load(args.source)
-    structure = _need_structure(record)
-    alpha = _parse_forms(structure, args.alpha, "--alpha")
-    field = structure.sharp_form(alpha)
-    report = {
-        "source": record.source,
-        "field": [expr.to_source(c) for c in field],
-    }
-    _add_values(report, structure, field, args.at)
-    _emit_json(report, args.out)
-    return 0
+    return _expression_report(args, "field", lambda structure, report: (
+        structure.sharp_form(_parse_forms(structure, args.alpha, "--alpha"))))
 
 
 def cmd_hamiltonian(args):
-    record = registry.load(args.source)
-    structure = _need_structure(record)
-    h = expr.parse(args.h, structure.dim, params=tuple(structure.params))
-    field = structure.hamiltonian_field(h)
-    report = {
-        "source": record.source,
-        "h": expr.to_source(h),
-        "field": [expr.to_source(c) for c in field],
-    }
-    _add_values(report, structure, field, args.at)
-    _emit_json(report, args.out)
-    return 0
+    def build(structure, report):
+        h = expr.parse(args.h, structure.dim, params=tuple(structure.params))
+        report["h"] = expr.to_source(h)
+        return structure.hamiltonian_field(h)
+    return _expression_report(args, "field", build)
 
 
 def cmd_path(args):
@@ -228,7 +221,7 @@ def cmd_path(args):
     path = pth.integrate_base(structure, comps, x0,
                               n_intervals=args.n_intervals, method=args.method,
                               rtol=args.rtol, atol=args.atol)
-    report = {
+    return {
         "source": record.source,
         "structure": structure.to_dict(),
         "generator": comps,
@@ -245,8 +238,6 @@ def cmd_path(args):
             "ode_atol": args.atol,
         },
     }
-    _emit_json(report, args.out)
-    return 0
 
 
 def _read_path(file_):
@@ -268,32 +259,25 @@ def cmd_integrate_field(args):
         raise ValidationError(f"integrate-field needs a path file with an odd sample count "
                               f"(an even number of intervals), {args.path} has {path.t.size}")
     comps = _components(args.X, "--X")
-    value = pth.field_integral(path, comps)
-    _emit_json({
+    return {
         "path": args.path,
         "field": comps,
-        "integral": value,
+        "integral": pth.field_integral(path, comps),
         "defect": path.defect,
         "settings": {"n_intervals": path.n_intervals},
-    }, args.out)
-    return 0
+    }
 
 
 def cmd_transport(args):
     path = _read_path(args.path)
     s0 = _point(args.s0, path.structure.dim, "--s0")
-    s1 = pth.transport(path, s0)
-    _emit_json({
+    return {
         "path": args.path,
         "s0": s0,
-        "s1": s1,
+        "s1": pth.transport(path, s0),
         "defect": path.defect,
-        "settings": {
-            "ode_rtol": config.get_default("ode_rtol"),
-            "ode_atol": config.get_default("ode_atol"),
-        },
-    }, args.out)
-    return 0
+        "settings": _settings("ode_rtol", "ode_atol"),
+    }
 
 
 def cmd_variation(args):
@@ -331,8 +315,7 @@ def cmd_variation(args):
             "residual": rep.residual,
             "max_transport_endpoint": rep.max_transport_endpoint,
         }
-    _emit_json(report, args.out)
-    return 0
+    return report
 
 
 def cmd_area(args):
@@ -341,21 +324,19 @@ def cmd_area(args):
     if record.structure is None:
         value, settings = family.row_data(args.tau)[0], {"exact": True}
     else:
-        settings = {"grid": list(family.grid),
-                    "area_check_rel": config.get_default("area_check_rel")}
+        settings = {"grid": list(family.grid), **_settings("area_check_rel")}
         if args.family is None:
             value = sphere_area(family.structure, args.tau, grid=family.grid)
         else:
             value = family.area(args.tau)
             settings["family"] = args.family
-    _emit_json({
+    return {
         "source": record.source,
         "label": family.label,
         "tau": args.tau,
         "area": value,
         "settings": settings,
-    }, args.out)
-    return 0
+    }
 
 
 def cmd_area_variation(args):
@@ -376,8 +357,7 @@ def cmd_area_variation(args):
             report["family"] = args.family
     report["settings"] = ({"exact": True} if record.structure is None
                           else {"grid": list(family.grid)})
-    _emit_json(report, args.out)
-    return 0
+    return report
 
 
 def cmd_monodromy(args):
@@ -399,7 +379,7 @@ def cmd_monodromy(args):
         "lattice_generator": g.generator,
         "dense": g.dense,
         "dropped": g.dropped,
-        "settings": {"denominator_bound": g.denominator_bound, "ratio_tol": g.ratio_tol},
+        "settings": _settings("denominator_bound", "ratio_tol"),
     }
     if record.structure is not None:
         report["settings"]["grid"] = list(family.grid)
@@ -408,15 +388,13 @@ def cmd_monodromy(args):
         splitting = registry.load_json_file(args.splitting, "splitting")
     if splitting is not None:
         cr = curvature_periods(_need_structure(record), splitting, args.tau)
-        gap = abs(abs(cr.integral) - abs(deriv))
         report["curvature"] = {
             "integral": cr.integral,
             "center_residual": cr.center_residual,
             "splitting_residual": cr.splitting_residual,
-            "agreement_gap": gap,
+            "agreement_gap": abs(abs(cr.integral) - abs(deriv)),
         }
-    _emit_json(report, args.out)
-    return 0
+    return report
 
 
 _SCAN_COLUMNS = "tau,area,derivative,r_value,dense,generators"
@@ -453,21 +431,18 @@ def cmd_scan(args):
         lines.append(",".join([_fmt(row.tau), _fmt(row.area), _fmt(row.derivative),
                                _fmt(row.r_value), str(int(row.dense)), gens]))
     text = "\n".join(lines)
+    # with --out, a JSON summary of the CSV goes to stdout
+    _emit(text, args.out)
     if args.out:
-        _emit(text, args.out)
         _emit_json({"out": args.out, "verdict": result.verdict,
                     "rows": len(result.rows)}, None)
-    else:
-        _emit(text, None)
-    return 0
 
 
 def cmd_isotropy(args):
     record = registry.load(args.source)
     structure = _need_structure(record)
-    point = _point(args.at, structure.dim, "--at")
-    data = isotropy_data(structure, point)
-    _emit_json({
+    data = isotropy_data(structure, _point(args.at, structure.dim, "--at"))
+    return {
         "source": record.source,
         "at": data.point,
         "rank": data.rank,
@@ -482,22 +457,20 @@ def cmd_isotropy(args):
         "killing_rank": data.killing_rank,
         "abelian": data.is_abelian,
         "semisimple": data.is_semisimple,
-        "settings": {
-            "rank_tol": config.get_default("rank_tol"),
-            "gap_ratio_min": config.get_default("gap_ratio_min"),
-        },
-    }, args.out)
-    return 0
+        "settings": _settings("rank_tol", "gap_ratio_min"),
+    }
 
 
 # -- parser ------------------------------------------------------------------
 
-def _add_source(p):
-    p.add_argument("source", help="builtin:name?opt=value or a JSON structure file")
-
-
-def _add_out(p):
+def _command(sub, name, func, source=True, **kwargs):
+    """A subcommand parser with the source positional, --out and its handler."""
+    p = sub.add_parser(name, **kwargs)
+    if source:
+        p.add_argument("source", help="builtin:name?opt=value or a JSON structure file")
     p.add_argument("--out", default=None, help="write the report here instead of stdout")
+    p.set_defaults(func=func)
+    return p
 
 
 _FAMILY_HELP = ('chart family JSON {"sigma": [3 expressions in tau, theta, '
@@ -514,45 +487,33 @@ def build_parser():
                         help="print the default grids and tolerances and exit")
     sub = parser.add_subparsers(dest="command", required=False, metavar="command")
 
-    p = sub.add_parser("show-config", help="print the default grids and tolerances")
-    _add_out(p)
-    p.set_defaults(func=cmd_show_config)
+    _command(sub, "show-config", cmd_show_config, source=False,
+             help="print the default grids and tolerances")
 
-    p = sub.add_parser("validate", help="check the Jacobi identity at random points")
-    _add_source(p)
+    p = _command(sub, "validate", cmd_validate,
+                 help="check the Jacobi identity at random points")
     p.add_argument("--points", type=int, default=config.get_default("jacobi_points"),
                    help="sample count")
     p.add_argument("--tol", type=float, default=config.get_default("jacobi_tol"),
                    help="residual bound")
     p.add_argument("--seed", type=int, default=config.get_default("seed"),
                    help="sampling seed")
-    _add_out(p)
-    p.set_defaults(func=cmd_validate)
 
-    p = sub.add_parser("bracket", help="bracket of two 1-forms")
-    _add_source(p)
+    p = _command(sub, "bracket", cmd_bracket, help="bracket of two 1-forms")
     p.add_argument("--alpha", required=True, help="comma-separated component expressions")
     p.add_argument("--beta", required=True, help="comma-separated component expressions")
     p.add_argument("--at", default=None, help="evaluation point, comma-separated")
-    _add_out(p)
-    p.set_defaults(func=cmd_bracket)
 
-    p = sub.add_parser("sharp", help="anchor image of a 1-form")
-    _add_source(p)
+    p = _command(sub, "sharp", cmd_sharp, help="anchor image of a 1-form")
     p.add_argument("--alpha", required=True, help="comma-separated component expressions")
     p.add_argument("--at", default=None, help="evaluation point, comma-separated")
-    _add_out(p)
-    p.set_defaults(func=cmd_sharp)
 
-    p = sub.add_parser("hamiltonian", help="Hamiltonian vector field of a function")
-    _add_source(p)
+    p = _command(sub, "hamiltonian", cmd_hamiltonian,
+                 help="Hamiltonian vector field of a function")
     p.add_argument("--h", required=True, help="function expression")
     p.add_argument("--at", default=None, help="evaluation point, comma-separated")
-    _add_out(p)
-    p.set_defaults(func=cmd_hamiltonian)
 
-    p = sub.add_parser("path", help="integrate a cotangent path from a generator")
-    _add_source(p)
+    p = _command(sub, "path", cmd_path, help="integrate a cotangent path from a generator")
     p.add_argument("--generator", required=True,
                    help="covector components, expressions in t and x")
     p.add_argument("--x0", required=True, help="start point, comma-separated")
@@ -561,25 +522,19 @@ def build_parser():
                    choices=["rk45", "rk4"], help="ODE method")
     p.add_argument("--rtol", type=float, default=config.get_default("ode_rtol"))
     p.add_argument("--atol", type=float, default=config.get_default("ode_atol"))
-    _add_out(p)
-    p.set_defaults(func=cmd_path)
 
-    p = sub.add_parser("integrate-field",
-                       help="line integral of a vector field along a stored path")
+    p = _command(sub, "integrate-field", cmd_integrate_field, source=False,
+                 help="line integral of a vector field along a stored path")
     p.add_argument("--path", required=True, help="path report produced by the path command")
     p.add_argument("--X", required=True, help="vector field components, comma-separated")
-    _add_out(p)
-    p.set_defaults(func=cmd_integrate_field)
 
-    p = sub.add_parser("transport", help="carry a covector along a stored path")
+    p = _command(sub, "transport", cmd_transport, source=False,
+                 help="carry a covector along a stored path")
     p.add_argument("--path", required=True, help="path report produced by the path command")
     p.add_argument("--s0", required=True, help="initial covector, comma-separated")
-    _add_out(p)
-    p.set_defaults(func=cmd_transport)
 
-    p = sub.add_parser("variation",
-                       help="variation curve and homotopy verdict of a path family")
-    _add_source(p)
+    p = _command(sub, "variation", cmd_variation,
+                 help="variation curve and homotopy verdict of a path family")
     p.add_argument("--family", required=True,
                    help='JSON file: {"generator": [...], "x0": [...], '
                         '"eps_grid": m, "t_grid": n}')
@@ -587,59 +542,42 @@ def build_parser():
                    help="vector field for the invariance-identity residual")
     p.add_argument("--order", default="pinned", choices=["pinned", "flipped"],
                    help="coupling order in the variation equation")
-    _add_out(p)
-    p.set_defaults(func=cmd_variation)
 
-    p = sub.add_parser("area", help="symplectic area of the radius-tau sphere leaf")
-    _add_source(p)
+    p = _command(sub, "area", cmd_area, help="symplectic area of the radius-tau sphere leaf")
     p.add_argument("--tau", type=float, required=True, help="leaf radius")
     p.add_argument("--family", default=None, help=_FAMILY_HELP)
     p.add_argument("--grid", type=_grid_pair, default=None, help="n_theta,n_phi override")
-    _add_out(p)
-    p.set_defaults(func=cmd_area)
 
     # no prefix matching, so that a stray "--h 0.002" is an error, not --help
-    p = sub.add_parser("area-variation", allow_abbrev=False,
-                       help="radial derivative of leaf area and its covector")
-    _add_source(p)
+    p = _command(sub, "area-variation", cmd_area_variation, allow_abbrev=False,
+                 help="radial derivative of leaf area and its covector")
     p.add_argument("--tau", type=float, required=True, help="leaf radius")
     p.add_argument("--family", default=None, help=_FAMILY_HELP)
     p.add_argument("--grid", type=_grid_pair, default=None, help="n_theta,n_phi override")
-    _add_out(p)
-    p.set_defaults(func=cmd_area_variation)
 
-    p = sub.add_parser("monodromy",
-                       help="period-lattice data at one radius, with the curvature "
-                            "integral when a splitting is available")
-    _add_source(p)
+    p = _command(sub, "monodromy", cmd_monodromy,
+                 help="period-lattice data at one radius, with the curvature "
+                      "integral when a splitting is available")
     p.add_argument("--tau", type=float, required=True, help="leaf radius")
     p.add_argument("--family", default=None, help=_FAMILY_HELP)
     p.add_argument("--splitting", default=None,
                    help="JSON file with an n x n matrix of splitting expressions")
-    _add_out(p)
-    p.set_defaults(func=cmd_monodromy)
 
-    p = sub.add_parser(
-        "scan",
+    p = _command(
+        sub, "scan", cmd_scan,
         help="integrability scan over a radius range (CSV)",
         epilog="CSV columns: tau, area, derivative, r_value (period-lattice "
                "generator; inf means trivial lattice, nan means dense), dense "
                "(0/1), generators (semicolon-joined magnitudes). Scan settings, "
                "refinement candidates, and the verdict appear as leading # lines.")
-    _add_source(p)
     p.add_argument("--tau-range", required=True, help="lo:hi")
     p.add_argument("--samples", type=int, required=True, help="number of radii")
     p.add_argument("--family", default=None, help=_FAMILY_HELP)
     p.add_argument("--threshold", type=float, default=None,
                    help="generator size treated as collapsing to zero")
-    _add_out(p)
-    p.set_defaults(func=cmd_scan)
 
-    p = sub.add_parser("isotropy", help="isotropy Lie algebra data at a point")
-    _add_source(p)
+    p = _command(sub, "isotropy", cmd_isotropy, help="isotropy Lie algebra data at a point")
     p.add_argument("--at", required=True, help="base point, comma-separated")
-    _add_out(p)
-    p.set_defaults(func=cmd_isotropy)
 
     return parser
 
@@ -652,16 +590,17 @@ def main(argv=None):
         code = exc.code if isinstance(exc.code, int) else 1
         return 0 if code == 0 else 1
     if args.show_config:
-        _emit_json(dict(config.DEFAULTS), getattr(args, "out", None))
-        return 0
-    if args.command is None:
+        args.func = cmd_show_config
+    elif args.command is None:
         parser.print_usage(sys.stderr)
         return 1
     try:
         # the program reports non-finite values itself (exit 3), so numpy's
         # floating-point warnings would only duplicate them on stderr
         with np.errstate(all="ignore"):
-            return args.func(args)
+            report = args.func(args)
+        if report is not None:
+            _emit_json(report, getattr(args, "out", None))
     except (ValidationError, ParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -671,6 +610,7 @@ def main(argv=None):
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    return 0
 
 
 if __name__ == "__main__":

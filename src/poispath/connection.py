@@ -268,8 +268,11 @@ class RadialSphereFamily:
     the rate check under grid doubling, and the minimum radius.
 
     row_data(tau) returns (area, dA/dtau, generator magnitudes) from one
-    sphere_quadrature pass, without the grid-doubling re-run unless asked;
-    scans sample densely enough to catch instability on their own.
+    sphere_quadrature pass, without the grid-doubling re-run unless asked
+    (verify=True). Rows of scans and of `monodromy` are therefore unchecked:
+    an integrand the grid does not resolve gives a wrong row, not a
+    NumericalError (`monodromy` on a = 1 + sin(200 x1)/2 at tau = 1 reports
+    dA/dtau 23.286, where the checked `area-variation` exits 3).
     """
 
     tau_range = (0.0, math.inf)

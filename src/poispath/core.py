@@ -222,18 +222,25 @@ class PoissonStructure:
     def validate(self, n_points=None, box=None, tol=None, seed=None):
         """Check the Jacobi identity at seeded random points.
 
-        Samples uniformly from [-box, box]^n and requires the largest
-        Jacobiator entry to stay within tol. Returns the residual; raises
-        ValidationError when the bound is violated or entries blow up.
+        Samples n_points >= 1 points uniformly from [-box, box]^n and
+        requires the largest Jacobiator entry to stay within the finite
+        tol >= 0. Returns the residual; raises ValidationError when the bound
+        is violated, entries blow up or a setting is out of range.
         """
         n_points = get_default("jacobi_points") if n_points is None else int(n_points)
         box = get_default("sample_box") if box is None else float(box)
         tol = get_default("jacobi_tol") if tol is None else float(tol)
         seed = get_default("seed") if seed is None else int(seed)
+        if n_points < 1:
+            raise ValidationError(f"sample count must be at least 1, got {n_points}")
+        if not 0.0 <= tol < np.inf:
+            raise ValidationError(f"residual bound must be finite and non-negative, got {tol}")
+        if seed < 0:
+            raise ValidationError(f"seed must be non-negative, got {seed}")
         rng = np.random.default_rng(seed)
         xs = rng.uniform(-box, box, size=(n_points, self.dim))
         residual = self.jacobi_residual(xs)
-        if residual > tol:
+        if not residual <= tol:
             raise ValidationError(
                 f"Jacobi identity fails: max residual {residual:.3e} over "
                 f"{n_points} points in [-{box}, {box}]^{self.dim} exceeds {tol:.1e}")

@@ -41,7 +41,7 @@ import numpy as np
 from . import expr
 from .config import get_default
 from .errors import NumericalError, ValidationError
-from .paths import CotangentPath, differentiate_samples, path_defect
+from .paths import CotangentPath, differentiate_samples, even_intervals, path_defect
 from .quadrature import simpson
 
 _TIME = "t"
@@ -56,14 +56,6 @@ _DPI_BLOCK = 64
 # in one pass: pinned coarse, pinned fine and flipped coarse, the fields that
 # `poispath variation --X` reads
 _FIRST_BATCH = ((False, 1.0), (True, 1.0), (False, -1.0))
-
-
-def _even_intervals(n, least, what):
-    n = int(n)
-    if n < least or n % 2:
-        raise ValidationError(
-            f"{what} must be even and at least {least}, got {n}")
-    return n
 
 
 def _frozen(array):
@@ -99,8 +91,8 @@ class PathFamily:
         self.eps_range = (lo, hi)
         n_eps = get_default("eps_intervals") if eps_intervals is None else eps_intervals
         n_t = get_default("t_intervals") if t_intervals is None else t_intervals
-        self.eps_intervals = _even_intervals(n_eps, 8, "eps interval count")
-        self.t_intervals = _even_intervals(n_t, 8, "t interval count")
+        self.eps_intervals = even_intervals(n_eps, "eps interval count")
+        self.t_intervals = even_intervals(n_t, "t interval count")
         self.t = _frozen(np.linspace(0.0, 1.0, self.t_intervals + 1))
         self.eps = _frozen(np.linspace(lo, hi, self.eps_intervals + 1))
         self.eps_fine = _frozen(np.linspace(lo, hi, 2 * self.eps_intervals + 1))

@@ -106,6 +106,8 @@ def isotropy_data(structure, x):
     k = corank
 
     D = structure.dpi_at(x)
+    if not np.all(np.isfinite(D)):
+        raise NumericalError(f"structure derivative is not finite at {x.tolist()}")
     # bracket of kernel covectors at x: [a, b]_i = (d_i Pi^(jk)) a_j b_k
     C_amb = np.einsum("ijk,aj,bk->abi", D, B, B)
     coords = np.einsum("abi,ci->abc", C_amb, B)

@@ -201,8 +201,6 @@ class GcdResult:
     dense: bool
     used: tuple
     dropped: int
-    denominator_bound: float
-    ratio_tol: float
 
 
 def _gcd_pair(a, b, eps, bound):
@@ -238,13 +236,13 @@ def gcd_analysis(values):
     used = sorted(v for v in vals if v > eps)
     dropped = len(vals) - len(used)
     if not used:
-        return GcdResult(math.inf, False, (), dropped, bound, tol)
+        return GcdResult(math.inf, False, (), dropped)
     g = used[-1]
     for v in used[:-1]:
         g = _gcd_pair(g, v, eps, bound)
         if g is None:
-            return GcdResult(math.nan, True, tuple(used), dropped, bound, tol)
-    return GcdResult(float(g), False, tuple(used), dropped, bound, tol)
+            return GcdResult(math.nan, True, tuple(used), dropped)
+    return GcdResult(float(g), False, tuple(used), dropped)
 
 
 def lattice(gens, area):
@@ -360,9 +358,12 @@ def integrability_scan(family, taus, threshold=None):
     shrinking tenfold; minima that decay geometrically below the threshold
     mean the lattice degenerates there. Any dense reduction anywhere, or such
     a collapse, gives NON_INTEGRABLE; a finite positive generator floor
-    everywhere gives INTEGRABLE_EVIDENCE; otherwise INCONCLUSIVE.
+    everywhere gives INTEGRABLE_EVIDENCE; otherwise INCONCLUSIVE. The
+    threshold must be positive and finite.
     """
     threshold = get_default("rn_threshold") if threshold is None else float(threshold)
+    if not 0.0 < threshold < math.inf:
+        raise ValidationError(f"scan threshold must be positive and finite, got {threshold}")
     rounds = get_default("scan_refine_rounds")
 
     taus = sorted(float(t) for t in taus)

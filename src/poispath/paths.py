@@ -231,9 +231,12 @@ class CotangentPath:
         return self.gamma[-1]
 
 
-def _check_intervals(n):
+def even_intervals(n, what="interval count"):
+    """n as an int; the grids of paths and path families need it even and
+    at least 8."""
+    n = int(n)
     if n < 8 or n % 2:
-        raise ValidationError(f"interval count must be even and at least 8, got {n}")
+        raise ValidationError(f"{what} must be even and at least 8, got {n}")
     return n
 
 
@@ -245,7 +248,7 @@ def integrate_base(structure, a, x0, n_intervals=None, method=None,
     the solution and the covector on a uniform grid. a is a sequence of
     component expressions (strings are parsed; the time variable is ``t``).
     """
-    n = _check_intervals(get_default("t_intervals") if n_intervals is None else int(n_intervals))
+    n = even_intervals(get_default("t_intervals") if n_intervals is None else n_intervals)
     method = (method or get_default("ode_method")).lower()
     rtol = get_default("ode_rtol") if rtol is None else float(rtol)
     atol = get_default("ode_atol") if atol is None else float(atol)
@@ -298,7 +301,7 @@ def integrate_base(structure, a, x0, n_intervals=None, method=None,
 
 def constant_path(structure, x0, n_intervals=None):
     """The trivial path sitting at x0 with zero covector."""
-    n = _check_intervals(get_default("t_intervals") if n_intervals is None else int(n_intervals))
+    n = even_intervals(get_default("t_intervals") if n_intervals is None else n_intervals)
     grid = np.linspace(0.0, 1.0, n + 1)
     x0 = np.asarray(x0, dtype=float)
     gamma = np.tile(x0, (n + 1, 1))

@@ -86,6 +86,17 @@ class TestUsageAndConfig:
         assert code == 0 and out == ""
         assert json.loads(target.read_text())["seed"] == config.DEFAULTS["seed"]
 
+    @pytest.mark.parametrize("argv", [
+        ("validate", "builtin:linear?preset=su3"),
+        ("scan", "builtin:foliated_spheres?f1=1/tau", "--tau-range", "0.5:2",
+         "--samples", "4"),
+    ], ids=["json", "csv"])
+    def test_out_file_holds_the_stdout_bytes(self, argv, tmp_path):
+        code, out, _ = run_cli(*argv)
+        target = tmp_path / "report"
+        assert code == 0 and run_cli(*argv, "--out", str(target))[0] == 0
+        assert target.read_bytes() == out.encode()
+
 
 class TestValidate:
     def test_builtin_passes(self):
@@ -100,6 +111,21 @@ class TestValidate:
         code, _, err = run_cli("validate", str(bad))
         assert code == 2
         assert "Jacobi" in err or "jacobi" in err
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--points", "0", "sample count must be at least 1"),
+        ("--points", "-1", "sample count must be at least 1"),
+        ("--tol", "nan", "residual bound must be finite and non-negative"),
+        ("--tol", "inf", "residual bound must be finite and non-negative"),
+        ("--seed", "-1", "seed must be non-negative"),
+    ])
+    def test_bad_sampling_settings_exit_2(self, tmp_path, flag, value, message):
+        # on a non-Poisson file, so that a setting that skips the check shows
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"dim": 3, "pi": {"1,2": "x1 + x2", "2,3": "x1"}}))
+        code, out, err = run_cli("validate", str(bad), flag, value)
+        assert code == 2 and out == ""
+        assert message in err
 
     def test_unknown_builtin_fails_with_code_2(self):
         code, _, err = run_cli("validate", "builtin:nope")
@@ -467,6 +493,14 @@ class TestScanCommand:
         assert code == 2
         assert "hi > lo" in err
 
+    @pytest.mark.parametrize("threshold", ["0", "-1", "nan", "inf"])
+    def test_threshold_must_be_positive_and_finite(self, threshold):
+        code, out, err = run_cli("scan", "builtin:su2_scaled?a=1+R^2",
+                                 "--tau-range", "0.5:1.5", "--samples", "5",
+                                 "--threshold", threshold)
+        assert code == 2 and out == ""
+        assert "threshold must be positive and finite" in err
+
 
 class TestIsotropyCommand:
     def test_su2_origin(self):
@@ -496,6 +530,13 @@ class TestIsotropyCommand:
                                  "--at", "0,0,0")
         assert code == 3 and out == ""
         assert "not finite" in err
+
+    def test_non_finite_derivative_tensor_exits_3(self):
+        # a = R vanishes at the origin, so the matrix there is finite (zero),
+        # but the derivative of R is not
+        code, out, err = run_cli("isotropy", "builtin:su2_scaled?a=R", "--at", "0,0,0")
+        assert code == 3 and out == ""
+        assert "derivative" in err and "not finite" in err
 
 
 class TestDeterminism:
@@ -716,6 +757,12 @@ GOLDEN_FILES = {
                   '"tau*cos(theta)"], "tau_range": [0.2, 3.0], "label": "round-chart"}\n',
     "family.json": '{"generator": ["eps*(1-2*t)*cos(t)", "eps*(1-2*t)*sin(t)", "1"], '
                    '"x0": [0.5, 0.0, 0.25]}\n',
+    "split.json": '[["0", "x3/((1+R^2)*(x1^2 + x2^2 + x3^2))", '
+                  '"-x2/((1+R^2)*(x1^2 + x2^2 + x3^2))"], '
+                  '["-x3/((1+R^2)*(x1^2 + x2^2 + x3^2))", "0", '
+                  '"x1/((1+R^2)*(x1^2 + x2^2 + x3^2))"], '
+                  '["x2/((1+R^2)*(x1^2 + x2^2 + x3^2))", '
+                  '"-x1/((1+R^2)*(x1^2 + x2^2 + x3^2))", "0"]]\n',
 }
 GOLDEN = json.loads((Path(__file__).parent / "report_bytes.json").read_text())
 

@@ -78,6 +78,14 @@ class TestPathFamily:
         with pytest.raises(ValidationError, match="eps interval"):
             PathFamily(su2, GROUP_GENERATOR, (0.0, 0.0, 0.0), eps_intervals=9)
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("eps_intervals", 9, "eps interval count must be even and at least 8, got 9"),
+        ("t_intervals", 6, "t interval count must be even and at least 8, got 6"),
+    ])
+    def test_interval_messages_name_the_grid(self, su2, key, value, message):
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            PathFamily(su2, GROUP_GENERATOR, (0.0, 0.0, 0.0), **{key: value})
+
     def test_sample_level_families_rejected(self, su2):
         samples = np.zeros(11)
         with pytest.raises(ParseError):

@@ -81,8 +81,12 @@ class TestIntegrateBase:
         assert np.max(np.abs(path.end - want)) < 1e-8
 
     def test_odd_interval_count_rejected(self):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError,
+                           match="^interval count must be even and at least 8, got 201$"):
             paths.integrate_base(su2(), ("0", "0", "1"), (1.0, 0.0, 0.0), n_intervals=201)
+        with pytest.raises(ValidationError,
+                           match="^interval count must be even and at least 8, got 6$"):
+            paths.constant_path(su2(), (1.0, 0.0, 0.0), n_intervals=6)
 
     def test_bad_start_shape(self):
         with pytest.raises(ValidationError):
