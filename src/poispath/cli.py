@@ -250,6 +250,12 @@ def _read_path(file_):
     for key, values in arrays.items():
         if not np.all(np.isfinite(values)):
             raise ValidationError(f"path file holds non-finite values in {key!r}")
+    # path_defect differentiates with the step t[1] - t[0], so t must be the
+    # even grid from 0 to 1, up to the rounding of np.linspace
+    t = arrays["t"]
+    if not (t.ndim == 1 and t.size > 1 and t[0] == 0.0 and t[-1] == 1.0
+            and np.all(np.abs(t - np.linspace(0.0, 1.0, t.size)) <= 4 * np.finfo(float).eps)):
+        raise ValidationError("path file's 't' must run evenly from 0 to 1")
     return pth.CotangentPath(structure, arrays["t"], arrays["gamma"], arrays["a"])
 
 

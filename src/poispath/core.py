@@ -16,6 +16,7 @@ trees for further differentiation or compilation.
 
 from __future__ import annotations
 
+import math
 from functools import cached_property
 
 import numpy as np
@@ -148,16 +149,34 @@ class PoissonStructure:
             raise ValidationError(f"points must have {self.dim} coordinates, got shape {xs.shape}")
         return xs
 
+    @cached_property
+    def _scatters(self):
+        """Flat positions of the compiled values in a point's (n, n) matrix
+        and (n, n, n) gradient: those of the upper entries (i, j) and of
+        their partners (j, i), in the evaluators' row order."""
+        n = self.dim
+        pairs = np.array(list(self._upper), dtype=np.intp).reshape(-1, 2) - 1
+        i, j = pairs[:, :1], pairs[:, 1:]
+        l = np.arange(n) * n * n
+        return ((i * n + j).ravel(), (j * n + i).ravel()), \
+            ((l + i * n + j).ravel(), (l + j * n + i).ravel())
+
+    @staticmethod
+    def _fill(values, shape, scatter):
+        """Zeros of shape (m,) + shape with the rows of values at the upper
+        positions and their negatives at the partners."""
+        m = values.shape[1]
+        out = np.zeros((m, math.prod(shape)))
+        upper, lower = scatter
+        out[:, upper] = values.T
+        out[:, lower] = -values.T
+        return out.reshape((m,) + shape)
+
     def pi_many(self, xs):
         """Structure matrices at points xs (m, n) -> (m, n, n)."""
         xs = self._points(xs)
-        m, n = xs.shape
-        values = self._pi_fn(xs.T)
-        out = np.zeros((m, n, n))
-        for row, (i, j) in enumerate(self._upper):
-            out[:, i - 1, j - 1] = values[row]
-            out[:, j - 1, i - 1] = -values[row]
-        return out
+        n = xs.shape[1]
+        return self._fill(self._pi_fn(xs.T), (n, n), self._scatters[0])
 
     def pi_at(self, x):
         return self.pi_many(np.asarray(x, dtype=float)[None, :])[0]
@@ -166,14 +185,8 @@ class PoissonStructure:
         """Entry gradients at xs (m, n) -> (m, n, n, n), [m, l, i, j] =
         d Pi^(ij) / d x_l."""
         xs = self._points(xs)
-        m, n = xs.shape
-        values = self._dpi_fn(xs.T)
-        out = np.zeros((m, n, n, n))
-        for row, (i, j) in enumerate(self._upper):
-            for l in range(n):
-                out[:, l, i - 1, j - 1] = values[row * n + l]
-                out[:, l, j - 1, i - 1] = -values[row * n + l]
-        return out
+        n = xs.shape[1]
+        return self._fill(self._dpi_fn(xs.T), (n, n, n), self._scatters[1])
 
     def dpi_at(self, x):
         return self.dpi_many(np.asarray(x, dtype=float)[None, :])[0]

@@ -41,7 +41,8 @@ import numpy as np
 from . import expr
 from .config import get_default
 from .errors import NumericalError, ValidationError
-from .paths import CotangentPath, differentiate_samples, even_intervals, path_defect
+from .paths import (CotangentPath, CubicSpline, differentiate_samples, even_intervals,
+                    path_defect)
 from .quadrature import simpson
 
 _TIME = "t"
@@ -285,8 +286,6 @@ def _variation_fields(structure, t, gamma_f, a_f, parts):
     function of its own so that its block arrays are freed before the
     splines are built.
     """
-    from scipy.interpolate import CubicSpline
-
     knots = _variation_knots(structure, t, gamma_f, a_f, parts)
     fields = []
     for part in np.split(knots, np.cumsum([len(p[0]) for p in parts])[:-1], axis=2):
@@ -294,7 +293,7 @@ def _variation_fields(structure, t, gamma_f, a_f, parts):
         if np.all(np.isfinite(part)):
             # node-major and contiguous, as the spline works on axis 0
             nodes = np.ascontiguousarray(part.transpose(0, 2, 1))
-            b = CubicSpline(t[::2], nodes, axis=0)(t).transpose(1, 0, 2)
+            b = CubicSpline(t[::2], nodes)(t).transpose(1, 0, 2)
             b[:, 0] = 0.0
         fields.append(b)
     return fields

@@ -21,6 +21,7 @@ import numpy as np
 
 from .config import get_default
 from .errors import NumericalError, ValidationError
+from .paths import CubicSpline
 
 
 @dataclass
@@ -147,9 +148,7 @@ def _coefficient_interpolant(coeffs):
         raise ValidationError("coefficient samples must be (m, k) with m >= 2")
     grid = np.linspace(0.0, 1.0, coeffs.shape[0])
     if coeffs.shape[0] >= 4:
-        from scipy.interpolate import CubicSpline
-
-        return CubicSpline(grid, coeffs, axis=0)
+        return CubicSpline(grid, coeffs)
 
     def linear(t):
         t = np.clip(t, 0.0, 1.0)

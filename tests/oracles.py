@@ -7,10 +7,12 @@ straightforward form of the family variation solve, so that the cached,
 blocked library solve can be held to it bit for bit; its base comes from
 the straightforward RK4 of the family base (the compiled generator and
 sharp_many at every stage), not from the library's staged kernel. The
-tree-walk emitter compiles expressions with every subtree written out where
-it occurs, the form the CSE emitter must reproduce bit for bit. The
-area-derivative stencil differentiates quadrature areas in tau, a route that
-never touches the library's under-the-integral derivative. The sphere row
+matrix fill writes pi_many and dpi_many entry by entry, the loop that the
+flat scatters replaced. The tree-walk emitter compiles expressions with
+every subtree written out where it occurs, the form the CSE emitter must
+reproduce bit for bit. The area-derivative stencil differentiates
+quadrature areas in tau, a route that never touches the library's
+under-the-integral derivative. The sphere row
 reference is the quadrature pass as it was before the fused sphere kernel:
 separate evaluators for p and its Jacobian, np.cross, einsum and a
 left-to-right det on fresh arrays, which the kernel must match bit for bit.
@@ -23,6 +25,23 @@ from scipy.interpolate import CubicSpline
 
 from poispath import expr
 from poispath.paths import differentiate_samples
+
+
+def matrix_fill_reference(structure, xs):
+    """pi_many and dpi_many at the points xs (m, n), filled one entry at a
+    time from the compiled values: each upper entry and, negated, its
+    partner."""
+    xs = np.atleast_2d(np.asarray(xs, dtype=float))
+    m, n = xs.shape
+    values, dvalues = structure._pi_fn(xs.T), structure._dpi_fn(xs.T)
+    P, D = np.zeros((m, n, n)), np.zeros((m, n, n, n))
+    for row, (i, j) in enumerate(structure._upper):
+        P[:, i - 1, j - 1] = values[row]
+        P[:, j - 1, i - 1] = -values[row]
+        for l in range(n):
+            D[:, l, i - 1, j - 1] = dvalues[row * n + l]
+            D[:, l, j - 1, i - 1] = -dvalues[row * n + l]
+    return P, D
 
 
 def entry(pi, i, j, dim, params=()):

@@ -263,6 +263,10 @@ class TestPathPipeline:
         data = json.loads(circle_path.read_text())
         for key in ("t", "gamma", "a"):
             data[key] = data[key][:-1]
+        # back onto [0, 1]: time runs 1/t_end times faster, the covector with it
+        t_end = data["t"][-1]
+        data["t"] = [t / t_end for t in data["t"]]
+        data["a"] = [[t_end * c for c in row] for row in data["a"]]
         target = tmp_path / "even.json"
         target.write_text(json.dumps(data))
         code, out, err = run_cli("integrate-field", "--path", str(target), "--X", "0,x3,-x2")
@@ -271,6 +275,26 @@ class TestPathPipeline:
         # transport takes any count
         code, _, err = run_cli("transport", "--path", str(target), "--s0", "0,0,1")
         assert code == 0, err
+
+    @pytest.mark.parametrize("argv", [("transport", "--s0", "0,0,1"),
+                                      ("integrate-field", "--X", "0,x3,-x2")],
+                             ids=lambda argv: argv[0])
+    @pytest.mark.parametrize("bad_t", [
+        lambda t: t[:3] + [t[4], t[3]] + t[5:],     # two values swapped
+        lambda t: [2.0 * v for v in t],              # over [0, 2]
+        lambda t: [t[1] / 2] + t[1:],                # from t[1]/2
+        lambda t: t[:4] + [t[3]] + t[5:],            # a repeated value
+        lambda t: [v * v for v in t],                # nodes moved to t^2
+        lambda t: t[:-1] + [1.0 - 2.0**-53],         # ends one ulp short of 1
+    ], ids=["swapped", "over-0-2", "late-start", "repeated", "uneven", "short-end"])
+    def test_bad_time_grid_in_path_file_exits_2(self, circle_path, tmp_path, argv, bad_t):
+        data = json.loads(circle_path.read_text())
+        data["t"] = bad_t(data["t"])
+        target = tmp_path / "bad_t.json"
+        target.write_text(json.dumps(data))
+        code, out, err = run_cli(argv[0], "--path", str(target), *argv[1:])
+        assert code == 2 and out == ""
+        assert "'t' must run evenly from 0 to 1" in err
 
     def test_non_finite_path_file_rejected_by_transport(self, nan_path):
         code, out, err = run_cli("transport", "--path", nan_path, "--s0", "1,0,0")
@@ -565,8 +589,8 @@ class TestDeterminism:
 
 
 class TestStartup:
-    """scipy is imported only by the commands that need its splines or its
-    pivoted QR (transport, variation, isotropy), never at start-up."""
+    """scipy is imported only by isotropy, for its pivoted QR, never at
+    start-up."""
 
     def _run(self, *argv, cwd="/"):
         proc = subprocess.run([sys.executable, *argv], capture_output=True,
@@ -602,9 +626,13 @@ class TestStartup:
          "--method", "rk4"),
         ("integrate-field", "--path", "path.json", "--X", "0,x3,-x2"),
         ("scan", "builtin:su2_scaled?a=1+R^2", "--tau-range", "0.5:2", "--samples", "4"),
+        ("transport", "--path", "path.json", "--s0", "0.3,0.2,0.1"),
+        ("variation", "builtin:linear?preset=su2", "--family", "family.json",
+         "--X", "0,x3,-x2"),
     ], ids=lambda argv: " ".join(argv[:1] + argv[-2:]))
     def test_quadrature_and_rk45_commands_load_no_scipy(self, argv, tmp_path, circle_path):
         (tmp_path / "path.json").write_text(circle_path.read_text())
+        (tmp_path / "family.json").write_text(json.dumps(GROUP_FAMILY))
         _, imported = self._imported(*argv, cwd=tmp_path)
         assert "poispath.quadrature" in imported
         assert [m for m in imported if m.split(".")[0] == "scipy"] == []

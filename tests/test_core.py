@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 import oracles
-from helpers import SU2_PI, eval_components, su2, su2_scaled, symplectic_plane
+from helpers import SU2_PI, eval_components, su2, su2_scaled, su3, symplectic_plane
 from poispath import expr
 from poispath.core import PoissonStructure
 from poispath.errors import ValidationError
@@ -230,6 +232,30 @@ class TestCoupling:
         ba = p.coupling_many(xs, b, a)
         np.testing.assert_allclose(ab, -ba, atol=1e-15)
         assert np.max(np.abs(ab)) > 0.5
+
+
+_FILL_STRUCTURES = {
+    "su2_scaled": lambda: su2_scaled("1 + R^2"),
+    "su3": su3,
+    "symplectic": lambda: PoissonStructure(4, {(1, 2): "1", (3, 4): "1"}),
+    "zero": lambda: PoissonStructure(3, {}),
+}
+_COORDINATES = st.one_of(st.sampled_from([0.0, -0.0, np.inf, -np.inf, np.nan]),
+                         st.floats(-3.0, 3.0))
+
+
+@pytest.mark.parametrize("name", sorted(_FILL_STRUCTURES))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_scatter_fill_matches_the_entry_loop_bit_for_bit(name, data):
+    p = _FILL_STRUCTURES[name]()
+    xs = data.draw(arrays(float, (data.draw(st.integers(1, 12)), p.dim),
+                          elements=_COORDINATES))
+    with np.errstate(all="ignore"):
+        want_P, want_D = oracles.matrix_fill_reference(p, xs)
+        got_P, got_D = p.pi_many(xs), p.dpi_many(xs)
+    assert got_P.shape == want_P.shape and got_P.tobytes() == want_P.tobytes()
+    assert got_D.shape == want_D.shape and got_D.tobytes() == want_D.tobytes()
 
 
 class TestSerialization:

@@ -398,11 +398,12 @@ class TestSolveOnce:
     def test_three_fields_stay_within_the_memory_bound(self):
         # tracemalloc peak over the start while a default-grid family solves
         # the fields of `variation --X`: 14.7 MiB with three separate
-        # solves, 14.0 MiB in one pass with a spline per field, 26.2 MiB
-        # with one spline over all rows
+        # solves, 14.0 MiB in one pass with a scipy spline per field, 26.2
+        # MiB with one scipy spline over all rows, 13.1 MiB with the
+        # in-house spline per field over slopes solved in one pass
         structure = helpers.su2_scaled("1 + R^2")
         generator = SOLVE_ONCE_CASES["su2_scaled-drift"]().generator
-        # compile dpi and import scipy's splines before tracing
+        # compile dpi and make the first spline before tracing
         PathFamily(structure, generator, (0.8, 0.1, 0.3), eps_intervals=8,
                    t_intervals=8).variation_field(1.0)
         fam = PathFamily(structure, generator, (0.8, 0.1, 0.3)).solve()
