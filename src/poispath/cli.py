@@ -112,17 +112,24 @@ def _need_structure(record):
     return record.structure
 
 
+def _json_fields(file_, what, keys):
+    """The JSON object of a --family or --path file, which must hold keys."""
+    data = registry.load_json_file(file_, what)
+    if not isinstance(data, dict):
+        raise ValidationError(f"{what} file must hold a JSON object, got {type(data).__name__}")
+    missing = [k for k in keys if k not in data]
+    if missing:
+        raise ValidationError(f"{what} file lacks fields: {', '.join(missing)}")
+    return data
+
+
 def _family(record, args):
     """The sphere family a command runs on: the chart of a --family file
     {"sigma": [...], "tau_range": [...]}, or else the record's family, built
     on --grid when the command has one."""
     grid = getattr(args, "grid", None)
     if args.family is not None:
-        data = registry.load_json_file(args.family, "sphere family")
-        missing = [k for k in ("sigma", "tau_range") if k not in data]
-        if missing:
-            raise ValidationError(
-                f"sphere-family file lacks fields: {', '.join(missing)}")
+        data = _json_fields(args.family, "sphere-family", ("sigma", "tau_range"))
         return SigmaSphereFamily(_need_structure(record), data["sigma"], data["tau_range"],
                                  grid=grid, label=data.get("label"))
     if record.family is None:
@@ -241,10 +248,7 @@ def cmd_path(args):
 
 
 def _read_path(file_):
-    data = registry.load_json_file(file_, "path")
-    missing = [k for k in ("structure", "t", "gamma", "a") if k not in data]
-    if missing:
-        raise ValidationError(f"path file lacks fields: {', '.join(missing)}")
+    data = _json_fields(file_, "path", ("structure", "t", "gamma", "a"))
     structure = PoissonStructure.from_dict(data["structure"])
     arrays = {k: np.asarray(data[k], dtype=float) for k in ("t", "gamma", "a")}
     for key, values in arrays.items():
@@ -356,8 +360,7 @@ def cmd_area_variation(args):
                       base_point=av.base_point)
     else:
         # exact rows of a foliated product, rate-checked rows of a chart
-        area, deriv, gens = (family.row_data(args.tau) if args.family is None
-                             else family.row_data(args.tau, verify=True))
+        area, deriv, gens = family.row_data(args.tau, verify=True)
         report.update(area=area, derivative=deriv, generators=list(gens))
         if args.family is not None:
             report["family"] = args.family
@@ -373,7 +376,7 @@ def cmd_monodromy(args):
             "the curvature cross-check runs on the built-in radial chart; "
             "it is not available together with --family")
     family = _family(record, args)
-    area, deriv, gens = family.row_data(args.tau)
+    area, deriv, gens = family.row_data(args.tau, verify=True)
     g = lattice(gens, area)
     report = {
         "source": record.source,
@@ -418,7 +421,7 @@ def cmd_scan(args):
         f"# source={args.source}",
         f"# label={family.label}",
         f"# tau_range={_fmt(lo)}:{_fmt(hi)} samples={args.samples}",
-        f"# threshold={_fmt(result.threshold)} refine_rounds={result.refine_rounds}",
+        f"# threshold={_fmt(result.threshold)}",
         f"# denominator_bound={_fmt(result.denominator_bound)} ratio_tol={_fmt(result.ratio_tol)}",
     ]
     if record.structure is not None:
@@ -426,10 +429,9 @@ def cmd_scan(args):
     for note in result.notes:
         lines.append(f"# note={note}")
     for c in result.candidates:
-        minima = ";".join(_fmt(v) for v in c.round_minima)
         lines.append(f"# candidate tau={_fmt(c.tau)} source={c.source} "
                      f"collapses={int(c.collapses)} dense_hit={int(c.dense_hit)} "
-                     f"round_minima={minima}")
+                     f"bracket={_fmt(c.bracket[0])}:{_fmt(c.bracket[1])} value={_fmt(c.value)}")
     lines.append(f"# verdict={result.verdict}")
     lines.append(_SCAN_COLUMNS)
     for row in result.rows:
@@ -575,7 +577,9 @@ def build_parser():
         epilog="CSV columns: tau, area, derivative, r_value (period-lattice "
                "generator; inf means trivial lattice, nan means dense), dense "
                "(0/1), generators (semicolon-joined magnitudes). Scan settings, "
-               "refinement candidates, and the verdict appear as leading # lines.")
+               "candidates (the radius where the search for a generator zero "
+               "stopped: source sign or minimum, its bracket and |g| there), "
+               "and the verdict appear as leading # lines.")
     p.add_argument("--tau-range", required=True, help="lo:hi")
     p.add_argument("--samples", type=int, required=True, help="number of radii")
     p.add_argument("--family", default=None, help=_FAMILY_HELP)

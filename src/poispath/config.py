@@ -29,7 +29,6 @@ DEFAULTS = {
     "denominator_bound": 1e6,
     "ratio_tol": 1e-9,
     "rn_threshold": 1e-3,
-    "scan_refine_rounds": 4,
 }
 
 

@@ -264,18 +264,16 @@ def _sphere_area_once(family, tau, grid, rate=False):
 
 class RadialSphereFamily:
     """Sphere leaves of a dim-3 structure, parametrized by radius, and the
-    rules every sphere family shares: the radius guard, the area check and
-    the rate check under grid doubling, and the minimum radius.
+    rules every sphere family shares: the radius guard, and the area check
+    and the rate check under grid doubling.
 
     row_data(tau) returns (area, dA/dtau, generator magnitudes) from one
     sphere_quadrature pass, without the grid-doubling re-run unless asked
-    (verify=True). Rows of scans and of `monodromy` are therefore unchecked:
-    an integrand the grid does not resolve gives a wrong row, not a
-    NumericalError (`monodromy` on a = 1 + sin(200 x1)/2 at tau = 1 reports
-    dA/dtau 23.286, where the checked `area-variation` exits 3).
+    (verify=True, as `monodromy` and `area-variation` ask). Scan rows are
+    therefore unchecked: an integrand the grid does not resolve gives a
+    wrong row, not a NumericalError (the scan row of a = 1 + sin(200 x1)/2
+    at tau = 1 reads dA/dtau 23.286, where `monodromy` exits 3).
     """
-
-    tau_range = (0.0, math.inf)
 
     def __init__(self, structure, grid=None, label=None):
         if structure.dim != 3:
@@ -337,9 +335,6 @@ class RadialSphereFamily:
     def row_data(self, tau, verify=False):
         area, d = self._rate(tau, verify)
         return area, d, (abs(d),)
-
-    def minimum_radius(self):
-        return self.tau_range[0]
 
 
 class SigmaSphereFamily(RadialSphereFamily):

@@ -13,10 +13,10 @@ Their common value generates the group of lattice periods at that leaf.
 This module keeps the curvature route, the lattice reduction, the exact
 foliated sphere products and the scan. A scan walks a radius range,
 reduces each leaf's generator set with a real gcd (continued fractions with
-a denominator budget), refines suspicious radii, and reports one of
-INTEGRABLE_EVIDENCE / NON_INTEGRABLE / INCONCLUSIVE. Verdicts are numerical
-evidence relative to the printed denominator bound and tolerance, never
-proofs.
+a denominator budget), searches the generator's zeros between radii, and
+reports one of INTEGRABLE_EVIDENCE / NON_INTEGRABLE / INCONCLUSIVE.
+Verdicts are numerical evidence relative to the printed denominator bound
+and tolerance, never proofs.
 """
 
 from __future__ import annotations
@@ -53,8 +53,8 @@ class CurvatureResult:
 
 def _parse_splitting(splitting, structure):
     n = structure.dim
-    rows = list(splitting)
-    if len(rows) != n or any(len(list(r)) != n for r in rows):
+    rows = splitting if isinstance(splitting, (list, tuple)) else ()
+    if len(rows) != n or any(not isinstance(r, (list, tuple)) or len(r) != n for r in rows):
         raise ValidationError(f"splitting must be a {n}x{n} matrix of expressions")
     return [expr.components(row, n, params=structure.params) for row in rows]
 
@@ -278,7 +278,7 @@ class FoliatedSphereProduct:
         self.df = [expr.differentiate(e, 1) for e in self.f]
         self.label = label or f"foliated-spheres[{len(self.f)}]"
 
-    def row_data(self, tau):
+    def row_data(self, tau, verify=False):  # exact rows: verify has nothing to check
         tau = float(tau)
         if not 0.0 < tau < math.inf:
             raise ValidationError(f"parameter must be positive and finite, got {tau}")
@@ -289,9 +289,6 @@ class FoliatedSphereProduct:
         deriv = 4.0 * math.pi * sum(dvals)
         gens = tuple(abs(4.0 * math.pi * d) for d in dvals)
         return area, deriv, gens
-
-    def minimum_radius(self):
-        return 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -310,9 +307,10 @@ class ScanRow:
 @dataclass
 class Candidate:
     tau: float
-    source: str             # "minimum" or "trivial"
-    round_minima: tuple
-    collapses: bool         # geometric decay of the minima below threshold
+    source: str             # "sign" or "minimum"
+    bracket: tuple          # (lo, hi) around tau when the search stopped
+    value: float            # |g| at tau
+    collapses: bool
     dense_hit: bool
 
 
@@ -324,7 +322,6 @@ class ScanResult:
     threshold: float
     denominator_bound: float
     ratio_tol: float
-    refine_rounds: int
     notes: tuple = field(default_factory=tuple)
 
     def finite_minimum(self):
@@ -332,9 +329,9 @@ class ScanResult:
 
 
 def _finite_floor(rows, candidates):
-    """Smallest finite lattice generator over the rows and the refinement
-    minima; inf when there is none."""
-    vals = [r.r_value for r in rows] + [v for c in candidates for v in c.round_minima]
+    """Smallest finite lattice generator over the rows and the values the
+    searches stopped at; inf when there is none."""
+    vals = [r.r_value for r in rows] + [c.value for c in candidates]
     return min((v for v in vals if math.isfinite(v)), default=math.inf)
 
 
@@ -345,100 +342,102 @@ def _make_row(family, tau):
     return ScanRow(tau, area, deriv, tuple(gens), r, res.dense)
 
 
-_REFINE_OFFSETS = (0.05, 0.15, 0.45)
+def _size(row):
+    """|g|: the lattice generator, or the largest generator inside the floor."""
+    return row.r_value if math.isfinite(row.r_value) else max(row.generators, default=0.0)
+
+
+_BRACKET_REL = 1e-10    # a search stops at a bracket this narrow relative to tau
+_GOLDEN = (3.0 - math.sqrt(5.0)) / 2.0
+
+
+def _sign_search(family, lo, hi, threshold):
+    """Bisect the sign change of the one generator between rows lo < hi."""
+    tol = _BRACKET_REL * max(abs(lo.tau), abs(hi.tau))
+    while True:
+        best = min(lo, hi, key=_size)
+        if _size(best) < threshold or hi.tau - lo.tau <= tol:
+            return Candidate(best.tau, "sign", (lo.tau, hi.tau), _size(best),
+                             _size(best) < threshold, False)
+        mid = _make_row(family, 0.5 * (lo.tau + hi.tau))
+        if (mid.derivative < 0.0) == (lo.derivative < 0.0):
+            lo = mid
+        else:
+            hi = mid
+
+
+def _minimum_search(family, left, mid, right):
+    """Golden-section search of |g| over left < mid < right; rows p < q in (a, b)."""
+    tol = _BRACKET_REL * max(abs(left.tau), abs(right.tau))
+    a, b = left.tau, right.tau
+    if mid.tau - a >= b - mid.tau:
+        p, q = _make_row(family, mid.tau - _GOLDEN * (mid.tau - a)), mid
+    else:
+        p, q = mid, _make_row(family, mid.tau + _GOLDEN * (b - mid.tau))
+    while True:
+        best = p if _size(p) < _size(q) else q
+        collapses = math.isinf(best.r_value)    # every generator inside the floor
+        if collapses or p.dense or q.dense or b - a <= tol:
+            return Candidate(best.tau, "minimum", (a, b), _size(best), collapses,
+                             p.dense or q.dense)
+        if _size(q) < _size(p):
+            a, p = p.tau, q
+            q = _make_row(family, q.tau + _GOLDEN * (b - q.tau))
+        else:
+            b, q = q.tau, p
+            p = _make_row(family, p.tau - _GOLDEN * (p.tau - a))
 
 
 def integrability_scan(family, taus, threshold=None):
     """Walk a radius range and judge the variation lattice.
 
     Per radius the generator set is floored (relative to the area scale) and
-    gcd-reduced. Suspicious radii, interior minima below both neighbours by
-    more than the floor and any trivial-lattice radius flanked by nontrivial
-    ones, are re-sampled in scan_refine_rounds punctured neighborhoods
-    shrinking tenfold; minima that decay geometrically below the threshold
-    mean the lattice degenerates there. Any dense reduction anywhere, or such
-    a collapse, gives NON_INTEGRABLE; a finite positive generator floor
-    everywhere gives INTEGRABLE_EVIDENCE; otherwise INCONCLUSIVE. The
-    threshold must be positive and finite.
+    gcd-reduced; a row with one generator, |dA/dtau|, is signed by the
+    derivative. A sign change between adjacent rows is bisected until |g| is
+    below the threshold (a collapse) or the bracket is _BRACKET_REL relative
+    to tau (a singular radius keeps |g| large). An interior minimum of |g|
+    deeper than the lattice floor with no sign change beside it gets a
+    golden-section search over its neighbours: a collapse once |g| is inside
+    the floor (a double zero), else a dip whose value joins the floor. Any
+    dense reduction or collapse gives NON_INTEGRABLE, a floor at or above the
+    positive, finite threshold INTEGRABLE_EVIDENCE, else INCONCLUSIVE.
     """
     threshold = get_default("rn_threshold") if threshold is None else float(threshold)
     if not 0.0 < threshold < math.inf:
         raise ValidationError(f"scan threshold must be positive and finite, got {threshold}")
-    rounds = get_default("scan_refine_rounds")
 
     taus = sorted(float(t) for t in taus)
     if len(taus) < 2:
         raise ValidationError("scan needs at least two radii")
     rows = [_make_row(family, t) for t in taus]
-    notes = []
-
-    dense_hit = any(r.dense for r in rows)
+    changes = [len(a.generators) == len(b.generators) == 1
+               and (a.derivative < 0.0) != (b.derivative < 0.0)
+               for a, b in zip(rows, rows[1:])] + [False]
     candidates = []
-    rmin = family.minimum_radius()
-    for i in range(1, len(rows) - 1):
-        left, mid, right = rows[i - 1], rows[i], rows[i + 1]
-        vals = (left.r_value, mid.r_value, right.r_value)
-        if any(math.isnan(v) for v in vals):
-            continue
+    for i, row in enumerate(rows):
+        near = rows[i - 1:i + 2]
         # a dip inside the lattice floor is rounding noise of a flat generator
-        floor = 1e-8 * max(1.0, abs(mid.area))
-        is_min = (math.isfinite(mid.r_value)
-                  and mid.r_value < min(left.r_value, right.r_value) - floor)
-        is_trivial = (math.isinf(mid.r_value)
-                      and math.isfinite(left.r_value) and math.isfinite(right.r_value))
-        if not (is_min or is_trivial):
-            continue
-        spacing = min(taus[i] - taus[i - 1], taus[i + 1] - taus[i])
-        minima = []
-        local_dense = False
-        # each round re-centers on the best probe so far; without that a
-        # zero sitting between grid samples escapes the shrinking window
-        center = taus[i]
-        delta = spacing
-        for _ in range(rounds):
-            best = math.inf
-            best_t = center
-            for f in _REFINE_OFFSETS:
-                for s in (-1.0, 1.0):
-                    t = center + s * f * delta
-                    if t <= rmin:
-                        continue
-                    row = _make_row(family, t)
-                    if row.dense:
-                        local_dense = True
-                    elif row.r_value < best:
-                        best = row.r_value
-                        best_t = t
-            minima.append(best)
-            center = best_t
-            delta /= 10.0
-        finite = [v for v in minima if math.isfinite(v)]
-        collapses = (
-            len(finite) == len(minima) and len(minima) >= 2
-            and all(minima[k + 1] <= 0.5 * minima[k] for k in range(len(minima) - 1))
-            and minima[-1] < threshold)
-        candidates.append(Candidate(
-            tau=taus[i], source="minimum" if is_min else "trivial",
-            round_minima=tuple(minima), collapses=collapses,
-            dense_hit=local_dense))
-        dense_hit = dense_hit or local_dense
+        if (0 < i < len(rows) - 1 and not (changes[i - 1] or changes[i])
+                and not any(r.dense for r in near) and _size(row) < min(
+                    _size(near[0]), _size(near[2])) - 1e-8 * max(1.0, abs(row.area))):
+            candidates.append(_minimum_search(family, *near))
+        if changes[i]:
+            candidates.append(_sign_search(family, row, rows[i + 1], threshold))
 
-    if dense_hit:
+    notes = []
+    if any(r.dense for r in rows) or any(c.dense_hit for c in candidates):
         verdict = VERDICT_BAD
         notes.append("a generator set reduced to a dense subgroup")
     elif any(c.collapses for c in candidates):
         verdict = VERDICT_BAD
         notes.append("lattice generator collapses to zero inside the range")
+    elif _finite_floor(rows, candidates) >= threshold:
+        verdict = VERDICT_OK
     else:
-        if _finite_floor(rows, candidates) >= threshold:
-            verdict = VERDICT_OK
-        else:
-            verdict = VERDICT_OPEN
-            notes.append(
-                f"generator dips below threshold {threshold:g} without clean collapse")
+        verdict = VERDICT_OPEN
+        notes.append(f"generator dips below threshold {threshold:g} without clean collapse")
 
     return ScanResult(rows=rows, candidates=candidates, verdict=verdict,
                       threshold=threshold,
                       denominator_bound=get_default("denominator_bound"),
-                      ratio_tol=get_default("ratio_tol"), refine_rounds=rounds,
-                      notes=tuple(notes))
+                      ratio_tol=get_default("ratio_tol"), notes=tuple(notes))

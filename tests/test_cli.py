@@ -517,6 +517,22 @@ class TestScanCommand:
         assert code == 2
         assert "hi > lo" in err
 
+    def test_zero_between_samples_is_non_integrable(self):
+        # the generator of a = 1 + 2 R^2 vanishes at R = 1/sqrt(2), between the
+        # rows 0.642 and 0.789; the sign change of dA/dtau is bisected to it
+        code, out, _ = run_cli("scan", "builtin:su2_scaled?a=1+2*R^2",
+                               "--tau-range", "0.2:3", "--samples", "20")
+        assert code == 0
+        comments, _ = parse_scan(out)
+        assert scan_verdict(comments) == "NON_INTEGRABLE"
+        candidates = [dict(kv.split("=") for kv in line.split()[2:])
+                      for line in comments if line.startswith("# candidate ")]
+        (c,) = candidates
+        assert c["source"] == "sign" and c["collapses"] == "1"
+        assert abs(float(c["tau"]) - 1.0 / math.sqrt(2.0)) < 1e-3
+        lo, hi = (float(v) for v in c["bracket"].split(":"))
+        assert lo <= float(c["tau"]) <= hi
+
     @pytest.mark.parametrize("threshold", ["0", "-1", "nan", "inf"])
     def test_threshold_must_be_positive_and_finite(self, threshold):
         code, out, err = run_cli("scan", "builtin:su2_scaled?a=1+R^2",
@@ -688,7 +704,7 @@ class TestChartFamilies:
     def test_area_variation_over_a_chart_checks_grid_doubling(self, sigma_file):
         # a profile the default grid cannot resolve fails on both routes, for
         # the area as for its derivative
-        for command in ("area", "area-variation"):
+        for command in ("area", "area-variation", "monodromy"):
             for chart in ((), ("--family", sigma_file)):
                 code, out, err = run_cli(command, "builtin:su2_scaled?a=1+sin(200*x1)/2",
                                          "--tau", "1", *chart)
@@ -757,6 +773,24 @@ class TestChartFamilies:
                                "--tau", "1", "--family", sigma_file,
                                "--splitting", sigma_file)
         assert code == 2 and "radial chart" in err
+
+    @pytest.mark.parametrize("content, argv, message", [
+        (3, ("area", "builtin:su2_scaled?a=1", "--tau", "1", "--family"), "JSON object"),
+        ("sigma tau_range", ("area", "builtin:su2_scaled?a=1", "--tau", "1", "--family"),
+         "JSON object"),
+        (3, ("transport", "--s0", "1,0,0", "--path"), "JSON object"),
+        ("structure gamma t a", ("integrate-field", "--X", "0,x3,-x2", "--path"),
+         "JSON object"),
+        (3, ("monodromy", "builtin:su2_scaled?a=1", "--tau", "1", "--splitting"),
+         "3x3 matrix"),
+    ])
+    def test_input_file_of_the_wrong_json_shape_is_an_input_error(self, tmp_path, content,
+                                                                  argv, message):
+        target = tmp_path / "input.json"
+        target.write_text(json.dumps(content))
+        code, out, err = run_cli(*argv, str(target))
+        assert code == 2 and out == ""
+        assert message in err
 
     def test_chart_file_needs_both_keys(self, tmp_path):
         stub = tmp_path / "stub.json"

@@ -160,15 +160,60 @@ class TestScan:
         assert all(not r.dense for r in res.rows)
 
     def test_collapse_found_between_grid_samples(self):
-        # no scan sample lands on the zero at tau=1; the refinement must
-        # chase it by re-centering, not just shrink around the candidate
+        # no scan sample lands on the zero at tau=1; the sign change of
+        # dA/dtau between the samples beside it is bisected down to it
         fam = monodromy.RadialSphereFamily(su2_scaled("1 + R^2"), grid=(60, 30))
-        res = monodromy.integrability_scan(fam, np.linspace(0.5, 1.5, 10))
+        taus = np.linspace(0.5, 1.5, 10)
+        res = monodromy.integrability_scan(fam, taus)
         assert res.verdict == monodromy.VERDICT_BAD
-        collapsing = [c for c in res.candidates if c.collapses]
-        assert collapsing and 0.9 < collapsing[0].tau < 1.1
-        m = collapsing[0].round_minima
-        assert all(m[k + 1] <= 0.5 * m[k] for k in range(len(m) - 1))
+        (c,) = res.candidates
+        assert c.source == "sign" and c.collapses and c.value < res.threshold
+        lo, hi = c.bracket
+        assert taus[4] <= lo < hi <= taus[5] and c.tau in (lo, hi)
+        assert abs(c.tau - 1.0) < 1e-3
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    @pytest.mark.parametrize("c", [0.5, 1.0, 2.0])
+    def test_zero_at_a_golden_offset_between_samples(self, c, k):
+        # a = 1 + c R^2 has its generator zero at R = 1/sqrt(c); put it at the
+        # fraction frac(k * golden ratio) of the k-th spacing of 20 samples
+        zero, step = 1.0 / math.sqrt(c), 0.15
+        offset = (k * (1.0 + math.sqrt(5.0)) / 2.0) % 1.0
+        lo = zero - (k - 1 + offset) * step
+        fam = monodromy.RadialSphereFamily(su2_scaled(f"1 + {c!r}*R^2"), grid=(60, 30))
+        res = monodromy.integrability_scan(fam, lo + step * np.arange(20))
+        assert res.verdict == monodromy.VERDICT_BAD
+        collapsing = [cand for cand in res.candidates if cand.collapses]
+        assert collapsing and abs(collapsing[0].tau - zero) < 1e-3
+
+    def test_sign_change_across_a_singular_radius_is_no_collapse(self):
+        class Pole:
+            def row_data(self, tau):
+                g = 1.0 / (tau - 1.01)
+                return FOUR_PI, g, (abs(g),)
+
+        res = monodromy.integrability_scan(Pole(), np.linspace(0.5, 1.5, 11))
+        (c,) = res.candidates
+        assert c.source == "sign" and not c.collapses
+        lo, hi = c.bracket
+        assert lo < 1.01 < hi and hi - lo <= 1e-10 * hi
+        assert c.value > 1e9 and res.verdict == monodromy.VERDICT_OK
+
+    def test_double_zero_between_samples_collapses_through_a_minimum(self):
+        # g = k (tau - c)^2 keeps its sign: the golden-section search of |g|
+        # over the neighbours of the smallest row finds the zero
+        zero = 1.0 + 0.1 * (math.sqrt(5.0) - 1.0) / 2.0
+
+        class DoubleZero:
+            def row_data(self, tau):
+                g = 3.0 * (tau - zero) ** 2
+                return 1.0, g, (g,)
+
+        res = monodromy.integrability_scan(DoubleZero(), np.linspace(0.5, 1.5, 11))
+        assert res.verdict == monodromy.VERDICT_BAD
+        (c,) = res.candidates
+        assert c.source == "minimum" and c.collapses and c.value <= 1e-8
+        assert c.bracket[0] < c.tau < c.bracket[1] and abs(c.tau - zero) < 1e-4
 
     def test_incommensurable_invariants_dense(self):
         fam = monodromy.FoliatedSphereProduct(["tau", "sqrt(2)*tau"])
@@ -198,9 +243,6 @@ class TestScan:
             def row_data(self, tau):
                 return FOUR_PI * tau, math.nan, (math.nan,)
 
-            def minimum_radius(self):
-                return 0.0
-
         # a NaN generator must not pass as a trivial lattice
         with pytest.raises(NumericalError, match="not finite"):
             monodromy.integrability_scan(NanDerivative(), [0.5, 1.0, 1.5])
@@ -208,18 +250,19 @@ class TestScan:
     @pytest.mark.parametrize("dip, refined", [(1e-12, False), (1e-6, True)])
     def test_only_dips_beyond_the_floor_are_refined(self, dip, refined):
         # a flat generator a hair low at tau = 1, inside the floor, is not a minimum;
-        # a dip above the lattice floor 1e-8 * area still is
+        # a dip above the lattice floor 1e-8 * area still is, and its search
+        # closes in on tau = 1 without a collapse
         class Flat:
             def row_data(self, tau):
                 g = FOUR_PI * (1.0 - dip * (tau == 1.0))
                 return FOUR_PI, g, (g,)
 
-            def minimum_radius(self):
-                return 0.0
-
         res = monodromy.integrability_scan(Flat(), [0.5, 1.0, 1.5])
         assert res.verdict == monodromy.VERDICT_OK
-        assert [c.tau for c in res.candidates] == ([1.0] if refined else [])
+        assert len(res.candidates) == refined
+        for c in res.candidates:
+            assert c.source == "minimum" and not c.collapses and c.tau == 1.0
+            assert c.bracket[0] < 1.0 < c.bracket[1] and c.bracket[1] - c.bracket[0] <= 2e-10
 
     def test_needs_at_least_two_radii(self):
         with pytest.raises(ValidationError):
@@ -235,7 +278,6 @@ class TestScan:
         area, deriv, gens = fam.row_data(0.001)
         assert area == pytest.approx(FOUR_PI * 0.001, rel=1e-4)
         assert deriv == pytest.approx(FOUR_PI, rel=1e-4)
-        assert fam.minimum_radius() == 0.0
 
 
 class TestSigmaSphereFamily:
