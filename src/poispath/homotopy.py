@@ -10,7 +10,8 @@ samples. On top of that live
     whose endpoint curve b(eps, 1) decides membership in a homotopy class.
     A family keeps one field per (eps grid, coupling sign). Its first
     request solves the pinned coarse, pinned fine and flipped coarse fields
-    (and the requested one) in one RK4 pass over all their slices, with one
+    (and the requested one) in one RK4 pass over all their slices (the base
+    solve and this pass both step through paths.rk4_step), with one
     dpi_many call per block on the fine slices only, since the coarse
     slices are the even fine ones; a field still missing later is solved
     alone. The contraction adds its terms in coupling_many's einsum order,
@@ -42,7 +43,7 @@ from . import expr
 from .config import get_default
 from .errors import NumericalError, ValidationError
 from .paths import (CotangentPath, CubicSpline, differentiate_samples, even_intervals,
-                    path_defect)
+                    path_defect, rk4_step)
 from .quadrature import simpson
 
 _TIME = "t"
@@ -138,7 +139,8 @@ class PathFamily:
         return self._x0_fn(dummy, np.asarray(eps)).T
 
     def _solve_on(self, eps):
-        """Vectorized RK4 of gamma' = #alpha over all given eps slices.
+        """Vectorized RK4 (paths.rk4_step) of gamma' = #alpha over all given
+        eps slices.
 
         The state is component-major, (n, M) for M slices. The generator's
         subtrees that read no coordinate are evaluated once per block of
@@ -155,17 +157,17 @@ class PathFamily:
         stage = self._stage_fn
         for lo in range(0, N, _DPI_BLOCK):
             ti = t[lo:min(lo + _DPI_BLOCK, N)]
+            times = np.stack([ti, ti + 0.5 * h, ti + h])
             free = np.empty((0, 3, len(ti), M))
             if self._free_fn is not None:
-                times = np.concatenate([ti, ti + 0.5 * h, ti + h])
                 free = self._free_fn(np.empty((0, times.size * M)), np.repeat(times, M),
                                      np.tile(eps, times.size)).reshape(-1, 3, len(ti), M)
-            for r, tv in enumerate(ti):
-                k1 = stage(state, tv, eps, *free[:, 0, r])
-                k2 = stage(state + 0.5 * h * k1, tv + 0.5 * h, eps, *free[:, 1, r])
-                k3 = stage(state + 0.5 * h * k2, tv + 0.5 * h, eps, *free[:, 1, r])
-                k4 = stage(state + h * k3, tv + h, eps, *free[:, 2, r])
-                state = state + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+            def rhs(j, y):
+                return stage(y, times[j, r], eps, *free[:, j, r])
+
+            for r in range(len(ti)):
+                state = rk4_step(rhs, state, h)
                 gamma[:, lo + r + 1] = state.T
         if not np.all(np.isfinite(gamma)):
             raise NumericalError("family base integration produced non-finite values")
@@ -301,8 +303,8 @@ def _variation_fields(structure, t, gamma_f, a_f, parts):
 
 def _variation_knots(structure, t, gamma_f, a_f, parts):
     """RK4 for db/dt = da/deps + sign (d_i Pi^(jk)) a_j b_k over the rows of
-    all parts, stepped two grid cells at a time so the stage values sit on
-    stored nodes; returns b on t[::2], (N/2 + 1, n, R).
+    all parts, one paths.rk4_step of size 2h per two grid cells, so that the
+    step's half points are stored nodes; returns b on t[::2], (N/2 + 1, n, R).
 
     The state is component-major, (n, R). Per block of _DPI_BLOCK time
     nodes, one dpi_many call covers all fine slices (the coarse ones are
@@ -329,15 +331,11 @@ def _variation_knots(structure, t, gamma_f, a_f, parts):
             E = _coupling_factor(D, a_f[rows, span].transpose(1, 2, 0), rows)
             F = np.concatenate([d[:, span].transpose(1, 2, 0) for _, d, _ in parts], axis=2)
 
-            def rhs(node, b):
-                return F[node - start] + sign * _coupling(E[node - start], b, buf)
+            def rhs(j, b):
+                return F[i + j - start] + sign * _coupling(E[i + j - start], b, buf)
 
             for i in range(start, stop, 2):
-                k1 = rhs(i, cur)
-                k2 = rhs(i + 1, cur + h * k1)
-                k3 = rhs(i + 1, cur + h * k2)
-                k4 = rhs(i + 2, cur + 2.0 * h * k3)
-                cur = cur + (h / 3.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+                cur = rk4_step(rhs, cur, 2.0 * h)
                 knots[i // 2 + 1] = cur
     return knots
 

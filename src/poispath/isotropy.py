@@ -1,6 +1,6 @@
 """Pointwise linear data of a structure: kernel of the matrix at a point,
 the Lie algebra it carries, and exponentiation of coefficient paths in a
-matrix realization.
+matrix realization (by the package's one RK4 step, paths.rk4_step).
 
 At a point x the covectors annihilated by the structure matrix close under
 the form bracket, which there reduces to
@@ -21,7 +21,7 @@ import numpy as np
 
 from .config import get_default
 from .errors import NumericalError, ValidationError
-from .paths import CubicSpline
+from .paths import CubicSpline, rk4_step
 
 
 @dataclass
@@ -142,37 +142,28 @@ def isotropy_data(structure, x):
         is_abelian=is_abelian, is_semisimple=is_semisimple)
 
 
-def _coefficient_interpolant(coeffs):
-    coeffs = np.asarray(coeffs, dtype=float)
-    if coeffs.ndim != 2 or coeffs.shape[0] < 2:
-        raise ValidationError("coefficient samples must be (m, k) with m >= 2")
-    grid = np.linspace(0.0, 1.0, coeffs.shape[0])
-    if coeffs.shape[0] >= 4:
-        return CubicSpline(grid, coeffs)
-
-    def linear(t):
-        t = np.clip(t, 0.0, 1.0)
-        return np.stack([np.interp(t, grid, coeffs[:, j])
-                         for j in range(coeffs.shape[1])], axis=-1)
-
-    return linear
-
-
 def matrix_lie_path_integrate(basis, coeffs, n_steps=None):
     """Solve dg/dt = A(t) g, g(0) = I, with A(t) = sum_k c_k(t) E_k.
 
-    basis: (k, d, d) matrices E_k (real or complex). coeffs: (m, k) samples
-    of the coefficient path on a uniform grid over [0, 1], interpolated
-    cubically. Classic fixed-step fourth-order integration; when the basis is
+    basis: (k, d, d) finite matrices E_k (real or complex). coeffs: (m, k)
+    finite samples of the coefficient path on a uniform grid over [0, 1],
+    m >= 4, interpolated by a not-a-knot cubic spline. Classic fixed-step
+    fourth-order integration through paths.rk4_step; when the basis is
     anti-Hermitian the iterate is snapped back to the unitary group every
-    hundred steps through its polar factor.
+    hundred steps through its polar factor. A non-finite iterate raises
+    NumericalError.
     """
     basis = np.asarray(basis)
     if basis.ndim != 3 or basis.shape[1] != basis.shape[2]:
         raise ValidationError(f"basis must be (k, d, d), got {basis.shape}")
-    interp = _coefficient_interpolant(coeffs)
-    if np.asarray(coeffs).shape[1] != basis.shape[0]:
+    if not np.all(np.isfinite(basis)):
+        raise ValidationError("basis matrices must be finite")
+    coeffs = np.asarray(coeffs, dtype=float)
+    if coeffs.ndim != 2 or coeffs.shape[0] < 4:
+        raise ValidationError("coefficient samples must be (m, k) with m >= 4")
+    if coeffs.shape[1] != basis.shape[0]:
         raise ValidationError("coefficient columns must match basis size")
+    interp = CubicSpline(np.linspace(0.0, 1.0, coeffs.shape[0]), coeffs)
     n = get_default("t_intervals") if n_steps is None else int(n_steps)
     if n < 1:
         raise ValidationError("need at least one step")
@@ -181,21 +172,22 @@ def matrix_lie_path_integrate(basis, coeffs, n_steps=None):
         np.max(np.abs(E + E.conj().T)) < 1e-12 * max(1.0, np.max(np.abs(E)))
         for E in basis)
 
-    def A(t):
-        return np.einsum("k,kij->ij", interp(t), basis)
+    def rhs(j, y):
+        return mats[j] @ y
 
     d = basis.shape[1]
     g = np.eye(d, dtype=complex if np.iscomplexobj(basis) else float)
     h = 1.0 / n
-    for step in range(n):
-        t = step * h
-        k1 = A(t) @ g
-        half = A(t + 0.5 * h)
-        k2 = half @ (g + 0.5 * h * k1)
-        k3 = half @ (g + 0.5 * h * k2)
-        k4 = A(t + h) @ (g + h * k3)
-        g = g + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        if anti_hermitian and (step + 1) % 100 == 0:
-            U, _, Vh = np.linalg.svd(g)
-            g = U @ Vh
+    with np.errstate(all="ignore"):
+        for step in range(n):
+            t = step * h
+            mats = [np.einsum("k,kij->ij", interp(s), basis) for s in (t, t + 0.5 * h, t + h)]
+            g = rk4_step(rhs, g, h)
+            if anti_hermitian and (step + 1) % 100 == 0:
+                if not np.all(np.isfinite(g)):
+                    break
+                U, _, Vh = np.linalg.svd(g)
+                g = U @ Vh
+    if not np.all(np.isfinite(g)):
+        raise NumericalError("matrix path integration produced non-finite values")
     return g

@@ -83,14 +83,11 @@ def curvature_periods(structure, splitting, tau):
     (d_i Pi^(jk)) alpha_j beta_k; it must be kernel-valued (checked). The
     pairing with the radially aligned unit kernel covector is integrated with
     the same shifted-pole Simpson rule the areas use, on the configured area
-    grid. A radius that is not positive and finite raises ValidationError;
+    grid. The radial family's guards reject a structure not of dimension 3
+    and a radius that is not positive and finite (ValidationError);
     non-finite curvature, residuals or densities raise NumericalError.
     """
-    if structure.dim != 3:
-        raise ValidationError("curvature quadrature works on dim-3 sphere leaves")
-    tau = float(tau)
-    if not 0.0 < tau < math.inf:
-        raise ValidationError(f"sphere radius must be positive and finite, got {tau}")
+    tau = RadialSphereFamily(structure)._radius(tau)
     M = _parse_splitting(splitting, structure)
     n_theta, n_phi = get_default("area_grid")
 

@@ -234,7 +234,7 @@ class CubicSpline:
     x must be finite, strictly increasing and hold at least 4 nodes. scipy
     solves 3 nodes by a dense LAPACK solve that this does not replay; no
     caller needs it, as path grids have at least 9 nodes and the isotropy
-    interpolant is linear below 4 samples. y must be finite.
+    interpolant takes at least 4 samples. y must be finite.
     """
 
     def __init__(self, x, y):
@@ -378,6 +378,18 @@ def even_intervals(n, what="interval count"):
     return n
 
 
+def rk4_step(rhs, y, h):
+    """One classical RK4 step of size h from y. rhs(j, y) is the field at
+    the step's j-th half point, j = 0, 1, 2 (start, middle, end). Every
+    fixed-step integrator of the package steps through here, so all of them
+    share this float order."""
+    k1 = rhs(0, y)
+    k2 = rhs(1, y + 0.5 * h * k1)
+    k3 = rhs(1, y + 0.5 * h * k2)
+    k4 = rhs(2, y + h * k3)
+    return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
 def integrate_base(structure, a, x0, n_intervals=None, method=None,
                    rtol=None, atol=None):
     """Drive the base point by a time-dependent covector field.
@@ -418,15 +430,13 @@ def integrate_base(structure, a, x0, n_intervals=None, method=None,
         gamma = np.empty((n + 1, dim))
         gamma[0] = x0
         h = 1.0 / n
-        y = x0.astype(float)
+
+        def rhs(j, y):
+            return np.asarray(field(y, (t0, t0 + 0.5 * h, t0 + h)[j]))
+
         for k in range(n):
             t0 = grid[k]
-            k1 = np.asarray(field(y, t0))
-            k2 = np.asarray(field(y + 0.5 * h * k1, t0 + 0.5 * h))
-            k3 = np.asarray(field(y + 0.5 * h * k2, t0 + 0.5 * h))
-            k4 = np.asarray(field(y + h * k3, t0 + h))
-            y = y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-            gamma[k + 1] = y
+            gamma[k + 1] = rk4_step(rhs, gamma[k], h)
     else:
         raise ValidationError(f"unknown integration method {method!r}")
 
@@ -452,11 +462,7 @@ def path_integral(path, h):
     """Simpson value of integral <a(t), X_h(gamma(t))> dt over the samples."""
     structure = path.structure
     h_expr = expr.as_expression(h, structure.dim, params=structure.params)
-    field = expr.compile_exprs_vec(structure.hamiltonian_field(h_expr),
-                                   params=structure.params)
-    X = field(path.gamma.T).T
-    integrand = np.einsum("mi,mi->m", path.a, X)
-    return float(simpson(integrand, path.t))
+    return field_integral(path, structure.hamiltonian_field(h_expr))
 
 
 def field_integral(path, components):

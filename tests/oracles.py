@@ -8,7 +8,9 @@ blocked library solve can be held to it bit for bit; its base comes from
 the straightforward RK4 of the family base (the compiled generator and
 sharp_many at every stage), not from the library's staged kernel. The
 matrix fill writes pi_many and dpi_many entry by entry, the loop that the
-flat scatters replaced. The tree-walk emitter compiles expressions with
+flat scatters replaced. The RK4 references of `path --method rk4` and of the
+matrix Lie path write each stage out, in the float order that the shared
+RK4 step must keep. The tree-walk emitter compiles expressions with
 every subtree written out where it occurs, the form the CSE emitter must
 reproduce bit for bit. The area-derivative stencil differentiates
 quadrature areas in tau, a route that never touches the library's
@@ -234,6 +236,59 @@ def variation_reference(family, signs=(1.0, -1.0)):
         change = delta / max(float(np.max(np.abs(b_fine[:, -1]))), floor)
         fields[sign] = (b, b_fine, change)
     return gamma, a, d_eps_a, fields
+
+
+def rk4_path_reference(structure, a, x0, n):
+    """gamma of integrate_base(method="rk4") by its written-out RK4 loop,
+    the order the library kept before its fixed-step integrators shared
+    paths.rk4_step: the compiled sharp of a at every stage, and the update
+    with integer weights."""
+    a_exprs = expr.components(a, structure.dim, symbols=("t",), params=structure.params)
+    field = expr.compile_exprs(structure.sharp_form(a_exprs), symbols=("t",),
+                               params=structure.params)
+    grid = np.linspace(0.0, 1.0, n + 1)
+    gamma = np.empty((n + 1, structure.dim))
+    gamma[0] = x0
+    h = 1.0 / n
+    y = np.asarray(x0, dtype=float)
+    for k in range(n):
+        t0 = grid[k]
+        k1 = np.asarray(field(y, t0))
+        k2 = np.asarray(field(y + 0.5 * h * k1, t0 + 0.5 * h))
+        k3 = np.asarray(field(y + 0.5 * h * k2, t0 + 0.5 * h))
+        k4 = np.asarray(field(y + h * k3, t0 + h))
+        y = y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        gamma[k + 1] = y
+    return gamma
+
+
+def matrix_lie_path_reference(basis, coeffs, n_steps):
+    """matrix_lie_path_integrate by its written-out RK4 loop: A(t + h/2)
+    formed once for k2 and k3, scipy's spline through the coefficients,
+    and the polar snap every hundred steps for an anti-Hermitian basis."""
+    basis = np.asarray(basis)
+    interp = CubicSpline(np.linspace(0.0, 1.0, len(coeffs)), coeffs)
+    anti_hermitian = all(
+        np.max(np.abs(E + E.conj().T)) < 1e-12 * max(1.0, np.max(np.abs(E)))
+        for E in basis)
+
+    def A(t):
+        return np.einsum("k,kij->ij", interp(t), basis)
+
+    g = np.eye(basis.shape[1], dtype=complex if np.iscomplexobj(basis) else float)
+    h = 1.0 / n_steps
+    for step in range(n_steps):
+        t = step * h
+        k1 = A(t) @ g
+        half = A(t + 0.5 * h)
+        k2 = half @ (g + 0.5 * h * k1)
+        k3 = half @ (g + 0.5 * h * k2)
+        k4 = A(t + h) @ (g + h * k3)
+        g = g + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        if anti_hermitian and (step + 1) % 100 == 0:
+            U, _, Vh = np.linalg.svd(g)
+            g = U @ Vh
+    return g
 
 
 def stencil_area_derivative(area, tau, step=1e-3):

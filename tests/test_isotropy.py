@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
+import oracles
 from helpers import su2, su2_scaled, su3, symplectic_plane
 from poispath import isotropy
 from poispath.core import PoissonStructure
-from poispath.errors import ValidationError
+from poispath.errors import NumericalError, ValidationError
 
 SIGMA = [
     np.array([[0, 1], [1, 0]], dtype=complex),
@@ -150,3 +151,38 @@ class TestMatrixPathIntegration:
             isotropy.matrix_lie_path_integrate(np.zeros((1, 2, 3)), np.ones((5, 1)))
         with pytest.raises(ValidationError):
             isotropy.matrix_lie_path_integrate(SU2_BASIS, np.ones((1, 3)))
+
+    @pytest.mark.parametrize("name", ["su2", "so3", "generic"])
+    @pytest.mark.parametrize("n_steps", [200, 350])
+    def test_keeps_the_written_out_order(self, name, n_steps):
+        # complex and real bases, past the polar snap of the first two
+        rng = np.random.default_rng(n_steps)
+        basis = {"su2": SU2_BASIS, "so3": -EPS, "generic": rng.normal(size=(3, 3, 3))}[name]
+        coeffs = rng.uniform(-3.0, 3.0, size=(9, 3))
+        g = isotropy.matrix_lie_path_integrate(basis, coeffs, n_steps=n_steps)
+        assert np.array_equal(g, oracles.matrix_lie_path_reference(basis, coeffs, n_steps))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_basis_rejected(self, bad):
+        basis = SU2_BASIS.copy()
+        basis[1, 0, 1] = bad
+        with pytest.raises(ValidationError, match="basis matrices must be finite"):
+            isotropy.matrix_lie_path_integrate(basis, np.ones((5, 3)))
+
+    @pytest.mark.parametrize("m", [2, 3, 5])
+    def test_non_finite_coefficients_rejected(self, m):
+        coeffs = np.ones((m, 3))
+        coeffs[1, 2] = math.nan
+        with pytest.raises(ValidationError):
+            isotropy.matrix_lie_path_integrate(SU2_BASIS, coeffs)
+
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_fewer_than_four_samples_rejected(self, m):
+        with pytest.raises(ValidationError, match="m >= 4"):
+            isotropy.matrix_lie_path_integrate(SU2_BASIS, np.ones((m, 3)))
+
+    @pytest.mark.parametrize("basis", [SU2_BASIS, np.eye(2)[None]], ids=["snapped", "real"])
+    def test_overflow_raises(self, basis):
+        coeffs = np.full((5, len(basis)), 1e300)
+        with pytest.raises(NumericalError, match="non-finite"):
+            isotropy.matrix_lie_path_integrate(basis, coeffs, n_steps=250)

@@ -6,8 +6,9 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import solve_ivp as scipy_solve_ivp
 from scipy.interpolate import CubicSpline as ScipyCubicSpline
 
-from helpers import su2, su2_scaled, symplectic_plane
-from poispath import expr, paths
+import oracles
+from helpers import su2, su2_matrix_basis, su2_scaled, symplectic_plane
+from poispath import expr, homotopy, isotropy, paths
 from poispath.errors import ValidationError
 
 # drift of the base curve for the rotation generator, frozen from the
@@ -113,6 +114,49 @@ class TestIntegrateBase:
                                     atol=1e-14)
         np.testing.assert_allclose(path.end, [math.cos(1.0), -math.sin(1.0), 0.0],
                                    atol=1e-12)
+
+
+class TestRk4Step:
+    def test_exact_for_a_cubic_in_time(self):
+        # y' = t^3 from y(0) = 0: Simpson's rule, exact for cubics
+        y = paths.rk4_step(lambda j, y: (0.5 * j) ** 3, 0.0, 1.0)
+        assert y == 0.25
+
+    @pytest.mark.parametrize("a", [("x2/4", "0", "1"),
+                                   ("0.3*sin(t) + x2", "1 - t*x3", "0.2 + x1")])
+    @pytest.mark.parametrize("n", [8, 200, 1000])
+    def test_rk4_path_keeps_the_written_out_order(self, a, n):
+        p = su2_scaled("1 + R^2")
+        path = paths.integrate_base(p, a, (1.0, 0.2, 0.5), n_intervals=n, method="rk4")
+        want = oracles.rk4_path_reference(p, a, (1.0, 0.2, 0.5), n)
+        assert np.array_equal(path.gamma, want)
+
+    def test_every_fixed_step_integrator_steps_through_it(self, monkeypatch):
+        calls, step = [], paths.rk4_step
+
+        def counted(rhs, y, h):
+            calls.append(h)
+            return step(rhs, y, h)
+
+        for module in (paths, homotopy, isotropy):
+            monkeypatch.setattr(module, "rk4_step", counted)
+
+        paths.integrate_base(su2(), ("0", "0", "1"), (1.0, 0.0, 0.0), n_intervals=40,
+                             method="rk4")
+        assert len(calls) == 40
+        calls.clear()
+        fam = homotopy.PathFamily(su2(), ("0.2*eps*x2", "0", "1"), (1.0, 0.0, 0.0),
+                                  eps_intervals=8, t_intervals=200).solve()
+        assert len(calls) == 200
+        calls.clear()
+        fam.variation_field(1.0)
+        assert len(calls) == 100 and set(calls) == {2.0 * fam.t[1]}
+        calls.clear()
+        fam.variation_field(-1.0, fine=True)
+        assert len(calls) == 100
+        calls.clear()
+        isotropy.matrix_lie_path_integrate(su2_matrix_basis(), np.ones((5, 3)), n_steps=30)
+        assert len(calls) == 30
 
 
 class TestIntegrals:
