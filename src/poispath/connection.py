@@ -40,7 +40,6 @@ from .config import get_default
 from .errors import NumericalError, ValidationError
 from .quadrature import simpson
 
-_P_CACHE: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 _KERNELS: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 
 _TANGENCY_TOL = 1e-8
@@ -61,15 +60,6 @@ def _dual_exprs(structure):
 def _jacobian(p):
     """d_j p_i in row-major (i, j) order."""
     return [expr.differentiate(c, j) for c in p for j in (1, 2, 3)]
-
-
-def dual_vector_field(structure):
-    """Compiled evaluator for p = (Pi^23, Pi^31, Pi^12), dim 3 only."""
-    fn = _P_CACHE.get(structure)
-    if fn is None:
-        fn = _P_CACHE[structure] = expr.compile_exprs_vec(_dual_exprs(structure),
-                                                          params=structure.params)
-    return fn
 
 
 def _dot(a, b):
@@ -433,8 +423,9 @@ def area_variation(structure, tau, grid=None):
     x0 = np.array([tau, 0.0, 0.0])
     # dim 3: the anchor's kernel is span(p) and its image p-perp, so the unit
     # kernel covector is p/|p| (oriented by the structure; xi does not see the
-    # sign), and it pairs with the family velocity e1 at x0 through p_1
-    p = dual_vector_field(structure)(x0[:, None])[:, 0]
+    # sign), and it pairs with the family velocity e1 at x0 through p_1;
+    # p = (Pi^23, Pi^31, Pi^12)
+    p = structure.pi_at(x0)[[1, 2, 0], [2, 0, 1]]
     if not np.all(np.isfinite(p)):
         raise NumericalError(f"structure matrix is not finite at {x0.tolist()}")
     if not np.any(p):

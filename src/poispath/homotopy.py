@@ -155,20 +155,22 @@ class PathFamily:
         state = self.start_points(eps).T
         gamma[:, 0] = state.T
         stage = self._stage_fn
-        for lo in range(0, N, _DPI_BLOCK):
-            ti = t[lo:min(lo + _DPI_BLOCK, N)]
-            times = np.stack([ti, ti + 0.5 * h, ti + h])
-            free = np.empty((0, 3, len(ti), M))
-            if self._free_fn is not None:
-                free = self._free_fn(np.empty((0, times.size * M)), np.repeat(times, M),
-                                     np.tile(eps, times.size)).reshape(-1, 3, len(ti), M)
+        # a diverging base overflows; the check below raises on it
+        with np.errstate(all="ignore"):
+            for lo in range(0, N, _DPI_BLOCK):
+                ti = t[lo:min(lo + _DPI_BLOCK, N)]
+                times = np.stack([ti, ti + 0.5 * h, ti + h])
+                free = np.empty((0, 3, len(ti), M))
+                if self._free_fn is not None:
+                    free = self._free_fn(np.empty((0, times.size * M)), np.repeat(times, M),
+                                         np.tile(eps, times.size)).reshape(-1, 3, len(ti), M)
 
-            def rhs(j, y):
-                return stage(y, times[j, r], eps, *free[:, j, r])
+                def rhs(j, y):
+                    return stage(y, times[j, r], eps, *free[:, j, r])
 
-            for r in range(len(ti)):
-                state = rk4_step(rhs, state, h)
-                gamma[:, lo + r + 1] = state.T
+                for r in range(len(ti)):
+                    state = rk4_step(rhs, state, h)
+                    gamma[:, lo + r + 1] = state.T
         if not np.all(np.isfinite(gamma)):
             raise NumericalError("family base integration produced non-finite values")
         a = np.empty_like(gamma)

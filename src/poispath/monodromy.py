@@ -4,7 +4,7 @@ decide whether they look discrete.
 Two routes produce the same invariant for a radius-tau sphere leaf:
 
   * quadrature of the curvature of a splitting of the anchor over the leaf
-    (curvature_periods), and
+    (curvature_periods, formed pointwise on the round chart's nodes), and
   * differentiation of the leaf symplectic area along the sphere family,
     with the tau-derivative taken under the integral (the families of
     connection, re-exported here).
@@ -23,6 +23,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import reduce
+from itertools import product
 
 import numpy as np
 
@@ -30,9 +32,8 @@ from . import expr
 from .config import get_default
 # the families and leaf_form_many are re-exported: perfbench's tracer wraps
 # them under this module
-from .connection import (_ANGLES, RadialSphereFamily, SigmaSphereFamily,  # noqa: F401
-                         _chart, dual_vector_field, leaf_form_many, sphere_grid,
-                         sphere_simpson)
+from .connection import (RadialSphereFamily, SigmaSphereFamily, _chart,  # noqa: F401
+                         leaf_form_many, sphere_grid, sphere_simpson)
 from .errors import NumericalError, ValidationError
 
 VERDICT_OK = "INTEGRABLE_EVIDENCE"
@@ -59,14 +60,35 @@ def _parse_splitting(splitting, structure):
     return [expr.components(row, n, params=structure.params) for row in rows]
 
 
-def _sphere_chart_exprs(tau):
-    th, ph = expr.Sym("theta"), expr.Sym("phi")
-    st, ct = expr.call("sin", th), expr.call("cos", th)
-    sf, cf = expr.call("sin", ph), expr.call("cos", ph)
-    r = expr.Num(tau)
-    return [expr.mul(r, expr.mul(st, cf)),
-            expr.mul(r, expr.mul(st, sf)),
-            expr.mul(r, ct)]
+def _wedge(coef, a, b, pairs=((0, 1), (0, 2), (1, 2))):
+    """Sum over index pairs (j, k) of coef(j, k) (a_j b_k - a_k b_j)."""
+    return reduce(expr.add, (expr.mul(coef(j, k),
+                                      expr.sub(expr.mul(a[j], b[k]), expr.mul(a[k], b[j])))
+                             for j, k in pairs))
+
+
+def _curvature_kernel(structure, M):
+    """Omega, alpha = M u and beta = M v of the splitting M as one compiled
+    CSE graph over the columns x, u = x_theta, v = x_phi that _chart writes
+    (the sphere kernel's Var(3k + i) layout): nine rows out. By the chain
+    rule, the chart's mixed second derivatives cancelling,
+
+        d_theta beta_i - d_phi alpha_i = (d_l M_ij)(u^l v^j - v^l u^j),
+
+    summed over all l, j: the l = j terms are zero, but a non-finite partial
+    of M there still makes Omega non-finite. Omega_i is minus the sum of
+    that and the coupling term (d_i Pi^(jk)) alpha_j beta_k.
+    """
+    u, v = ([expr.Var(3 * k + i) for i in (1, 2, 3)] for k in (1, 2))
+    alpha, beta = ([reduce(expr.add, map(expr.mul, row, w)) for row in M] for w in (u, v))
+    omega = []
+    for i in range(3):
+        curl = _wedge(lambda l, j: expr.differentiate(M[i][j], l + 1), u, v,
+                      product(range(3), repeat=2))
+        coupling = _wedge(lambda j, k: expr.differentiate(structure.entry(j + 1, k + 1), i + 1),
+                          alpha, beta)
+        omega.append(expr.neg(expr.add(curl, coupling)))
+    return expr.compile_exprs_vec(omega + alpha + beta, params=structure.params)
 
 
 def curvature_periods(structure, splitting, tau):
@@ -75,77 +97,36 @@ def curvature_periods(structure, splitting, tau):
 
     splitting is an n x n matrix M of expressions sending tangent vectors to
     covectors, sigma(v)_i = M_ij v^j, with #(sigma(v)) = v on leaf tangents
-    (checked on the grid). The curvature 2-form in the polar chart is
+    (checked on the grid). In the polar chart the curvature 2-form is
 
         Omega = -(d_theta beta - d_phi alpha + D(alpha, beta)),
 
-    alpha = sigma(sigma_theta), beta = sigma(sigma_phi), D the coupling term
-    (d_i Pi^(jk)) alpha_j beta_k; it must be kernel-valued (checked). The
-    pairing with the radially aligned unit kernel covector is integrated with
-    the same shifted-pole Simpson rule the areas use, on the configured area
-    grid. The radial family's guards reject a structure not of dimension 3
-    and a radius that is not positive and finite (ValidationError);
-    non-finite curvature, residuals or densities raise NumericalError.
+    alpha = sigma(x_theta), beta = sigma(x_phi), D the coupling term
+    (d_i Pi^(jk)) alpha_j beta_k, formed pointwise on the chart nodes by
+    _curvature_kernel; it must be kernel-valued (checked). Its pairing with
+    the radially aligned unit kernel covector p/|p|, p = (Pi^23, Pi^31,
+    Pi^12), is integrated with the same shifted-pole Simpson rule the areas
+    use, on the configured area grid. The radial family's guards reject a
+    structure not of dimension 3 and a radius that is not positive and
+    finite (ValidationError); non-finite curvature, residuals or densities
+    raise NumericalError.
     """
     tau = RadialSphereFamily(structure)._radius(tau)
     M = _parse_splitting(splitting, structure)
-    n_theta, n_phi = get_default("area_grid")
-
-    sigma = _sphere_chart_exprs(tau)
-    var_map = {1: sigma[0], 2: sigma[1], 3: sigma[2]}
-    dsig = {
-        "theta": [expr.differentiate_sym(s, "theta") for s in sigma],
-        "phi": [expr.differentiate_sym(s, "phi") for s in sigma],
-    }
-    M_chart = [[expr.substitute(M[i][j], var_map=var_map) for j in range(3)]
-               for i in range(3)]
-
-    def pulled_covector(direction):
-        comps = []
-        for i in range(3):
-            total = expr.Num(0.0)
-            for j in range(3):
-                total = expr.add(total, expr.mul(M_chart[i][j], dsig[direction][j]))
-            comps.append(total)
-        return comps
-
-    alpha = pulled_covector("theta")
-    beta = pulled_covector("phi")
-
-    omega = []
-    for i in range(1, 4):
-        coupling = expr.Num(0.0)
-        for (j, k), entry in structure.upper_entries():
-            dentry = expr.substitute(expr.differentiate(entry, i), var_map=var_map)
-            pair = expr.sub(expr.mul(alpha[j - 1], beta[k - 1]),
-                            expr.mul(alpha[k - 1], beta[j - 1]))
-            coupling = expr.add(coupling, expr.mul(dentry, pair))
-        curl = expr.sub(expr.differentiate_sym(beta[i - 1], "theta"),
-                        expr.differentiate_sym(alpha[i - 1], "phi"))
-        omega.append(expr.neg(expr.add(curl, coupling)))
-
-    theta, phi = sphere_grid(n_theta, n_phi)
-    x, dth, dph = _chart(tau, theta, phi)
-    shape = x.shape[1:]
-    pts = x.reshape(3, -1)
-    m = pts.shape[1]
-    T, F = (a.ravel() for a in np.meshgrid(theta, phi, indexing="ij"))
-
-    params = structure.params
-    dummy = np.zeros((1, m))
-    omega_fn = expr.compile_exprs_vec(omega, symbols=_ANGLES, params=params)
-    Om = omega_fn(dummy, T, F).T                       # (m, 3)
+    theta, phi = sphere_grid(*get_default("area_grid"))
+    cols = np.empty((9, theta.size, phi.size))
+    pts, dth, dph = (c.reshape(3, -1).T for c in _chart(tau, theta, phi, cols))
+    # garbage at degenerate points is caught by the checks below
+    with np.errstate(all="ignore"):
+        values = _curvature_kernel(structure, M)(cols.reshape(9, -1))
+    Om, alpha, beta = (values[k:k + 3].T for k in (0, 3, 6))
     if not np.all(np.isfinite(Om)):
         raise NumericalError("curvature is not finite on the leaf")
 
     # splitting validity: #(M v) = v for both chart tangents
-    M_flat = [M[i][j] for i in range(3) for j in range(3)]
-    M_fn = expr.compile_exprs_vec(M_flat, params=params)
-    Mnum = M_fn(pts).T.reshape(m, 3, 3)
-    P = structure.pi_many(pts.T)
+    P = structure.pi_many(pts)
     errs = []
-    for v in (dth.reshape(3, -1).T, dph.reshape(3, -1).T):
-        w = np.einsum("mij,mj->mi", Mnum, v)
+    for v, w in ((dth, alpha), (dph, beta)):
         back = np.einsum("mjk,mj->mk", P, w)
         vn = np.linalg.norm(v, axis=1)
         errs.append(np.linalg.norm(back - v, axis=1) / np.maximum(vn, 1e-300))
@@ -168,19 +149,18 @@ def curvature_periods(structure, splitting, tau):
             f"refusing to project it")
 
     # radially aligned unit kernel covector
-    p = dual_vector_field(structure)(pts).T
+    p = P[:, [1, 2, 0], [2, 0, 1]]
     pn = np.linalg.norm(p, axis=1)
     if np.any(pn <= 0):
         raise ValidationError("structure degenerate on the leaf")
     zeta = p / pn[:, None]
-    radial = pts.T / tau
-    align = np.einsum("mi,mi->m", zeta, radial)
+    align = np.einsum("mi,mi->m", zeta, pts / tau)
     if np.any(np.abs(align) < 0.1):
         raise ValidationError("kernel direction nearly tangent to the sphere; "
                               "chart is not following the leaves")
     zeta *= np.sign(align)[:, None]
 
-    dens = np.einsum("mi,mi->m", Om, zeta).reshape(shape)
+    dens = np.einsum("mi,mi->m", Om, zeta).reshape(theta.size, phi.size)
     if not np.all(np.isfinite(dens)):
         raise NumericalError("curvature density is not finite on the leaf")
     integral = sphere_simpson(dens, theta, phi)

@@ -434,9 +434,11 @@ def integrate_base(structure, a, x0, n_intervals=None, method=None,
         def rhs(j, y):
             return np.asarray(field(y, (t0, t0 + 0.5 * h, t0 + h)[j]))
 
-        for k in range(n):
-            t0 = grid[k]
-            gamma[k + 1] = rk4_step(rhs, gamma[k], h)
+        # a diverging base overflows; the check below raises on it
+        with np.errstate(all="ignore"):
+            for k in range(n):
+                t0 = grid[k]
+                gamma[k + 1] = rk4_step(rhs, gamma[k], h)
     else:
         raise ValidationError(f"unknown integration method {method!r}")
 

@@ -18,6 +18,10 @@ under-the-integral derivative. The sphere row
 reference is the quadrature pass as it was before the fused sphere kernel:
 separate evaluators for p and its Jacobian, np.cross, einsum and a
 left-to-right det on fresh arrays, which the kernel must match bit for bit.
+The curvature reference is the symbolic route of the curvature periods:
+the round chart as expressions in theta and phi substituted into the
+splitting, alpha and beta differentiated in the angles and compiled with
+them, the route that the pointwise curvature kernel replaced.
 """
 
 import math
@@ -26,6 +30,7 @@ import numpy as np
 from scipy.interpolate import CubicSpline
 
 from poispath import expr
+from poispath.config import get_default
 from poispath.paths import differentiate_samples
 
 
@@ -355,3 +360,122 @@ def sphere_row_reference(structure, nodes, theta, phi, rate=False):
             drate[rows] = r.reshape(-1, phi.size)
     area = sphere_simpson(dens, theta, phi)
     return (area, sphere_simpson(drate, theta, phi)) if rate else area
+
+
+def curvature_reference(structure, splitting, tau):
+    """curvature_periods by substitution of the symbolic round chart into
+    the splitting M and differentiation in theta and phi:
+
+        Omega = -(d_theta beta - d_phi alpha + D(alpha, beta)),
+
+    alpha = M sigma_theta and beta = M sigma_phi as expressions in the
+    angles. Same grid, checks and Simpson rule as the library route."""
+    from poispath.connection import _chart, sphere_grid, sphere_simpson
+    from poispath.errors import NumericalError, ValidationError
+    from poispath.monodromy import CurvatureResult
+
+    tau = float(tau)
+    M = [expr.components(row, 3, params=structure.params) for row in splitting]
+    n_theta, n_phi = get_default("area_grid")
+
+    th, ph = expr.Sym("theta"), expr.Sym("phi")
+    st, ct = expr.call("sin", th), expr.call("cos", th)
+    sf, cf = expr.call("sin", ph), expr.call("cos", ph)
+    r = expr.Num(tau)
+    sigma = [expr.mul(r, expr.mul(st, cf)), expr.mul(r, expr.mul(st, sf)), expr.mul(r, ct)]
+    var_map = {1: sigma[0], 2: sigma[1], 3: sigma[2]}
+    dsig = {
+        "theta": [expr.differentiate_sym(s, "theta") for s in sigma],
+        "phi": [expr.differentiate_sym(s, "phi") for s in sigma],
+    }
+    M_chart = [[expr.substitute(M[i][j], var_map=var_map) for j in range(3)]
+               for i in range(3)]
+
+    def pulled_covector(direction):
+        comps = []
+        for i in range(3):
+            total = expr.Num(0.0)
+            for j in range(3):
+                total = expr.add(total, expr.mul(M_chart[i][j], dsig[direction][j]))
+            comps.append(total)
+        return comps
+
+    alpha = pulled_covector("theta")
+    beta = pulled_covector("phi")
+
+    omega = []
+    for i in range(1, 4):
+        coupling = expr.Num(0.0)
+        for (j, k), entry in structure.upper_entries():
+            dentry = expr.substitute(expr.differentiate(entry, i), var_map=var_map)
+            pair = expr.sub(expr.mul(alpha[j - 1], beta[k - 1]),
+                            expr.mul(alpha[k - 1], beta[j - 1]))
+            coupling = expr.add(coupling, expr.mul(dentry, pair))
+        curl = expr.sub(expr.differentiate_sym(beta[i - 1], "theta"),
+                        expr.differentiate_sym(alpha[i - 1], "phi"))
+        omega.append(expr.neg(expr.add(curl, coupling)))
+
+    theta, phi = sphere_grid(n_theta, n_phi)
+    x, dth, dph = _chart(tau, theta, phi)
+    shape = x.shape[1:]
+    pts = x.reshape(3, -1)
+    m = pts.shape[1]
+    T, F = (a.ravel() for a in np.meshgrid(theta, phi, indexing="ij"))
+
+    params = structure.params
+    dummy = np.zeros((1, m))
+    omega_fn = expr.compile_exprs_vec(omega, symbols=("theta", "phi"), params=params)
+    Om = omega_fn(dummy, T, F).T                       # (m, 3)
+    if not np.all(np.isfinite(Om)):
+        raise NumericalError("curvature is not finite on the leaf")
+
+    # splitting validity: #(M v) = v for both chart tangents
+    M_flat = [M[i][j] for i in range(3) for j in range(3)]
+    M_fn = expr.compile_exprs_vec(M_flat, params=params)
+    Mnum = M_fn(pts).T.reshape(m, 3, 3)
+    P = structure.pi_many(pts.T)
+    errs = []
+    for v in (dth.reshape(3, -1).T, dph.reshape(3, -1).T):
+        w = np.einsum("mij,mj->mi", Mnum, v)
+        back = np.einsum("mjk,mj->mk", P, w)
+        vn = np.linalg.norm(v, axis=1)
+        errs.append(np.linalg.norm(back - v, axis=1) / np.maximum(vn, 1e-300))
+    split_res = float(np.max(errs))
+    if not np.isfinite(split_res):
+        raise NumericalError("splitting residual is not finite on the leaf")
+    if not (split_res <= 1e-8):
+        raise ValidationError(
+            f"matrix is not a splitting of the anchor on the leaf "
+            f"(residual {split_res:.3e})")
+
+    sharp_om = np.einsum("mjk,mj->mk", P, Om)
+    om_scale = max(1.0, float(np.max(np.abs(Om))))
+    center_res = float(np.max(np.linalg.norm(sharp_om, axis=1))) / om_scale
+    if not np.isfinite(center_res):
+        raise NumericalError("curvature center residual is not finite on the leaf")
+    if not (center_res <= 1e-8):
+        raise ValidationError(
+            f"curvature is not kernel-valued (residual {center_res:.3e}); "
+            f"refusing to project it")
+
+    # radially aligned unit kernel covector, p = (Pi^23, Pi^31, Pi^12)
+    p_exprs = [structure.entry(2, 3), structure.entry(3, 1), structure.entry(1, 2)]
+    p = expr.compile_exprs_vec(p_exprs, params=params)(pts).T
+    pn = np.linalg.norm(p, axis=1)
+    if np.any(pn <= 0):
+        raise ValidationError("structure degenerate on the leaf")
+    zeta = p / pn[:, None]
+    radial = pts.T / tau
+    align = np.einsum("mi,mi->m", zeta, radial)
+    if np.any(np.abs(align) < 0.1):
+        raise ValidationError("kernel direction nearly tangent to the sphere; "
+                              "chart is not following the leaves")
+    zeta *= np.sign(align)[:, None]
+
+    dens = np.einsum("mi,mi->m", Om, zeta).reshape(shape)
+    if not np.all(np.isfinite(dens)):
+        raise NumericalError("curvature density is not finite on the leaf")
+    integral = sphere_simpson(dens, theta, phi)
+    return CurvatureResult(tau=tau, integral=integral,
+                           xi=integral * np.array([1.0, 0.0, 0.0]),
+                           center_residual=center_res, splitting_residual=split_res)

@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from poispath import connection, expr, registry
-from poispath.connection import dual_vector_field
 from poispath.errors import EvalDomainError, ParseError, ValidationError
 
 
@@ -333,8 +332,8 @@ class TestCompiled:
         # the sphere kernel holds p and its Jacobian in one DAG
         kernel = connection._sphere_kernel(structure, rate=True)
         assert kernel.source.count("_f_exp(") == 1
-        p = dual_vector_field(structure)
-        assert p.source.count("_f_exp(") == 1
+        # the structure's own evaluator serves p = (Pi^23, Pi^31, Pi^12)
+        assert structure._pi_fn.source.count("_f_exp(") == 1
         assert expr.compile_exprs([expr.parse("exp(R)", 3)] * 2).source.count("exp") == 1
 
     def test_split_free_hoists_coordinate_free_subtrees(self):

@@ -1,6 +1,7 @@
 """Path families, variation fields, the invariance identity, action flow."""
 
 import tracemalloc
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -356,6 +357,14 @@ class TestSolveOnce:
         with np.errstate(all="ignore"), pytest.raises(
                 NumericalError, match="family base integration produced non-finite values"):
             fam.solve()
+
+    def test_diverging_base_fails_closed_without_warnings(self):
+        fam = PathFamily(helpers.su2_scaled("1"), ("x2*x3*1e3", "x1*x3*1e3", "x1^3*1e3"),
+                         ("1", "2", "3+eps"), t_intervals=8, eps_intervals=8)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match="family base integration"):
+                fam.solve()
 
     def test_a_diverging_field_does_not_fail_its_batch(self):
         # d_1 Pi^(12) a_2 = 1000: the flipped field grows like exp(1000 t)

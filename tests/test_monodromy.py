@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import oracles
 from helpers import ROUND_CHART, su2, su2_scaled, su2_splitting, symplectic_plane
-from poispath import connection, monodromy
+from poispath import connection, expr, monodromy
 from poispath.errors import NumericalError, ValidationError
 
 FOUR_PI = 4 * math.pi
@@ -50,6 +52,40 @@ class TestCurvature:
         with np.errstate(divide="ignore", invalid="ignore"):
             with pytest.raises(NumericalError, match="not finite"):
                 monodromy.curvature_periods(su2(), spl, 1.0)
+
+    @settings(max_examples=20, deadline=None)
+    @given(form=st.sampled_from(["1+{c}*R^2", "exp(R^2/{c})", "{c}"]),
+           c=st.floats(0.2, 3.0), tau=st.floats(0.3, 2.5))
+    def test_matches_the_symbolic_route(self, form, c, tau):
+        a = form.format(c=repr(c))
+        p, spl = su2_scaled(a), su2_splitting(a)
+        res = monodromy.curvature_periods(p, spl, tau)
+        ref = oracles.curvature_reference(p, spl, tau)
+        assert abs(res.integral - ref.integral) <= 1e-12 * max(1.0, abs(ref.integral))
+        assert res.center_residual <= 1e-12
+        assert res.splitting_residual <= 1e-12
+
+    # x spans the kernel of # for su2_scaled, so M_ij + x_i c_j(x) is
+    # another splitting; the period must not see the choice
+    @pytest.mark.parametrize("c", [("x2", "0", "0"), ("sin(x1)", "x3^2", "x1*x2"),
+                                   ("0", "0", "1")])
+    @pytest.mark.parametrize("a", ["1+R^2", "exp(R^2/3)", "1"])
+    @pytest.mark.parametrize("tau", [0.7, 1.3, 1.6])
+    def test_period_independent_of_the_splitting(self, c, a, tau):
+        spl = su2_splitting(a)
+        other = [[f"{spl[i][j]} + x{i + 1}*({c[j]})" for j in range(3)] for i in range(3)]
+        base = monodromy.curvature_periods(su2_scaled(a), spl, tau).integral
+        moved = monodromy.curvature_periods(su2_scaled(a), other, tau).integral
+        assert abs(moved - base) <= 1e-12 * max(1.0, abs(base))
+
+    def test_one_compile_per_call(self, monkeypatch):
+        p = su2_scaled("1 + R^2")
+        p.pi_many(np.zeros((1, 3)))  # the structure compiles its own evaluator once
+        compile_vec, calls = expr.compile_exprs_vec, []
+        monkeypatch.setattr(expr, "compile_exprs_vec",
+                            lambda *a, **k: calls.append(a) or compile_vec(*a, **k))
+        monodromy.curvature_periods(p, su2_splitting("1 + R^2"), 1.0)
+        assert len(calls) == 1
 
     def test_dimension_and_radius_guards(self):
         with pytest.raises(ValidationError):

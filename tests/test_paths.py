@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from scipy.interpolate import CubicSpline as ScipyCubicSpline
 import oracles
 from helpers import su2, su2_matrix_basis, su2_scaled, symplectic_plane
 from poispath import expr, homotopy, isotropy, paths
-from poispath.errors import ValidationError
+from poispath.errors import NumericalError, ValidationError
 
 # drift of the base curve for the rotation generator, frozen from the
 # closed-form solution gamma(t) = (cos t, -sin t, 0)
@@ -67,6 +68,14 @@ class TestIntegrateBase:
         bad = np.stack([np.cos(2 * t), -np.sin(2 * t), np.zeros_like(t)], axis=1)
         a = np.tile([0.0, 0.0, 1.0], (201, 1))
         assert paths.path_defect(p, t, bad, a) > 0.5
+
+    def test_diverging_rk4_base_fails_closed_without_warnings(self):
+        p = su2_scaled("1")
+        a = ("x2*x3*1e3", "x1*x3*1e3", "x1^3*1e3")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match="non-finite values"):
+                paths.integrate_base(p, a, (1, 2, 3), n_intervals=8, method="rk4")
 
     def test_fixed_step_agrees_with_adaptive(self):
         p = su2_scaled("1 + R^2")
