@@ -17,14 +17,17 @@ sphere takes one quadrature entry (_sphere_area_once); the families' area
 and rate checks repeat it on the doubled grid, so silent quadrature garbage
 gets raised as NumericalError instead of returned.
 
-The pass runs in blocks of theta rows. Each block is one call of a fused
-kernel, compiled once per structure from one CSE graph: p, its Jacobian,
-|p|^2, p.u, p.v, |u|^2, |v|^2, the density and its tau-derivative, with
-every sum in the order of the np.cross/einsum code it replaced, so the
-values are the same bit for bit. The kernel writes into the calling
-thread's scratch arena (expr.arena_rows), and the radial chart writes its
-columns into the rows above the kernel's: a row allocates no block arrays.
-Kernel results stay valid until the next arena call on that thread.
+The pass runs in blocks of theta rows (theta_blocks), sized so that a
+block's arena rows stay within those of a rate row; the curvature route of
+monodromy walks the same blocks. Each block is one call of a fused kernel,
+compiled once per structure from one CSE graph: p, its Jacobian, |p|^2,
+p.u, p.v, |u|^2, |v|^2, the density and its tau-derivative, with every sum
+in the order of the np.cross/einsum code it replaced, so the values are the
+same bit for bit. The kernel writes into the calling thread's scratch arena
+(expr.arena_rows). The radial chart (chart_rows) writes its columns into the
+rows above the kernel's, and a sigma chart is evaluated in the arena too and
+copied there: a row allocates no block arrays. Kernel results stay valid
+until the next arena call on that thread.
 """
 
 from __future__ import annotations
@@ -46,8 +49,10 @@ _TANGENCY_TOL = 1e-8
 
 _ANGLES = ("theta", "phi")
 
-# nodes per block of a sphere quadrature pass; bounds the arena rows
+# nodes per block of a sphere quadrature pass; with the 12 slots of a rate
+# kernel and its 18 chart rows, the arena cells a sphere pass may take
 _BLOCK_NODES = 1 << 13
+_ARENA_ROWS = 30
 
 
 def _dual_exprs(structure):
@@ -214,6 +219,25 @@ def _chart(tau, theta, phi, out=None):
     return out[0:3], out[3:6], out[6:9]
 
 
+def theta_blocks(n_theta, n_phi, rows=_ARENA_ROWS):
+    """Slices of the theta rows of a sphere pass whose nodes take `rows`
+    arena rows each: as many theta rows per block as keep the arena within
+    _ARENA_ROWS rows of _BLOCK_NODES nodes."""
+    step = max(1, _ARENA_ROWS * _BLOCK_NODES // (rows * n_phi))
+    return [slice(lo, lo + step) for lo in range(0, n_theta, step)]
+
+
+def chart_rows(skip, tau, theta, phi, rate=False):
+    """The radius-tau sphere on the theta x phi nodes in arena rows skip and
+    up, above an evaluator's skip slots: x, u = d_theta x, v = d_phi x, and
+    with rate their tau-derivatives chart / tau. Returns those 9 or 18 rows."""
+    cols = expr.arena_rows(skip + 9 * (1 + rate), theta.size * phi.size)[skip:]
+    _chart(tau, theta, phi, [c.reshape(theta.size, phi.size) for c in cols[:9]])
+    if rate:
+        np.divide(cols[:9], tau, out=cols[9:])
+    return cols
+
+
 def sphere_simpson(dens, theta, phi):
     """Simpson rule over phi, then over theta, of a density sampled on the
     (theta, phi) nodes of sphere_grid."""
@@ -235,9 +259,7 @@ def sphere_quadrature(structure, nodes, theta, phi, rate=False):
     A non-finite density, Jacobian or rate density is a NumericalError.
     """
     vals = np.empty((1 + rate, theta.size, phi.size))
-    step = max(1, _BLOCK_NODES // phi.size)
-    for lo in range(0, theta.size, step):
-        rows = slice(lo, lo + step)
+    for rows in theta_blocks(theta.size, phi.size):
         x, u, v, *moving = nodes(rows, rate)
         leaf_form_many(structure, x.T, u.T, v.T, [w.T for w in moving] if rate else None,
                        out=vals[:, rows].reshape(len(vals), -1))
@@ -282,13 +304,9 @@ class RadialSphereFamily:
         """The radius-tau sphere: d_tau = chart / tau. The chart goes into
         arena rows above those the kernel writes."""
         def nodes(rows, rate):
-            skip = _sphere_kernel(self.structure, rate).slots
-            th = theta[rows]
-            cols = expr.arena_rows(skip + 18, th.size * phi.size)[skip:]
-            _chart(tau, th, phi, [c.reshape(th.size, phi.size) for c in cols[:9]])
-            if rate:
-                np.divide(cols[:9], tau, out=cols[9:])
-            return [cols[k:k + 3] for k in range(0, 18 if rate else 9, 3)]
+            cols = chart_rows(_sphere_kernel(self.structure, rate).slots, tau, theta[rows],
+                              phi, rate)
+            return [cols[k:k + 3] for k in range(0, len(cols), 3)]
 
         return nodes
 
@@ -336,7 +354,9 @@ class SigmaSphereFamily(RadialSphereFamily):
     Everything but the radius guard and the chart nodes is the radial
     family's: the tau-derivatives of sigma, sigma_theta and sigma_phi are
     compiled beside the chart, so rows at the ends of tau_range need no
-    samples outside it.
+    samples outside it. Both are arena evaluators over the angle rows; their
+    subtrees in tau alone are cut out (expr.split_free) and evaluated as the
+    scalars they are, by a plain evaluator beside each.
     """
 
     # perfbench's tracer wraps row_data in each family class's own namespace
@@ -357,8 +377,14 @@ class SigmaSphereFamily(RadialSphereFamily):
         self.tau_range = (lo, hi)
         # sigma with its theta and phi tangents, then their tau-derivatives
         chart = parsed + [expr.differentiate_sym(c, a) for a in _ANGLES for c in parsed]
-        self._fns = [expr.compile_exprs_vec(e, symbols=names, params=structure.params)
-                     for e in (chart, [expr.differentiate_sym(c, "tau") for c in chart])]
+        self._fns = []
+        for exprs in (chart, [expr.differentiate_sym(c, "tau") for c in chart]):
+            free, rest = expr.split_free(exprs, "_tau", coords=_ANGLES)
+            symbols = names + tuple(f"_tau{k}" for k in range(len(free)))
+            self._fns.append((
+                expr.compile_exprs_vec(free, symbols=("tau",), params=structure.params),
+                expr.compile_exprs_vec(rest, symbols=symbols, params=structure.params,
+                                       arena=True)))
 
     def _radius(self, tau):
         tau = float(tau)
@@ -368,11 +394,21 @@ class SigmaSphereFamily(RadialSphereFamily):
         return tau
 
     def _nodes(self, tau, theta, phi):
+        """The chart at tau. Each block writes theta and phi into arena rows
+        above the slots of the sphere kernel and of the chart evaluators,
+        and copies the chart columns into the rows above those two."""
         def nodes(rows, rate):
-            T, F = (a.ravel() for a in np.meshgrid(theta[rows], phi, indexing="ij"))
-            dummy = np.zeros((1, T.size))
-            vals = [fn(dummy, tau, T, F) for fn in self._fns[:2 if rate else 1]]
-            return [v[k:k + 3] for v in vals for k in (0, 3, 6)]
+            fns = self._fns[:1 + rate]
+            skip = max(_sphere_kernel(self.structure, rate).slots, *(fn.slots for _, fn in fns))
+            th = theta[rows]
+            cols = expr.arena_rows(skip + 2 + 9 * len(fns), th.size * phi.size)[skip:]
+            angles = cols[:2]
+            angles[0].reshape(th.size, phi.size)[...] = th[:, None]
+            angles[1].reshape(th.size, phi.size)[...] = phi
+            for k, (free, fn) in enumerate(fns):
+                scalars = free(np.empty((0, 1)), tau)[:, 0]
+                cols[2 + 9 * k:11 + 9 * k] = fn(angles, tau, *angles, *scalars)
+            return [cols[k:k + 3] for k in range(2, len(cols), 3)]
 
         return nodes
 

@@ -16,7 +16,8 @@ that recurs (``R``, or a factor that differentiation copies) is computed once
 as a local, with the float operations of the tree in their order, so values
 match a plain tree walk bit for bit; ``.source`` holds the generated code.
 ``split_free`` cuts out the subtrees that read no coordinate, for callers
-that evaluate them once for many points.
+that evaluate them once for many points; ``dag_key`` keys caches of
+compiled evaluators by expression structure.
 """
 
 from __future__ import annotations
@@ -660,8 +661,9 @@ def evaluate(e, point=(), env=None):
 def _dag(exprs):
     """Structurally distinct subtrees of exprs in topological order.
 
-    Returns (nodes, roots): nodes[i] is (node, child ids) and roots are the
-    ids of exprs. A node is keyed by its type, child ids and the repr of its
+    Returns (nodes, roots, key): nodes[i] is (node, child ids), roots are the
+    ids of exprs and key is the hashable pair of the node keys in order and
+    the roots. A node is keyed by its type, child ids and the repr of its
     other slots, which tells 0.0 from -0.0.
     """
     ids, seen, nodes = {}, {}, []
@@ -679,7 +681,16 @@ def _dag(exprs):
             seen[id(e)] = ids[key]
         return seen[id(e)]
 
-    return nodes, [visit(e) for e in exprs]
+    roots = [visit(e) for e in exprs]
+    return nodes, roots, (tuple(ids), tuple(roots))
+
+
+def dag_key(exprs):
+    """A hashable key that two lists of expressions share exactly when they
+    are structurally equal, node for node: types, coordinates, symbols and
+    constants by repr, so 0.0 and -0.0 differ. Evaluators compiled from
+    lists of equal keys compute the same values."""
+    return _dag(exprs)[2]
 
 
 # ufuncs of the buffered rendering; at these exponents numpy's ndarray **
@@ -689,24 +700,25 @@ _POW_UFUNCS = {2.0: np.square, 0.5: np.sqrt, 1.0: np.positive, -1.0: np.reciproc
 
 
 class _Arena(threading.local):
-    rows = np.empty((0, 0))
+    cells = np.empty(0)
 
 
 _ARENA = _Arena()
 
 
 def arena_rows(n, m):
-    """Rows 0..n-1, m long each, of this thread's scratch arena.
+    """Rows 0..n-1, m long each, of this thread's scratch arena: its first
+    n m cells.
 
     Every call on a thread reuses the same memory: rows handed out stay
     valid until a later call writes them (a buffered evaluator writes its
-    rows 0..slots-1) or asks for more rows or longer ones, which moves the
-    arena. A caller whose rows must outlive an evaluator's call takes them
-    above its slots."""
-    rows = _ARENA.rows
-    if n > rows.shape[0] or m > rows.shape[1]:
-        rows = _ARENA.rows = np.empty((max(n, rows.shape[0]), max(m, rows.shape[1])))
-    return rows[:n, :m]
+    rows 0..slots-1), asks for another row length, which lays the rows out
+    anew, or for more cells, which moves the arena. A caller whose rows must
+    outlive an evaluator's call takes them above its slots, at the same m."""
+    cells = _ARENA.cells
+    if n * m > cells.size:
+        cells = _ARENA.cells = np.empty(n * m)
+    return cells[:n * m].reshape(n, m)
 
 
 def _build(exprs, symbols, params, funcs, arena=False):
@@ -722,7 +734,7 @@ def _build(exprs, symbols, params, funcs, arena=False):
     0..k-1. A row is freed after its node's last reader and reused; a root's
     row serves temporaries that die before the root is computed.
     """
-    nodes, roots = _dag(exprs)
+    nodes, roots, _ = _dag(exprs)
     uses = [0] * len(nodes)
     for k in [k for _, kids in nodes for k in kids] + roots:
         uses[k] += 1
@@ -806,18 +818,20 @@ def _build(exprs, symbols, params, funcs, arena=False):
     return namespace["_compiled"], source, len(until) if arena else 0
 
 
-def split_free(exprs, name):
-    """Split exprs at their maximal compound subtrees that read no coordinate.
+def split_free(exprs, name, coords=()):
+    """Split exprs at their maximal compound subtrees that read no coordinate
+    and none of the symbols named in coords.
 
     Returns (free, rest): free lists those subtrees once each, and rest is
     exprs with the k-th of them replaced by Sym(f"{name}{k}"). Nodes are
     rebuilt without folding, so rest, given the values of free, performs the
     remaining float operations of exprs unchanged.
     """
-    nodes, roots = _dag(exprs)
+    nodes, roots, _ = _dag(exprs)
     has_x = []
     for e, kids in nodes:
-        has_x.append(isinstance(e, Var) or any(has_x[k] for k in kids))
+        has_x.append(isinstance(e, Var) or (isinstance(e, Sym) and e.name in coords)
+                     or any(has_x[k] for k in kids))
     free, rest = [], {}
 
     def walk(i):

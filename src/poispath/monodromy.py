@@ -4,7 +4,9 @@ decide whether they look discrete.
 Two routes produce the same invariant for a radius-tau sphere leaf:
 
   * quadrature of the curvature of a splitting of the anchor over the leaf
-    (curvature_periods, formed pointwise on the round chart's nodes), and
+    (curvature_periods, formed pointwise on the round chart's nodes by a
+    kernel compiled once per structure and splitting, in blocks of theta
+    rows through the thread's scratch arena, as the areas are), and
   * differentiation of the leaf symplectic area along the sphere family,
     with the tau-derivative taken under the integral (the families of
     connection, re-exported here).
@@ -22,6 +24,7 @@ and tolerance, never proofs.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass, field
 from functools import reduce
 from itertools import product
@@ -32,13 +35,15 @@ from . import expr
 from .config import get_default
 # the families and leaf_form_many are re-exported: perfbench's tracer wraps
 # them under this module
-from .connection import (RadialSphereFamily, SigmaSphereFamily, _chart,  # noqa: F401
-                         leaf_form_many, sphere_grid, sphere_simpson)
+from .connection import (RadialSphereFamily, SigmaSphereFamily, chart_rows,  # noqa: F401
+                         leaf_form_many, sphere_grid, sphere_simpson, theta_blocks)
 from .errors import NumericalError, ValidationError
 
 VERDICT_OK = "INTEGRABLE_EVIDENCE"
 VERDICT_BAD = "NON_INTEGRABLE"
 VERDICT_OPEN = "INCONCLUSIVE"
+
+_CURVATURE_KERNELS: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 
 # ---------------------------------------------------------------------------
 # curvature of a splitting over a sphere leaf
@@ -67,11 +72,11 @@ def _wedge(coef, a, b, pairs=((0, 1), (0, 2), (1, 2))):
                              for j, k in pairs))
 
 
-def _curvature_kernel(structure, M):
-    """Omega, alpha = M u and beta = M v of the splitting M as one compiled
-    CSE graph over the columns x, u = x_theta, v = x_phi that _chart writes
-    (the sphere kernel's Var(3k + i) layout): nine rows out. By the chain
-    rule, the chart's mixed second derivatives cancelling,
+def _curvature_exprs(structure, M):
+    """Omega, alpha = M u and beta = M v of the splitting M as nine
+    expressions in the columns x, u = x_theta, v = x_phi that _chart writes
+    (the sphere kernel's Var(3k + i) layout). By the chain rule, the chart's
+    mixed second derivatives cancelling,
 
         d_theta beta_i - d_phi alpha_i = (d_l M_ij)(u^l v^j - v^l u^j),
 
@@ -88,7 +93,19 @@ def _curvature_kernel(structure, M):
         coupling = _wedge(lambda j, k: expr.differentiate(structure.entry(j + 1, k + 1), i + 1),
                           alpha, beta)
         omega.append(expr.neg(expr.add(curl, coupling)))
-    return expr.compile_exprs_vec(omega + alpha + beta, params=structure.params)
+    return omega + alpha + beta
+
+
+def _curvature_kernel(structure, M):
+    """_curvature_exprs compiled in arena rendering, once per structure and
+    splitting: kernels are cached weakly on the structure and keyed by the
+    splitting's expression graph (expr.dag_key)."""
+    kernels = _CURVATURE_KERNELS.setdefault(structure, {})
+    key = expr.dag_key([e for row in M for e in row])
+    if key not in kernels:
+        kernels[key] = expr.compile_exprs_vec(_curvature_exprs(structure, M),
+                                              params=structure.params, arena=True)
+    return kernels[key]
 
 
 def curvature_periods(structure, splitting, tau):
@@ -110,57 +127,71 @@ def curvature_periods(structure, splitting, tau):
     structure not of dimension 3 and a radius that is not positive and
     finite (ValidationError); non-finite curvature, residuals or densities
     raise NumericalError.
+
+    The grid is walked in blocks of theta rows (connection.theta_blocks):
+    each block writes its chart into arena rows above the kernel's slots and
+    keeps the maxima and flags of the checks, which are raised after the
+    walk, in the order above; om_scale comes from the whole grid.
     """
     tau = RadialSphereFamily(structure)._radius(tau)
     M = _parse_splitting(splitting, structure)
+    kernel = _curvature_kernel(structure, M)
     theta, phi = sphere_grid(*get_default("area_grid"))
-    cols = np.empty((9, theta.size, phi.size))
-    pts, dth, dph = (c.reshape(3, -1).T for c in _chart(tau, theta, phi, cols))
-    # garbage at degenerate points is caught by the checks below
+    dens = np.empty((theta.size, phi.size))
+    checks = []
+    # garbage at degenerate points is caught by the checks after the walk
     with np.errstate(all="ignore"):
-        values = _curvature_kernel(structure, M)(cols.reshape(9, -1))
-    Om, alpha, beta = (values[k:k + 3].T for k in (0, 3, 6))
-    if not np.all(np.isfinite(Om)):
-        raise NumericalError("curvature is not finite on the leaf")
+        for rows in theta_blocks(theta.size, phi.size, kernel.slots + 9):
+            cols = chart_rows(kernel.slots, tau, theta[rows], phi)
+            values = kernel(cols)
+            Om, alpha, beta = (values[k:k + 3].T for k in (0, 3, 6))
+            pts, dth, dph = (cols[k:k + 3].T for k in (0, 3, 6))
+            finite = np.all(np.isfinite(Om))
 
-    # splitting validity: #(M v) = v for both chart tangents
-    P = structure.pi_many(pts)
-    errs = []
-    for v, w in ((dth, alpha), (dph, beta)):
-        back = np.einsum("mjk,mj->mk", P, w)
-        vn = np.linalg.norm(v, axis=1)
-        errs.append(np.linalg.norm(back - v, axis=1) / np.maximum(vn, 1e-300))
-    split_res = float(np.max(errs))
+            # splitting validity: #(M v) = v for both chart tangents
+            P = structure.pi_many(pts)
+            errs = []
+            for v, w in ((dth, alpha), (dph, beta)):
+                back = np.einsum("mjk,mj->mk", P, w)
+                vn = np.linalg.norm(v, axis=1)
+                errs.append(np.linalg.norm(back - v, axis=1) / np.maximum(vn, 1e-300))
+
+            sharp_om = np.einsum("mjk,mj->mk", P, Om)
+
+            # radially aligned unit kernel covector
+            p = P[:, [1, 2, 0], [2, 0, 1]]
+            pn = np.linalg.norm(p, axis=1)
+            zeta = p / pn[:, None]
+            align = np.einsum("mi,mi->m", zeta, pts / tau)
+            zeta *= np.sign(align)[:, None]
+            dens[rows] = np.einsum("mi,mi->m", Om, zeta).reshape(-1, phi.size)
+            checks.append((finite, np.max(errs), np.max(np.abs(Om)),
+                           np.max(np.linalg.norm(sharp_om, axis=1)), np.any(pn <= 0),
+                           np.any(np.abs(align) < 0.1)))
+    finite, split, om_max, sharp_max, degenerate, tangent = zip(*checks)
+
+    if not all(finite):
+        raise NumericalError("curvature is not finite on the leaf")
+    split_res = float(np.max(split))
     if not np.isfinite(split_res):
         raise NumericalError("splitting residual is not finite on the leaf")
     if not (split_res <= 1e-8):
         raise ValidationError(
             f"matrix is not a splitting of the anchor on the leaf "
             f"(residual {split_res:.3e})")
-
-    sharp_om = np.einsum("mjk,mj->mk", P, Om)
-    om_scale = max(1.0, float(np.max(np.abs(Om))))
-    center_res = float(np.max(np.linalg.norm(sharp_om, axis=1))) / om_scale
+    om_scale = max(1.0, float(np.max(om_max)))
+    center_res = float(np.max(sharp_max)) / om_scale
     if not np.isfinite(center_res):
         raise NumericalError("curvature center residual is not finite on the leaf")
     if not (center_res <= 1e-8):
         raise ValidationError(
             f"curvature is not kernel-valued (residual {center_res:.3e}); "
             f"refusing to project it")
-
-    # radially aligned unit kernel covector
-    p = P[:, [1, 2, 0], [2, 0, 1]]
-    pn = np.linalg.norm(p, axis=1)
-    if np.any(pn <= 0):
+    if any(degenerate):
         raise ValidationError("structure degenerate on the leaf")
-    zeta = p / pn[:, None]
-    align = np.einsum("mi,mi->m", zeta, pts / tau)
-    if np.any(np.abs(align) < 0.1):
+    if any(tangent):
         raise ValidationError("kernel direction nearly tangent to the sphere; "
                               "chart is not following the leaves")
-    zeta *= np.sign(align)[:, None]
-
-    dens = np.einsum("mi,mi->m", Om, zeta).reshape(theta.size, phi.size)
     if not np.all(np.isfinite(dens)):
         raise NumericalError("curvature density is not finite on the leaf")
     integral = sphere_simpson(dens, theta, phi)

@@ -1,6 +1,7 @@
 """Shared fixtures-in-plain-functions for the test modules."""
 
 import os
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +26,21 @@ def module_env():
     inherited = env.get("PYTHONPATH")
     env["PYTHONPATH"] = root + os.pathsep + inherited if inherited else root
     return env
+
+
+def traced_peak_mib(fn):
+    """Peak of the memory Python allocates while fn runs, over what was
+    allocated when it started, in MiB: fn runs once untraced to warm up,
+    then once under tracemalloc."""
+    fn()
+    tracemalloc.start()
+    try:
+        start, _ = tracemalloc.get_traced_memory()
+        fn()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return (peak - start) / 2 ** 20
 
 
 def su2():

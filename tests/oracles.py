@@ -21,7 +21,11 @@ left-to-right det on fresh arrays, which the kernel must match bit for bit.
 The curvature reference is the symbolic route of the curvature periods:
 the round chart as expressions in theta and phi substituted into the
 splitting, alpha and beta differentiated in the angles and compiled with
-them, the route that the pointwise curvature kernel replaced.
+them, the route that the pointwise curvature kernel replaced. The
+whole-grid curvature route is curvature_periods before its block walk: the
+same kernel in plain rendering over every node at once and each check on
+whole-grid arrays. The sigma nodes are the chart-family nodes before the
+arena: meshgrid angles and plain evaluators on fresh arrays.
 """
 
 import math
@@ -479,3 +483,92 @@ def curvature_reference(structure, splitting, tau):
     return CurvatureResult(tau=tau, integral=integral,
                            xi=integral * np.array([1.0, 0.0, 0.0]),
                            center_residual=center_res, splitting_residual=split_res)
+
+
+def curvature_whole_grid(structure, splitting, tau):
+    """curvature_periods as one pass over the whole grid, the route before
+    the block walk: the chart on fresh (9, theta, phi) arrays, the curvature
+    expressions in plain rendering over every node at once, then each check
+    on whole-grid arrays, raising as soon as it fails. The library's walk
+    must match it bit for bit, in values and in the error it raises."""
+    from poispath.connection import RadialSphereFamily, _chart, sphere_grid, sphere_simpson
+    from poispath.errors import NumericalError, ValidationError
+    from poispath.monodromy import CurvatureResult, _curvature_exprs, _parse_splitting
+
+    tau = RadialSphereFamily(structure)._radius(tau)
+    M = _parse_splitting(splitting, structure)
+    theta, phi = sphere_grid(*get_default("area_grid"))
+    cols = np.empty((9, theta.size, phi.size))
+    pts, dth, dph = (c.reshape(3, -1).T for c in _chart(tau, theta, phi, cols))
+    kernel = expr.compile_exprs_vec(_curvature_exprs(structure, M), params=structure.params)
+    with np.errstate(all="ignore"):
+        values = kernel(cols.reshape(9, -1))
+    Om, alpha, beta = (values[k:k + 3].T for k in (0, 3, 6))
+    if not np.all(np.isfinite(Om)):
+        raise NumericalError("curvature is not finite on the leaf")
+
+    with np.errstate(all="ignore"):
+        P = structure.pi_many(pts)
+        errs = []
+        for v, w in ((dth, alpha), (dph, beta)):
+            back = np.einsum("mjk,mj->mk", P, w)
+            vn = np.linalg.norm(v, axis=1)
+            errs.append(np.linalg.norm(back - v, axis=1) / np.maximum(vn, 1e-300))
+    split_res = float(np.max(errs))
+    if not np.isfinite(split_res):
+        raise NumericalError("splitting residual is not finite on the leaf")
+    if not (split_res <= 1e-8):
+        raise ValidationError(
+            f"matrix is not a splitting of the anchor on the leaf "
+            f"(residual {split_res:.3e})")
+
+    with np.errstate(all="ignore"):
+        sharp_om = np.einsum("mjk,mj->mk", P, Om)
+        om_scale = max(1.0, float(np.max(np.abs(Om))))
+        center_res = float(np.max(np.linalg.norm(sharp_om, axis=1))) / om_scale
+    if not np.isfinite(center_res):
+        raise NumericalError("curvature center residual is not finite on the leaf")
+    if not (center_res <= 1e-8):
+        raise ValidationError(
+            f"curvature is not kernel-valued (residual {center_res:.3e}); "
+            f"refusing to project it")
+
+    p = P[:, [1, 2, 0], [2, 0, 1]]
+    pn = np.linalg.norm(p, axis=1)
+    if np.any(pn <= 0):
+        raise ValidationError("structure degenerate on the leaf")
+    with np.errstate(all="ignore"):
+        zeta = p / pn[:, None]
+        align = np.einsum("mi,mi->m", zeta, pts / tau)
+    if np.any(np.abs(align) < 0.1):
+        raise ValidationError("kernel direction nearly tangent to the sphere; "
+                              "chart is not following the leaves")
+    zeta *= np.sign(align)[:, None]
+
+    with np.errstate(all="ignore"):
+        dens = np.einsum("mi,mi->m", Om, zeta).reshape(theta.size, phi.size)
+    if not np.all(np.isfinite(dens)):
+        raise NumericalError("curvature density is not finite on the leaf")
+    integral = sphere_simpson(dens, theta, phi)
+    return CurvatureResult(tau=tau, integral=integral,
+                           xi=integral * np.array([1.0, 0.0, 0.0]),
+                           center_residual=center_res, splitting_residual=split_res)
+
+
+def sigma_nodes(family, tau, theta, phi):
+    """nodes(rows, rate) of a SigmaSphereFamily as they were before the
+    arena rendering: theta and phi from np.meshgrid, and the chart and its
+    tau-derivatives from two plain evaluators over a zero dummy x, with tau
+    passed in as the scalar it is."""
+    names = ("tau", "theta", "phi")
+    chart = family.sigma + [expr.differentiate_sym(c, a) for a in names[1:] for c in family.sigma]
+    fns = [expr.compile_exprs_vec(e, symbols=names, params=family.structure.params)
+           for e in (chart, [expr.differentiate_sym(c, "tau") for c in chart])]
+
+    def nodes(rows, rate):
+        T, F = (a.ravel() for a in np.meshgrid(theta[rows], phi, indexing="ij"))
+        dummy = np.zeros((1, T.size))
+        vals = [fn(dummy, tau, T, F) for fn in fns[:2 if rate else 1]]
+        return [v[k:k + 3] for v in vals for k in (0, 3, 6)]
+
+    return nodes

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from helpers import ROUND_CHART, su2, su2_scaled, symplectic_plane
+from helpers import ROUND_CHART, su2, su2_scaled, symplectic_plane, traced_peak_mib
 from poispath import connection, expr, monodromy
 from poispath.core import PoissonStructure
 from poispath.errors import NumericalError, ValidationError
@@ -293,6 +293,30 @@ def test_sphere_kernel_matches_the_reference_row_bit_for_bit(case, rate, grid):
     assert _bits(got) == _bits(want)
 
 
+# the round chart, a sheared one, and one whose subtrees in tau alone are
+# scalars of the plain route (a Python float power, a numpy exp of one)
+SIGMA_CHARTS = (
+    ROUND_CHART,
+    ("tau*sin(theta)*cos(phi + theta)", "tau*sin(theta)*sin(phi + theta)", "tau*cos(theta)"),
+    ("sqrt(tau^2)*sin(theta)*cos(phi)", "(tau^3/tau^2)*sin(theta)*sin(phi)",
+     "exp(log(tau))*cos(theta)"),
+)
+
+
+@settings(max_examples=30, deadline=None)
+@given(case=kernel_case(), chart=st.sampled_from(SIGMA_CHARTS), rate=st.booleans(),
+       grid=st.sampled_from([PROPERTY_GRID, PARTIAL_BLOCK_GRID]))
+def test_sigma_rows_keep_the_bits_of_the_plain_chart(case, chart, rate, grid):
+    s, tau = case
+    sigma = monodromy.SigmaSphereFamily(s, chart, (0.2, 3.0), grid=grid)
+    rows = [lambda: sigma.area(tau, check=False), lambda: sigma.row_data(tau)[:2]][rate]
+    got = rows()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sigma, "_nodes", lambda t, theta, phi: oracles.sigma_nodes(sigma, t, theta, phi))
+        want = rows()
+    assert _bits(got) == _bits(want)
+
+
 def _radial_rows(cases, taus):
     """Bits of (area, dA/dtau) of each (structure, grid) case at each tau,
     and of the area alone at the first tau."""
@@ -357,3 +381,20 @@ class TestArena:
             family.row_data(0.5 + 0.1 * k)
         per_row = (resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 20
         assert per_row < 50, per_row
+
+    def test_warm_chart_rows_fault_no_fresh_pages(self):
+        # 538 minor faults per row in one measurement, when each block
+        # evaluated the chart into fresh arrays
+        family = monodromy.SigmaSphereFamily(su2_scaled("1 + 0.7*R^2"), ROUND_CHART, (0.2, 3.0))
+        for tau in (0.9, 1.1):
+            family.row_data(tau)
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        for k in range(20):
+            family.row_data(0.5 + 0.1 * k)
+        per_row = (resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 20
+        assert per_row < 50, per_row
+
+    def test_warm_chart_row_stays_within_one_mib(self):
+        # 3.19 MiB when each block evaluated the chart into fresh arrays
+        family = monodromy.SigmaSphereFamily(su2_scaled("1 + 0.7*R^2"), ROUND_CHART, (0.2, 3.0))
+        assert traced_peak_mib(lambda: family.row_data(1.1)) <= 1.0

@@ -1,6 +1,5 @@
 """Path families, variation fields, the invariance identity, action flow."""
 
-import tracemalloc
 import warnings
 from types import SimpleNamespace
 
@@ -412,20 +411,15 @@ class TestSolveOnce:
         # in-house spline per field over slopes solved in one pass
         structure = helpers.su2_scaled("1 + R^2")
         generator = SOLVE_ONCE_CASES["su2_scaled-drift"]().generator
-        # compile dpi and make the first spline before tracing
-        PathFamily(structure, generator, (0.8, 0.1, 0.3), eps_intervals=8,
-                   t_intervals=8).variation_field(1.0)
         fam = PathFamily(structure, generator, (0.8, 0.1, 0.3)).solve()
         assert (len(fam.eps), len(fam.t)) == (41, 1001)
-        tracemalloc.start()
-        try:
-            start, _ = tracemalloc.get_traced_memory()
+
+        def fields():
+            fam._fields.clear()    # each call solves the batch anew
             for fine, sign in homotopy._FIRST_BATCH:
                 fam.variation_field(sign, fine=fine)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert (peak - start) / 2 ** 20 <= 16.0
+
+        assert helpers.traced_peak_mib(fields) <= 16.0
 
     def test_cached_arrays_are_read_only(self, group_family):
         result = solve_variation(group_family)

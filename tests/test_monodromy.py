@@ -1,12 +1,16 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from helpers import ROUND_CHART, su2, su2_scaled, su2_splitting, symplectic_plane
-from poispath import connection, expr, monodromy
+from helpers import (ROUND_CHART, su2, su2_scaled, su2_splitting, symplectic_plane,
+                     traced_peak_mib)
+from poispath import config, connection, expr, monodromy
+from poispath.core import PoissonStructure
 from poispath.errors import NumericalError, ValidationError
 
 FOUR_PI = 4 * math.pi
@@ -93,6 +97,129 @@ class TestCurvature:
         for tau in (0.0, -1.0, math.nan, math.inf):
             with pytest.raises(ValidationError, match="positive and finite"):
                 monodromy.curvature_periods(su2(), su2_splitting(), tau)
+
+
+def _curvature_case(a):
+    return (su2(), su2_splitting()) if a == "su2" else (su2_scaled(a), su2_splitting(a))
+
+
+def _outcome(route, structure, splitting, tau):
+    """Bits of (integral, center_residual, splitting_residual), or the class
+    and message of the error the route raised."""
+    try:
+        res = route(structure, splitting, tau)
+    except (NumericalError, ValidationError) as exc:
+        return type(exc), str(exc)
+    return [float(v).hex() for v in (res.integral, res.center_residual, res.splitting_residual)]
+
+
+# 123 theta rows of 601 nodes: blocks of 9 to 14 rows, the last one short
+SHORT_BLOCK_GRID = (122, 600)
+
+# changes of the su2 splitting's diagonal on one side of the equator x3 = 0;
+# sqrt(x3^2) + x3 is 2 x3 north of it and 0 south of it. The walk meets the
+# north side first; the south changes reach only x3 < -0.9 tau or x3 < 0
+NORTH_NOT_SPLITTING = (0, "(sqrt(x3^2) + x3)")
+SOUTH_NOT_FINITE = (1, "(x1 - x1)*log(x3 + 0.9*R)")
+# a splitting residual of 1e-10, but d_3 M_11 of 1e-4 sends Omega off the kernel
+NORTH_TWISTED = (0, "1e-10*sin(1e6*x3)*(sqrt(x3^2) + x3)")
+SOUTH_NOT_SPLITTING = (1, "(sqrt(x3^2) - x3)")
+
+
+class TestCurvatureBlocks:
+    """The block walk of curvature_periods against the whole-grid route."""
+
+    @pytest.mark.parametrize("grid", [(200, 100), (60, 30), SHORT_BLOCK_GRID])
+    @pytest.mark.parametrize("a", ["1+R^2", "exp(R^2/3)", "1", "su2"])
+    def test_matches_the_whole_grid_route_bit_for_bit(self, a, grid, monkeypatch):
+        monkeypatch.setitem(config.DEFAULTS, "area_grid", list(grid))
+        s, spl = _curvature_case(a)
+        for tau in (0.5, 0.7, 1.3, 1.6):
+            got = _outcome(monodromy.curvature_periods, s, spl, tau)
+            assert isinstance(got, list), got
+            assert got == _outcome(oracles.curvature_whole_grid, s, spl, tau)
+
+    @pytest.mark.parametrize("a", ["1+R^2", "exp(R^2/3)", "1", "su2"])
+    def test_short_grid_ends_in_a_short_block(self, a):
+        s, spl = _curvature_case(a)
+        kernel = monodromy._curvature_kernel(s, monodromy._parse_splitting(spl, s))
+        n_theta, n_phi = SHORT_BLOCK_GRID
+        blocks = [range(n_theta + 1)[b] for b in
+                  connection.theta_blocks(n_theta + 1, n_phi + 1, kernel.slots + 9)]
+        assert len(blocks) > 1 and 0 < len(blocks[-1]) < len(blocks[0])
+
+    @pytest.mark.parametrize("changes, error", [
+        ((NORTH_NOT_SPLITTING,), (ValidationError, "not a splitting")),
+        ((SOUTH_NOT_FINITE,), (NumericalError, "curvature is not finite")),
+        ((NORTH_NOT_SPLITTING, SOUTH_NOT_FINITE), (NumericalError, "curvature is not finite")),
+        ((NORTH_TWISTED,), (ValidationError, "not kernel-valued")),
+        ((SOUTH_NOT_SPLITTING,), (ValidationError, "not a splitting")),
+        ((NORTH_TWISTED, SOUTH_NOT_SPLITTING), (ValidationError, "not a splitting")),
+    ])
+    def test_errors_take_the_precedence_of_the_whole_grid_route(self, changes, error):
+        spl = su2_splitting()
+        for i, text in changes:
+            spl[i][i] = text
+        got = _outcome(monodromy.curvature_periods, su2(), spl, 1.0)
+        assert got == _outcome(oracles.curvature_whole_grid, su2(), spl, 1.0)
+        assert got[0] is error[0] and error[1] in got[1], got
+
+    def test_a_nan_residual_in_a_late_block_wins(self):
+        # Pi^12 is NaN where x3 < -0.9 tau, in the last blocks, while its
+        # gradient, and so Omega, stays finite: only there is the residual NaN
+        s = PoissonStructure(3, {(1, 2): "x3 + 1e-300*log(x3 + 0.9*R)", (1, 3): "-x2",
+                                 (2, 3): "x1"})
+        got = _outcome(monodromy.curvature_periods, s, su2_splitting(), 1.0)
+        assert got == _outcome(oracles.curvature_whole_grid, s, su2_splitting(), 1.0)
+        assert got == (NumericalError, "splitting residual is not finite on the leaf")
+
+    def test_warm_call_stays_within_three_mib(self):
+        # 9.75 MiB when every check ran on whole-grid arrays
+        p, spl = su2_scaled("1 + R^2"), su2_splitting("1 + R^2")
+        assert traced_peak_mib(lambda: monodromy.curvature_periods(p, spl, 0.7)) <= 3.0
+
+
+class TestCurvatureKernelCache:
+    @pytest.fixture
+    def p(self):
+        p = su2_scaled("1 + R^2")
+        p.pi_many(np.zeros((1, 3)))  # the structure compiles its own evaluator once
+        return p
+
+    @pytest.fixture
+    def compiles(self, p, monkeypatch):
+        compile_vec, calls = expr.compile_exprs_vec, []
+        monkeypatch.setattr(expr, "compile_exprs_vec",
+                            lambda *a, **k: calls.append(a) or compile_vec(*a, **k))
+        return calls
+
+    def test_an_equal_splitting_compiles_nothing(self, p, compiles):
+        first = _outcome(monodromy.curvature_periods, p, su2_splitting("1 + R^2"), 0.7)
+        assert len(compiles) == 1
+        # freshly parsed from new strings, structurally equal
+        again = _outcome(monodromy.curvature_periods, p, su2_splitting("1 + R^2"), 0.7)
+        assert len(compiles) == 1
+        assert again == first
+
+    @pytest.mark.parametrize("change", [(0, 1, "x3/((1.0000000000000002 + R^2)*R^2)"),
+                                        (0, 0, "-0")])
+    def test_a_changed_splitting_compiles_once_more(self, p, compiles, change):
+        spl = su2_splitting("1 + R^2")
+        monodromy.curvature_periods(p, spl, 0.7)
+        i, j, text = change
+        spl[i][j] = text
+        monodromy.curvature_periods(p, spl, 0.7)
+        monodromy.curvature_periods(p, spl, 1.3)
+        assert len(compiles) == 2
+
+    def test_dropping_the_structure_drops_its_kernels(self):
+        p = su2_scaled("1 + R^2")
+        monodromy.curvature_periods(p, su2_splitting("1 + R^2"), 0.7)
+        (kernel,) = monodromy._CURVATURE_KERNELS[p].values()
+        refs = weakref.ref(p), weakref.ref(kernel)
+        del p, kernel
+        gc.collect()
+        assert [r() for r in refs] == [None, None]
 
 
 class TestGcd:
