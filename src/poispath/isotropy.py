@@ -8,9 +8,17 @@ the form bracket, which there reduces to
     [alpha, beta]_i = (d_i Pi^(jk)) alpha_j beta_k,
 
 a bilinear bracket on the kernel. This module extracts an orthonormal kernel
-basis (rotated by pivoted QR so coordinate-aligned kernels come out as signed
-coordinate vectors), the structure constants in that basis, the center, the
-Killing form, and coarse classification flags.
+basis, the structure constants in that basis, the center, the Killing form,
+and coarse classification flags.
+
+The basis is the Householder QR with column pivoting (Businger and Golub,
+1965) of the kernel projector: norms recomputed at each step, a tie going to
+the first column within a relative 1e-12 of the largest, and no reflection of
+a column already zero below the diagonal, so coordinate kernels come out as
+exact unit vectors. The flags read the raw values; the report shows as +0.0
+each basis entry up to 1e-10, each structure constant up to the is_abelian
+floor 1e-10 * max(1, max |dPi|) and each Killing entry up to the Killing rank
+tolerance 1e-8 * max(1, max |K|).
 """
 
 from __future__ import annotations
@@ -44,24 +52,32 @@ class IsotropyData:
 
 
 def _aligned_kernel_basis(raw):
-    """Rotate an orthonormal kernel basis so it hugs the coordinate axes.
+    """Rotate an orthonormal kernel basis (rows, as the SVD gave them) so it
+    hugs the coordinate axes: the first k columns of Q in the pivoted QR of
+    the projector, each signed so its largest entry is positive."""
+    k, n = raw.shape
+    A = raw.T @ raw
+    Q = np.eye(n)
+    for j in range(k):
+        norms = np.linalg.norm(A[j:, j:], axis=0)
+        p = j + int(np.argmax(norms >= (1.0 - 1e-12) * norms.max()))
+        A[:, [j, p]] = A[:, [p, j]]
+        x = A[j:, j]
+        if np.any(x[1:]):  # as LAPACK dlarfg: no reflection when x is e_1-aligned
+            beta = -np.copysign(np.linalg.norm(x), x[0])
+            v = x / (x[0] - beta)
+            v[0] = 1.0
+            tau = (beta - x[0]) / beta
+            A[j:, j:] -= tau * np.outer(v, v @ A[j:, j:])
+            Q[:, j:] -= tau * np.outer(Q[:, j:] @ v, v)
+    B = Q[:, :k].T
+    lead = B[np.arange(k), np.argmax(np.abs(B), axis=1)]
+    return B * np.where(lead < 0, -1.0, 1.0)[:, None] + 0.0  # + 0.0: no -0.0
 
-    The input rows span the kernel but their orientation is whatever the SVD
-    produced. Pivoted QR of the projector re-derives an orthonormal basis in
-    decreasing-pivot order; when the kernel is a coordinate subspace the
-    result is the corresponding signed unit vectors.
-    """
-    from scipy.linalg import qr
 
-    k = raw.shape[0]
-    proj = raw.T @ raw
-    Q, _, _ = qr(proj, pivoting=True)
-    basis = Q[:, :k].T.copy()
-    for row in basis:
-        lead = np.argmax(np.abs(row))
-        if row[lead] < 0:
-            row *= -1.0
-    return basis
+def _floored(a, floor):
+    """a with every entry of magnitude at most floor reported as +0.0."""
+    return np.where(np.abs(a) <= floor, 0.0, a)
 
 
 def isotropy_data(structure, x):
@@ -125,20 +141,22 @@ def isotropy_data(structure, x):
     center_dim = k - ad_rank
 
     killing = np.einsum("ade,bed->ab", coords, coords)
+    killing_tol = 1e-8 * max(1.0, float(np.max(np.abs(killing))))
     if cmax > 0:
-        killing_rank = int(np.linalg.matrix_rank(
-            killing, tol=1e-8 * max(1.0, float(np.max(np.abs(killing))))))
+        killing_rank = int(np.linalg.matrix_rank(killing, tol=killing_tol))
         normalized_det = float(np.linalg.det(killing / cmax**2))
     else:
         killing_rank = 0
         normalized_det = 0.0
     is_semisimple = center_dim == 0 and abs(normalized_det) > 1e-6 and not is_abelian
 
+    # the flags above read the raw values; the report floors the noise
     return IsotropyData(
         point=x, rank=rank, corank=corank, singular_values=s, gap_ratio=gap,
-        ambiguous_rank=ambiguous, basis=B, structure_constants=coords,
+        ambiguous_rank=ambiguous, basis=_floored(B, 1e-10),
+        structure_constants=_floored(coords, 1e-10 * dscale),
         closure_residual=closure_residual, center_dim=center_dim,
-        killing=killing, killing_rank=killing_rank,
+        killing=_floored(killing, killing_tol), killing_rank=killing_rank,
         is_abelian=is_abelian, is_semisimple=is_semisimple)
 
 

@@ -1,6 +1,7 @@
 """End-to-end checks of the command line: report content, exit codes, and
 byte-level determinism of repeated runs."""
 
+import ast
 import contextlib
 import csv
 import io
@@ -605,8 +606,8 @@ class TestDeterminism:
 
 
 class TestStartup:
-    """scipy is imported only by isotropy, for its pivoted QR, never at
-    start-up."""
+    """No command imports scipy: it is the tests' oracle, not a runtime
+    dependency."""
 
     def _run(self, *argv, cwd="/"):
         proc = subprocess.run([sys.executable, *argv], capture_output=True,
@@ -645,6 +646,7 @@ class TestStartup:
         ("transport", "--path", "path.json", "--s0", "0.3,0.2,0.1"),
         ("variation", "builtin:linear?preset=su2", "--family", "family.json",
          "--X", "0,x3,-x2"),
+        ("isotropy", "builtin:linear?preset=su3", "--at", "0.3,-0.2,0.5,0.1,0,0.4,-0.1,0.2"),
     ], ids=lambda argv: " ".join(argv[:1] + argv[-2:]))
     def test_quadrature_and_rk45_commands_load_no_scipy(self, argv, tmp_path, circle_path):
         (tmp_path / "path.json").write_text(circle_path.read_text())
@@ -652,6 +654,24 @@ class TestStartup:
         _, imported = self._imported(*argv, cwd=tmp_path)
         assert "poispath.quadrature" in imported
         assert [m for m in imported if m.split(".")[0] == "scipy"] == []
+
+    def test_no_module_imports_scipy_and_numpy_is_the_only_dependency(self):
+        import poispath
+
+        tomllib = pytest.importorskip("tomllib")
+        sources = sorted(Path(poispath.__file__).parent.glob("*.py"))
+        assert sources
+        imported = set()
+        for source in sources:
+            for node in ast.walk(ast.parse(source.read_text())):
+                if isinstance(node, ast.Import):
+                    imported.update((source.name, a.name) for a in node.names)
+                elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                    imported.add((source.name, node.module))
+        assert [(f, m) for f, m in imported if m.split(".")[0] == "scipy"] == []
+        project = tomllib.loads(
+            (Path(__file__).parents[1] / "pyproject.toml").read_text())["project"]
+        assert [re.split(r"[<>=!~ ]", d)[0] for d in project["dependencies"]] == ["numpy"]
 
 
 @pytest.fixture(scope="module")

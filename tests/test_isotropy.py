@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracles
 from helpers import su2, su2_scaled, su3, symplectic_plane
@@ -97,6 +98,135 @@ class TestSU3Point:
         np.testing.assert_allclose(
             data.killing, np.diag([-2.0, -2.0, -2.0, 0.0]), atol=1e-10)
         assert not data.is_semisimple and not data.is_abelian
+
+
+def _scipy_aligned_basis(raw):
+    """The kernel basis through scipy's pivoted QR (LAPACK dgeqp3), signed
+    as isotropy signs its own."""
+    from scipy.linalg import qr
+
+    Q, _, _ = qr(raw.T @ raw, pivoting=True)
+    basis = Q[:, :raw.shape[0]].T
+    lead = basis[np.arange(len(basis)), np.argmax(np.abs(basis), axis=1)]
+    return basis * np.where(lead < 0, -1.0, 1.0)[:, None]
+
+
+def _orthogonal(rng, n):
+    return np.linalg.qr(rng.normal(size=(n, n)))[0]
+
+
+@st.composite
+def kernel_case(draw):
+    """(n, k, rng) for an n-dim space and a k-dim kernel, 1 <= k <= n."""
+    n = draw(st.integers(2, 8))
+    k = draw(st.integers(1, n))
+    return n, k, np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+
+
+class TestAlignedKernelBasis:
+    """isotropy's pivoted QR against scipy's, which it replaced."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(case=kernel_case())
+    def test_generic_kernel_matches_scipy(self, case):
+        # a random kernel has no pivot ties unless it is the whole space
+        n, k, rng = case
+        raw = _orthogonal(rng, n)[:k]
+        ours = isotropy._aligned_kernel_basis(raw)
+        if k < n:
+            np.testing.assert_allclose(ours, _scipy_aligned_basis(raw), rtol=0, atol=1e-14)
+        self._assert_orthonormal_basis_of(ours, raw)
+
+    @settings(max_examples=80, deadline=None)
+    @given(case=kernel_case())
+    def test_rotated_coordinate_kernel_spans_it(self, case):
+        # equal column norms, ties that the two QRs may break differently
+        n, k, rng = case
+        axes = rng.choice(n, size=k, replace=False)
+        raw = _orthogonal(rng, k) @ np.eye(n)[axes]
+        ours = isotropy._aligned_kernel_basis(raw)
+        self._assert_orthonormal_basis_of(ours, raw)
+        self._assert_orthonormal_basis_of(_scipy_aligned_basis(raw), ours)
+
+    @settings(max_examples=80, deadline=None)
+    @given(case=kernel_case())
+    def test_coordinate_kernel_is_exact(self, case):
+        n, k, rng = case
+        axes = rng.choice(n, size=k, replace=False)
+        raw = rng.choice([-1.0, 1.0], size=(k, 1)) * np.eye(n)[axes]
+        ours = isotropy._aligned_kernel_basis(raw)
+        assert np.array_equal(ours, np.eye(n)[np.sort(axes)])
+        assert not np.any(np.signbit(ours))
+
+    @staticmethod
+    def _assert_orthonormal_basis_of(basis, raw):
+        np.testing.assert_allclose(basis @ basis.T, np.eye(len(raw)), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(basis.T @ basis, raw.T @ raw, rtol=0, atol=1e-12)
+
+    def test_tie_goes_to_the_first_column_at_su2_origin(self):
+        assert np.array_equal(isotropy.isotropy_data(su2(), np.zeros(3)).basis, np.eye(3))
+
+    def test_tie_goes_to_the_first_column_at_su3_corank_four(self):
+        basis = isotropy.isotropy_data(su3(), TestSU3Point.POINT).basis
+        assert np.array_equal(basis, np.eye(8)[[0, 1, 2, 7]])
+
+
+class TestReportFloors:
+    """Entries under the floors the flags use are reported as +0.0."""
+
+    POINT = np.array([0.3, -0.2, 0.5, 0.1, 0.0, 0.4, -0.1, 0.2])
+
+    def test_su3_abelian_point_reports_no_rounding_noise(self):
+        data = isotropy.isotropy_data(su3(), self.POINT)
+        for exact_zero in (data.structure_constants, data.killing):
+            assert exact_zero.size and not np.any(exact_zero)
+            assert not np.any(np.signbit(exact_zero))
+        magnitude = np.abs(data.basis)
+        assert not np.any((magnitude > 0) & (magnitude <= 1e-10))
+        assert not np.any(np.signbit(data.basis) & (data.basis == 0))
+        assert data.is_abelian and data.center_dim == 2 and data.killing_rank == 0
+
+
+def _linear_in_new_coordinates(structure, A):
+    """The linear structure with Pi(x) = D[l] x_l in the coordinates y = A x:
+    Pi'(y) = A Pi(A^-1 y) A^T, rebuilt as a PoissonStructure."""
+    n = structure.dim
+    D = structure.dpi_at(np.zeros(n))  # D[l, i, j] = d_l Pi^(ij)
+    M = np.einsum("lm,ai,lij,bj->mab", np.linalg.inv(A), A, D, A)
+    pi = {(a + 1, b + 1): " + ".join(f"({float(M[m, a, b])!r})*x{m + 1}" for m in range(n))
+          for a in range(n) for b in range(a + 1, n)}
+    return PoissonStructure(n, pi)
+
+
+SU3_CORANK_FOUR = [0, 0, 0, 0, 0, 0, 0, -2 * math.sqrt(3.0)]
+
+
+class TestCoordinateInvariance:
+    """The isotropy algebra is a property of the point, not of the chart: a
+    linear change of coordinates A = O diag(d) O', d in [0.5, 2], keeps its
+    invariants."""
+
+    @pytest.mark.parametrize("seed", [3, 17, 29])
+    @pytest.mark.parametrize("make, point", [
+        (su2, [0.0, 0.0, 0.0]),
+        (su2, [0.3, 0.4, 0.5]),
+        (su3, [0.0] * 8),
+        (su3, SU3_CORANK_FOUR),
+        (su3, [0.3, -0.2, 0.5, 0.1, 0.0, 0.4, -0.1, 0.2]),
+    ], ids=["su2-origin", "su2-regular", "su3-origin", "su3-corank4", "su3-generic"])
+    def test_invariants_survive_a_linear_change(self, seed, make, point):
+        structure = make()
+        n = structure.dim
+        rng = np.random.default_rng(seed)
+        A = _orthogonal(rng, n) @ np.diag(rng.uniform(0.5, 2.0, n)) @ _orthogonal(rng, n)
+        x = np.array(point)
+        before = isotropy.isotropy_data(structure, x)
+        after = isotropy.isotropy_data(_linear_in_new_coordinates(structure, A), A @ x)
+        for attr in ("corank", "center_dim", "killing_rank", "is_abelian", "is_semisimple"):
+            assert getattr(after, attr) == getattr(before, attr), attr
+        if before.is_abelian:
+            assert not np.any(before.structure_constants)
+            assert not np.any(after.structure_constants)
 
 
 class TestRankDiagnostics:
