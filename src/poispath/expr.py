@@ -874,15 +874,18 @@ def compile_exprs_vec(exprs, symbols=(), params=None, arena=False):
     this thread's scratch arena (``arena_rows``) and returns the (k, m) view
     of rows 0..k-1, valid until the next arena call on the thread. Its
     ``slots`` attribute is the number of rows it writes. The values are
-    those of the plain evaluator bit for bit.
+    those of the plain evaluator bit for bit. A caller that keeps several
+    results alive passes its own ``rows``, a (slots, m) array or a sequence
+    of slots m-long rows, which the evaluator writes in place of the arena
+    and returns the first k of.
     """
     exprs = list(exprs)
     raw, source, slots = _build(exprs, symbols, params, _VECTOR_FUNCS, arena)
     k = len(exprs)
 
     if arena:
-        def evaluate_grid(x, *sym_values):
-            return raw(x, *sym_values, arena_rows(slots, len(x[0])))
+        def evaluate_grid(x, *sym_values, rows=None):
+            return raw(x, *sym_values, arena_rows(slots, len(x[0])) if rows is None else rows)
 
         evaluate_grid.slots = slots
     else:

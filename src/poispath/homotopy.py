@@ -31,10 +31,17 @@ exposed.
 da/deps is always taken by finite differences across the solved slices, not
 symbolically: a(eps, t) = alpha(eps, t, gamma(eps, t)) drags the unknown
 d(gamma)/deps into any symbolic attempt.
+
+Both RK4 loops write the four stage values of each step into rotating
+buffers. The base solve's stage kernel (_sharp_exprs) folds the signs out of
+each term Pi^(jk) alpha_j, so a negated term is subtracted, and keeps a
+structurally zero term only where it carries a non-finite alpha_j to gamma;
+gamma has the bits of sharp_many.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -111,7 +118,7 @@ class PathFamily:
         self._free_fn = expr.compile_exprs_vec(
             free, symbols=(_TIME, _EPS), params=params) if free else None
         self._stage_fn = expr.compile_exprs_vec(
-            _sharp_exprs(structure, rest), params=params,
+            _sharp_exprs(structure, rest), params=params, arena=True,
             symbols=(_TIME, _EPS) + tuple(f"_free{k}" for k in range(len(free))))
         self._x0_fn = expr.compile_exprs_vec(
             self.x0_exprs, symbols=(_EPS,), params=params)
@@ -145,16 +152,21 @@ class PathFamily:
         The state is component-major, (n, M) for M slices. The generator's
         subtrees that read no coordinate are evaluated once per block of
         _DPI_BLOCK steps, over the stage times t_i, t_i + h/2, t_i + h and
-        all slices. Each RK4 stage then runs one CSE-compiled kernel, which
-        shares subtrees between the rest of the generator and Pi and
-        contracts them in the order of sharp_many's einsum, so gamma has
-        the bits of the unstaged route."""
+        all slices, and split into per-stage argument lists. Each RK4 stage
+        then runs one CSE-compiled kernel (_sharp_exprs), which shares
+        subtrees between the rest of the generator and Pi, so gamma has the
+        bits of the unstaged route. The kernel writes its rows into the next
+        of four rotating buffers, taken in call order, as rk4_step holds
+        four stage values until its step ends."""
         n, N, M = self.structure.dim, self.t_intervals, len(eps)
         t, h = self.t, 1.0 / N
         gamma = np.empty((M, N + 1, n))
         state = self.start_points(eps).T
         gamma[:, 0] = state.T
         stage = self._stage_fn
+        # each buffer is split into its rows once: the kernel writes them,
+        # and rhs returns the first n of them as one array
+        buffers = itertools.cycle([(b[:n], tuple(b)) for b in np.empty((4, stage.slots, M))])
         # a diverging base overflows; the check below raises on it
         with np.errstate(all="ignore"):
             for lo in range(0, N, _DPI_BLOCK):
@@ -164,9 +176,14 @@ class PathFamily:
                 if self._free_fn is not None:
                     free = self._free_fn(np.empty((0, times.size * M)), np.repeat(times, M),
                                          np.tile(eps, times.size)).reshape(-1, 3, len(ti), M)
+                # the kernel's symbol values at stage time j of step r
+                args = [[(tv, eps, *free[:, j, r]) for r, tv in enumerate(times[j].tolist())]
+                        for j in range(3)]
 
                 def rhs(j, y):
-                    return stage(y, times[j, r], eps, *free[:, j, r])
+                    out, rows = next(buffers)
+                    stage(y, *args[j][r], rows=rows)
+                    return out
 
                 for r in range(len(ti)):
                     state = rk4_step(rhs, state, h)
@@ -225,19 +242,59 @@ class PathFamily:
         return self._fields[key]
 
 
+def _signed(e, memo):
+    """(sign, m) with e equal to sign * m, sign +1 or -1, for every value of
+    e but NaN, whose sign bit may differ.
+
+    The signs of Neg nodes and of the factors of products and quotients are
+    pulled out: (-a) b = -(a b). Sums take them in as
+    x + (-y) = x - y, (-x) + y = y - x and x - (-y) = x + y, and keep one Neg
+    where both operands are negated, as -(x + y) is not (-x) + (-y) at
+    (+0, -0). Calls and powers are left as they are. memo maps id(e) to
+    (e, sign, m); it holds e so that no id is reused while memo is read."""
+    if id(e) not in memo:
+        sign, m = 1, e
+        if isinstance(e, expr.Neg):
+            sign, m = _signed(e.operand, memo)
+            sign = -sign
+        elif isinstance(e, (expr.Mul, expr.Div)):
+            (sa, ma), (sb, mb) = _signed(e.left, memo), _signed(e.right, memo)
+            sign, m = sa * sb, type(e)(ma, mb)
+        elif isinstance(e, (expr.Add, expr.Sub)):
+            (sa, ma), (sb, mb) = _signed(e.left, memo), _signed(e.right, memo)
+            sb = -sb if isinstance(e, expr.Sub) else sb
+            if sa > 0:
+                m = (expr.Add if sb > 0 else expr.Sub)(ma, mb)
+            else:
+                m = expr.Sub(mb, ma) if sb > 0 else expr.Sub(expr.Neg(ma), mb)
+        memo[id(e)] = (e, sign, m)
+    return memo[id(e)][1:]
+
+
 def _sharp_exprs(structure, alpha):
     """(#alpha)^k = Pi^(jk) alpha_j summed as sharp_many's einsum sums it:
-    from a 0.0 accumulator, in j order. Structurally zero entries add only
-    signed zeros and are left out, except from the first component, which
-    keeps them so that a non-finite alpha_j reaches gamma."""
+    from a 0.0 accumulator, in j order, to the same float where Pi and
+    alpha are finite.
+
+    Each term's signs are folded out by _signed, so a negated term is
+    subtracted from the sum instead of being negated and added.
+    Structurally zero entries add only signed zeros, which leave a sum from
+    +0.0 as it is, and are left out. The first component keeps 0.0 * alpha_j
+    only for an alpha_j whose Pi^(jk) are all structurally zero: every other
+    alpha_j reaches some component through a nonzero entry, and so a
+    non-finite alpha_j always reaches gamma."""
     n = structure.dim
-    out = []
-    for k in range(1, n + 1):
+    pi = [[structure.entry(j, k) for k in range(1, n + 1)] for j in range(1, n + 1)]
+    zero = [[isinstance(p, expr.Num) and p.value == 0.0 for p in row] for row in pi]
+    memo, out = {}, []
+    for k in range(n):
         total = expr.Num(0.0)
-        for j in range(1, n + 1):
-            p = structure.entry(j, k)
-            if k == 1 or not (isinstance(p, expr.Num) and p.value == 0.0):
-                total = expr.Add(total, expr.Mul(p, alpha[j - 1]))
+        for j in range(n):
+            if not zero[j][k]:
+                sign, m = _signed(expr.Mul(pi[j][k], alpha[j]), memo)
+                total = (expr.Add if sign > 0 else expr.Sub)(total, m)
+            elif k == 0 and all(zero[j]):
+                total = expr.Add(total, expr.Mul(pi[j][k], alpha[j]))
         out.append(total)
     return out
 
@@ -265,9 +322,9 @@ def _coupling_factor(D, a, rows):
     return E
 
 
-def _coupling(E, b, buf):
-    """(d_i Pi^(jk)) a_j b_k per row, as (n, R), from one node's E (see
-    _coupling_factor) and the component-major state b (n, R).
+def _coupling(E, b, buf, out):
+    """(d_i Pi^(jk)) a_j b_k per row, written to out (n, R), from one node's
+    E (see _coupling_factor) and the component-major state b (n, R).
 
     The (j, k) terms (D a) b are added from a +0.0 accumulator in
     lexicographic order, which is how coupling_many's einsum adds them, so
@@ -275,7 +332,7 @@ def _coupling(E, b, buf):
     the outermost, and numpy reduces an outer axis term by term (an inner
     one it would sum pairwise)."""
     np.multiply(E, b[None, :, None, :], out=buf)
-    return np.add.reduce(buf.reshape(-1, *b.shape), axis=0, initial=0.0)
+    return np.add.reduce(buf.reshape(-1, *b.shape), axis=0, initial=0.0, out=out)
 
 
 def _variation_fields(structure, t, gamma_f, a_f, parts):
@@ -311,9 +368,10 @@ def _variation_knots(structure, t, gamma_f, a_f, parts):
     The state is component-major, (n, R). Per block of _DPI_BLOCK time
     nodes, one dpi_many call covers all fine slices (the coarse ones are
     the even fine ones), and E = (d_i Pi^(jk)) a_j is formed once; each
-    stage is one _coupling call. Non-finite values are left for the caller
-    to find: a diverging part must not stop the others, or warn while they
-    are solved.
+    stage is one _coupling call, scaled by the sign and added to da/deps in
+    the next of four rotating buffers (see PathFamily._solve_on).
+    Non-finite values are left for the caller to find: a diverging part
+    must not stop the others, or warn while they are solved.
     """
     n, N = gamma_f.shape[2], len(t) - 1
     h = t[1] - t[0]
@@ -323,6 +381,7 @@ def _variation_knots(structure, t, gamma_f, a_f, parts):
     knots[0] = 0.0
     cur = np.zeros((n, rows.size))
     buf = np.empty((n, n, n, rows.size))
+    buffers = itertools.cycle(np.empty((4, n, rows.size)))
     with np.errstate(all="ignore"):
         for start in range(0, N, _DPI_BLOCK):
             stop = min(start + _DPI_BLOCK, N)
@@ -330,11 +389,14 @@ def _variation_knots(structure, t, gamma_f, a_f, parts):
             # node-major points, so that each node's dpi block is contiguous
             points = gamma_f[:, span].transpose(1, 0, 2).reshape(-1, n)
             D = structure.dpi_many(points).reshape(stop + 1 - start, -1, n, n, n)
-            E = _coupling_factor(D, a_f[rows, span].transpose(1, 2, 0), rows)
-            F = np.concatenate([d[:, span].transpose(1, 2, 0) for _, d, _ in parts], axis=2)
+            E = list(_coupling_factor(D, a_f[rows, span].transpose(1, 2, 0), rows))
+            F = list(np.concatenate([d[:, span].transpose(1, 2, 0) for _, d, _ in parts],
+                                    axis=2))
 
             def rhs(j, b):
-                return F[i + j - start] + sign * _coupling(E[i + j - start], b, buf)
+                k = _coupling(E[i + j - start], b, buf, next(buffers))
+                np.multiply(sign, k, out=k)
+                return np.add(F[i + j - start], k, out=k)
 
             for i in range(start, stop, 2):
                 cur = rk4_step(rhs, cur, 2.0 * h)
@@ -370,7 +432,7 @@ def solve_variation(family, order="pinned", check_resolution=True):
         floor = 1e-8 * max(1.0, float(np.max(np.abs(family.a))))
         scale = max(float(np.max(np.abs(b_f[:, -1]))), floor)
         change = delta / scale
-        coarse_flag = change > 0.10
+        coarse_flag = not change <= 0.10
     return VariationResult(eps=family.eps, t=family.t, b=b, var=var,
                            max_variation=max_var, order=order,
                            resolution_checked=bool(check_resolution),
@@ -398,10 +460,10 @@ def is_homotopy(family):
     start_spread = float(np.max(np.abs(family.gamma[:, 0] - family.gamma[0, 0])))
     end_spread = float(np.max(np.abs(family.gamma[:, -1] - family.gamma[0, -1])))
     result = solve_variation(family)
-    if max(start_spread, end_spread) > tol:
+    if not (start_spread <= tol and end_spread <= tol):
         return HomotopyDecision(False, "not a family with fixed endpoints",
                                 result.max_variation, start_spread, end_spread, tol)
-    if result.max_variation > tol:
+    if not result.max_variation <= tol:
         return HomotopyDecision(False, "variation nonzero",
                                 result.max_variation, start_spread, end_spread, tol)
     return HomotopyDecision(True, "", result.max_variation,

@@ -1,5 +1,6 @@
 """Shared fixtures-in-plain-functions for the test modules."""
 
+import ast
 import os
 import tracemalloc
 from pathlib import Path
@@ -41,6 +42,28 @@ def traced_peak_mib(fn):
     finally:
         tracemalloc.stop()
     return (peak - start) / 2 ** 20
+
+
+def ufunc_calls(source):
+    """numpy ufunc calls that one run of a compiled kernel makes, counted in
+    its source (the .source of an expr.compile_exprs_vec evaluator), in
+    either rendering: operators and unary minus on arrays when inline,
+    named ufunc calls in arena rendering, function calls in both. A
+    negative literal such as (-1.5), or an operator on two literals, is
+    plain Python and not counted."""
+    def literal(node):
+        return isinstance(node, ast.Constant) or (
+            isinstance(node, ast.UnaryOp) and isinstance(node.operand, ast.Constant))
+
+    count = 0
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call):
+            count += 1
+        elif isinstance(node, ast.BinOp):
+            count += not (literal(node.left) and literal(node.right))
+        elif isinstance(node, ast.UnaryOp):
+            count += not literal(node)
+    return count
 
 
 def su2():

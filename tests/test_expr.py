@@ -327,6 +327,21 @@ class TestCompiled:
         assert expr.compile_exprs_vec(exprs)(np.array([[2.0]])).tolist() == [
             [math.inf], [-math.inf]]
 
+    def test_arena_evaluator_writes_the_rows_it_is_given(self):
+        exprs = [expr.parse(s, 2) for s in ("x1*x2 + x1", "sin(x2)^2 - x1", "3")]
+        f = expr.compile_exprs_vec(exprs, arena=True)
+        x = np.random.default_rng(7).uniform(-2.0, 2.0, size=(2, 9))
+        want = expr.compile_exprs_vec(exprs)(x)
+        arena = expr.arena_rows(f.slots, 9)
+        arena[...] = 7.0
+        buf = np.full((f.slots, 9), np.nan)
+        out = f(x, rows=buf)
+        assert np.shares_memory(out, buf) and out.tobytes() == want.tobytes()
+        rows = tuple(np.full((f.slots, 9), np.nan))
+        f(x, rows=rows)
+        assert np.array(rows[:3]).tobytes() == want.tobytes()
+        assert np.all(arena == 7.0)
+
     def test_shared_subtree_is_computed_once(self):
         structure = registry.load("builtin:su2_scaled?a=exp(R^2/3)").structure
         # the sphere kernel holds p and its Jacobian in one DAG

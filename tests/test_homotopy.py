@@ -1,5 +1,6 @@
 """Path families, variation fields, the invariance identity, action flow."""
 
+import dataclasses
 import warnings
 from types import SimpleNamespace
 
@@ -12,7 +13,7 @@ from scipy.linalg import expm
 import helpers
 import oracles
 from helpers import seeded_family, seeded_fields
-from poispath import expr, homotopy
+from poispath import expr, homotopy, registry
 from poispath.core import PoissonStructure
 from poispath.errors import ParseError, NumericalError, ValidationError
 from poispath.homotopy import (PathFamily, flow_by_action, invariance_identity_residual,
@@ -203,6 +204,25 @@ class TestVariation:
         assert not result.resolution_checked
         assert result.resolution_change == 0.0
 
+    def test_nan_resolution_change_flags_the_grid(self, su2, monkeypatch):
+        # a NaN endpoint of the fine field makes the change NaN, which must
+        # not read as "within 10%"
+        fam = PathFamily(su2, GROUP_GENERATOR, (0.0, 0.0, 0.0),
+                         eps_intervals=8, t_intervals=200)
+        assert not solve_variation(fam).grid_coarse
+        field = fam.variation_field
+
+        def nan_fine(sign, fine=False):
+            b = field(sign, fine).copy()
+            if fine:
+                b[3, -1, 0] = np.nan
+            return b
+
+        monkeypatch.setattr(fam, "variation_field", nan_fine)
+        result = solve_variation(fam)
+        assert np.isnan(result.resolution_change)
+        assert result.grid_coarse
+
 
 class TestHomotopyDecision:
     def test_reparametrization_family(self, reparam_family):
@@ -229,6 +249,33 @@ class TestHomotopyDecision:
         assert decision.reason == "variation nonzero"
         assert decision.start_spread <= 1e-15
         assert decision.max_variation == pytest.approx(1.0, abs=1e-9)
+
+    @staticmethod
+    def _group_homotopy(su2):
+        fam = PathFamily(su2, GROUP_GENERATOR, (0.0, 0.0, 0.0),
+                         eps_intervals=8, t_intervals=200)
+        assert is_homotopy(fam)
+        return fam
+
+    @pytest.mark.parametrize("node", [0, -1])
+    def test_nan_endpoint_spread_is_not_fixed(self, su2, monkeypatch, node):
+        # a NaN spread at either end, where max(0.0, nan) reads 0.0
+        fam = self._group_homotopy(su2)
+        gamma = fam.gamma.copy()
+        gamma[5, node, 1] = np.nan
+        monkeypatch.setattr(fam, "gamma", gamma)
+        decision = is_homotopy(fam)
+        assert not decision
+        assert decision.reason == "not a family with fixed endpoints"
+
+    def test_nan_variation_is_not_vanishing(self, su2, monkeypatch):
+        fam = self._group_homotopy(su2)
+        solve = homotopy.solve_variation
+        monkeypatch.setattr(homotopy, "solve_variation", lambda family: dataclasses.replace(
+            solve(family), max_variation=float("nan")))
+        decision = is_homotopy(fam)
+        assert not decision
+        assert decision.reason == "variation nonzero"
 
 
 class TestInvariance:
@@ -347,10 +394,13 @@ class TestSolveOnce:
                 assert result.resolution_change == change
         assert np.max(np.abs(fields[-1.0][0])) > 0.0
 
-    def test_non_finite_generator_on_an_unread_component_fails_closed(self):
+    @pytest.mark.parametrize("pi", [{(1, 2): "1"}, {(1, 2): "x3"}],
+                             ids=["constant", "heisenberg"])
+    def test_non_finite_generator_on_an_unread_component_fails_closed(self, pi):
         # Pi reads only a1 and a2; the pole of a3 at t = 0.5 must still stop
-        # the solve, as it does through sharp_many's 0 * inf
-        S = PoissonStructure(3, {(1, 2): "1"})
+        # the solve, as it does through sharp_many's 0 * inf: the stage
+        # kernel keeps 0.0 * a3 in its first component for it
+        S = PoissonStructure(3, pi)
         fam = PathFamily(S, ("0.1*eps", "0.2", "1/(t - 0.5)"), (0.0, 0.0, 0.0),
                          t_intervals=10, eps_intervals=8)
         with np.errstate(all="ignore"), pytest.raises(
@@ -441,6 +491,106 @@ class TestSolveOnce:
         assert group_family.t[0] == 0.0
 
 
+# a rational rotation, and the drift generator of the homotopy benchmark
+_ROTATION = ((0.36, 0.48, -0.8), (-0.8, 0.6, 0.0), (0.48, 0.64, 0.6))
+_DRIFT = ("0.21*eps*(1 - 2*t) + -0.13*eps*sin(t) + 0.3*eps^2*t*(1-t) + -0.07*eps*x1",
+          "-0.3*eps*(1 - 2*t) + 0.05*eps*sin(t) + 0.11*eps^2*t*(1-t) + 0.2*eps*x2",
+          "0.1*eps*(1 - 2*t) + 0.34*eps*sin(t) + -0.2*eps^2*t*(1-t) + 0.15*eps*x3 + 1")
+
+# ufunc calls of one RK4 stage of the base solve (17, 24 and 35 before the
+# signs were folded and the zero terms pruned)
+STAGE_KERNEL_CASES = {
+    "group": (lambda: registry.load("builtin:linear?preset=su2").structure,
+              [" + ".join(f"({q!r})*({g})" for q, g in zip(row, GROUP_GENERATOR))
+               for row in _ROTATION], 12),
+    "su2-drift": (lambda: registry.load("builtin:linear?preset=su2").structure, _DRIFT, 19),
+    "su2_scaled-drift": (
+        lambda: registry.load("builtin:su2_scaled?a=1+0.532311*R^2").structure, _DRIFT, 29),
+}
+
+@st.composite
+def _stage_case(draw):
+    """A family on a structure of the stage-kernel property test: su2_scaled
+    profiles, linear su2 and su3, and the Heisenberg structure, whose third
+    covector component reaches no component of #alpha; start points with
+    signed zeros, at the origin and on coordinate planes."""
+    kind = draw(st.sampled_from(["su2_scaled", "su2", "su3", "heisenberg"]))
+    if kind == "su2_scaled":
+        c = draw(st.floats(0.1, 2.0))
+        profile = draw(st.sampled_from([f"1 + {c!r}*R^2", f"exp(-R^2/{c!r})"]))
+        structure = helpers.su2_scaled(profile)
+    else:
+        structure = {"su2": helpers.su2, "su3": helpers.su3,
+                     "heisenberg": lambda: PoissonStructure(3, {(1, 2): "x3"})}[kind]()
+    n = structure.dim
+    coef = st.one_of(st.sampled_from([0.0, 1.0, -0.5]), st.floats(-1.0, 1.0))
+    generator = []
+    for i in range(1, n + 1):
+        c = [draw(coef) for _ in range(4)]
+        generator.append(f"{c[0]!r}*eps*(1 - 2*t) + {c[1]!r}*eps*sin(t)"
+                         f" + {c[2]!r}*eps*x{i} + {c[3]!r}*x{i % n + 1}")
+    generator[-1] += " + 1"
+    zero = st.sampled_from([0.0, -0.0])
+    x0 = draw(st.one_of(st.lists(zero, min_size=n, max_size=n),
+                        st.lists(st.one_of(zero, st.floats(-1.0, 1.0)),
+                                 min_size=n, max_size=n)))
+    t_intervals = draw(st.sampled_from([8, 70]))
+    return PathFamily(structure, generator, x0, eps_intervals=8, t_intervals=t_intervals)
+
+
+class TestStageKernel:
+    @pytest.mark.parametrize("case", sorted(STAGE_KERNEL_CASES))
+    def test_kernel_shape_is_pinned(self, case):
+        structure, generator, calls = STAGE_KERNEL_CASES[case]
+        fam = PathFamily(structure(), generator, (0.6, -0.3, 0.5))
+        source = fam._stage_fn.source
+        assert helpers.ufunc_calls(source) == calls
+        # a negated Pi entry is subtracted, never negated and multiplied
+        assert "_negative" not in source
+
+    def test_ufunc_calls_counts_both_renderings(self):
+        exprs = [expr.parse("-x1*(-1.5) + sin(x2)^2 - x1/x2", 2)]
+        inline = expr.compile_exprs_vec(exprs).source
+        buffered = expr.compile_exprs_vec(exprs, arena=True).source
+        # neg, mul, sin, square, add, div, sub
+        assert helpers.ufunc_calls(inline) == helpers.ufunc_calls(buffered) == 7
+
+    @pytest.mark.parametrize("text", [
+        "-x1 + -x2", "-x1 - x2", "-x1 - -x2", "x1 + -x2", "-x1 + x2", "x1 - -x2",
+        "(-x1)*x2", "-(x1*-x2)", "-x1/-x2", "(-x1 + x2)*-0.5", "-(-x1 + -x2)*x1"])
+    def test_sign_folding_is_exact(self, text):
+        # every sign of zero and infinity, against the expression as parsed
+        e = expr.parse(text, 2)
+        sign, m = homotopy._signed(e, {})
+        folded = m if sign > 0 else expr.Neg(m)
+        values = [0.0, -0.0, 1.5, -2.25, np.inf, -np.inf, 1e308]
+        x = np.array([[u, v] for u in values for v in values]).T
+        with np.errstate(all="ignore"):
+            want, got = (expr.compile_exprs_vec([f])(x) for f in (e, folded))
+        nan = np.isnan(want)
+        np.testing.assert_array_equal(np.isnan(got), nan)
+        assert got[~nan].tobytes() == want[~nan].tobytes()
+
+    @settings(max_examples=40, deadline=None)
+    @given(fam=_stage_case())
+    def test_stage_kernel_matches_the_sharp_many_route(self, fam):
+        fam.solve()
+        for got, want in zip(fam._fine, oracles.base_reference(fam, fam.eps_fine)):
+            _same_bits(got, want)
+
+    def test_solve_and_first_field_stay_within_the_memory_bound(self):
+        # tracemalloc peak over the start of the base solve and the first
+        # variation batch of a default-grid family: 20.59 MiB before the
+        # stages wrote into rotating buffers, 20.58 MiB after
+        structure = helpers.su2_scaled("1 + R^2")
+        generator = SOLVE_ONCE_CASES["su2_scaled-drift"]().generator
+
+        def solve():
+            PathFamily(structure, generator, (0.8, 0.1, 0.3)).solve().variation_field(1.0)
+
+        assert helpers.traced_peak_mib(solve) <= 21.0
+
+
 _ENTRIES = st.one_of(st.sampled_from([0.0, -0.0, np.inf, -np.inf, np.nan]),
                     st.floats(-4.0, 4.0), st.floats(allow_nan=False))
 
@@ -465,7 +615,7 @@ def test_block_contraction_matches_the_einsum_bit_for_bit(case):
         want = PoissonStructure.coupling_many(SimpleNamespace(dpi_many=lambda xs: D),
                                               None, a, b)
         E = homotopy._coupling_factor(D, a.T, np.arange(rows))
-        got = homotopy._coupling(E, b.T, np.empty((n, n, n, rows))).T
+        got = homotopy._coupling(E, b.T, np.empty((n, n, n, rows)), np.empty((n, rows))).T
     nan = np.isnan(want)
     np.testing.assert_array_equal(np.isnan(got), nan)
     assert got[~nan].tobytes() == want[~nan].tobytes()
