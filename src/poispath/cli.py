@@ -20,7 +20,7 @@ from . import config, expr, registry
 from . import paths as pth
 from .connection import area_variation, sphere_area
 from .core import PoissonStructure
-from .errors import EvalDomainError, NumericalError, ParseError, ValidationError
+from .errors import EvalDomainError, NumericalError, ParseError, ValidationError, require_finite
 from .homotopy import PathFamily, invariance_report, is_homotopy, solve_variation
 from .isotropy import isotropy_data
 from .monodromy import (RadialSphereFamily, SigmaSphereFamily, curvature_periods,
@@ -79,8 +79,7 @@ def _point(text, dim, what="point"):
         raise ValidationError(f"{what} must be comma-separated numbers, got {text!r}")
     if len(values) != dim:
         raise ValidationError(f"{what} needs {dim} components, got {len(values)}")
-    if not all(map(math.isfinite, values)):
-        raise ValidationError(f"{what} must have finite components, got {text!r}")
+    require_finite(values, f"{what} must have finite components, got {text!r}", ValidationError)
     return np.asarray(values, dtype=float)
 
 
@@ -252,8 +251,7 @@ def _read_path(file_):
     structure = PoissonStructure.from_dict(data["structure"])
     arrays = {k: np.asarray(data[k], dtype=float) for k in ("t", "gamma", "a")}
     for key, values in arrays.items():
-        if not np.all(np.isfinite(values)):
-            raise ValidationError(f"path file holds non-finite values in {key!r}")
+        require_finite(values, f"path file holds non-finite values in {key!r}", ValidationError)
     # path_defect differentiates with the step t[1] - t[0], so t must be the
     # even grid from 0 to 1, up to the rounding of np.linspace
     t = arrays["t"]

@@ -40,7 +40,7 @@ import numpy as np
 
 from . import expr
 from .config import get_default
-from .errors import NumericalError, ValidationError
+from .errors import NumericalError, ValidationError, require_finite, require_within
 from .quadrature import simpson
 
 _KERNELS: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
@@ -137,8 +137,9 @@ def leaf_form_many(structure, xs, us, vs, moving=None, out=None):
     # garbage at degenerate points is caught by the checks below
     with np.errstate(all="ignore"):
         *drate, dens, nrm2, pu, pv, uu, vv = _sphere_kernel(structure, rate)(cols)
-    if np.any(nrm2 <= 0.0) or not np.all(np.isfinite(nrm2)):
+    if np.any(nrm2 <= 0.0):
         raise ValidationError("structure is degenerate on the evaluation set")
+    require_finite(nrm2, "structure is degenerate on the evaluation set", ValidationError)
     scale = np.sqrt(nrm2)
     bound = _TANGENCY_TOL * scale
     for pw, ww, name in ((pu, uu, "first"), (pv, vv, "second")):
@@ -154,11 +155,9 @@ def leaf_form_many(structure, xs, us, vs, moving=None, out=None):
     if rate and not np.all(np.isfinite(drate[0])):
         jac = expr.compile_exprs_vec(_jacobian(_dual_exprs(structure)), params=structure.params)
         with np.errstate(all="ignore"):
-            if not np.all(np.isfinite(jac(cols[:3]))):
-                raise NumericalError("Jacobian of the structure is not finite on the sphere")
+            require_finite(jac(cols[:3]), "Jacobian of the structure is not finite on the sphere")
         raise NumericalError("area rate density is not finite on the sphere")
-    if not np.all(np.isfinite(dens)):
-        raise NumericalError("leaf density is not finite on the sphere")
+    require_finite(dens, "leaf density is not finite on the sphere")
     if out is None:
         out = np.empty((1 + rate, dens.size))
     out[0] = dens
@@ -171,7 +170,8 @@ def leaf_form(structure, x, u, v):
     """omega(u, v) at a single point, any dimension.
 
     Solves #alpha = u for the minimum-norm covector and returns -<alpha, v>.
-    Both vectors must lie in the image of the anchor at x.
+    Both vectors must lie in the image of the anchor at x (ValidationError);
+    a non-finite value raises NumericalError.
     """
     x = np.asarray(x, dtype=float)
     u = np.asarray(u, dtype=float)
@@ -183,12 +183,16 @@ def leaf_form(structure, x, u, v):
     if scale == 0.0:
         raise ValidationError("structure vanishes at the point")
     alpha, *_ = np.linalg.lstsq(P.T, u, rcond=None)
-    for w, name in ((u, "first"), (v, "second")):
-        sol, *_ = np.linalg.lstsq(P.T, w, rcond=None)
-        resid = np.linalg.norm(P.T @ sol - w)
-        if resid > _TANGENCY_TOL * max(1.0, np.linalg.norm(w)) * max(1.0, scale):
-            raise ValidationError(f"{name} argument is not tangent to the leaf")
-    return float(-np.dot(alpha, v))
+    # overflow and NaNs from huge or non-finite vectors fail the gates
+    with np.errstate(all="ignore"):
+        for w, name in ((u, "first"), (v, "second")):
+            sol, *_ = np.linalg.lstsq(P.T, w, rcond=None)
+            require_within(np.linalg.norm(P.T @ sol - w),
+                           _TANGENCY_TOL * max(1.0, np.linalg.norm(w)) * max(1.0, scale),
+                           f"{name} argument is not tangent to the leaf")
+        value = float(-np.dot(alpha, v))
+    require_finite(value, "leaf form is not finite at the point")
+    return value
 
 
 def sphere_grid(n_theta, n_phi):
@@ -320,10 +324,9 @@ class RadialSphereFamily:
         if not check:
             return value
         finer = _sphere_area_once(self, tau, [2 * g for g in self.grid])
-        if not abs(finer - value) <= get_default("area_check_rel") * max(1.0, abs(finer)):
-            raise NumericalError(
-                f"sphere area at tau={tau} unstable under grid doubling: "
-                f"{value:.10g} vs {finer:.10g}")
+        require_within(abs(finer - value), get_default("area_check_rel") * max(1.0, abs(finer)),
+                       f"sphere area at tau={tau} unstable under grid doubling: "
+                       f"{value:.10g} vs {finer:.10g}", NumericalError)
         return finer
 
     def _rate(self, tau, verify):
@@ -334,10 +337,9 @@ class RadialSphereFamily:
         area, d = _sphere_area_once(self, tau, self.grid, rate=True)
         if verify:
             _, d_fine = _sphere_area_once(self, tau, [2 * g for g in self.grid], rate=True)
-            if not abs(d - d_fine) <= max(1e-3 * abs(d_fine), 1e-6 * max(1.0, abs(area))):
-                raise NumericalError(
-                    f"area derivative at tau={tau} unstable under grid doubling: "
-                    f"{d:.10g} vs {d_fine:.10g}")
+            require_within(abs(d - d_fine), max(1e-3 * abs(d_fine), 1e-6 * max(1.0, abs(area))),
+                           f"area derivative at tau={tau} unstable under grid doubling: "
+                           f"{d:.10g} vs {d_fine:.10g}", NumericalError)
         return area, d
 
     def row_data(self, tau, verify=False):
@@ -462,8 +464,7 @@ def area_variation(structure, tau, grid=None):
     # sign), and it pairs with the family velocity e1 at x0 through p_1;
     # p = (Pi^23, Pi^31, Pi^12)
     p = structure.pi_at(x0)[[1, 2, 0], [2, 0, 1]]
-    if not np.all(np.isfinite(p)):
-        raise NumericalError(f"structure matrix is not finite at {x0.tolist()}")
+    require_finite(p, f"structure matrix is not finite at {x0.tolist()}")
     if not np.any(p):
         raise ValidationError(
             f"variation needs a corank-1 point, got corank 3 at {x0.tolist()}")

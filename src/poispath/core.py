@@ -22,7 +22,7 @@ from functools import cached_property
 import numpy as np
 
 from . import expr
-from .errors import ValidationError
+from .errors import ValidationError, require_finite, require_within
 from .config import get_default
 
 
@@ -228,8 +228,7 @@ class PoissonStructure:
             return 0.0
         with np.errstate(all="ignore"):
             J = self.jacobi_tensor_many(xs)
-        if not np.all(np.isfinite(J)):
-            raise ValidationError("structure entries are not finite at a sampled point")
+        require_finite(J, "structure entries are not finite at a sampled point", ValidationError)
         return float(np.max(np.abs(J)))
 
     def validate(self, n_points=None, box=None, tol=None, seed=None):
@@ -253,10 +252,9 @@ class PoissonStructure:
         rng = np.random.default_rng(seed)
         xs = rng.uniform(-box, box, size=(n_points, self.dim))
         residual = self.jacobi_residual(xs)
-        if not residual <= tol:
-            raise ValidationError(
-                f"Jacobi identity fails: max residual {residual:.3e} over "
-                f"{n_points} points in [-{box}, {box}]^{self.dim} exceeds {tol:.1e}")
+        require_within(residual, tol,
+                       f"Jacobi identity fails: max residual {residual:.3e} over "
+                       f"{n_points} points in [-{box}, {box}]^{self.dim} exceeds {tol:.1e}")
         return residual
 
     # -- serialization ------------------------------------------------------

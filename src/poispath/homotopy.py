@@ -48,7 +48,7 @@ import numpy as np
 
 from . import expr
 from .config import get_default
-from .errors import NumericalError, ValidationError
+from .errors import NumericalError, ValidationError, require_finite, require_within
 from .paths import (CotangentPath, CubicSpline, differentiate_samples, even_intervals,
                     path_defect, rk4_step)
 from .quadrature import simpson
@@ -94,8 +94,11 @@ class PathFamily:
         self.x0_exprs = expr.components(
             x0, 0, symbols=(_EPS,), params=structure.params,
             what="start point", count=structure.dim)
-        lo, hi = (float(eps_range[0]), float(eps_range[1]))
-        if not hi > lo:
+        try:
+            lo, hi = (float(v) for v in eps_range)
+        except (TypeError, ValueError):
+            raise ValidationError(f"eps_range must be a [lo, hi] pair, got {eps_range!r}") from None
+        if not -np.inf < lo < hi < np.inf:
             raise ValidationError(f"bad eps range ({lo}, {hi})")
         self.eps_range = (lo, hi)
         n_eps = get_default("eps_intervals") if eps_intervals is None else eps_intervals
@@ -126,19 +129,23 @@ class PathFamily:
     @classmethod
     def from_dict(cls, structure, data):
         """Family spec mapping: generator, x0, optional eps_grid / t_grid
-        node counts and eps_range."""
+        node counts (integers) and eps_range."""
         try:
             generator = data["generator"]
             x0 = data["x0"]
         except (KeyError, TypeError) as exc:
             raise ValidationError(f"family description missing field: {exc}") from None
         kwargs = {}
-        if "eps_grid" in data:
-            kwargs["eps_intervals"] = int(data["eps_grid"]) - 1
-        if "t_grid" in data:
-            kwargs["t_intervals"] = int(data["t_grid"]) - 1
+        for key, name in (("eps_grid", "eps_intervals"), ("t_grid", "t_intervals")):
+            if key in data:
+                count = data[key]
+                if isinstance(count, float) and count.is_integer():
+                    count = int(count)
+                if not isinstance(count, int):
+                    raise ValidationError(f"{key} must be an integer node count, got {count!r}")
+                kwargs[name] = count - 1
         if "eps_range" in data:
-            kwargs["eps_range"] = tuple(data["eps_range"])
+            kwargs["eps_range"] = data["eps_range"]
         return cls(structure, generator, x0, **kwargs)
 
     def start_points(self, eps):
@@ -188,8 +195,7 @@ class PathFamily:
                 for r in range(len(ti)):
                     state = rk4_step(rhs, state, h)
                     gamma[:, lo + r + 1] = state.T
-        if not np.all(np.isfinite(gamma)):
-            raise NumericalError("family base integration produced non-finite values")
+        require_finite(gamma, "family base integration produced non-finite values")
         a = np.empty_like(gamma)
         for m in range(M):
             a[m] = self._gen_fn(gamma[m].T, t, eps[m]).T
@@ -518,8 +524,7 @@ def invariance_report(family, field):
     flat = family.gamma.reshape(M * nodes, n)
     X_fn = expr.compile_exprs_vec(X, params=S.params)
     X_vals = X_fn(flat.T).T.reshape(M, nodes, n)
-    if not np.all(np.isfinite(X_vals)):
-        raise NumericalError("vector field X is not finite along the family")
+    require_finite(X_vals, "vector field X is not finite along the family")
 
     line = simpson(np.einsum("mti,mti->mt", family.a, X_vals), family.t, axis=1)
     lhs = float(line[-1] - line[0])
@@ -535,8 +540,7 @@ def invariance_report(family, field):
             density += lx[:, :, col] * (family.a[:, :, j] * b[:, :, k]
                                         - family.a[:, :, k] * b[:, :, j])
             col += 1
-    if not np.all(np.isfinite(density)):
-        raise NumericalError("(L_X Pi)(a, b) density is not finite along the family")
+    require_finite(density, "(L_X Pi)(a, b) density is not finite along the family")
     bulk = float(simpson(simpson(density, family.t, axis=1), family.eps))
 
     residual = abs(lhs - endpoint - bulk)
@@ -576,10 +580,8 @@ def flow_by_action(path, eta, step=2e-4, count=25):
 
     t = path.t
     ends = eta_fn(path.gamma[[0, -1]].T, t[[0, -1]])
-    if not np.all(np.isfinite(ends)):
-        raise NumericalError("eta is not finite at t = 0 or t = 1")
-    if not np.max(np.abs(ends)) <= 1e-12:
-        raise ValidationError("eta must vanish at t = 0 and t = 1")
+    require_finite(ends, "eta is not finite at t = 0 or t = 1")
+    require_within(np.max(np.abs(ends)), 1e-12, "eta must vanish at t = 0 and t = 1")
 
     gamma = path.gamma.copy()
     a = path.a.copy()
@@ -593,12 +595,9 @@ def flow_by_action(path, eta, step=2e-4, count=25):
         phi = S.sharp_many(gamma, b)
         gamma = gamma + h * phi
         a = a + h * u
-    if not (np.all(np.isfinite(gamma)) and np.all(np.isfinite(a))):
-        raise NumericalError("action flow produced non-finite values")
+    require_finite((gamma, a), "action flow produced non-finite values")
     flowed = CotangentPath(S, t, gamma, a)
     defect_tol = get_default("flow_defect_tol")
-    if not flowed.defect <= defect_tol:
-        raise NumericalError(
-            f"flow defect {flowed.defect:.3e} exceeds {defect_tol:.1e}; "
-            "reduce the step size")
+    require_within(flowed.defect, defect_tol, f"flow defect {flowed.defect:.3e} exceeds "
+                   f"{defect_tol:.1e}; reduce the step size", NumericalError)
     return flowed

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import get_default
-from .errors import NumericalError, ValidationError
+from .errors import ValidationError, require_finite
 from .paths import CubicSpline, rk4_step
 
 
@@ -93,8 +93,7 @@ def isotropy_data(structure, x):
         raise ValidationError(f"point must have shape ({n},), got {x.shape}")
 
     P = structure.pi_at(x)
-    if not np.all(np.isfinite(P)):
-        raise NumericalError(f"structure matrix is not finite at {x.tolist()}")
+    require_finite(P, f"structure matrix is not finite at {x.tolist()}")
     U, s, Vh = np.linalg.svd(P)
     smax = s[0] if s.size and s[0] > 0 else 0.0
     rank = int(np.sum(s > get_default("rank_tol") * smax)) if smax > 0 else 0
@@ -123,8 +122,7 @@ def isotropy_data(structure, x):
     k = corank
 
     D = structure.dpi_at(x)
-    if not np.all(np.isfinite(D)):
-        raise NumericalError(f"structure derivative is not finite at {x.tolist()}")
+    require_finite(D, f"structure derivative is not finite at {x.tolist()}")
     # bracket of kernel covectors at x: [a, b]_i = (d_i Pi^(jk)) a_j b_k
     C_amb = np.einsum("ijk,aj,bk->abi", D, B, B)
     coords = np.einsum("abi,ci->abc", C_amb, B)
@@ -174,8 +172,7 @@ def matrix_lie_path_integrate(basis, coeffs, n_steps=None):
     basis = np.asarray(basis)
     if basis.ndim != 3 or basis.shape[1] != basis.shape[2]:
         raise ValidationError(f"basis must be (k, d, d), got {basis.shape}")
-    if not np.all(np.isfinite(basis)):
-        raise ValidationError("basis matrices must be finite")
+    require_finite(basis, "basis matrices must be finite", ValidationError)
     coeffs = np.asarray(coeffs, dtype=float)
     if coeffs.ndim != 2 or coeffs.shape[0] < 4:
         raise ValidationError("coefficient samples must be (m, k) with m >= 4")
@@ -206,6 +203,5 @@ def matrix_lie_path_integrate(basis, coeffs, n_steps=None):
                     break
                 U, _, Vh = np.linalg.svd(g)
                 g = U @ Vh
-    if not np.all(np.isfinite(g)):
-        raise NumericalError("matrix path integration produced non-finite values")
+    require_finite(g, "matrix path integration produced non-finite values")
     return g

@@ -37,7 +37,7 @@ from .config import get_default
 # them under this module
 from .connection import (RadialSphereFamily, SigmaSphereFamily, chart_rows,  # noqa: F401
                          leaf_form_many, sphere_grid, sphere_simpson, theta_blocks)
-from .errors import NumericalError, ValidationError
+from .errors import NumericalError, ValidationError, require_finite, require_within
 
 VERDICT_OK = "INTEGRABLE_EVIDENCE"
 VERDICT_BAD = "NON_INTEGRABLE"
@@ -167,33 +167,26 @@ def curvature_periods(structure, splitting, tau):
             dens[rows] = np.einsum("mi,mi->m", Om, zeta).reshape(-1, phi.size)
             checks.append((finite, np.max(errs), np.max(np.abs(Om)),
                            np.max(np.linalg.norm(sharp_om, axis=1)), np.any(pn <= 0),
-                           np.any(np.abs(align) < 0.1)))
+                           not np.all(np.abs(align) >= 0.1)))
     finite, split, om_max, sharp_max, degenerate, tangent = zip(*checks)
 
     if not all(finite):
         raise NumericalError("curvature is not finite on the leaf")
     split_res = float(np.max(split))
-    if not np.isfinite(split_res):
-        raise NumericalError("splitting residual is not finite on the leaf")
-    if not (split_res <= 1e-8):
-        raise ValidationError(
-            f"matrix is not a splitting of the anchor on the leaf "
-            f"(residual {split_res:.3e})")
+    require_finite(split_res, "splitting residual is not finite on the leaf")
+    require_within(split_res, 1e-8, f"matrix is not a splitting of the anchor on the leaf "
+                                    f"(residual {split_res:.3e})")
     om_scale = max(1.0, float(np.max(om_max)))
     center_res = float(np.max(sharp_max)) / om_scale
-    if not np.isfinite(center_res):
-        raise NumericalError("curvature center residual is not finite on the leaf")
-    if not (center_res <= 1e-8):
-        raise ValidationError(
-            f"curvature is not kernel-valued (residual {center_res:.3e}); "
-            f"refusing to project it")
+    require_finite(center_res, "curvature center residual is not finite on the leaf")
+    require_within(center_res, 1e-8, f"curvature is not kernel-valued (residual "
+                                     f"{center_res:.3e}); refusing to project it")
     if any(degenerate):
         raise ValidationError("structure degenerate on the leaf")
     if any(tangent):
         raise ValidationError("kernel direction nearly tangent to the sphere; "
                               "chart is not following the leaves")
-    if not np.all(np.isfinite(dens)):
-        raise NumericalError("curvature density is not finite on the leaf")
+    require_finite(dens, "curvature density is not finite on the leaf")
     integral = sphere_simpson(dens, theta, phi)
     return CurvatureResult(tau=tau, integral=integral,
                            xi=integral * np.array([1.0, 0.0, 0.0]),
@@ -237,8 +230,7 @@ def gcd_analysis(values):
     bound = get_default("denominator_bound")
     tol = get_default("ratio_tol")
     vals = [abs(float(v)) for v in values]
-    if not all(math.isfinite(v) for v in vals):
-        raise NumericalError(f"gcd input is not finite: {vals}")
+    require_finite(vals, f"gcd input is not finite: {vals}")
     scale = max(vals, default=0.0)
     eps = tol * scale
     used = sorted(v for v in vals if v > eps)
@@ -258,8 +250,7 @@ def lattice(gens, area):
     an empty surviving set gives the trivial lattice (generator inf). A
     non-finite area or generator raises NumericalError."""
     gens = tuple(float(g) for g in gens)
-    if not all(math.isfinite(v) for v in (area, *gens)):
-        raise NumericalError(f"lattice input is not finite: area {area}, generators {gens}")
+    require_finite((area, *gens), f"lattice input is not finite: area {area}, generators {gens}")
     floor = 1e-8 * max(1.0, abs(area))
     return gcd_analysis([g for g in gens if g > floor])
 

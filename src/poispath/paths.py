@@ -25,7 +25,7 @@ import numpy as np
 
 from . import expr
 from .config import get_default
-from .errors import NumericalError, ValidationError
+from .errors import NumericalError, ValidationError, require_finite, require_within
 from .quadrature import simpson
 
 ENDPOINT_SIGN = -1.0
@@ -247,8 +247,7 @@ class CubicSpline:
         if y.ndim == 0 or y.shape[0] != x.size:
             raise ValidationError(f"spline values of shape {y.shape} do not match "
                                   f"{x.size} nodes")
-        if not np.all(np.isfinite(y)):
-            raise ValidationError("spline values must be finite")
+        require_finite(y, "spline values must be finite", ValidationError)
         dxr = np.diff(x).reshape((-1,) + (1,) * (y.ndim - 1))
         slope = np.diff(y, axis=0) / dxr
         # scipy's not-a-knot right-hand side, solved for the node slopes s
@@ -408,8 +407,7 @@ def integrate_base(structure, a, x0, n_intervals=None, method=None,
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (dim,):
         raise ValidationError(f"start point must have shape ({dim},), got {x0.shape}")
-    if not np.all(np.isfinite(x0)):
-        raise ValidationError(f"start point must be finite, got {x0}")
+    require_finite(x0, f"start point must be finite, got {x0}", ValidationError)
     if not _MIN_RTOL <= rtol < math.inf:
         raise ValidationError(f"ODE rtol must be finite and at least {_MIN_RTOL:.3g}, "
                               f"got {rtol}")
@@ -442,8 +440,7 @@ def integrate_base(structure, a, x0, n_intervals=None, method=None,
     else:
         raise ValidationError(f"unknown integration method {method!r}")
 
-    if not np.all(np.isfinite(gamma)):
-        raise NumericalError("base integration produced non-finite values")
+    require_finite(gamma, "base integration produced non-finite values")
     a_fn = expr.compile_exprs_vec(a_exprs, symbols=(_TIME,), params=structure.params)
     a_vals = a_fn(gamma.T, grid).T
     return CotangentPath(structure, grid, gamma, a_vals, a_exprs=a_exprs)
@@ -504,8 +501,7 @@ def concatenate(first, second):
         raise ValidationError(
             f"grid mismatch: {first.n_intervals} vs {second.n_intervals} intervals")
     gap = float(np.max(np.abs(first.end - second.start)))
-    if not gap <= 1e-8:
-        raise ValidationError(f"endpoint mismatch {gap:.3e} exceeds 1.0e-08")
+    require_within(gap, 1e-8, f"endpoint mismatch {gap:.3e} exceeds 1.0e-08")
     n = first.n_intervals
     grid = np.linspace(0.0, 1.0, 2 * n + 1)
     gamma = np.vstack([first.gamma, second.gamma[1:]])
@@ -538,8 +534,7 @@ def transport(path, s0):
     s0 = np.asarray(s0, dtype=float)
     if s0.shape != (n,):
         raise ValidationError(f"covector must have shape ({n},)")
-    if not np.all(np.isfinite(s0)):
-        raise ValidationError(f"covector must be finite, got {s0}")
+    require_finite(s0, f"covector must be finite, got {s0}", ValidationError)
     # one spline through (gamma, a): its columns are those of two splines
     spline = CubicSpline(path.t, np.hstack([path.gamma, path.a]))
 

@@ -390,6 +390,20 @@ class TestVariationCommand:
         assert code == 2
         assert "x0" in err
 
+    @pytest.mark.parametrize("fields, named", [
+        ({"eps_grid": "many"}, "eps_grid"),
+        ({"t_grid": 101.5}, "t_grid"),
+        ({"eps_range": ["a", 1]}, "eps_range"),
+        ({"eps_range": [0, "inf"]}, "eps range"),
+    ])
+    def test_malformed_family_file_is_a_validation_error(self, tmp_path, fields, named):
+        fam = tmp_path / "fam.json"
+        fam.write_text(json.dumps({**GROUP_FAMILY, **fields}))
+        code, out, err = run_cli("variation", "builtin:linear?preset=su2",
+                                 "--family", str(fam))
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and named in err and err.count("\n") == 1
+
 
 class TestLeafReports:
     def test_round_sphere_area(self):

@@ -95,6 +95,23 @@ class TestLeafForm:
         with pytest.raises(ValidationError):
             connection.leaf_form(zero, [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, 1e308])
+    @pytest.mark.parametrize("dim", [3, 4])
+    def test_non_finite_value_fails_closed(self, dim, bad):
+        # dimension 3 reaches the density check; in dimension 4 a NaN or inf
+        # vector fails the tangency bound, and an overflowing product the
+        # value's own check
+        if dim == 3:
+            p, x, (u, v) = su2(), [1.0, 0.0, 0.0], np.eye(3)[1:]
+        else:
+            p = PoissonStructure(4, {(1, 2): "1", (3, 4): "x1"})
+            x, (u, v) = [0.5, 0.0, 0.0, 0.0], np.eye(4)[:2]
+        u, v = u.copy(), v.copy()
+        u[np.argmax(u)] = v[np.argmax(v)] = bad
+        error = NumericalError if dim == 3 or math.isfinite(bad) else ValidationError
+        with pytest.raises(error):
+            connection.leaf_form(p, x, u, v)
+
 
 class TestSphereArea:
     @pytest.mark.parametrize("a,tau", sorted(AREAS))
