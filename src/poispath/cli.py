@@ -100,7 +100,9 @@ def _add_values(report, structure, exprs, at):
     if at is not None:
         point = _point(at, structure.dim, "--at")
         fn = expr.compile_exprs_vec(exprs, params=structure.params)
-        report.update(at=point, value=fn(point[:, None])[:, 0])
+        value = fn(point[:, None])[:, 0]
+        require_finite(value, f"value is not finite at --at {point.tolist()}")
+        report.update(at=point, value=value)
 
 
 def _need_structure(record):

@@ -23,9 +23,10 @@ monodromy walks the same blocks. Each block is one call of a fused kernel,
 compiled once per structure from one CSE graph: p, its Jacobian, |p|^2,
 p.u, p.v, |u|^2, |v|^2, the density and its tau-derivative, with every sum
 in the order of the np.cross/einsum code it replaced, so the values are the
-same bit for bit. The kernel writes into the calling thread's scratch arena
-(expr.arena_rows). The radial chart (chart_rows) writes its columns into the
-rows above the kernel's, and a sigma chart is evaluated in the arena too and
+same bit for bit. leaf_form_many passes the kernel rows of the calling
+thread's scratch arena (expr.arena_rows) to write. The radial chart
+(chart_rows) writes its columns into the rows above the kernel's, and the
+chart evaluators of a sigma family are passed arena rows too, their values
 copied there: a row allocates no block arrays. Kernel results stay valid
 until the next arena call on that thread.
 """
@@ -115,7 +116,7 @@ def _sphere_kernel(structure, rate):
                              expr.Mul(expr.Mul(expr.Num(2.0), dens), _dot(p, q)))
             # first, so that the rows of the later roots serve its temporaries
             roots.insert(0, expr.Div(expr.Neg(total), nrm2))
-        kernels[rate] = expr.compile_exprs_vec(roots, params=structure.params, arena=True)
+        kernels[rate] = expr.compile_exprs_vec(roots, params=structure.params)
     return kernels[rate]
 
 
@@ -134,9 +135,11 @@ def leaf_form_many(structure, xs, us, vs, moving=None, out=None):
     """
     rate = moving is not None
     cols = [c for w in (xs, us, vs, *(moving or ())) for c in np.asarray(w, dtype=float).T]
+    kernel = _sphere_kernel(structure, rate)
     # garbage at degenerate points is caught by the checks below
     with np.errstate(all="ignore"):
-        *drate, dens, nrm2, pu, pv, uu, vv = _sphere_kernel(structure, rate)(cols)
+        *drate, dens, nrm2, pu, pv, uu, vv = kernel(
+            cols, rows=expr.arena_rows(kernel.slots, len(cols[0])))
     if np.any(nrm2 <= 0.0):
         raise ValidationError("structure is degenerate on the evaluation set")
     require_finite(nrm2, "structure is degenerate on the evaluation set", ValidationError)
@@ -170,12 +173,14 @@ def leaf_form(structure, x, u, v):
     """omega(u, v) at a single point, any dimension.
 
     Solves #alpha = u for the minimum-norm covector and returns -<alpha, v>.
-    Both vectors must lie in the image of the anchor at x (ValidationError);
-    a non-finite value raises NumericalError.
+    x, u and v must be finite and both vectors must lie in the image of the
+    anchor at x (ValidationError); a non-finite value raises NumericalError.
     """
     x = np.asarray(x, dtype=float)
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
+    for w in (x, u, v):
+        require_finite(w, "leaf form needs a finite point and vectors", ValidationError)
     if structure.dim == 3:
         return float(leaf_form_many(structure, x[None], u[None], v[None])[0])
     P = structure.pi_at(x)
@@ -183,7 +188,7 @@ def leaf_form(structure, x, u, v):
     if scale == 0.0:
         raise ValidationError("structure vanishes at the point")
     alpha, *_ = np.linalg.lstsq(P.T, u, rcond=None)
-    # overflow and NaNs from huge or non-finite vectors fail the gates
+    # overflow from huge vectors fails the gates
     with np.errstate(all="ignore"):
         for w, name in ((u, "first"), (v, "second")):
             sol, *_ = np.linalg.lstsq(P.T, w, rcond=None)
@@ -356,9 +361,9 @@ class SigmaSphereFamily(RadialSphereFamily):
     Everything but the radius guard and the chart nodes is the radial
     family's: the tau-derivatives of sigma, sigma_theta and sigma_phi are
     compiled beside the chart, so rows at the ends of tau_range need no
-    samples outside it. Both are arena evaluators over the angle rows; their
-    subtrees in tau alone are cut out (expr.split_free) and evaluated as the
-    scalars they are, by a plain evaluator beside each.
+    samples outside it. Both write arena rows over the angle rows; their
+    subtrees in tau alone are cut out (expr.split_free) and evaluated once
+    per tau, into a new one-column array, by an evaluator beside each.
     """
 
     # perfbench's tracer wraps row_data in each family class's own namespace
@@ -385,8 +390,7 @@ class SigmaSphereFamily(RadialSphereFamily):
             symbols = names + tuple(f"_tau{k}" for k in range(len(free)))
             self._fns.append((
                 expr.compile_exprs_vec(free, symbols=("tau",), params=structure.params),
-                expr.compile_exprs_vec(rest, symbols=symbols, params=structure.params,
-                                       arena=True)))
+                expr.compile_exprs_vec(rest, symbols=symbols, params=structure.params)))
 
     def _radius(self, tau):
         tau = float(tau)
@@ -403,13 +407,15 @@ class SigmaSphereFamily(RadialSphereFamily):
             fns = self._fns[:1 + rate]
             skip = max(_sphere_kernel(self.structure, rate).slots, *(fn.slots for _, fn in fns))
             th = theta[rows]
-            cols = expr.arena_rows(skip + 2 + 9 * len(fns), th.size * phi.size)[skip:]
+            m = th.size * phi.size
+            cols = expr.arena_rows(skip + 2 + 9 * len(fns), m)[skip:]
             angles = cols[:2]
             angles[0].reshape(th.size, phi.size)[...] = th[:, None]
             angles[1].reshape(th.size, phi.size)[...] = phi
             for k, (free, fn) in enumerate(fns):
                 scalars = free(np.empty((0, 1)), tau)[:, 0]
-                cols[2 + 9 * k:11 + 9 * k] = fn(angles, tau, *angles, *scalars)
+                cols[2 + 9 * k:11 + 9 * k] = fn(angles, tau, *angles, *scalars,
+                                                rows=expr.arena_rows(fn.slots, m))
             return [cols[k:k + 3] for k in range(2, len(cols), 3)]
 
         return nodes

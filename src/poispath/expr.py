@@ -9,12 +9,16 @@ the radial shorthand ``R`` which expands at parse time to
 
 Expressions are immutable trees. Differentiation is exact and symbolic with
 light constant folding; evaluation reports domain problems instead of letting
-non-finite values propagate. ``compile_exprs`` / ``compile_exprs_vec`` turn a
-list of expressions into fast plain-Python or numpy evaluators for the inner
-loops of the ODE and quadrature code. Both share one CSE emitter: a subtree
-that recurs (``R``, or a factor that differentiation copies) is computed once
-as a local, with the float operations of the tree in their order, so values
-match a plain tree walk bit for bit; ``.source`` holds the generated code.
+non-finite values propagate. ``compile_exprs`` turns a list of expressions
+into a plain-Python evaluator at one point (a single path's ODE field),
+``compile_exprs_vec`` into a numpy evaluator over batches of points that
+writes its values into rows its caller passes, or into a new array. Both
+share one CSE emitter: a subtree that recurs (``R``, or a factor that
+differentiation copies) is computed once, with the float operations of the
+tree in their order, so values match a plain tree walk bit for bit;
+``.source`` holds the generated code. Three callers pass rows of this
+thread's scratch arena (``arena_rows``): the sphere kernel of connection,
+the chart evaluators of SigmaSphereFamily and the curvature kernel.
 ``split_free`` cuts out the subtrees that read no coordinate, for callers
 that evaluate them once for many points; ``dag_key`` keys caches of
 compiled evaluators by expression structure.
@@ -31,23 +35,9 @@ from .errors import EvalDomainError, ParseError, ValidationError
 
 FUNCTIONS = ("sin", "cos", "exp", "log", "sqrt", "atan")
 
-_SCALAR_FUNCS = {
-    "sin": math.sin,
-    "cos": math.cos,
-    "exp": math.exp,
-    "log": math.log,
-    "sqrt": math.sqrt,
-    "atan": math.atan,
-}
-
-_VECTOR_FUNCS = {
-    "sin": np.sin,
-    "cos": np.cos,
-    "exp": np.exp,
-    "log": np.log,
-    "sqrt": np.sqrt,
-    "atan": np.arctan,
-}
+_SCALAR_FUNCS = {name: getattr(math, name) for name in FUNCTIONS}
+# numpy before 2.0 has arctan but no atan
+_VECTOR_FUNCS = {name: getattr(np, "arctan" if name == "atan" else name) for name in FUNCTIONS}
 
 
 class Expression:
@@ -693,8 +683,8 @@ def dag_key(exprs):
     return _dag(exprs)[2]
 
 
-# ufuncs of the buffered rendering; at these exponents numpy's ndarray **
-# gives the bits of the cheaper ufunc
+# ufuncs of the numpy rendering; at these exponents numpy's ndarray ** gives
+# the bits of the cheaper ufunc
 _UFUNCS = {Add: np.add, Sub: np.subtract, Mul: np.multiply, Div: np.divide, Neg: np.negative}
 _POW_UFUNCS = {2.0: np.square, 0.5: np.sqrt, 1.0: np.positive, -1.0: np.reciprocal}
 
@@ -711,28 +701,30 @@ def arena_rows(n, m):
     n m cells.
 
     Every call on a thread reuses the same memory: rows handed out stay
-    valid until a later call writes them (a buffered evaluator writes its
-    rows 0..slots-1), asks for another row length, which lays the rows out
-    anew, or for more cells, which moves the arena. A caller whose rows must
-    outlive an evaluator's call takes them above its slots, at the same m."""
+    valid until a later call writes them (an evaluator writes the rows
+    0..slots-1 it is given), asks for another row length, which lays the rows
+    out anew, or for more cells, which moves the arena. A caller whose rows
+    must outlive an evaluator's call takes them above its slots, at the same
+    m."""
     cells = _ARENA.cells
     if n * m > cells.size:
         cells = _ARENA.cells = np.empty(n * m)
     return cells[:n * m].reshape(n, m)
 
 
-def _build(exprs, symbols, params, funcs, arena=False):
+def _build(exprs, symbols, params, vector):
     """Emit and compile one function for exprs; returns it with its source
-    and its arena slot count.
+    and its row count.
 
     Each structurally distinct subtree is computed once: a node read more
     than once becomes a local, assigned in topological order, and the others
     are written inline, so every subtree keeps its float operations in their
-    order. With arena set, every node that reads a coordinate or a symbol is
-    instead one ufunc call with out= a row of the extra argument _a, in the
-    order and with the ufunc of the inline rendering. Roots end in rows
-    0..k-1. A row is freed after its node's last reader and reused; a root's
-    row serves temporaries that die before the root is computed.
+    order. The point rendering (vector false) does so in Python floats and
+    math. In the numpy rendering (vector set), every node that reads a
+    coordinate or a symbol is instead one ufunc call with out= a row of the
+    extra argument _a, and only constants are written inline. Roots end in
+    rows 0..k-1. A row is freed after its node's last reader and reused; a
+    root's row serves temporaries that die before the root is computed.
     """
     nodes, roots, _ = _dag(exprs)
     uses = [0] * len(nodes)
@@ -755,7 +747,7 @@ def _build(exprs, symbols, params, funcs, arena=False):
         args = [code[k] for k in kids]
         varying.append(isinstance(e, Var) or (isinstance(e, Sym) and e.name not in params)
                        or any(varying[k] for k in kids))
-        if arena and kids and varying[i]:
+        if vector and kids and varying[i]:
             for k in kids:
                 left[k] -= 1
                 if left[k] == 0 and k in slot_of:
@@ -798,7 +790,7 @@ def _build(exprs, symbols, params, funcs, arena=False):
             text = f"_{i}"
         code.append(text)
     head = ", ".join(["x"] + [f"_s_{name}" for name in symbols])
-    if arena:
+    if vector:
         # roots not written by their own ufunc call: repeats, constants, inputs
         fills = [f"    _a{j}[...] = {code[r]}\n" for j, r in enumerate(roots)
                  if code[r] != f"_a{j}"]
@@ -812,10 +804,11 @@ def _build(exprs, symbols, params, funcs, arena=False):
                   f"    return ({body}{',' if len(roots) == 1 else ''})\n")
     # a literal beyond the float range parses to inf, and repr writes it so
     ufuncs = (np.power, *_UFUNCS.values(), *_POW_UFUNCS.values())
+    funcs = _VECTOR_FUNCS if vector else _SCALAR_FUNCS
     namespace = {"inf": math.inf, "nan": math.nan, **{f"_{u.__name__}": u for u in ufuncs},
                  **{f"_f_{name}": fn for name, fn in funcs.items()}}
     exec(source, namespace)  # noqa: S102 - generated from a closed AST
-    return namespace["_compiled"], source, len(until) if arena else 0
+    return namespace["_compiled"], source, len(until) if vector else 0
 
 
 def split_free(exprs, name, coords=()):
@@ -855,48 +848,46 @@ def compile_exprs(exprs, symbols=(), params=None):
     """Compile expressions into ``f(x, *symbol_values) -> tuple of floats``.
 
     ``x`` is an indexable point. Parameters are folded into the generated code
-    as constants. No domain checking is performed; use ``evaluate`` when error
-    reporting matters.
+    as constants. A division by zero, an overflow or a math function off its
+    domain raises EvalDomainError; use ``evaluate`` when every non-finite
+    intermediate must be reported.
     """
-    fn, fn.source, _ = _build(list(exprs), symbols, params, _SCALAR_FUNCS)
-    return fn
+    raw, source, _ = _build(list(exprs), symbols, params, vector=False)
+
+    def evaluate_point(x, *sym_values):
+        try:
+            return raw(x, *sym_values)
+        except (ArithmeticError, ValueError) as exc:
+            raise EvalDomainError(f"expression evaluation left its domain: {exc}") from None
+
+    evaluate_point.source = source
+    return evaluate_point
 
 
-def compile_exprs_vec(exprs, symbols=(), params=None, arena=False):
-    """Compile expressions into a numpy evaluator.
+def compile_exprs_vec(exprs, symbols=(), params=None):
+    """Compile expressions into a numpy evaluator
+    ``f(x, *symbol_values, rows=None)``.
 
-    The returned function takes ``x`` of shape (dim, m) plus one broadcastable
-    array or scalar per symbol and returns an array of shape (k, m), where k
-    is the number of expressions. Constant expressions are broadcast.
-
-    With arena set, ``x`` may also be any sequence of m-long float columns,
-    and the evaluator allocates nothing per call: it writes into rows of
-    this thread's scratch arena (``arena_rows``) and returns the (k, m) view
-    of rows 0..k-1, valid until the next arena call on the thread. Its
-    ``slots`` attribute is the number of rows it writes. The values are
-    those of the plain evaluator bit for bit. A caller that keeps several
-    results alive passes its own ``rows``, a (slots, m) array or a sequence
-    of slots m-long rows, which the evaluator writes in place of the arena
-    and returns the first k of.
+    ``x`` is a (dim, m) array or a sequence of dim m-long rows, and each
+    symbol value a scalar or an array broadcasting to m; when x has no rows,
+    m is the symbol values' broadcast length. The evaluator writes the k
+    values into rows 0..k-1 of ``rows``, a (slots, m) array or a sequence of
+    ``slots`` m-long rows (a new array when None), and returns those k rows,
+    a (k, m) view of an array; the rows above hold temporaries. Constants
+    are broadcast. A division by zero between constants raises
+    EvalDomainError; numpy's non-finite values are returned as they are.
     """
-    exprs = list(exprs)
-    raw, source, slots = _build(exprs, symbols, params, _VECTOR_FUNCS, arena)
-    k = len(exprs)
+    raw, source, slots = _build(list(exprs), symbols, params, vector=True)
 
-    if arena:
-        def evaluate_grid(x, *sym_values, rows=None):
-            return raw(x, *sym_values, arena_rows(slots, len(x[0])) if rows is None else rows)
+    def evaluate_grid(x, *sym_values, rows=None):
+        if rows is None:
+            m = len(x[0]) if len(x) else np.broadcast(*sym_values, 0.0).size
+            rows = np.empty((slots, m))
+        try:
+            return raw(x, *sym_values, rows)
+        except ArithmeticError as exc:
+            raise EvalDomainError(f"expression evaluation left its domain: {exc}") from None
 
-        evaluate_grid.slots = slots
-    else:
-        def evaluate_grid(x, *sym_values):
-            x = np.asarray(x, dtype=float)
-            m = x.shape[1] if x.ndim > 1 else 1
-            values = raw(x, *sym_values)
-            out = np.empty((k, m), dtype=float)
-            for row, value in enumerate(values):
-                out[row] = value
-            return out
-
+    evaluate_grid.slots = slots
     evaluate_grid.source = source
     return evaluate_grid

@@ -121,7 +121,7 @@ class PathFamily:
         self._free_fn = expr.compile_exprs_vec(
             free, symbols=(_TIME, _EPS), params=params) if free else None
         self._stage_fn = expr.compile_exprs_vec(
-            _sharp_exprs(structure, rest), params=params, arena=True,
+            _sharp_exprs(structure, rest), params=params,
             symbols=(_TIME, _EPS) + tuple(f"_free{k}" for k in range(len(free))))
         self._x0_fn = expr.compile_exprs_vec(
             self.x0_exprs, symbols=(_EPS,), params=params)
@@ -149,8 +149,7 @@ class PathFamily:
         return cls(structure, generator, x0, **kwargs)
 
     def start_points(self, eps):
-        dummy = np.zeros((1, len(eps)))
-        return self._x0_fn(dummy, np.asarray(eps)).T
+        return self._x0_fn((), np.asarray(eps)).T
 
     def _solve_on(self, eps):
         """Vectorized RK4 (paths.rk4_step) of gamma' = #alpha over all given
@@ -169,6 +168,8 @@ class PathFamily:
         t, h = self.t, 1.0 / N
         gamma = np.empty((M, N + 1, n))
         state = self.start_points(eps).T
+        require_finite(state, f"start point ({', '.join(map(str, self.x0_exprs))}) is not "
+                       "finite over the eps range", ValidationError)
         gamma[:, 0] = state.T
         stage = self._stage_fn
         # each buffer is split into its rows once: the kernel writes them,
@@ -500,7 +501,6 @@ class InvarianceReport:
     endpoint_term: float
     bulk_term: float
     residual: float
-    line_integrals: np.ndarray   # I(eps) per slice
     max_transport_endpoint: float
 
 
@@ -532,7 +532,12 @@ def invariance_report(family, field):
     endpoint = float(simpson(np.einsum("mi,mi->m", b[:, -1], X_vals[:, -1]), family.eps))
 
     lx_fn = expr.compile_exprs_vec(_lie_derivative_upper(S, X), params=S.params)
-    lx = lx_fn(flat.T).T.reshape(M, nodes, -1)
+    # one slice at a time through one buffer: the kernel's rows over all
+    # M * nodes points would raise the peak memory by megabytes
+    buf = np.empty((lx_fn.slots, nodes))
+    lx = np.empty((M, nodes, n * (n - 1) // 2))
+    for m, g in enumerate(family.gamma):
+        lx[m] = lx_fn(g.T, rows=buf).T
     density = np.zeros((M, nodes))
     col = 0
     for j in range(n):
@@ -545,7 +550,7 @@ def invariance_report(family, field):
 
     residual = abs(lhs - endpoint - bulk)
     return InvarianceReport(lhs=lhs, endpoint_term=endpoint, bulk_term=bulk,
-                            residual=residual, line_integrals=line,
+                            residual=residual,
                             max_transport_endpoint=float(
                                 np.max(np.linalg.norm(b[:, -1], axis=1))))
 

@@ -23,7 +23,7 @@ tolerance 1e-8 * max(1, max |K|).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,7 +48,6 @@ class IsotropyData:
     killing_rank: int
     is_abelian: bool
     is_semisimple: bool
-    extras: dict = field(default_factory=dict)
 
 
 def _aligned_kernel_basis(raw):

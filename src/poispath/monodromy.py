@@ -97,14 +97,14 @@ def _curvature_exprs(structure, M):
 
 
 def _curvature_kernel(structure, M):
-    """_curvature_exprs compiled in arena rendering, once per structure and
+    """_curvature_exprs compiled to one numpy kernel, once per structure and
     splitting: kernels are cached weakly on the structure and keyed by the
     splitting's expression graph (expr.dag_key)."""
     kernels = _CURVATURE_KERNELS.setdefault(structure, {})
     key = expr.dag_key([e for row in M for e in row])
     if key not in kernels:
         kernels[key] = expr.compile_exprs_vec(_curvature_exprs(structure, M),
-                                              params=structure.params, arena=True)
+                                              params=structure.params)
     return kernels[key]
 
 
@@ -143,7 +143,7 @@ def curvature_periods(structure, splitting, tau):
     with np.errstate(all="ignore"):
         for rows in theta_blocks(theta.size, phi.size, kernel.slots + 9):
             cols = chart_rows(kernel.slots, tau, theta[rows], phi)
-            values = kernel(cols)
+            values = kernel(cols, rows=expr.arena_rows(kernel.slots, cols.shape[1]))
             Om, alpha, beta = (values[k:k + 3].T for k in (0, 3, 6))
             pts, dth, dph = (cols[k:k + 3].T for k in (0, 3, 6))
             finite = np.all(np.isfinite(Om))

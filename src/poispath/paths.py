@@ -335,18 +335,13 @@ def path_defect(structure, t, gamma, a):
 
 
 class CotangentPath:
-    """Sampled pair (gamma, a) over [0, 1] with its compatibility defect.
+    """Sampled pair (gamma, a) over [0, 1] with its compatibility defect."""
 
-    a_exprs, when present, are the generating covector components as
-    expressions in x1..xn and the time symbol t.
-    """
-
-    def __init__(self, structure, t, gamma, a, a_exprs=None, defect=None):
+    def __init__(self, structure, t, gamma, a, defect=None):
         self.structure = structure
         self.t = np.asarray(t, dtype=float)
         self.gamma = np.asarray(gamma, dtype=float)
         self.a = np.asarray(a, dtype=float)
-        self.a_exprs = list(a_exprs) if a_exprs is not None else None
         m = self.t.shape[0]
         if self.gamma.shape != (m, structure.dim) or self.a.shape != (m, structure.dim):
             raise ValidationError(
@@ -443,7 +438,7 @@ def integrate_base(structure, a, x0, n_intervals=None, method=None,
     require_finite(gamma, "base integration produced non-finite values")
     a_fn = expr.compile_exprs_vec(a_exprs, symbols=(_TIME,), params=structure.params)
     a_vals = a_fn(gamma.T, grid).T
-    return CotangentPath(structure, grid, gamma, a_vals, a_exprs=a_exprs)
+    return CotangentPath(structure, grid, gamma, a_vals)
 
 
 def constant_path(structure, x0, n_intervals=None):
@@ -453,8 +448,7 @@ def constant_path(structure, x0, n_intervals=None):
     x0 = np.asarray(x0, dtype=float)
     gamma = np.tile(x0, (n + 1, 1))
     a = np.zeros_like(gamma)
-    zero = [expr.Num(0.0)] * structure.dim
-    return CotangentPath(structure, grid, gamma, a, a_exprs=zero, defect=0.0)
+    return CotangentPath(structure, grid, gamma, a, defect=0.0)
 
 
 def path_integral(path, h):
@@ -472,6 +466,7 @@ def field_integral(path, components):
     fn = expr.compile_exprs_vec(exprs, params=structure.params)
     X = fn(path.gamma.T).T
     integrand = np.einsum("mi,mi->m", path.a, X)
+    require_finite(integrand, "field integrand is not finite along the path")
     return float(simpson(integrand, path.t))
 
 
@@ -512,13 +507,8 @@ def concatenate(first, second):
 
 def reverse(path):
     """Traverse backwards: gamma(1 - t) driven by -a(1 - t)."""
-    a_exprs = None
-    if path.a_exprs is not None:
-        flip = expr.sub(expr.Num(1.0), expr.Sym(_TIME))
-        a_exprs = [expr.neg(expr.substitute(c, sym_map={_TIME: flip}))
-                   for c in path.a_exprs]
     return CotangentPath(path.structure, path.t, path.gamma[::-1].copy(),
-                         -path.a[::-1], a_exprs=a_exprs, defect=path.defect)
+                         -path.a[::-1], defect=path.defect)
 
 
 def transport(path, s0):

@@ -46,11 +46,10 @@ def traced_peak_mib(fn):
 
 def ufunc_calls(source):
     """numpy ufunc calls that one run of a compiled kernel makes, counted in
-    its source (the .source of an expr.compile_exprs_vec evaluator), in
-    either rendering: operators and unary minus on arrays when inline,
-    named ufunc calls in arena rendering, function calls in both. A
-    negative literal such as (-1.5), or an operator on two literals, is
-    plain Python and not counted."""
+    its source (the .source of an expr.compile_exprs_vec evaluator): its
+    named ufunc and function calls, and any operator or unary minus on an
+    array written inline. A negative literal such as (-1.5), or an operator
+    on two literals, is plain Python and not counted."""
     def literal(node):
         return isinstance(node, ast.Constant) or (
             isinstance(node, ast.UnaryOp) and isinstance(node.operand, ast.Constant))

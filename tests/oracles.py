@@ -23,9 +23,9 @@ the round chart as expressions in theta and phi substituted into the
 splitting, alpha and beta differentiated in the angles and compiled with
 them, the route that the pointwise curvature kernel replaced. The
 whole-grid curvature route is curvature_periods before its block walk: the
-same kernel in plain rendering over every node at once and each check on
+same kernel writing a new array over every node at once and each check on
 whole-grid arrays. The sigma nodes are the chart-family nodes before the
-arena: meshgrid angles and plain evaluators on fresh arrays.
+arena: meshgrid angles and evaluators writing new arrays.
 """
 
 import math
@@ -557,9 +557,9 @@ def curvature_whole_grid(structure, splitting, tau):
 
 def sigma_nodes(family, tau, theta, phi):
     """nodes(rows, rate) of a SigmaSphereFamily as they were before the
-    arena rendering: theta and phi from np.meshgrid, and the chart and its
-    tau-derivatives from two plain evaluators over a zero dummy x, with tau
-    passed in as the scalar it is."""
+    arena: theta and phi from np.meshgrid, and the chart and its
+    tau-derivatives from two evaluators writing new arrays over a zero dummy
+    x, with tau passed in as the scalar it is."""
     names = ("tau", "theta", "phi")
     chart = family.sigma + [expr.differentiate_sym(c, a) for a in names[1:] for c in family.sigma]
     fns = [expr.compile_exprs_vec(e, symbols=names, params=family.structure.params)

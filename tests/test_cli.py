@@ -404,6 +404,50 @@ class TestVariationCommand:
         assert (code, out) == (2, "")
         assert err.startswith("error:") and named in err and err.count("\n") == 1
 
+    @pytest.mark.parametrize("x0", ["NaN", "1e400"])
+    def test_non_finite_start_point_is_a_validation_error(self, tmp_path, x0):
+        fam = tmp_path / "fam.json"
+        fam.write_text('{"generator": ["0", "0", "1"], "x0": [%s, 0, 0]}' % x0)
+        code, out, err = run_cli("variation", "builtin:linear?preset=su2",
+                                 "--family", str(fam))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: start point") and err.count("\n") == 1
+
+
+class TestEvaluationFailures:
+    """What the compiled evaluators cannot compute, or compute only as NaN
+    or inf, is a numerical failure (exit 3): no traceback, no report."""
+
+    @pytest.mark.parametrize("argv", [
+        ("hamiltonian", "builtin:linear?preset=su2", "--h", "x1 + 1/0", "--at", "1,0,0"),
+        ("sharp", "builtin:linear?preset=su2", "--alpha", "1/0,0,0", "--at", "1,0,0"),
+        ("variation", "builtin:linear?preset=su2", "--family", "FAMILY"),
+        ("validate", "builtin:su2_scaled?a=1/c&c=0"),
+        ("path", "builtin:linear?preset=su2", "--generator", "0,0,exp(1000*x1)",
+         "--x0", "1,0,0"),
+        ("path", "builtin:linear?preset=su2", "--generator", "0,0,log(x1-1)",
+         "--x0", "1,0,0", "--method", "rk4"),
+    ], ids=["constant-pole-h", "constant-pole-alpha", "constant-pole-generator",
+            "constant-pole-parameter", "point-overflow", "point-log-domain"])
+    def test_a_domain_error_exits_3(self, tmp_path, argv):
+        fam = tmp_path / "fam.json"
+        fam.write_text(json.dumps({"generator": ["0", "0", "1/0"], "x0": [1.0, 0.0, 0.0]}))
+        code, out, err = run_cli(*(str(fam) if a == "FAMILY" else a for a in argv))
+        assert (code, out) == (3, "")
+        assert err.startswith("numerical failure: expression evaluation left its domain")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [
+        ("hamiltonian", "builtin:linear?preset=su2", "--h", "log(x1)", "--at", "0,1,0"),
+        ("sharp", "builtin:linear?preset=su2", "--alpha", "1/x1,0,0", "--at", "0,1,0"),
+        ("integrate-field", "--path", "CIRCLE", "--X", "0,log(x2-2),0"),
+    ], ids=["hamiltonian", "sharp", "integrate-field"])
+    def test_a_non_finite_value_exits_3(self, circle_path, argv):
+        code, out, err = run_cli(*(str(circle_path) if a == "CIRCLE" else a for a in argv))
+        assert (code, out) == (3, "")
+        assert err.startswith("numerical failure:") and "not finite" in err
+        assert err.count("\n") == 1
+
 
 class TestLeafReports:
     def test_round_sphere_area(self):

@@ -98,9 +98,9 @@ class TestLeafForm:
     @pytest.mark.parametrize("bad", [math.nan, math.inf, 1e308])
     @pytest.mark.parametrize("dim", [3, 4])
     def test_non_finite_value_fails_closed(self, dim, bad):
-        # dimension 3 reaches the density check; in dimension 4 a NaN or inf
-        # vector fails the tangency bound, and an overflowing product the
-        # value's own check
+        # a NaN or inf vector is bad input in every dimension; a finite one
+        # whose product overflows fails the density check (dimension 3) or
+        # the value's own check
         if dim == 3:
             p, x, (u, v) = su2(), [1.0, 0.0, 0.0], np.eye(3)[1:]
         else:
@@ -108,9 +108,10 @@ class TestLeafForm:
             x, (u, v) = [0.5, 0.0, 0.0, 0.0], np.eye(4)[:2]
         u, v = u.copy(), v.copy()
         u[np.argmax(u)] = v[np.argmax(v)] = bad
-        error = NumericalError if dim == 3 or math.isfinite(bad) else ValidationError
-        with pytest.raises(error):
+        error = NumericalError if math.isfinite(bad) else ValidationError
+        with pytest.raises(error) as info:
             connection.leaf_form(p, x, u, v)
+        assert type(info.value) is error
 
 
 class TestSphereArea:

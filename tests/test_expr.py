@@ -327,20 +327,50 @@ class TestCompiled:
         assert expr.compile_exprs_vec(exprs)(np.array([[2.0]])).tolist() == [
             [math.inf], [-math.inf]]
 
-    def test_arena_evaluator_writes_the_rows_it_is_given(self):
+    def test_evaluator_writes_the_rows_it_is_given(self):
         exprs = [expr.parse(s, 2) for s in ("x1*x2 + x1", "sin(x2)^2 - x1", "3")]
-        f = expr.compile_exprs_vec(exprs, arena=True)
+        f = expr.compile_exprs_vec(exprs)
         x = np.random.default_rng(7).uniform(-2.0, 2.0, size=(2, 9))
-        want = expr.compile_exprs_vec(exprs)(x)
+        want = _vector(oracles.tree_walk_compile(exprs, kind="vector"), x)
         arena = expr.arena_rows(f.slots, 9)
         arena[...] = 7.0
+        out = f(x)
+        assert out.shape == (3, 9) and out.tobytes() == want.tobytes()
         buf = np.full((f.slots, 9), np.nan)
         out = f(x, rows=buf)
         assert np.shares_memory(out, buf) and out.tobytes() == want.tobytes()
         rows = tuple(np.full((f.slots, 9), np.nan))
         f(x, rows=rows)
         assert np.array(rows[:3]).tobytes() == want.tobytes()
+        # the thread's arena is written only when its rows are passed
         assert np.all(arena == 7.0)
+        out = f(x, rows=expr.arena_rows(f.slots, 9))
+        assert np.shares_memory(out, arena) and out.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("case", ["no coordinate rows", "scalar symbols", "coordinate rows"])
+    def test_new_rows_hold_the_values_of_caller_rows(self, case):
+        # no power of a scalar symbol: Python's float ** need not round as
+        # numpy's square does
+        sources = ["sin(t)*eps + t*t", "exp(-eps)/(1 + t)", "2", "eps"]
+        rng = np.random.default_rng(13)
+        if case == "coordinate rows":
+            sources += ["x1^2*t - eps/x2", "atan(x2) + R"]
+            x, values = rng.uniform(0.5, 2.0, size=(2, 11)), (0.3, rng.uniform(-1.0, 1.0, 11))
+        elif case == "scalar symbols":
+            x, values = np.empty((0, 1)), (0.3, -1.7)
+        else:  # as PathFamily evaluates the generator terms free of x
+            x, values = np.empty((0, 11)), tuple(rng.uniform(-1.0, 1.0, size=(2, 11)))
+        exprs = [expr.parse(s, len(x), symbols=("t", "eps")) for s in sources]
+        f = expr.compile_exprs_vec(exprs, symbols=("t", "eps"))
+        m = 1 if case == "scalar symbols" else 11
+        got = f(x, *values)
+        given = f(x, *values, rows=np.full((f.slots, m), np.nan))
+        want = np.empty((len(exprs), m))
+        oracle = oracles.tree_walk_compile(exprs, symbols=("t", "eps"), kind="vector")
+        for row, value in enumerate(oracle(x, *values)):
+            want[row] = value
+        assert got.shape == (len(exprs), m)
+        assert got.tobytes() == given.tobytes() == want.tobytes()
 
     def test_shared_subtree_is_computed_once(self):
         structure = registry.load("builtin:su2_scaled?a=exp(R^2/3)").structure
@@ -396,7 +426,7 @@ def _ieee_exact(e):
 def _scalar(fn, point):
     try:
         return repr(fn(point))
-    except (ArithmeticError, ValueError, TypeError):
+    except (ArithmeticError, ValueError, TypeError, EvalDomainError):
         return "raised"
 
 
@@ -409,7 +439,8 @@ def _vector(fn, points):
             for row, value in enumerate(values):
                 out[row] = value
         return out
-    except (ArithmeticError, ValueError, TypeError, np.exceptions.ComplexWarning):
+    except (ArithmeticError, ValueError, TypeError, EvalDomainError,
+            np.exceptions.ComplexWarning):
         return None
 
 
@@ -430,12 +461,13 @@ def test_cse_emitter_matches_the_tree_walk(data):
     m = points.shape[1]
 
     # constant subtrees run in Python floats, and may raise there
-    got = _vector(expr.compile_exprs_vec(exprs), points)
+    fn = expr.compile_exprs_vec(exprs)
+    got = _vector(fn, points)
     want = _vector(oracles.tree_walk_compile(exprs, kind="vector"), points)
-    buffered = _vector(expr.compile_exprs_vec(exprs, arena=True), points)
-    assert (got is None) == (want is None) == (buffered is None)
+    given = _vector(lambda x: fn(x, rows=np.full((fn.slots, m), np.nan)), points)
+    assert (got is None) == (want is None) == (given is None)
     if got is not None:
-        assert got.tobytes() == want.tobytes() == buffered.tobytes()
+        assert got.tobytes() == want.tobytes() == given.tobytes()
 
     scalar = expr.compile_exprs(exprs)
     walk = oracles.tree_walk_compile(exprs)

@@ -9,7 +9,7 @@ from scipy.interpolate import CubicSpline as ScipyCubicSpline
 
 import oracles
 from helpers import su2, su2_matrix_basis, su2_scaled, symplectic_plane
-from poispath import expr, homotopy, isotropy, paths
+from poispath import homotopy, isotropy, paths
 from poispath.errors import NumericalError, ValidationError
 
 # drift of the base curve for the rotation generator, frozen from the
@@ -205,13 +205,6 @@ class TestReverseConcatenate:
         twice = paths.reverse(paths.reverse(circle))
         np.testing.assert_array_equal(twice.gamma, circle.gamma)
         np.testing.assert_array_equal(twice.a, circle.a)
-
-    def test_reverse_keeps_generator_exprs(self, circle):
-        back = paths.reverse(circle)
-        assert back.a_exprs is not None
-        # reversed generator evaluates to -a(1 - t)
-        val = expr.evaluate(back.a_exprs[2], (0.0, 0.0, 0.0), {"t": 0.25})
-        assert val == -1.0
 
     def test_concatenate_adds_integrals(self):
         p = su2()
