@@ -543,45 +543,6 @@ def _diff(e, wrt):
 
 
 # ---------------------------------------------------------------------------
-# substitution
-
-def substitute(e, var_map=None, sym_map=None):
-    """Replace coordinates and/or named symbols by expressions.
-
-    ``var_map`` maps 1-based coordinate indices to Expressions, ``sym_map``
-    maps symbol names to Expressions. Rebuilds through the folding
-    constructors, so substituting constants simplifies the tree.
-    """
-    var_map = var_map or {}
-    sym_map = sym_map or {}
-
-    def walk(node):
-        if isinstance(node, Num):
-            return node
-        if isinstance(node, Var):
-            return var_map.get(node.index, node)
-        if isinstance(node, Sym):
-            return sym_map.get(node.name, node)
-        if isinstance(node, Add):
-            return add(walk(node.left), walk(node.right))
-        if isinstance(node, Sub):
-            return sub(walk(node.left), walk(node.right))
-        if isinstance(node, Mul):
-            return mul(walk(node.left), walk(node.right))
-        if isinstance(node, Div):
-            return div(walk(node.left), walk(node.right))
-        if isinstance(node, Pow):
-            return powc(walk(node.base), node.exponent)
-        if isinstance(node, Neg):
-            return neg(walk(node.operand))
-        if isinstance(node, Call):
-            return call(node.func, walk(node.arg))
-        raise TypeError(f"not an expression: {node!r}")
-
-    return walk(e)
-
-
-# ---------------------------------------------------------------------------
 # evaluation
 
 def evaluate(e, point=(), env=None):
@@ -712,6 +673,16 @@ def arena_rows(n, m):
     return cells[:n * m].reshape(n, m)
 
 
+def _real_pow(base, exponent):
+    """base ** exponent for an inline power with a fractional exponent; a
+    negative Python float base gives a complex there, which is refused."""
+    value = base ** exponent
+    if isinstance(value, complex):
+        raise ArithmeticError(
+            f"negative base with fractional exponent in {base!r} ** {exponent!r}")
+    return value
+
+
 def _build(exprs, symbols, params, vector):
     """Emit and compile one function for exprs; returns it with its source
     and its row count.
@@ -779,8 +750,10 @@ def _build(exprs, symbols, params, vector):
             text = f"x[{e.index - 1}]"
         elif isinstance(e, Sym):
             text = f"({float(params[e.name])!r})" if e.name in params else f"_s_{e.name}"
-        elif isinstance(e, Pow):
+        elif isinstance(e, Pow) and float(e.exponent).is_integer():
             text = f"({args[0]} ** ({e.exponent!r}))"
+        elif isinstance(e, Pow):
+            text = f"_real_pow({args[0]}, {e.exponent!r})"
         elif isinstance(e, Call):
             text = f"_f_{e.func}({args[0]})"
         else:
@@ -805,7 +778,8 @@ def _build(exprs, symbols, params, vector):
     # a literal beyond the float range parses to inf, and repr writes it so
     ufuncs = (np.power, *_UFUNCS.values(), *_POW_UFUNCS.values())
     funcs = _VECTOR_FUNCS if vector else _SCALAR_FUNCS
-    namespace = {"inf": math.inf, "nan": math.nan, **{f"_{u.__name__}": u for u in ufuncs},
+    namespace = {"inf": math.inf, "nan": math.nan, "_real_pow": _real_pow,
+                 **{f"_{u.__name__}": u for u in ufuncs},
                  **{f"_f_{name}": fn for name, fn in funcs.items()}}
     exec(source, namespace)  # noqa: S102 - generated from a closed AST
     return namespace["_compiled"], source, len(until) if vector else 0

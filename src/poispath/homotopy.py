@@ -8,14 +8,16 @@ samples. On top of that live
   * the variation field b of the homotopy equation
         db_i/dt = da_i/deps + (d_i Pi^(jk)) a_j b_k,   b(eps, 0) = 0,
     whose endpoint curve b(eps, 1) decides membership in a homotopy class.
-    A family keeps one field per (eps grid, coupling sign). Its first
-    request solves the pinned coarse, pinned fine and flipped coarse fields
-    (and the requested one) in one RK4 pass over all their slices (the base
-    solve and this pass both step through paths.rk4_step), with one
-    dpi_many call per block on the fine slices only, since the coarse
-    slices are the even fine ones; a field still missing later is solved
-    alone. The contraction adds its terms in coupling_many's einsum order,
-    so a field's bits do not depend on the batch it was solved in;
+    A family keeps one field per (eps grid, coupling sign), as its RK4
+    knots on t[::2]; t = 1 is a knot, so the endpoint curve is the last
+    knot, and only invariance_report interpolates (a cubic spline onto t).
+    The first request solves the pinned coarse, pinned fine and flipped
+    coarse fields (and the requested one) in one RK4 pass over all their
+    slices (the base solve and this pass both step through paths.rk4_step),
+    with one dpi_many call per block on the fine slices only, since the
+    coarse slices are the even fine ones; a field still missing later is
+    solved alone. The contraction adds its terms in coupling_many's einsum
+    order, so a field's bits do not depend on the batch it was solved in;
   * the transport field of the transposed equation (coupling arguments
     swapped), which reproduces the base motion exactly: d(gamma)/deps equals
     #b_transport. The invariance identity is stated through this field.
@@ -79,10 +81,11 @@ class PathFamily:
     generator there is no way to keep the slices honest cotangent paths.
 
     The base is solved once, on the fine grid eps_fine of 2M - 1 slices that
-    the resolution check needs; gamma and a are its even slices, which is
-    exact because linspace(lo, hi, 2M - 1)[::2] equals linspace(lo, hi, M)
-    and the RK4 rows do not depend on each other. Solved arrays and variation
-    fields are cached and read-only.
+    the resolution check needs; gamma and a are views of its even slices,
+    which is exact because linspace(lo, hi, 2M - 1)[::2] equals
+    linspace(lo, hi, M) and the RK4 rows do not depend on each other.
+    Solved arrays and variation fields (knots on t[::2]) are cached and
+    read-only.
     """
 
     def __init__(self, structure, generator, x0, eps_range=(0.0, 1.0),
@@ -206,9 +209,8 @@ class PathFamily:
     def solve(self):
         if self.gamma is None:
             self._fine = tuple(_frozen(v) for v in self._solve_on(self.eps_fine))
-            gamma_f, a_f, _ = self._fine
-            self.gamma = _frozen(gamma_f[::2].copy())
-            self.a = _frozen(a_f[::2].copy())
+            # views of read-only arrays are read-only
+            self.gamma, self.a = self._fine[0][::2], self._fine[1][::2]
             self.d_eps_a = _frozen(
                 differentiate_samples(self.a, self.eps[1] - self.eps[0]))
             self.max_defect = max(
@@ -224,8 +226,9 @@ class PathFamily:
 
     def variation_field(self, sign, fine=False):
         """Variation field b with coupling sign +1 (pinned) or -1 (flipped,
-        the transport field) over the coarse or the fine eps grid; solved once
-        per (grid, sign), read-only.
+        the transport field) over the coarse or the fine eps grid: its RK4
+        knots on t[::2], a read-only (M, N/2 + 1, n) array, solved once per
+        (grid, sign).
 
         The first request solves, in one pass of _variation_fields, the
         requested field and those of _FIRST_BATCH (the three that
@@ -239,8 +242,7 @@ class PathFamily:
             rows = np.arange(len(self.eps_fine))
             parts = [(rows, self._fine[2], s) if f else (rows[::2], self.d_eps_a, s)
                      for f, s in keys]
-            fields = _variation_fields(self.structure, self.t, self._fine[0],
-                                       self._fine[1], parts)
+            fields = _variation_fields(self.structure, self.t, *self._fine[:2], parts)
             for k, b in zip(keys, fields):
                 if b is not None:
                     self._fields[k] = _frozen(b)
@@ -308,10 +310,11 @@ def _sharp_exprs(structure, alpha):
 
 @dataclass
 class VariationResult:
+    """A variation field on its RK4 knots t = family.t[::2]."""
     eps: np.ndarray
     t: np.ndarray
-    b: np.ndarray            # (M, N+1, n), b[:, 0] = 0
-    var: np.ndarray          # (M, n) endpoint curve b(eps, 1)
+    b: np.ndarray            # (M, N/2 + 1, n), b[:, 0] = 0
+    var: np.ndarray          # (M, n) endpoint curve b(eps, 1), the last knot
     max_variation: float
     order: str
     resolution_checked: bool
@@ -343,49 +346,31 @@ def _coupling(E, b, buf, out):
 
 
 def _variation_fields(structure, t, gamma_f, a_f, parts):
-    """Variation fields of several (grid, sign) pairs in one RK4 pass.
+    """Variation fields of several (grid, sign) pairs in one RK4 pass: RK4
+    for db/dt = da/deps + sign (d_i Pi^(jk)) a_j b_k over the rows of all
+    parts, one paths.rk4_step of size 2h per two grid cells, so that the
+    step's half points are stored nodes.
 
     Each part is (rows, d_eps_a, sign): the fine eps slices of the grid,
-    da/deps over them and the coupling sign. Every row has the bits of a
-    separate solve with coupling_many (see _variation_knots). Returns one
-    field per part, on t, or None where its values are not finite; each
-    field is its own cubic spline through the knots (one spline over all
-    rows would more than double the peak memory). The RK4 pass is a
-    function of its own so that its block arrays are freed before the
-    splines are built.
-    """
-    knots = _variation_knots(structure, t, gamma_f, a_f, parts)
-    fields = []
-    for part in np.split(knots, np.cumsum([len(p[0]) for p in parts])[:-1], axis=2):
-        b = None
-        if np.all(np.isfinite(part)):
-            # node-major and contiguous, as the spline works on axis 0
-            nodes = np.ascontiguousarray(part.transpose(0, 2, 1))
-            b = CubicSpline(t[::2], nodes)(t).transpose(1, 0, 2)
-            b[:, 0] = 0.0
-        fields.append(b)
-    return fields
-
-
-def _variation_knots(structure, t, gamma_f, a_f, parts):
-    """RK4 for db/dt = da/deps + sign (d_i Pi^(jk)) a_j b_k over the rows of
-    all parts, one paths.rk4_step of size 2h per two grid cells, so that the
-    step's half points are stored nodes; returns b on t[::2], (N/2 + 1, n, R).
+    da/deps over them and the coupling sign. Returns one field per part, its
+    knots on t[::2] as an (M, N/2 + 1, n) view, or None where its values are
+    not finite; every row has the bits of a separate solve with
+    coupling_many.
 
     The state is component-major, (n, R). Per block of _DPI_BLOCK time
     nodes, one dpi_many call covers all fine slices (the coarse ones are
     the even fine ones), and E = (d_i Pi^(jk)) a_j is formed once; each
     stage is one _coupling call, scaled by the sign and added to da/deps in
     the next of four rotating buffers (see PathFamily._solve_on).
-    Non-finite values are left for the caller to find: a diverging part
-    must not stop the others, or warn while they are solved.
+    Non-finite values are left to the end: a diverging part must not stop
+    the others, or warn while they are solved.
     """
     n, N = gamma_f.shape[2], len(t) - 1
     h = t[1] - t[0]
     rows = np.concatenate([part[0] for part in parts])
     sign = np.concatenate([np.full(len(part[0]), float(part[2])) for part in parts])
-    knots = np.empty((N // 2 + 1, n, rows.size))
-    knots[0] = 0.0
+    knots = np.empty((rows.size, N // 2 + 1, n))
+    knots[:, 0] = 0.0
     cur = np.zeros((n, rows.size))
     buf = np.empty((n, n, n, rows.size))
     buffers = itertools.cycle(np.empty((4, n, rows.size)))
@@ -407,8 +392,9 @@ def _variation_knots(structure, t, gamma_f, a_f, parts):
 
             for i in range(start, stop, 2):
                 cur = rk4_step(rhs, cur, 2.0 * h)
-                knots[i // 2 + 1] = cur
-    return knots
+                knots[:, i // 2 + 1] = cur.T
+    return [b if np.all(np.isfinite(b)) else None
+            for b in np.split(knots, np.cumsum([len(p[0]) for p in parts])[:-1])]
 
 
 _ORDER_SIGNS = {"pinned": 1.0, "flipped": -1.0}
@@ -422,7 +408,7 @@ def solve_variation(family, order="pinned", check_resolution=True):
     With check_resolution the endpoint curve is compared with the one over
     the family's fine grid (eps step halved) on shared nodes; a change above
     10% flags the grid as coarse. The returned field b is the family's cached,
-    read-only array.
+    read-only array of knots on t[::2].
     """
     if order not in _ORDER_SIGNS:
         raise ValidationError(f"order must be 'pinned' or 'flipped', got {order!r}")
@@ -440,7 +426,7 @@ def solve_variation(family, order="pinned", check_resolution=True):
         scale = max(float(np.max(np.abs(b_f[:, -1]))), floor)
         change = delta / scale
         coarse_flag = not change <= 0.10
-    return VariationResult(eps=family.eps, t=family.t, b=b, var=var,
+    return VariationResult(eps=family.eps, t=family.t[::2], b=b, var=var,
                            max_variation=max_var, order=order,
                            resolution_checked=bool(check_resolution),
                            resolution_change=change, grid_coarse=coarse_flag)
@@ -513,12 +499,16 @@ def invariance_report(family, field):
                             + int int (L_X Pi)(a, b) dt deps
 
     holds exactly for the transport field (the one moving the base), and
-    that field is used here; the residual reports the quadrature error only.
+    that field is used here, splined from its knots onto t (the bulk term
+    reads it between knots); the residual reports the quadrature error only.
     Non-finite field values or L_X Pi densities raise NumericalError.
     """
     S = family.structure
     X = expr.components(field, S.dim, params=S.params, what="vector field")
-    b = family.variation_field(-1.0)
+    # node-major and contiguous, as the spline works on axis 0
+    knots = np.ascontiguousarray(family.variation_field(-1.0).transpose(1, 0, 2))
+    b = CubicSpline(family.t[::2], knots)(family.t).transpose(1, 0, 2)
+    b[:, 0] = 0.0
 
     M, nodes, n = family.gamma.shape
     flat = family.gamma.reshape(M * nodes, n)

@@ -270,20 +270,20 @@ class FoliatedSphereProduct:
     def __init__(self, invariants, label=None):
         if not invariants:
             raise ValidationError("need at least one invariant")
-        # tau is an alias of the single coordinate x1
-        self.f = [expr.substitute(expr.as_expression(source, 1, symbols=("tau",)),
-                                  sym_map={"tau": expr.Var(1)})
-                  for source in invariants]
-        self.df = [expr.differentiate(e, 1) for e in self.f]
+        # tau is an alias of the single coordinate x1: an invariant may
+        # spell it either way, so its derivative sums both partials
+        self.f = [expr.as_expression(source, 1, symbols=("tau",)) for source in invariants]
+        self.df = [expr.add(expr.differentiate(e, 1), expr.differentiate_sym(e, "tau"))
+                   for e in self.f]
         self.label = label or f"foliated-spheres[{len(self.f)}]"
 
     def row_data(self, tau, verify=False):  # exact rows: verify has nothing to check
         tau = float(tau)
         if not 0.0 < tau < math.inf:
             raise ValidationError(f"parameter must be positive and finite, got {tau}")
-        point = (tau,)
-        fvals = [expr.evaluate(e, point) for e in self.f]
-        dvals = [expr.evaluate(e, point) for e in self.df]
+        point, env = (tau,), {"tau": tau}
+        fvals = [expr.evaluate(e, point, env) for e in self.f]
+        dvals = [expr.evaluate(e, point, env) for e in self.df]
         area = 4.0 * math.pi * sum(fvals)
         deriv = 4.0 * math.pi * sum(dvals)
         gens = tuple(abs(4.0 * math.pi * d) for d in dvals)

@@ -1,0 +1,143 @@
+"""Named defects that the test suite must kill.
+
+Each row of MUTANTS is a deliberate defect: an id, a file of the tree, an
+exact snippet that occurs once in it, the snippet that replaces it, and the
+test ids that must fail once it is in. A mutant is killed when every named
+test fails, and survives otherwise; a survivor is a finding about the
+suite, so its row stays in the table.
+
+    python tests/mutants.py [id ...]
+
+copies src/, tests/ and pyproject.toml to a temporary directory per mutant,
+applies it there and runs its tests (the working tree is never touched). With
+no ids it runs every row. It prints one line per mutant and exits 1 if any
+survived. Runs are deterministic: hypothesis is seeded with 0. Tier-1 only
+checks that the table is well formed (tests/test_mutants.py).
+"""
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+class Mutant(NamedTuple):
+    id: str
+    file: str
+    old: str
+    new: str
+    tests: tuple
+
+
+MUTANTS = (
+    Mutant("rk4-update-grouped", "src/poispath/paths.py",
+           "(k1 + 2.0 * k2 + 2.0 * k3 + k4)", "(k1 + 2.0 * (k2 + k3) + k4)",
+           ("tests/test_paths.py::TestRk4Step::test_rk4_path_keeps_the_written_out_order",
+            "tests/test_isotropy.py::TestMatrixPathIntegration::"
+            "test_keeps_the_written_out_order",
+            "tests/test_homotopy.py::TestSolveOnce::test_bitwise_equal_to_separate_solves")),
+    Mutant("require-within-passes-nan", "src/poispath/errors.py",
+           "    if not value <= bound:", "    if value > bound:",
+           ("tests/test_errors.py::TestRequireWithin::test_nan_or_excess_fails",
+            "tests/test_errors.py::TestRequireWithin::test_type_and_message_pass_through")),
+    Mutant("require-finite-isinf-only", "src/poispath/errors.py",
+           "    if not np.all(np.isfinite(values)):", "    if np.any(np.isinf(values)):",
+           ("tests/test_errors.py::TestRequireFinite::test_any_non_finite_entry_fails",
+            "tests/test_errors.py::TestRequireFinite::test_type_and_message_pass_through")),
+    Mutant("simpson-end-weights-swapped", "src/poispath/quadrature.py",
+           "c0 * (y0 * c1 + y1 * c2 + y2 * c3)", "c0 * (y0 * c3 + y1 * c2 + y2 * c1)",
+           ("tests/test_quadrature.py::test_simpson_matches_scipy_bit_for_bit",)),
+    Mutant("endpoint-sign-flipped", "src/poispath/paths.py",
+           "ENDPOINT_SIGN = -1.0", "ENDPOINT_SIGN = 1.0",
+           ("tests/test_paths.py::TestIntegrals::test_endpoint_identity_on_circle",
+            "tests/test_paths.py::TestIntegrals::test_endpoint_identity_random_hamiltonians",
+            "tests/test_acceptance.py::test_criterion_11_endpoint_identity_single_sign")),
+    Mutant("variation-t-full-grid", "src/poispath/homotopy.py",
+           "VariationResult(eps=family.eps, t=family.t[::2],",
+           "VariationResult(eps=family.eps, t=family.t,",
+           ("tests/test_homotopy.py::TestSolveOnce::test_bitwise_equal_to_separate_solves",)),
+    Mutant("invariance-splines-pinned", "src/poispath/homotopy.py",
+           "family.variation_field(-1.0).transpose(1, 0, 2)",
+           "family.variation_field(1.0).transpose(1, 0, 2)",
+           ("tests/test_homotopy.py::TestSolveOnce::"
+            "test_invariance_report_has_the_bits_of_the_reference",
+            "tests/test_homotopy.py::TestInvariance::test_all_terms_nonzero_yet_balanced")),
+    Mutant("coarse-views-odd-slices", "src/poispath/homotopy.py",
+           "self._fine[0][::2], self._fine[1][::2]",
+           "self._fine[0][1::2], self._fine[1][1::2]",
+           ("tests/test_homotopy.py::TestSolveOnce::test_bitwise_equal_to_separate_solves",
+            "tests/test_homotopy.py::TestSolveOnce::"
+            "test_invariance_report_has_the_bits_of_the_reference")),
+    Mutant("foliated-df-drops-x1", "src/poispath/monodromy.py",
+           'expr.add(expr.differentiate(e, 1), expr.differentiate_sym(e, "tau"))',
+           'expr.differentiate_sym(e, "tau")',
+           ("tests/test_monodromy.py::TestFoliatedProduct::test_coordinate_spelling_also_works",
+            "tests/test_monodromy.py::TestFoliatedProduct::"
+            "test_rows_have_the_bits_of_the_substituted_invariants")),
+    Mutant("real-pow-allows-complex", "src/poispath/expr.py",
+           "    if isinstance(value, complex):\n        raise ArithmeticError(",
+           "    if False:\n        raise ArithmeticError(",
+           ("tests/test_expr.py::TestCompiled::"
+            "test_fractional_power_of_a_negative_constant_is_a_domain_error",
+            "tests/test_cli.py::TestEvaluationFailures::test_a_domain_error_exits_3")),
+)
+
+
+def _failed(output):
+    """Test ids that pytest's -rf summary reports as failed."""
+    return {line[len("FAILED "):].split(" - ")[0] for line in output.splitlines()
+            if line.startswith("FAILED ")}
+
+
+def _covers(named, ids):
+    """Whether the named test id, or a parametrized case of it, is in ids."""
+    return any(i == named or i.startswith(named + "[") for i in ids)
+
+
+def run(mutant):
+    """Apply the mutant to a copy of the tree and run its tests; returns the
+    named tests that did not fail (empty when the mutant is killed)."""
+    with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
+        tree = Path(tmp)
+        ignore = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")
+        for name in ("src", "tests"):
+            shutil.copytree(ROOT / name, tree / name, ignore=ignore)
+        shutil.copy2(ROOT / "pyproject.toml", tree)
+        target = tree / mutant.file
+        text = target.read_text()
+        if text.count(mutant.old) != 1:
+            raise SystemExit(f"{mutant.id}: snippet does not occur exactly once in {mutant.file}")
+        target.write_text(text.replace(mutant.old, mutant.new))
+        env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
+        proc = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "--tb=no", "-rf", "-p", "no:cacheprovider",
+             "--hypothesis-seed=0", *mutant.tests],
+            cwd=tree, env=env, capture_output=True, text=True, check=False)
+    if proc.returncode not in (0, 1):
+        raise SystemExit(
+            f"{mutant.id}: pytest exited {proc.returncode}\n{proc.stdout}{proc.stderr}")
+    failed = _failed(proc.stdout)
+    return [t for t in mutant.tests if not _covers(t, failed)]
+
+
+def main(argv):
+    table = {m.id: m for m in MUTANTS}
+    unknown = [i for i in argv if i not in table]
+    if unknown:
+        raise SystemExit(f"unknown mutant ids: {', '.join(unknown)}")
+    survived = 0
+    for mutant in [table[i] for i in argv] or MUTANTS:
+        passed = run(mutant)
+        survived += bool(passed)
+        print(f"{'survived' if passed else 'killed':9} {mutant.id}"
+              + "".join(f"\n          still passes: {t}" for t in passed), flush=True)
+    return 1 if survived else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -4,7 +4,9 @@ The bracket oracles are assembled directly from raw entry dictionaries with
 the expression layer only, deliberately bypassing the library's own bracket
 and anchor code so the two can disagree. The variation reference keeps the
 straightforward form of the family variation solve, so that the cached,
-blocked library solve can be held to it bit for bit; its base comes from
+blocked library solve can be held to it bit for bit, knot for knot; the
+invariance reference splines its flipped knots onto t as scipy does and
+evaluates over every node at once; its base comes from
 the straightforward RK4 of the family base (the compiled generator and
 sharp_many at every stage), not from the library's staged kernel. The
 matrix fill writes pi_many and dpi_many entry by entry, the loop that the
@@ -20,7 +22,8 @@ separate evaluators for p and its Jacobian, np.cross, einsum and a
 left-to-right det on fresh arrays, which the kernel must match bit for bit.
 The curvature reference is the symbolic route of the curvature periods:
 the round chart as expressions in theta and phi substituted into the
-splitting, alpha and beta differentiated in the angles and compiled with
+splitting (by substitute, the symbolic substitution that only this route
+uses), alpha and beta differentiated in the angles and compiled with
 them, the route that the pointwise curvature kernel replaced. The
 whole-grid curvature route is curvature_periods before its block walk: the
 same kernel writing a new array over every node at once and each check on
@@ -35,7 +38,9 @@ from scipy.interpolate import CubicSpline
 
 from poispath import expr
 from poispath.config import get_default
+from poispath.homotopy import InvarianceReport, _lie_derivative_upper
 from poispath.paths import differentiate_samples
+from poispath.quadrature import simpson
 
 
 def matrix_fill_reference(structure, xs):
@@ -200,7 +205,8 @@ def base_reference(family, eps):
 
 def variation_field_reference(structure, t, gamma, a, d_eps_a, sign):
     """RK4 for db/dt = da/deps + sign (d_i Pi^(jk)) a_j b_k, two grid cells
-    per step, with the coupling (one dpi_many call) at every stage."""
+    per step, with the coupling (one dpi_many call) at every stage; returns
+    the knots on t[::2], (M, N/2 + 1, n)."""
     M, nodes, n = gamma.shape
     N = nodes - 1
     h = t[1] - t[0]
@@ -219,9 +225,7 @@ def variation_field_reference(structure, t, gamma, a, d_eps_a, sign):
         k4 = rhs(i + 2, cur + 2.0 * h * k3)
         cur = cur + (h / 3.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         coarse[:, i // 2 + 1] = cur
-    b = CubicSpline(t[::2], coarse, axis=1)(t)
-    b[:, 0] = 0.0
-    return b
+    return coarse
 
 
 def variation_reference(family, signs=(1.0, -1.0)):
@@ -245,6 +249,34 @@ def variation_reference(family, signs=(1.0, -1.0)):
         change = delta / max(float(np.max(np.abs(b_fine[:, -1]))), floor)
         fields[sign] = (b, b_fine, change)
     return gamma, a, d_eps_a, fields
+
+
+def invariance_reference(structure, t, eps, gamma, a, knots, field):
+    """The five numbers of homotopy.invariance_report from reference arrays:
+    the flipped field's knots (from variation_field_reference) splined onto
+    t by scipy, X and L_X Pi evaluated over every node at once."""
+    M, nodes, n = gamma.shape
+    b = CubicSpline(t[::2], knots, axis=1)(t)
+    b[:, 0] = 0.0
+    X = expr.components(field, n, params=structure.params)
+    flat = gamma.reshape(M * nodes, n).T
+    X_vals = expr.compile_exprs_vec(X, params=structure.params)(flat).T.reshape(M, nodes, n)
+    line = simpson(np.einsum("mti,mti->mt", a, X_vals), t, axis=1)
+    lhs = float(line[-1] - line[0])
+    endpoint = float(simpson(np.einsum("mi,mi->m", b[:, -1], X_vals[:, -1]), eps))
+    lx = expr.compile_exprs_vec(_lie_derivative_upper(structure, X), params=structure.params)
+    lx = lx(flat).T.reshape(M, nodes, -1)
+    density = np.zeros((M, nodes))
+    col = 0
+    for j in range(n):
+        for k in range(j + 1, n):
+            density += lx[:, :, col] * (a[:, :, j] * b[:, :, k] - a[:, :, k] * b[:, :, j])
+            col += 1
+    bulk = float(simpson(simpson(density, t, axis=1), eps))
+    return InvarianceReport(lhs=lhs, endpoint_term=endpoint, bulk_term=bulk,
+                            residual=abs(lhs - endpoint - bulk),
+                            max_transport_endpoint=float(
+                                np.max(np.linalg.norm(b[:, -1], axis=1))))
 
 
 def rk4_path_reference(structure, a, x0, n):
@@ -366,6 +398,42 @@ def sphere_row_reference(structure, nodes, theta, phi, rate=False):
     return (area, sphere_simpson(drate, theta, phi)) if rate else area
 
 
+def substitute(e, var_map=None, sym_map=None):
+    """Replace coordinates and/or named symbols by expressions.
+
+    ``var_map`` maps 1-based coordinate indices to Expressions, ``sym_map``
+    maps symbol names to Expressions. Rebuilds through the folding
+    constructors, so substituting constants simplifies the tree.
+    """
+    var_map = var_map or {}
+    sym_map = sym_map or {}
+
+    def walk(node):
+        if isinstance(node, expr.Num):
+            return node
+        if isinstance(node, expr.Var):
+            return var_map.get(node.index, node)
+        if isinstance(node, expr.Sym):
+            return sym_map.get(node.name, node)
+        if isinstance(node, expr.Add):
+            return expr.add(walk(node.left), walk(node.right))
+        if isinstance(node, expr.Sub):
+            return expr.sub(walk(node.left), walk(node.right))
+        if isinstance(node, expr.Mul):
+            return expr.mul(walk(node.left), walk(node.right))
+        if isinstance(node, expr.Div):
+            return expr.div(walk(node.left), walk(node.right))
+        if isinstance(node, expr.Pow):
+            return expr.powc(walk(node.base), node.exponent)
+        if isinstance(node, expr.Neg):
+            return expr.neg(walk(node.operand))
+        if isinstance(node, expr.Call):
+            return expr.call(node.func, walk(node.arg))
+        raise TypeError(f"not an expression: {node!r}")
+
+    return walk(e)
+
+
 def curvature_reference(structure, splitting, tau):
     """curvature_periods by substitution of the symbolic round chart into
     the splitting M and differentiation in theta and phi:
@@ -392,7 +460,7 @@ def curvature_reference(structure, splitting, tau):
         "theta": [expr.differentiate_sym(s, "theta") for s in sigma],
         "phi": [expr.differentiate_sym(s, "phi") for s in sigma],
     }
-    M_chart = [[expr.substitute(M[i][j], var_map=var_map) for j in range(3)]
+    M_chart = [[substitute(M[i][j], var_map=var_map) for j in range(3)]
                for i in range(3)]
 
     def pulled_covector(direction):
@@ -411,7 +479,7 @@ def curvature_reference(structure, splitting, tau):
     for i in range(1, 4):
         coupling = expr.Num(0.0)
         for (j, k), entry in structure.upper_entries():
-            dentry = expr.substitute(expr.differentiate(entry, i), var_map=var_map)
+            dentry = substitute(expr.differentiate(entry, i), var_map=var_map)
             pair = expr.sub(expr.mul(alpha[j - 1], beta[k - 1]),
                             expr.mul(alpha[k - 1], beta[j - 1]))
             coupling = expr.add(coupling, expr.mul(dentry, pair))

@@ -427,8 +427,11 @@ class TestEvaluationFailures:
          "--x0", "1,0,0"),
         ("path", "builtin:linear?preset=su2", "--generator", "0,0,log(x1-1)",
          "--x0", "1,0,0", "--method", "rk4"),
+        ("validate", "builtin:su2_scaled?a=c^0.5&c=-8"),
+        ("hamiltonian", "builtin:su2_scaled?a=1&c=-8", "--h", "c^0.5*x1", "--at", "1,0,0"),
     ], ids=["constant-pole-h", "constant-pole-alpha", "constant-pole-generator",
-            "constant-pole-parameter", "point-overflow", "point-log-domain"])
+            "constant-pole-parameter", "point-overflow", "point-log-domain",
+            "negative-parameter-root", "negative-parameter-root-h"])
     def test_a_domain_error_exits_3(self, tmp_path, argv):
         fam = tmp_path / "fam.json"
         fam.write_text(json.dumps({"generator": ["0", "0", "1/0"], "x0": [1.0, 0.0, 0.0]}))

@@ -253,14 +253,16 @@ def test_print_parse_roundtrip_is_exact(source):
 
 
 class TestSubstitute:
+    """oracles.substitute, which the symbolic curvature reference uses."""
+
     def test_coordinate_substitution(self):
         e = expr.parse("x1^2 + x2", 2)
-        s = expr.substitute(e, var_map={1: expr.parse("sin(t)", 0, symbols=("t",))})
+        s = oracles.substitute(e, var_map={1: expr.parse("sin(t)", 0, symbols=("t",))})
         assert expr.evaluate(s, (0.0, 3.0), {"t": math.pi / 2}) == pytest.approx(4.0)
 
     def test_symbol_substitution_folds(self):
         e = expr.parse("c*x1", 1, params=("c",))
-        s = expr.substitute(e, sym_map={"c": expr.Num(0.0)})
+        s = oracles.substitute(e, sym_map={"c": expr.Num(0.0)})
         assert isinstance(s, expr.Num) and s.value == 0.0
 
 
@@ -280,6 +282,26 @@ class TestCompiled:
         e = expr.parse("c*t*x1", 1, symbols=("t",), params=("c",))
         f = expr.compile_exprs([e], symbols=("t",), params={"c": 3.0})
         assert f((2.0,), 0.5) == (3.0,)
+
+    def test_fractional_power_of_a_negative_constant_is_a_domain_error(self):
+        # the parameter is folded in as a literal, where Python floats would
+        # make the power complex; expr.evaluate refuses it too
+        e = expr.parse("c^0.5*x1", 1, params=("c",))
+        with pytest.raises(EvalDomainError, match="negative base with fractional exponent"):
+            expr.evaluate(e, (1.0,), {"c": -8.0})
+        for f, x in ((expr.compile_exprs([e], params={"c": -8.0}), (1.0,)),
+                     (expr.compile_exprs_vec([e], params={"c": -8.0}), np.ones((1, 4)))):
+            with pytest.raises(EvalDomainError, match="^expression evaluation left its "
+                               "domain: negative base with fractional exponent"):
+                f(x)
+        with pytest.raises(EvalDomainError, match="negative base"):
+            expr.compile_exprs([expr.parse("x1^1.5", 1)])((-4.0,))
+        # a non-negative base, or an integer exponent, still computes
+        assert expr.compile_exprs([e], params={"c": 4.0})((3.0,)) == (6.0,)
+        np.testing.assert_array_equal(
+            expr.compile_exprs_vec([e], params={"c": 4.0})(np.ones((1, 2))), [[2.0, 2.0]])
+        cube = expr.parse("c^3*x1", 1, params=("c",))
+        assert expr.compile_exprs([cube], params={"c": -2.0})((1.0,)) == (-8.0,)
 
     def test_vector_shapes_and_values(self):
         sources = ["x1 + x2", "x3^2", "5"]
@@ -425,9 +447,12 @@ def _ieee_exact(e):
 
 def _scalar(fn, point):
     try:
-        return repr(fn(point))
+        values = fn(point)
     except (ArithmeticError, ValueError, TypeError, EvalDomainError):
         return "raised"
+    # Python floats turn a fractional power of a negative base into a
+    # complex, which stays complex to the root; the compiled evaluator raises
+    return "raised" if any(isinstance(v, complex) for v in values) else repr(values)
 
 
 def _vector(fn, points):

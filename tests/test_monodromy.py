@@ -298,6 +298,22 @@ class TestFoliatedProduct:
         fam = monodromy.FoliatedSphereProduct(["1/x1"])
         assert fam.row_data(2.0)[2][0] == pytest.approx(math.pi, rel=1e-14)
 
+    @pytest.mark.parametrize("sources", [
+        ["1/x1"], ["tau*x1", "1 + tau"], ["sin(tau)*x1^2", "R^2 + tau"],
+        ["exp(-tau/3)", "x1^1.5 + 2"], ["tau^2/x1", "atan(x1) + log(tau)"],
+    ], ids=["x1", "product", "sin-radial", "exp-power", "quotient-log"])
+    def test_rows_have_the_bits_of_the_substituted_invariants(self, sources):
+        # tau and x1 name one coordinate: each row has the bits of the
+        # invariants with tau replaced by x1, also where they mix spellings
+        subs = [oracles.substitute(expr.as_expression(s, 1, symbols=("tau",)),
+                                   sym_map={"tau": expr.Var(1)}) for s in sources]
+        fam = monodromy.FoliatedSphereProduct(sources)
+        for tau in (0.3, 1.0, 2.7, 11.0):
+            fvals = [expr.evaluate(e, (tau,)) for e in subs]
+            dvals = [expr.evaluate(expr.differentiate(e, 1), (tau,)) for e in subs]
+            assert fam.row_data(tau) == (4.0 * math.pi * sum(fvals), 4.0 * math.pi * sum(dvals),
+                                         tuple(abs(4.0 * math.pi * d) for d in dvals))
+
     def test_guards(self):
         with pytest.raises(ValidationError):
             monodromy.FoliatedSphereProduct([])
