@@ -10,6 +10,7 @@ Exit codes: 0 success, 1 usage error, 2 validation or parse failure,
 """
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -317,14 +318,7 @@ def cmd_variation(args):
     }
     if args.X is not None:
         comps = _components(args.X, "--X")
-        rep = invariance_report(family, comps)
-        report["identity"] = {
-            "lhs": rep.lhs,
-            "endpoint_term": rep.endpoint_term,
-            "bulk_term": rep.bulk_term,
-            "residual": rep.residual,
-            "max_transport_endpoint": rep.max_transport_endpoint,
-        }
+        report["identity"] = dataclasses.asdict(invariance_report(family, comps))
     return report
 
 

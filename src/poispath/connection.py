@@ -20,21 +20,21 @@ gets raised as NumericalError instead of returned.
 The pass runs in blocks of theta rows (theta_blocks), sized so that a
 block's arena rows stay within those of a rate row; the curvature route of
 monodromy walks the same blocks. Each block is one call of a fused kernel,
-compiled once per structure from one CSE graph: p, its Jacobian, |p|^2,
-p.u, p.v, |u|^2, |v|^2, the density and its tau-derivative, with every sum
-in the order of the np.cross/einsum code it replaced, so the values are the
-same bit for bit. leaf_form_many passes the kernel rows of the calling
-thread's scratch arena (expr.arena_rows) to write. The radial chart
-(chart_rows) writes its columns into the rows above the kernel's, and the
-chart evaluators of a sigma family are passed arena rows too, their values
-copied there: a row allocates no block arrays. Kernel results stay valid
-until the next arena call on that thread.
+compiled from one CSE graph once per structure and cached on it
+(PoissonStructure.evaluator): p, its Jacobian, |p|^2, p.u, p.v, |u|^2,
+|v|^2, the density and its tau-derivative, with every sum in the order of
+the np.cross/einsum code it replaced, so the values are the same bit for
+bit. leaf_form_many passes the kernel rows of the calling thread's scratch
+arena (expr.arena_rows) to write. The radial chart (chart_rows) writes its
+columns into the rows above the kernel's, and the chart evaluators of a
+sigma family are passed arena rows too, their values copied there: a row
+allocates no block arrays. Kernel results stay valid until the next arena
+call on that thread.
 """
 
 from __future__ import annotations
 
 import math
-import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,8 +43,6 @@ from . import expr
 from .config import get_default
 from .errors import NumericalError, ValidationError, require_finite, require_within
 from .quadrature import simpson
-
-_KERNELS: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 
 _TANGENCY_TOL = 1e-8
 
@@ -89,7 +87,7 @@ def _triple(a, b, c):
 
 
 def _sphere_kernel(structure, rate):
-    """The fused sphere kernel of a structure, compiled once per rate flag.
+    """The fused sphere kernel of a structure, cached on it per rate flag.
 
     It reads the columns x, u, v (with rate also x_t, u_t, v_t) and returns
     as arena rows, with rate, the tau-derivative of the density, then the
@@ -101,8 +99,7 @@ def _sphere_kernel(structure, rate):
     with q = J_p(x) x_t. Nodes are built without folding, so the float
     operations are those of np.cross, einsum and a left-to-right det.
     """
-    kernels = _KERNELS.setdefault(structure, {})
-    if rate not in kernels:
+    def build():
         x, u, v, x_t, u_t, v_t = ([expr.Var(3 * k + i) for i in (1, 2, 3)] for k in range(6))
         p = _dual_exprs(structure)
         nrm2 = _dot(p, p)
@@ -116,8 +113,9 @@ def _sphere_kernel(structure, rate):
                              expr.Mul(expr.Mul(expr.Num(2.0), dens), _dot(p, q)))
             # first, so that the rows of the later roots serve its temporaries
             roots.insert(0, expr.Div(expr.Neg(total), nrm2))
-        kernels[rate] = expr.compile_exprs_vec(roots, params=structure.params)
-    return kernels[rate]
+        return roots
+
+    return structure.evaluator(("sphere", rate), build)
 
 
 def leaf_form_many(structure, xs, us, vs, moving=None, out=None):
@@ -156,7 +154,7 @@ def leaf_form_many(structure, xs, us, vs, moving=None, out=None):
     # a non-finite Jacobian always makes the rate non-finite (0 inf and
     # inf - inf are NaN), so it is looked at only to name the failure
     if rate and not np.all(np.isfinite(drate[0])):
-        jac = expr.compile_exprs_vec(_jacobian(_dual_exprs(structure)), params=structure.params)
+        jac = structure.evaluator("jacobian", lambda: _jacobian(_dual_exprs(structure)))
         with np.errstate(all="ignore"):
             require_finite(jac(cols[:3]), "Jacobian of the structure is not finite on the sphere")
         raise NumericalError("area rate density is not finite on the sphere")
@@ -319,15 +317,13 @@ class RadialSphereFamily:
 
         return nodes
 
-    def area(self, tau, check=True):
-        """Symplectic area of the sphere at tau. With check the quadrature is
-        repeated on the doubled grid and the finer value is returned;
-        disagreement beyond the configured relative band is a NumericalError.
+    def area(self, tau):
+        """Symplectic area of the sphere at tau. The quadrature is repeated on
+        the doubled grid and the finer value is returned; disagreement beyond
+        the configured relative band is a NumericalError.
         """
         tau = self._radius(tau)
         value = _sphere_area_once(self, tau, self.grid)
-        if not check:
-            return value
         finer = _sphere_area_once(self, tau, [2 * g for g in self.grid])
         require_within(abs(finer - value), get_default("area_check_rel") * max(1.0, abs(finer)),
                        f"sphere area at tau={tau} unstable under grid doubling: "
@@ -421,14 +417,14 @@ class SigmaSphereFamily(RadialSphereFamily):
         return nodes
 
 
-def sphere_area(structure, tau, grid=None, check=True):
+def sphere_area(structure, tau, grid=None):
     """Symplectic area of the radius-tau sphere about the origin: the area of
     the radial family (RadialSphereFamily.area).
 
     The sphere must be (numerically) a union of leaves; the tangency check
     inside the form evaluation rejects charts that cut across leaves.
     """
-    return RadialSphereFamily(structure, grid).area(tau, check)
+    return RadialSphereFamily(structure, grid).area(tau)
 
 
 @dataclass

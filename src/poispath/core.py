@@ -52,6 +52,7 @@ class PoissonStructure:
                 raise ValidationError(f"duplicate entry for ({i},{j})")
             upper[(i, j)] = expr.as_expression(value, dim, params=self.params)
         self._upper = {k: upper[k] for k in sorted(upper)}
+        self._evaluators = {}
 
     # -- symbolic access ----------------------------------------------------
 
@@ -130,18 +131,13 @@ class PoissonStructure:
 
     # -- numeric access -----------------------------------------------------
 
-    @cached_property
-    def _pi_fn(self):
-        entries = [e for _, e in self._upper.items()]
-        return expr.compile_exprs_vec(entries, params=self.params)
-
-    @cached_property
-    def _dpi_fn(self):
-        entries = []
-        for _, e in self._upper.items():
-            for l in range(1, self.dim + 1):
-                entries.append(expr.differentiate(e, l))
-        return expr.compile_exprs_vec(entries, params=self.params)
+    def evaluator(self, key, build):
+        """The evaluator of the expressions build() returns, compiled once per
+        key and kept on the structure, so it dies with it: "pi", "dpi" and the
+        sphere, Jacobian and curvature kernels of connection and monodromy."""
+        if key not in self._evaluators:
+            self._evaluators[key] = expr.compile_exprs_vec(build(), params=self.params)
+        return self._evaluators[key]
 
     def _points(self, xs):
         xs = np.atleast_2d(np.asarray(xs, dtype=float))
@@ -176,7 +172,8 @@ class PoissonStructure:
         """Structure matrices at points xs (m, n) -> (m, n, n)."""
         xs = self._points(xs)
         n = xs.shape[1]
-        return self._fill(self._pi_fn(xs.T), (n, n), self._scatters[0])
+        pi = self.evaluator("pi", lambda: list(self._upper.values()))
+        return self._fill(pi(xs.T), (n, n), self._scatters[0])
 
     def pi_at(self, x):
         return self.pi_many(np.asarray(x, dtype=float)[None, :])[0]
@@ -186,7 +183,9 @@ class PoissonStructure:
         d Pi^(ij) / d x_l."""
         xs = self._points(xs)
         n = xs.shape[1]
-        return self._fill(self._dpi_fn(xs.T), (n, n, n), self._scatters[1])
+        dpi = self.evaluator("dpi", lambda: [expr.differentiate(e, l) for e in self._upper.values()
+                                             for l in range(1, n + 1)])
+        return self._fill(dpi(xs.T), (n, n, n), self._scatters[1])
 
     def dpi_at(self, x):
         return self.dpi_many(np.asarray(x, dtype=float)[None, :])[0]

@@ -51,8 +51,9 @@ import numpy as np
 from . import expr
 from .config import get_default
 from .errors import NumericalError, ValidationError, require_finite, require_within
-from .paths import (CotangentPath, CubicSpline, differentiate_samples, even_intervals,
-                    path_defect, rk4_step)
+from .paths import CotangentPath, CubicSpline, differentiate_samples, even_intervals, rk4_step
+# bound only for perfbench's tracer, which wraps path_defect under this module
+from .paths import path_defect  # noqa: F401
 from .quadrature import simpson
 
 _TIME = "t"
@@ -114,7 +115,6 @@ class PathFamily:
         self.gamma = None
         self.a = None
         self.d_eps_a = None
-        self.max_defect = None
         self._fine = None      # (gamma, a, d_eps_a) over eps_fine
         self._fields = {}      # (fine, sign) -> variation field b
         params = structure.params
@@ -213,9 +213,6 @@ class PathFamily:
             self.gamma, self.a = self._fine[0][::2], self._fine[1][::2]
             self.d_eps_a = _frozen(
                 differentiate_samples(self.a, self.eps[1] - self.eps[0]))
-            self.max_defect = max(
-                path_defect(self.structure, self.t, self.gamma[m], self.a[m])
-                for m in range(len(self.eps)))
         return self
 
     def slice_path(self, m):

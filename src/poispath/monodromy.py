@@ -5,8 +5,8 @@ Two routes produce the same invariant for a radius-tau sphere leaf:
 
   * quadrature of the curvature of a splitting of the anchor over the leaf
     (curvature_periods, formed pointwise on the round chart's nodes by a
-    kernel compiled once per structure and splitting, in blocks of theta
-    rows through the thread's scratch arena, as the areas are), and
+    kernel cached on the structure per splitting, in blocks of theta rows
+    through the thread's scratch arena, as the areas are), and
   * differentiation of the leaf symplectic area along the sphere family,
     with the tau-derivative taken under the integral (the families of
     connection, re-exported here).
@@ -24,7 +24,6 @@ and tolerance, never proofs.
 from __future__ import annotations
 
 import math
-import weakref
 from dataclasses import dataclass, field
 from functools import reduce
 from itertools import product
@@ -42,8 +41,6 @@ from .errors import NumericalError, ValidationError, require_finite, require_wit
 VERDICT_OK = "INTEGRABLE_EVIDENCE"
 VERDICT_BAD = "NON_INTEGRABLE"
 VERDICT_OPEN = "INCONCLUSIVE"
-
-_CURVATURE_KERNELS: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 
 # ---------------------------------------------------------------------------
 # curvature of a splitting over a sphere leaf
@@ -98,14 +95,10 @@ def _curvature_exprs(structure, M):
 
 def _curvature_kernel(structure, M):
     """_curvature_exprs compiled to one numpy kernel, once per structure and
-    splitting: kernels are cached weakly on the structure and keyed by the
-    splitting's expression graph (expr.dag_key)."""
-    kernels = _CURVATURE_KERNELS.setdefault(structure, {})
-    key = expr.dag_key([e for row in M for e in row])
-    if key not in kernels:
-        kernels[key] = expr.compile_exprs_vec(_curvature_exprs(structure, M),
-                                              params=structure.params)
-    return kernels[key]
+    splitting: kernels are cached on the structure (PoissonStructure.evaluator),
+    keyed by the splitting's expression graph (expr.dag_key)."""
+    key = ("curvature", expr.dag_key([e for row in M for e in row]))
+    return structure.evaluator(key, lambda: _curvature_exprs(structure, M))
 
 
 def curvature_periods(structure, splitting, tau):

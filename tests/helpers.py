@@ -123,6 +123,22 @@ def su3():
     return PoissonStructure(8, SU3_PI, label="su3")
 
 
+def linear_in_new_coordinates(structure, A):
+    """The linear structure with Pi(x) = D[l] x_l in the coordinates y = A x:
+    Pi'(y) = A Pi(A^-1 y) A^T, rebuilt as a PoissonStructure. Its entries
+    stay linear, so it is a new table of structure constants."""
+    D = structure.dpi_at(np.zeros(structure.dim))  # D[l, i, j] = d_l Pi^(ij)
+    return linear_structure(np.einsum("lm,ai,lij,bj->mab", np.linalg.inv(A), A, D, A))
+
+
+def linear_structure(M):
+    """The structure with upper entries Pi^(ab)(x) = M[m, a, b] x_m."""
+    n = len(M)
+    pi = {(a + 1, b + 1): " + ".join(f"({float(M[m, a, b])!r})*x{m + 1}" for m in range(n))
+          for a in range(n) for b in range(a + 1, n)}
+    return PoissonStructure(n, pi)
+
+
 def su2_splitting(a="1"):
     """Inverse of the anchor on sphere tangents for the rescaled structures:
     sigma(v) = (v x x) / (a R^2)."""

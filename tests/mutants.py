@@ -85,6 +85,43 @@ MUTANTS = (
            ("tests/test_expr.py::TestCompiled::"
             "test_fractional_power_of_a_negative_constant_is_a_domain_error",
             "tests/test_cli.py::TestEvaluationFailures::test_a_domain_error_exits_3")),
+    Mutant("curl-over-l-below-j", "src/poispath/monodromy.py",
+           "                      product(range(3), repeat=2))",
+           "                      ((l, j) for l in range(3) for j in range(l + 1, 3)))",
+           ("tests/test_monodromy.py::TestCurvature::test_round_sphere_periods",
+            "tests/test_monodromy.py::TestCurvature::test_agrees_with_area_variation",
+            "tests/test_acceptance.py::test_criterion_06_curvature_agrees_with_area_variation")),
+    Mutant("sharp-drops-kept-zero-term", "src/poispath/homotopy.py",
+           "            elif k == 0 and all(zero[j]):", "            elif False:",
+           ("tests/test_homotopy.py::TestSolveOnce::"
+            "test_non_finite_generator_on_an_unread_component_fails_closed",)),
+    Mutant("coupling-reduce-k-j-order", "src/poispath/homotopy.py",
+           "np.add.reduce(buf.reshape(-1, *b.shape)",
+           "np.add.reduce(buf.transpose(1, 0, 2, 3).reshape(-1, *b.shape)",
+           ("tests/test_homotopy.py::test_block_contraction_matches_the_einsum_bit_for_bit",
+            "tests/test_homotopy.py::TestSolveOnce::test_bitwise_equal_to_separate_solves")),
+    Mutant("area-check-reversed", "src/poispath/connection.py",
+           'require_within(abs(finer - value), '
+           'get_default("area_check_rel") * max(1.0, abs(finer)),',
+           'require_within(get_default("area_check_rel") * max(1.0, abs(finer)), '
+           'abs(finer - value),',
+           ("tests/test_connection.py::TestSphereArea::test_matches_closed_form",
+            "tests/test_connection.py::TestSphereArea::"
+            "test_doubling_check_catches_rough_integrand",
+            "tests/test_cli.py::TestLeafReports::test_unstable_quadrature_exits_3",
+            "tests/test_acceptance.py::test_criterion_04_leaf_areas_match_closed_form")),
+    Mutant("sign-search-bracket-swapped", "src/poispath/monodromy.py",
+           "            lo = mid\n        else:\n            hi = mid",
+           "            hi = mid\n        else:\n            lo = mid",
+           ("tests/test_monodromy.py::TestScan::test_zero_at_a_golden_offset_between_samples",
+            "tests/test_monodromy.py::TestScan::"
+            "test_sign_change_across_a_singular_radius_is_no_collapse",
+            "tests/test_cli.py::TestScanCommand::test_zero_between_samples_is_non_integrable")),
+    Mutant("sphere-kernel-cached-without-rate", "src/poispath/connection.py",
+           'structure.evaluator(("sphere", rate), build)', 'structure.evaluator("sphere", build)',
+           ("tests/test_connection.py::test_sphere_kernels_compile_once_per_structure_and_rate",
+            "tests/test_monodromy.py::TestCurvatureKernelCache::"
+            "test_dropping_the_structure_drops_its_kernels")),
 )
 
 

@@ -49,7 +49,8 @@ def matrix_fill_reference(structure, xs):
     partner."""
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
     m, n = xs.shape
-    values, dvalues = structure._pi_fn(xs.T), structure._dpi_fn(xs.T)
+    structure.pi_many(xs), structure.dpi_many(xs)  # both evaluators compiled
+    values, dvalues = structure._evaluators["pi"](xs.T), structure._evaluators["dpi"](xs.T)
     P, D = np.zeros((m, n, n)), np.zeros((m, n, n, n))
     for row, (i, j) in enumerate(structure._upper):
         P[:, i - 1, j - 1] = values[row]

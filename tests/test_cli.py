@@ -157,6 +157,14 @@ class TestValidate:
         assert "constant power has no finite value" in err
         assert "Traceback" not in err
 
+    def test_readme_structure_file_validates(self, tmp_path):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = re.search(r"A structure file looks like\n\n```json\n(.*?)\n```", readme, re.S)
+        path = tmp_path / "structure.json"
+        path.write_text(block.group(1))
+        report = run_json("validate", str(path))
+        assert report["ok"] is True and report["max_jacobi_residual"] == 0.0
+
 
 class TestAlgebraCommands:
     def test_bracket_of_coordinate_forms(self):
@@ -450,6 +458,17 @@ class TestEvaluationFailures:
         assert (code, out) == (3, "")
         assert err.startswith("numerical failure:") and "not finite" in err
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("method, message", [
+        ("rk45", "base integration failed: right-hand side is not finite (NaN) at t=0.0, "
+                 "y=[-1.0, 0.0, 0.0]"),
+        ("rk4", "base integration produced non-finite values"),
+    ])
+    def test_a_nan_field_exits_3_and_says_so(self, method, message):
+        code, out, err = run_cli("path", "builtin:linear?preset=su2", "--generator",
+                                 "0,0,x1^0.5", "--x0=-1,0,0", "--method", method)
+        assert (code, out) == (3, "")
+        assert err == f"numerical failure: {message}\n"
 
 
 class TestLeafReports:

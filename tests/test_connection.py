@@ -1,3 +1,4 @@
+import functools
 import math
 import resource
 import sys
@@ -28,6 +29,12 @@ GENERATORS = {
     1.0: 0.0,
     2.0: 12 * math.pi / 25,
 }
+
+
+def _single_grid_area(family, tau):
+    """The family's area on its own grid alone, without the doubling check:
+    the one quadrature entry that every area goes through."""
+    return connection._sphere_area_once(family, tau, family.grid)
 
 
 class TestLeafForm:
@@ -126,7 +133,7 @@ class TestSphereArea:
         assert got == pytest.approx(-4 * math.pi, rel=1e-4)
 
     def test_coarse_grid_without_check(self):
-        got = connection.sphere_area(su2(), 1.0, grid=(40, 20), check=False)
+        got = _single_grid_area(connection.RadialSphereFamily(su2(), (40, 20)), 1.0)
         assert got == pytest.approx(4 * math.pi, rel=5e-3)
 
     def test_doubling_check_catches_rough_integrand(self):
@@ -237,9 +244,9 @@ def test_under_integral_derivative_matches_stencil_oracle(case):
     scale = max(1.0, abs(area))
     near_zero = abs(closed(tau)) < 0.05 * scale
     want = oracles.stencil_area_derivative(
-        lambda t: connection.sphere_area(s, t, grid=PROPERTY_GRID, check=False),
+        functools.partial(_single_grid_area, radial),
         tau, step=2e-4)
-    want_sigma = oracles.stencil_area_derivative(lambda t: sigma.area(t, check=False),
+    want_sigma = oracles.stencil_area_derivative(functools.partial(_single_grid_area, sigma),
                                                   tau, step=2e-4)
     got = {
         "radial": (radial.row_data(tau)[1], want),
@@ -266,6 +273,22 @@ def test_each_row_takes_the_one_quadrature_entry_once(monkeypatch):
     for family in (radial, sigma):
         family.row_data(1.0)
     assert seen == [radial, sigma]
+
+
+def test_sphere_kernels_compile_once_per_structure_and_rate(monkeypatch):
+    compile_vec, compiled = expr.compile_exprs_vec, []
+    monkeypatch.setattr(expr, "compile_exprs_vec",
+                        lambda *a, **k: compiled.append(a) or compile_vec(*a, **k))
+    s = su2_scaled("1 + R^2")
+    family = connection.RadialSphereFamily(s)
+    x, u, v = [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]
+    rounds = []
+    for _ in range(2):
+        before = len(compiled)
+        family.area(0.7), family.row_data(0.9), connection.leaf_form(s, x, u, v)
+        rounds.append(len(compiled) - before)
+    assert rounds == [2, 0]
+    assert sorted(s._evaluators) == [("sphere", False), ("sphere", True)]
 
 
 def _bits(values):
@@ -297,13 +320,13 @@ def test_sphere_kernel_matches_the_reference_row_bit_for_bit(case, rate, grid):
     if rate:
         got = monodromy.RadialSphereFamily(s, grid=grid).row_data(tau)[:2]
     else:
-        got = connection.sphere_area(s, tau, grid=grid, check=False)
+        got = _single_grid_area(connection.RadialSphereFamily(s, grid), tau)
     want = oracles.sphere_row_reference(s, oracles.radial_nodes(tau, theta, phi),
                                         theta, phi, rate)
     assert _bits(got) == _bits(want)
 
     sigma = monodromy.SigmaSphereFamily(s, ROUND_CHART, (0.2, 3.0), grid=grid)
-    rows = [lambda: sigma.area(tau, check=False), lambda: sigma.row_data(tau)[:2]][rate]
+    rows = [lambda: _single_grid_area(sigma, tau), lambda: sigma.row_data(tau)[:2]][rate]
     got = rows()
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(connection, "sphere_quadrature", oracles.sphere_row_reference)
@@ -327,7 +350,7 @@ SIGMA_CHARTS = (
 def test_sigma_rows_keep_the_bits_of_the_plain_chart(case, chart, rate, grid):
     s, tau = case
     sigma = monodromy.SigmaSphereFamily(s, chart, (0.2, 3.0), grid=grid)
-    rows = [lambda: sigma.area(tau, check=False), lambda: sigma.row_data(tau)[:2]][rate]
+    rows = [lambda: _single_grid_area(sigma, tau), lambda: sigma.row_data(tau)[:2]][rate]
     got = rows()
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(sigma, "_nodes", lambda t, theta, phi: oracles.sigma_nodes(sigma, t, theta, phi))
@@ -339,7 +362,7 @@ def _radial_rows(cases, taus):
     """Bits of (area, dA/dtau) of each (structure, grid) case at each tau,
     and of the area alone at the first tau."""
     return [[_bits(monodromy.RadialSphereFamily(s, grid=grid).row_data(t)[:2]) for t in taus]
-            + [_bits(connection.sphere_area(s, taus[0], grid=grid, check=False))]
+            + [_bits(_single_grid_area(connection.RadialSphereFamily(s, grid), taus[0]))]
             for s, grid in cases]
 
 
@@ -373,7 +396,8 @@ class TestArena:
             for k, (s, grid) in enumerate(ARENA_CASES):
                 mixed[k].append(_bits(monodromy.RadialSphereFamily(s, grid=grid).row_data(t)[:2]))
         for k, (s, grid) in enumerate(ARENA_CASES):
-            mixed[k].append(_bits(connection.sphere_area(s, taus[0], grid=grid, check=False)))
+            once = _single_grid_area(connection.RadialSphereFamily(s, grid), taus[0])
+            mixed[k].append(_bits(once))
         assert mixed == alone
 
     def test_threads_at_the_same_time_give_the_serial_bits(self):

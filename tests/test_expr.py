@@ -400,7 +400,8 @@ class TestCompiled:
         kernel = connection._sphere_kernel(structure, rate=True)
         assert kernel.source.count("_f_exp(") == 1
         # the structure's own evaluator serves p = (Pi^23, Pi^31, Pi^12)
-        assert structure._pi_fn.source.count("_f_exp(") == 1
+        structure.pi_many(np.zeros((1, 3)))
+        assert structure._evaluators["pi"].source.count("_f_exp(") == 1
         assert expr.compile_exprs([expr.parse("exp(R)", 3)] * 2).source.count("exp") == 1
 
     def test_split_free_hoists_coordinate_free_subtrees(self):

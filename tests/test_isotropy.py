@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from helpers import su2, su2_scaled, su3, symplectic_plane
+from helpers import linear_in_new_coordinates, su2, su2_scaled, su3, symplectic_plane
 from poispath import isotropy
 from poispath.core import PoissonStructure
 from poispath.errors import NumericalError, ValidationError
@@ -187,17 +187,6 @@ class TestReportFloors:
         assert data.is_abelian and data.center_dim == 2 and data.killing_rank == 0
 
 
-def _linear_in_new_coordinates(structure, A):
-    """The linear structure with Pi(x) = D[l] x_l in the coordinates y = A x:
-    Pi'(y) = A Pi(A^-1 y) A^T, rebuilt as a PoissonStructure."""
-    n = structure.dim
-    D = structure.dpi_at(np.zeros(n))  # D[l, i, j] = d_l Pi^(ij)
-    M = np.einsum("lm,ai,lij,bj->mab", np.linalg.inv(A), A, D, A)
-    pi = {(a + 1, b + 1): " + ".join(f"({float(M[m, a, b])!r})*x{m + 1}" for m in range(n))
-          for a in range(n) for b in range(a + 1, n)}
-    return PoissonStructure(n, pi)
-
-
 SU3_CORANK_FOUR = [0, 0, 0, 0, 0, 0, 0, -2 * math.sqrt(3.0)]
 
 
@@ -221,7 +210,7 @@ class TestCoordinateInvariance:
         A = _orthogonal(rng, n) @ np.diag(rng.uniform(0.5, 2.0, n)) @ _orthogonal(rng, n)
         x = np.array(point)
         before = isotropy.isotropy_data(structure, x)
-        after = isotropy.isotropy_data(_linear_in_new_coordinates(structure, A), A @ x)
+        after = isotropy.isotropy_data(linear_in_new_coordinates(structure, A), A @ x)
         for attr in ("corank", "center_dim", "killing_rank", "is_abelian", "is_semisimple"):
             assert getattr(after, attr) == getattr(before, attr), attr
         if before.is_abelian:

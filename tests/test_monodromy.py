@@ -214,12 +214,15 @@ class TestCurvatureKernelCache:
 
     def test_dropping_the_structure_drops_its_kernels(self):
         p = su2_scaled("1 + R^2")
+        monodromy.RadialSphereFamily(p, grid=(40, 20)).row_data(0.7)
         monodromy.curvature_periods(p, su2_splitting("1 + R^2"), 0.7)
-        (kernel,) = monodromy._CURVATURE_KERNELS[p].values()
-        refs = weakref.ref(p), weakref.ref(kernel)
-        del p, kernel
+        # the structure's cache holds its sphere kernel and its curvature kernel
+        (curvature,) = [key for key in p._evaluators if key[0] == "curvature"]
+        kernels = [p._evaluators[key] for key in (("sphere", True), curvature)]
+        refs = [weakref.ref(x) for x in (p, *kernels)]
+        del p, kernels
         gc.collect()
-        assert [r() for r in refs] == [None, None]
+        assert [r() for r in refs] == [None, None, None]
 
 
 class TestGcd:
@@ -465,8 +468,9 @@ class TestSigmaSphereFamily:
     def test_round_chart_matches_builtin_area(self):
         s = su2()
         fam = monodromy.SigmaSphereFamily(s, ROUND_CHART, (0.2, 3.0))
-        ref = connection.sphere_area(s, 1.0, check=False)
-        assert fam.area(1.0, check=False) == pytest.approx(ref, rel=1e-12)
+        ref = connection._sphere_area_once(monodromy.RadialSphereFamily(s), 1.0, fam.grid)
+        got = connection._sphere_area_once(fam, 1.0, fam.grid)
+        assert got == pytest.approx(ref, rel=1e-12)
 
     def test_angle_reparametrization_is_invariant(self):
         # same spheres traced with a theta-dependent twist in phi

@@ -323,7 +323,24 @@ class TestSolveIvp:
         sol = paths.solve_ivp(lambda t, y: np.full_like(y, np.nan), (0.0, 1.0), np.ones(2),
                               rtol=1e-8, atol=1e-8, t_eval=np.linspace(0.0, 1.0, 11))
         assert (sol.success, sol.nfev, sol.y.size) == (False, 2, 0)
-        assert sol.message == "Required step size is less than spacing between numbers."
+        assert sol.message == "right-hand side is not finite (NaN) at t=0.0, y=[1.0, 1.0]"
+
+    @pytest.mark.parametrize("t_eval", [None, np.linspace(0.0, 1.0, 101)])
+    def test_nan_field_past_a_time_is_named_with_scipy_steps(self, t_eval):
+        # y' = sqrt(1/2 - t) is NaN past t = 1/2: the steps shrink towards it
+        # as scipy's do, and the failure names the first NaN
+        def fun(t, y):
+            with np.errstate(invalid="ignore"):
+                return np.sqrt(0.5 - t) * np.ones_like(y)
+
+        ours = paths.solve_ivp(fun, (0.0, 1.0), np.ones(2), rtol=1e-8, atol=1e-8,
+                               t_eval=t_eval)
+        theirs = scipy_solve_ivp(fun, (0.0, 1.0), np.ones(2), method="RK45", rtol=1e-8,
+                                 atol=1e-8, t_eval=t_eval)
+        assert (ours.success, ours.nfev) == (theirs.success, theirs.nfev)
+        assert not ours.success
+        assert np.array_equal(ours.y, theirs.y)
+        assert ours.message.startswith("right-hand side is not finite (NaN) at t=0.5000")
 
 
 @st.composite
