@@ -10,7 +10,8 @@ samples. On top of that live
     whose endpoint curve b(eps, 1) decides membership in a homotopy class.
     A family keeps one field per (eps grid, coupling sign), as its RK4
     knots on t[::2]; t = 1 is a knot, so the endpoint curve is the last
-    knot, and only invariance_report interpolates (a cubic spline onto t).
+    knot, and only invariance_report reads b between knots (a cubic
+    Hermite through the knots, with slopes from the equation itself).
     The first request solves the pinned coarse, pinned fine and flipped
     coarse fields (and the requested one) in one RK4 pass over all their
     slices (the base solve and this pass both step through paths.rk4_step),
@@ -51,7 +52,7 @@ import numpy as np
 from . import expr
 from .config import get_default
 from .errors import NumericalError, ValidationError, require_finite, require_within
-from .paths import CotangentPath, CubicSpline, differentiate_samples, even_intervals, rk4_step
+from .paths import CotangentPath, differentiate_samples, even_intervals, hermite, rk4_step
 # bound only for perfbench's tracer, which wraps path_defect under this module
 from .paths import path_defect  # noqa: F401
 from .quadrature import simpson
@@ -496,16 +497,16 @@ def invariance_report(family, field):
                             + int int (L_X Pi)(a, b) dt deps
 
     holds exactly for the transport field (the one moving the base), and
-    that field is used here, splined from its knots onto t (the bulk term
-    reads it between knots); the residual reports the quadrature error only.
+    that field is used here. The bulk term reads it on t, between its knots
+    on t[::2] too: there it is the midpoint of the cubic Hermite piece
+    through two knots, with the knots' slopes db/dt from the field's own
+    equation. The residual reports the quadrature and interpolation error
+    only.
     Non-finite field values or L_X Pi densities raise NumericalError.
     """
     S = family.structure
     X = expr.components(field, S.dim, params=S.params, what="vector field")
-    # node-major and contiguous, as the spline works on axis 0
-    knots = np.ascontiguousarray(family.variation_field(-1.0).transpose(1, 0, 2))
-    b = CubicSpline(family.t[::2], knots)(family.t).transpose(1, 0, 2)
-    b[:, 0] = 0.0
+    knots = family.variation_field(-1.0)
 
     M, nodes, n = family.gamma.shape
     flat = family.gamma.reshape(M * nodes, n)
@@ -516,15 +517,23 @@ def invariance_report(family, field):
     line = simpson(np.einsum("mti,mti->mt", family.a, X_vals), family.t, axis=1)
     lhs = float(line[-1] - line[0])
 
-    endpoint = float(simpson(np.einsum("mi,mi->m", b[:, -1], X_vals[:, -1]), family.eps))
+    endpoint = float(simpson(np.einsum("mi,mi->m", knots[:, -1], X_vals[:, -1]), family.eps))
 
     lx_fn = expr.compile_exprs_vec(_lie_derivative_upper(S, X), params=S.params)
     # one slice at a time through one buffer: the kernel's rows over all
-    # M * nodes points would raise the peak memory by megabytes
+    # M * nodes points would raise the peak memory by megabytes; so would
+    # the knot slopes over all slices
     buf = np.empty((lx_fn.slots, nodes))
     lx = np.empty((M, nodes, n * (n - 1) // 2))
+    b = np.empty((M, nodes, n))
+    b[:, ::2] = knots
+    step = family.t[2] - family.t[0]
     for m, g in enumerate(family.gamma):
         lx[m] = lx_fn(g.T, rows=buf).T
+        # db/dt at the knots from the transport field's own equation
+        slope = family.d_eps_a[m, ::2] - S.coupling_many(g[::2], family.a[m, ::2], knots[m])
+        c0, c1, c2, c3 = hermite(knots[m], step * slope)
+        b[m, 1::2] = c0 + 0.5 * (c1 + 0.5 * (c2 + 0.5 * c3))
     density = np.zeros((M, nodes))
     col = 0
     for j in range(n):
@@ -539,12 +548,7 @@ def invariance_report(family, field):
     return InvarianceReport(lhs=lhs, endpoint_term=endpoint, bulk_term=bulk,
                             residual=residual,
                             max_transport_endpoint=float(
-                                np.max(np.linalg.norm(b[:, -1], axis=1))))
-
-
-def invariance_identity_residual(family, field):
-    """|LHS - RHS| of the invariance identity; small values certify it."""
-    return invariance_report(family, field).residual
+                                np.max(np.linalg.norm(knots[:, -1], axis=1))))
 
 
 def flow_by_action(path, eta, step=2e-4, count=25):

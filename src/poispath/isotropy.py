@@ -1,6 +1,5 @@
-"""Pointwise linear data of a structure: kernel of the matrix at a point,
-the Lie algebra it carries, and exponentiation of coefficient paths in a
-matrix realization (by the package's one RK4 step, paths.rk4_step).
+"""Pointwise linear data of a structure: kernel of the matrix at a point
+and the Lie algebra it carries.
 
 At a point x the covectors annihilated by the structure matrix close under
 the form bracket, which there reduces to
@@ -29,7 +28,6 @@ import numpy as np
 
 from .config import get_default
 from .errors import ValidationError, require_finite
-from .paths import CubicSpline, rk4_step
 
 
 @dataclass
@@ -155,52 +153,3 @@ def isotropy_data(structure, x):
         closure_residual=closure_residual, center_dim=center_dim,
         killing=_floored(killing, killing_tol), killing_rank=killing_rank,
         is_abelian=is_abelian, is_semisimple=is_semisimple)
-
-
-def matrix_lie_path_integrate(basis, coeffs, n_steps=None):
-    """Solve dg/dt = A(t) g, g(0) = I, with A(t) = sum_k c_k(t) E_k.
-
-    basis: (k, d, d) finite matrices E_k (real or complex). coeffs: (m, k)
-    finite samples of the coefficient path on a uniform grid over [0, 1],
-    m >= 4, interpolated by a not-a-knot cubic spline. Classic fixed-step
-    fourth-order integration through paths.rk4_step; when the basis is
-    anti-Hermitian the iterate is snapped back to the unitary group every
-    hundred steps through its polar factor. A non-finite iterate raises
-    NumericalError.
-    """
-    basis = np.asarray(basis)
-    if basis.ndim != 3 or basis.shape[1] != basis.shape[2]:
-        raise ValidationError(f"basis must be (k, d, d), got {basis.shape}")
-    require_finite(basis, "basis matrices must be finite", ValidationError)
-    coeffs = np.asarray(coeffs, dtype=float)
-    if coeffs.ndim != 2 or coeffs.shape[0] < 4:
-        raise ValidationError("coefficient samples must be (m, k) with m >= 4")
-    if coeffs.shape[1] != basis.shape[0]:
-        raise ValidationError("coefficient columns must match basis size")
-    interp = CubicSpline(np.linspace(0.0, 1.0, coeffs.shape[0]), coeffs)
-    n = get_default("t_intervals") if n_steps is None else int(n_steps)
-    if n < 1:
-        raise ValidationError("need at least one step")
-
-    anti_hermitian = all(
-        np.max(np.abs(E + E.conj().T)) < 1e-12 * max(1.0, np.max(np.abs(E)))
-        for E in basis)
-
-    def rhs(j, y):
-        return mats[j] @ y
-
-    d = basis.shape[1]
-    g = np.eye(d, dtype=complex if np.iscomplexobj(basis) else float)
-    h = 1.0 / n
-    with np.errstate(all="ignore"):
-        for step in range(n):
-            t = step * h
-            mats = [np.einsum("k,kij->ij", interp(s), basis) for s in (t, t + 0.5 * h, t + h)]
-            g = rk4_step(rhs, g, h)
-            if anti_hermitian and (step + 1) % 100 == 0:
-                if not np.all(np.isfinite(g)):
-                    break
-                U, _, Vh = np.linalg.svd(g)
-                g = U @ Vh
-    require_finite(g, "matrix path integration produced non-finite values")
-    return g

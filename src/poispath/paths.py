@@ -16,7 +16,6 @@ with a single global ENDPOINT_SIGN = -1 fixed by the anchor convention.
 
 from __future__ import annotations
 
-import bisect
 import functools
 import math
 from dataclasses import dataclass
@@ -159,140 +158,13 @@ def _stack(samples, t_eval):
     return np.hstack(samples) if samples else np.empty((0, 0))
 
 
-@functools.lru_cache(maxsize=32)
-def _spline_factors(x_bytes):
-    """LAPACK dgtsv's elimination of the not-a-knot band that scipy builds
-    for the nodes whose float64 bytes are x_bytes, on Python floats.
-
-    Returns the (interchange, multiplier) of each elimination step and the
-    eliminated diagonal d, superdiagonal du and fill-in dl that the back
-    substitution reads (dl is 0.0 where rows were not interchanged)."""
-    x = np.frombuffer(x_bytes).tolist()
-    n = len(x)
-    dx = [b - a for a, b in zip(x, x[1:])]
-    d = [dx[1]] + [2 * (a + b) for a, b in zip(dx, dx[1:])] + [dx[-2]]
-    du = [x[2] - x[0]] + dx[:-1]
-    dl = dx[1:] + [x[-1] - x[-3]]
-    steps = []
-    for i in range(n - 1):
-        swap = abs(d[i]) < abs(dl[i])
-        if swap:
-            fact = d[i] / dl[i]
-            d[i], temp = dl[i], d[i + 1]
-            d[i + 1] = du[i] - fact * temp
-            if i < n - 2:
-                dl[i] = du[i + 1]
-                du[i + 1] = -fact * dl[i]
-            du[i] = temp
-        else:
-            if d[i] == 0.0:
-                raise NumericalError("spline system is singular")
-            fact = dl[i] / d[i]
-            d[i + 1] = d[i + 1] - fact * du[i]
-            dl[i] = 0.0
-        steps.append((swap, fact))
-    if d[-1] == 0.0:
-        raise NumericalError("spline system is singular")
-    return tuple(steps), tuple(d), tuple(du), tuple(dl)
-
-
-# below this many columns the substitutions run column by column on Python
-# floats: a transport spline (2 dim columns) builds that way in less than
-# half the time of a numpy call per row, while a variation part (over 100
-# columns) would take about five times as long
-_NARROW = 16
-
-
-def _substitute(rows, steps, d, du, dl):
-    """dgtsv's forward and back substitution with the factors of
-    _spline_factors, in place on the list rows: the right-hand side row by
-    row, as Python floats (one column) or numpy arrays (all columns)."""
-    for i, (swap, fact) in enumerate(steps):
-        if swap:
-            rows[i], rows[i + 1] = rows[i + 1], rows[i] - fact * rows[i + 1]
-        else:
-            rows[i + 1] = rows[i + 1] - fact * rows[i]
-    rows[-1] = rows[-1] / d[-1]
-    rows[-2] = (rows[-2] - du[-1] * rows[-1]) / d[-2]
-    for i in range(len(rows) - 3, -1, -1):
-        rows[i] = (rows[i] - du[i] * rows[i + 1] - dl[i] * rows[i + 2]) / d[i]
-    return rows
-
-
-class CubicSpline:
-    """Not-a-knot cubic spline through (x, y) along axis 0, with the bits of
-    scipy's CubicSpline(x, y, axis=0).
-
-    The right-hand side and the band are scipy's, float for float. The
-    tridiagonal solve replays LAPACK dgtsv, which scipy's solve_banded
-    calls: the elimination depends on x only and is done once per grid
-    (_spline_factors); its row operations run on all columns of y at once,
-    or column by column on Python floats when y is narrow. The
-    coefficients are scipy's Hermite ones, and a call evaluates them as
-    PPoly does: the interval from the right-closed search, clamped to the
-    first and last (so it extrapolates), and the power sum
-    0.0 + c3 + c2 s + c1 s^2 + c0 s^3 with s = t - x[i]. A scalar t, which
-    each ODE right-hand side passes, bisects a Python list instead, in about
-    a quarter of the time of the numpy search.
-
-    x must be finite, strictly increasing and hold at least 4 nodes. scipy
-    solves 3 nodes by a dense LAPACK solve that this does not replay; no
-    caller needs it, as path grids have at least 9 nodes and the isotropy
-    interpolant takes at least 4 samples. y must be finite.
-    """
-
-    def __init__(self, x, y):
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        if not (x.ndim == 1 and x.size >= 4 and np.all(np.isfinite(x))
-                and np.all(np.diff(x) > 0)):
-            raise ValidationError(f"spline nodes must be at least 4 finite, strictly "
-                                  f"increasing values, got {x}")
-        if y.ndim == 0 or y.shape[0] != x.size:
-            raise ValidationError(f"spline values of shape {y.shape} do not match "
-                                  f"{x.size} nodes")
-        require_finite(y, "spline values must be finite", ValidationError)
-        dxr = np.diff(x).reshape((-1,) + (1,) * (y.ndim - 1))
-        slope = np.diff(y, axis=0) / dxr
-        # scipy's not-a-knot right-hand side, solved for the node slopes s
-        b = np.empty(y.shape)
-        b[1:-1] = 3 * (dxr[1:] * slope[:-1] + dxr[:-1] * slope[1:])
-        w = x[2] - x[0]
-        b[0] = ((dxr[0] + 2 * w) * dxr[1] * slope[0] + dxr[0]**2 * slope[1]) / w
-        w = x[-1] - x[-3]
-        b[-1] = (dxr[-1]**2 * slope[-2] + (2 * w + dxr[-1]) * dxr[-2] * slope[-1]) / w
-        factors = _spline_factors(x.tobytes())
-        rows = b.reshape(x.size, -1)
-        if rows.shape[1] < _NARROW:
-            s = np.array([_substitute(col, *factors) for col in rows.T.tolist()]).T
-        else:
-            s = np.array(_substitute(list(rows), *factors))
-        s = s.reshape(y.shape)
-        tk = (s[:-1] + s[1:] - 2 * slope) / dxr
-        self.x = x
-        self.c = (tk / dxr, (slope - s[:-1]) / dxr - tk, s[:-1], y[:-1])
-        self._nodes = x.tolist()
-
-    def __call__(self, t):
-        """Values at t, of shape t's shape + y.shape[1:]."""
-        c0, c1, c2, c3 = self.c
-        if np.ndim(t) == 0:
-            t = float(t)
-            i = min(max(bisect.bisect_right(self._nodes, t) - 1, 0), len(self._nodes) - 2)
-            s = t - self._nodes[i]
-            return 0.0 + c3[i] + c2[i] * s + c1[i] * (s * s) + c0[i] * (s * s * s)
-        t = np.asarray(t, dtype=float)
-        i = np.clip(np.searchsorted(self.x, t, side="right") - 1, 0, self.x.size - 2)
-        s = (t - self.x[i]).reshape(t.shape + (1,) * (c0.ndim - 1))
-        # the power sum, with one scratch array for the terms
-        out = np.take(c3, i, axis=0)
-        out += 0.0
-        term = np.empty_like(out)
-        for c, z in ((c2, s), (c1, s * s), (c0, s * s * s)):
-            np.take(c, i, axis=0, out=term)
-            term *= z
-            out += term
-        return out
+def hermite(y, dy):
+    """Power coefficients (c0, c1, c2, c3) of the cubic Hermite pieces
+    through the node values y and the per-step slopes dy (the derivative
+    times the step), along axis 0: between nodes i and i + 1 the curve is
+    c0[i] + c1[i] s + c2[i] s^2 + c3[i] s^3 for s from 0 to 1."""
+    rise = y[1:] - y[:-1]
+    return y[:-1], dy[:-1], 3 * rise - 2 * dy[:-1] - dy[1:], dy[:-1] + dy[1:] - 2 * rise
 
 
 def fd_weights(offsets):
@@ -529,12 +401,17 @@ def transport(path, s0):
     if s0.shape != (n,):
         raise ValidationError(f"covector must have shape ({n},)")
     require_finite(s0, f"covector must be finite, got {s0}", ValidationError)
-    # one spline through (gamma, a): its columns are those of two splines
-    spline = CubicSpline(path.t, np.hstack([path.gamma, path.a]))
+    # (gamma, a) between samples: cubic Hermite pieces with the stencil
+    # slopes, on the uniform grid that path_defect also assumes
+    xa = np.hstack([path.gamma, path.a])
+    c0, c1, c2, c3 = hermite(xa, differentiate_samples(xa, 1.0))
+    steps = path.n_intervals
 
     def rhs(t, s):
-        xa = spline(t)
-        return -structure.coupling_many(xa[None, :n], xa[None, n:], s[None, :])[0]
+        i = min(int(t * steps), steps - 1)
+        u = t * steps - i
+        x = c0[i] + u * (c1[i] + u * (c2[i] + u * c3[i]))
+        return -structure.coupling_many(x[None, :n], x[None, n:], s[None, :])[0]
 
     sol = solve_ivp(rhs, (0.0, 1.0), s0,
                     rtol=get_default("ode_rtol"), atol=get_default("ode_atol"))

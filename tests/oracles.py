@@ -5,18 +5,19 @@ the expression layer only, deliberately bypassing the library's own bracket
 and anchor code so the two can disagree. The variation reference keeps the
 straightforward form of the family variation solve, so that the cached,
 blocked library solve can be held to it bit for bit, knot for knot; the
-invariance reference splines its flipped knots onto t as scipy does and
-evaluates over every node at once; its base comes from
-the straightforward RK4 of the family base (the compiled generator and
+invariance reference carries its flipped knots onto t by scipy's cubic
+Hermite interpolant and evaluates over every node at once; its base comes
+from the straightforward RK4 of the family base (the compiled generator and
 sharp_many at every stage), not from the library's staged kernel. The
 matrix fill writes pi_many and dpi_many entry by entry, the loop that the
-flat scatters replaced. The RK4 references of `path --method rk4` and of the
-matrix Lie path write each stage out, in the float order that the shared
-RK4 step must keep. The tree-walk emitter compiles expressions with
-every subtree written out where it occurs, the form the CSE emitter must
-reproduce bit for bit. The area-derivative stencil differentiates
-quadrature areas in tau, a route that never touches the library's
-under-the-integral derivative. The sphere row
+flat scatters replaced. The RK4 reference of `path --method rk4` writes each
+stage out, in the float order that the shared RK4 step must keep. The matrix
+Lie path reference solves dg/dt = A(t) g in a matrix realization, the group
+endpoint that the group-path family is checked against. The tree-walk
+emitter compiles expressions with every subtree written out where it occurs,
+the form the CSE emitter must reproduce bit for bit. The area-derivative
+stencil differentiates quadrature areas in tau, a route that never touches
+the library's under-the-integral derivative. The sphere row
 reference is the quadrature pass as it was before the fused sphere kernel:
 separate evaluators for p and its Jacobian, np.cross, einsum and a
 left-to-right det on fresh arrays, which the kernel must match bit for bit.
@@ -34,7 +35,7 @@ arena: meshgrid angles and evaluators writing new arrays.
 import math
 
 import numpy as np
-from scipy.interpolate import CubicSpline
+from scipy.interpolate import CubicHermiteSpline, CubicSpline
 
 from poispath import expr
 from poispath.config import get_default
@@ -252,19 +253,23 @@ def variation_reference(family, signs=(1.0, -1.0)):
     return gamma, a, d_eps_a, fields
 
 
-def invariance_reference(structure, t, eps, gamma, a, knots, field):
+def invariance_reference(structure, t, eps, gamma, a, d_eps_a, knots, field):
     """The five numbers of homotopy.invariance_report from reference arrays:
-    the flipped field's knots (from variation_field_reference) splined onto
-    t by scipy, X and L_X Pi evaluated over every node at once."""
+    the flipped field's knots (from variation_field_reference) carried onto
+    t by scipy's CubicHermiteSpline, with slopes db/dt = da/deps -
+    coupling_many(gamma, a, b) at the knots over every slice at once, and
+    X and L_X Pi evaluated over every node at once."""
     M, nodes, n = gamma.shape
-    b = CubicSpline(t[::2], knots, axis=1)(t)
-    b[:, 0] = 0.0
+    coupling = structure.coupling_many(gamma[:, ::2].reshape(-1, n), a[:, ::2].reshape(-1, n),
+                                       knots.reshape(-1, n)).reshape(knots.shape)
+    b = CubicHermiteSpline(t[::2], knots, d_eps_a[:, ::2] - coupling, axis=1)(t)
+    b[:, ::2] = knots
     X = expr.components(field, n, params=structure.params)
     flat = gamma.reshape(M * nodes, n).T
     X_vals = expr.compile_exprs_vec(X, params=structure.params)(flat).T.reshape(M, nodes, n)
     line = simpson(np.einsum("mti,mti->mt", a, X_vals), t, axis=1)
     lhs = float(line[-1] - line[0])
-    endpoint = float(simpson(np.einsum("mi,mi->m", b[:, -1], X_vals[:, -1]), eps))
+    endpoint = float(simpson(np.einsum("mi,mi->m", knots[:, -1], X_vals[:, -1]), eps))
     lx = expr.compile_exprs_vec(_lie_derivative_upper(structure, X), params=structure.params)
     lx = lx(flat).T.reshape(M, nodes, -1)
     density = np.zeros((M, nodes))
@@ -277,7 +282,7 @@ def invariance_reference(structure, t, eps, gamma, a, knots, field):
     return InvarianceReport(lhs=lhs, endpoint_term=endpoint, bulk_term=bulk,
                             residual=abs(lhs - endpoint - bulk),
                             max_transport_endpoint=float(
-                                np.max(np.linalg.norm(b[:, -1], axis=1))))
+                                np.max(np.linalg.norm(knots[:, -1], axis=1))))
 
 
 def rk4_path_reference(structure, a, x0, n):
@@ -305,9 +310,12 @@ def rk4_path_reference(structure, a, x0, n):
 
 
 def matrix_lie_path_reference(basis, coeffs, n_steps):
-    """matrix_lie_path_integrate by its written-out RK4 loop: A(t + h/2)
-    formed once for k2 and k3, scipy's spline through the coefficients,
-    and the polar snap every hundred steps for an anti-Hermitian basis."""
+    """g(1) for dg/dt = A(t) g, g(0) = I, A(t) = sum_k c_k(t) E_k, from
+    coefficient samples coeffs (m >= 4, k) on a uniform grid over [0, 1]
+    and the matrices E_k of basis (k, d, d): n_steps written-out RK4 steps,
+    A(t + h/2) formed once for k2 and k3, scipy's spline through the
+    coefficients, and the polar snap every hundred steps for an
+    anti-Hermitian basis."""
     basis = np.asarray(basis)
     interp = CubicSpline(np.linspace(0.0, 1.0, len(coeffs)), coeffs)
     anti_hermitian = all(

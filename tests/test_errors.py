@@ -133,9 +133,6 @@ def test_a_nan_at_a_bound_site_fails_closed(monkeypatch, inject, message):
 EXEMPT = {
     ("expr.py", "evaluate._check"): "the reference evaluator's domain rule "
                                     "(EvalDomainError), hot on FoliatedSphereProduct rows",
-    ("paths.py", "CubicSpline.__init__"): "one message covers the nodes' shape, finiteness "
-                                          "and order and formats the node array, which a "
-                                          "gate call would do on every passing spline",
 }
 
 

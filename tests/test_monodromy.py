@@ -342,10 +342,12 @@ class TestScan:
         assert all(not r.dense for r in res.rows)
 
     def test_collapse_found_between_grid_samples(self):
-        # no scan sample lands on the zero at tau=1; the sign change of
-        # dA/dtau between the samples beside it is bisected down to it
+        # no scan sample lands on the zero at tau=1, nor does the midpoint of
+        # any bisection bracket (it lies 0.23 of a spacing past taus[4]); the
+        # sign change of dA/dtau between the samples beside it is bisected
+        # down to it
         fam = monodromy.RadialSphereFamily(su2_scaled("1 + R^2"), grid=(60, 30))
-        taus = np.linspace(0.5, 1.5, 10)
+        taus = np.linspace(0.53, 1.53, 10)
         res = monodromy.integrability_scan(fam, taus)
         assert res.verdict == monodromy.VERDICT_BAD
         (c,) = res.candidates
