@@ -2,16 +2,16 @@
 (RadialSphereFamily and its chart form SigmaSphereFamily) with their areas
 and dA/dtau, and the transverse variation covector of the radial family.
 
-The induced form on a leaf is evaluated by inverting the anchor on tangent
-vectors: omega(u, v) = -<alpha, v> where #alpha = u, taking the minimum-norm
-alpha. In dimension 3 the structure matrix is the cross product with the dual
-vector p = (Pi^23, Pi^31, Pi^12), which gives the closed forms
+The induced form on a leaf inverts the anchor on tangent vectors:
+omega(u, v) = -<alpha, v> where #alpha = u. In dimension 3, the only one the
+sphere families live in, the structure matrix is the cross product with the
+dual vector p = (Pi^23, Pi^31, Pi^12), which gives the closed forms
 
     #alpha = p x alpha,   omega(u, v) = -det(u, p, v) / |p|^2,
 
-used on quadrature grids. Spheres about the origin are integrated in the
-usual polar chart with the theta nodes pulled half a cell off the poles;
-Simpson weights on both axes. dA/dtau of a sphere family is differentiated
+that leaf_form_many evaluates on batches of points. Spheres about the
+origin are integrated in the usual polar chart with the theta nodes pulled
+half a cell off the poles; Simpson weights on both axes. dA/dtau of a sphere family is differentiated
 under the integral, in the same pass over the nodes as the area. Every
 sphere takes one quadrature entry (_sphere_area_once); the families' area
 and rate checks repeat it on the doubled grid, so silent quadrature garbage
@@ -165,37 +165,6 @@ def leaf_form_many(structure, xs, us, vs, moving=None, out=None):
     if rate:
         out[1] = drate[0]
     return out[0]
-
-
-def leaf_form(structure, x, u, v):
-    """omega(u, v) at a single point, any dimension.
-
-    Solves #alpha = u for the minimum-norm covector and returns -<alpha, v>.
-    x, u and v must be finite and both vectors must lie in the image of the
-    anchor at x (ValidationError); a non-finite value raises NumericalError.
-    """
-    x = np.asarray(x, dtype=float)
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    for w in (x, u, v):
-        require_finite(w, "leaf form needs a finite point and vectors", ValidationError)
-    if structure.dim == 3:
-        return float(leaf_form_many(structure, x[None], u[None], v[None])[0])
-    P = structure.pi_at(x)
-    scale = np.linalg.norm(P)
-    if scale == 0.0:
-        raise ValidationError("structure vanishes at the point")
-    alpha, *_ = np.linalg.lstsq(P.T, u, rcond=None)
-    # overflow from huge vectors fails the gates
-    with np.errstate(all="ignore"):
-        for w, name in ((u, "first"), (v, "second")):
-            sol, *_ = np.linalg.lstsq(P.T, w, rcond=None)
-            require_within(np.linalg.norm(P.T @ sol - w),
-                           _TANGENCY_TOL * max(1.0, np.linalg.norm(w)) * max(1.0, scale),
-                           f"{name} argument is not tangent to the leaf")
-        value = float(-np.dot(alpha, v))
-    require_finite(value, "leaf form is not finite at the point")
-    return value
 
 
 def sphere_grid(n_theta, n_phi):

@@ -196,11 +196,6 @@ class PoissonStructure:
         alphas = np.asarray(alphas, dtype=float)
         return np.einsum("mjk,mj->mk", P, alphas)
 
-    def sharp_at(self, x, alpha):
-        return self.sharp_many(
-            np.asarray(x, dtype=float)[None, :],
-            np.asarray(alpha, dtype=float)[None, :])[0]
-
     def coupling_many(self, xs, a, b):
         """(d_i Pi^(jk)) a_j b_k per point: (m,n),(m,n),(m,n) -> (m,n).
 

@@ -8,20 +8,23 @@ the radial shorthand ``R`` which expands at parse time to
 ``sqrt(x1^2 + ... + xn^2)``.
 
 Expressions are immutable trees. Differentiation is exact and symbolic with
-light constant folding; evaluation reports domain problems instead of letting
-non-finite values propagate. ``compile_exprs`` turns a list of expressions
-into a plain-Python evaluator at one point (a single path's ODE field),
+light constant folding. Expressions are evaluated only by compiling them:
+``compile_exprs`` turns a list of expressions into a plain-Python evaluator at
+one point (a single path's ODE field, the invariants of a foliated product),
 ``compile_exprs_vec`` into a numpy evaluator over batches of points that
-writes its values into rows its caller passes, or into a new array. Both
-share one CSE emitter: a subtree that recurs (``R``, or a factor that
-differentiation copies) is computed once, with the float operations of the
-tree in their order, so values match a plain tree walk bit for bit;
-``.source`` holds the generated code. Three callers pass rows of this
-thread's scratch arena (``arena_rows``): the sphere kernel of connection,
-the chart evaluators of SigmaSphereFamily and the curvature kernel.
-``split_free`` cuts out the subtrees that read no coordinate, for callers
-that evaluate them once for many points; ``dag_key`` keys caches of
-compiled evaluators by expression structure.
+writes its values into rows its caller passes, or into a new array. An
+evaluator raises EvalDomainError where its float operations raise; a
+non-finite value that nothing raises on is returned, and the caller checks
+its values with ``errors.require_finite``. Both evaluators share one CSE
+emitter: a subtree that recurs (``R``, or a factor that differentiation
+copies) is computed once, with the float operations of the tree in their
+order, so values match a plain tree walk bit for bit; ``.source`` holds the
+generated code. Three callers pass rows of this thread's scratch arena
+(``arena_rows``): the sphere kernel of connection, the chart evaluators of
+SigmaSphereFamily and the curvature kernel. ``split_free`` cuts out the
+subtrees that read no coordinate, for callers that evaluate them once for
+many points; ``dag_key`` keys caches of compiled evaluators by expression
+structure.
 """
 
 from __future__ import annotations
@@ -136,7 +139,7 @@ def _is_num(e, value=None):
 
 def _fold(value):
     # refuse to bake non-finite constants into the tree; the unfolded node
-    # will raise a proper domain error at evaluation time
+    # is left to the evaluator and its caller's finiteness check
     return Num(value) if math.isfinite(value) else None
 
 
@@ -543,70 +546,6 @@ def _diff(e, wrt):
 
 
 # ---------------------------------------------------------------------------
-# evaluation
-
-def evaluate(e, point=(), env=None):
-    """Evaluate at a point, with parameters and extra symbols bound in env.
-
-    Non-finite intermediates (poles, log of a non-positive number, overflow)
-    raise EvalDomainError instead of propagating silently.
-    """
-    env = env or {}
-
-    def walk(node):
-        if isinstance(node, Num):
-            return node.value
-        if isinstance(node, Var):
-            if node.index > len(point):
-                raise EvalDomainError(
-                    f"point has {len(point)} coordinates, expression uses x{node.index}")
-            return float(point[node.index - 1])
-        if isinstance(node, Sym):
-            try:
-                return float(env[node.name])
-            except KeyError:
-                raise EvalDomainError(f"unbound parameter {node.name!r}") from None
-        if isinstance(node, Add):
-            return _check(walk(node.left) + walk(node.right), node)
-        if isinstance(node, Sub):
-            return _check(walk(node.left) - walk(node.right), node)
-        if isinstance(node, Mul):
-            return _check(walk(node.left) * walk(node.right), node)
-        if isinstance(node, Div):
-            denom = walk(node.right)
-            if denom == 0.0:
-                raise EvalDomainError(f"division by zero in {to_source(node)}")
-            return _check(walk(node.left) / denom, node)
-        if isinstance(node, Pow):
-            base = walk(node.base)
-            try:
-                value = base ** node.exponent
-            except (ValueError, OverflowError, ZeroDivisionError) as exc:
-                raise EvalDomainError(f"power domain error in {to_source(node)}: {exc}") from None
-            if isinstance(value, complex):
-                raise EvalDomainError(
-                    f"negative base with fractional exponent in {to_source(node)}")
-            return _check(value, node)
-        if isinstance(node, Neg):
-            return -walk(node.operand)
-        if isinstance(node, Call):
-            arg = walk(node.arg)
-            try:
-                value = _SCALAR_FUNCS[node.func](arg)
-            except (ValueError, OverflowError) as exc:
-                raise EvalDomainError(f"domain error in {to_source(node)}: {exc}") from None
-            return _check(value, node)
-        raise TypeError(f"not an expression: {node!r}")
-
-    def _check(value, node):
-        if not math.isfinite(value):
-            raise EvalDomainError(f"non-finite value in {to_source(node)}")
-        return value
-
-    return walk(e)
-
-
-# ---------------------------------------------------------------------------
 # compilation to fast evaluators
 
 def _dag(exprs):
@@ -823,19 +762,21 @@ def compile_exprs(exprs, symbols=(), params=None):
 
     ``x`` is an indexable point. Parameters are folded into the generated code
     as constants. A division by zero, an overflow or a math function off its
-    domain raises EvalDomainError; use ``evaluate`` when every non-finite
-    intermediate must be reported.
+    domain raises EvalDomainError. A float operation that overflows to inf
+    raises nothing, so a non-finite value is returned as it is, and a later
+    operation may make it finite again (1 / inf is 0): callers check the
+    values, not the intermediates.
     """
     raw, source, _ = _build(list(exprs), symbols, params, vector=False)
 
-    def evaluate_point(x, *sym_values):
+    def at_point(x, *sym_values):
         try:
             return raw(x, *sym_values)
         except (ArithmeticError, ValueError) as exc:
             raise EvalDomainError(f"expression evaluation left its domain: {exc}") from None
 
-    evaluate_point.source = source
-    return evaluate_point
+    at_point.source = source
+    return at_point
 
 
 def compile_exprs_vec(exprs, symbols=(), params=None):
@@ -853,7 +794,7 @@ def compile_exprs_vec(exprs, symbols=(), params=None):
     """
     raw, source, slots = _build(list(exprs), symbols, params, vector=True)
 
-    def evaluate_grid(x, *sym_values, rows=None):
+    def on_grid(x, *sym_values, rows=None):
         if rows is None:
             m = len(x[0]) if len(x) else np.broadcast(*sym_values, 0.0).size
             rows = np.empty((slots, m))
@@ -862,6 +803,6 @@ def compile_exprs_vec(exprs, symbols=(), params=None):
         except ArithmeticError as exc:
             raise EvalDomainError(f"expression evaluation left its domain: {exc}") from None
 
-    evaluate_grid.slots = slots
-    evaluate_grid.source = source
-    return evaluate_grid
+    on_grid.slots = slots
+    on_grid.source = source
+    return on_grid

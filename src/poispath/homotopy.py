@@ -315,7 +315,6 @@ class VariationResult:
     var: np.ndarray          # (M, n) endpoint curve b(eps, 1), the last knot
     max_variation: float
     order: str
-    resolution_checked: bool
     resolution_change: float
     grid_coarse: bool
 
@@ -426,7 +425,6 @@ def solve_variation(family, order="pinned", check_resolution=True):
         coarse_flag = not change <= 0.10
     return VariationResult(eps=family.eps, t=family.t[::2], b=b, var=var,
                            max_variation=max_var, order=order,
-                           resolution_checked=bool(check_resolution),
                            resolution_change=change, grid_coarse=coarse_flag)
 
 
@@ -500,8 +498,13 @@ def invariance_report(family, field):
     that field is used here. The bulk term reads it on t, between its knots
     on t[::2] too: there it is the midpoint of the cubic Hermite piece
     through two knots, with the knots' slopes db/dt from the field's own
-    equation. The residual reports the quadrature and interpolation error
-    only.
+    equation. The variation field starts at b(eps, 0) = 0, which is the
+    true one only when the start point does not move with eps: for such a
+    family the residual reports the quadrature and interpolation error
+    only. Where the start point moves, the identity also has the start
+    point's term, which this report leaves out, and the residual carries it
+    (in the test suite, 4.75e-3 where x2 starts at 0.1 cos(eps), against
+    1.5e-11 or less where the start is fixed).
     Non-finite field values or L_X Pi densities raise NumericalError.
     """
     S = family.structure

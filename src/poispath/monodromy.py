@@ -49,7 +49,6 @@ VERDICT_OPEN = "INCONCLUSIVE"
 class CurvatureResult:
     tau: float
     integral: float           # quadrature of <Omega, zeta> over the chart
-    xi: np.ndarray            # integral * zeta at the base point (tau, 0, 0)
     center_residual: float
     splitting_residual: float
 
@@ -182,7 +181,6 @@ def curvature_periods(structure, splitting, tau):
     require_finite(dens, "curvature density is not finite on the leaf")
     integral = sphere_simpson(dens, theta, phi)
     return CurvatureResult(tau=tau, integral=integral,
-                           xi=integral * np.array([1.0, 0.0, 0.0]),
                            center_residual=center_res, splitting_residual=split_res)
 
 
@@ -193,7 +191,6 @@ def curvature_periods(structure, splitting, tau):
 class GcdResult:
     generator: float      # inf when no value survives, nan when dense
     dense: bool
-    used: tuple
     dropped: int
 
 
@@ -229,13 +226,13 @@ def gcd_analysis(values):
     used = sorted(v for v in vals if v > eps)
     dropped = len(vals) - len(used)
     if not used:
-        return GcdResult(math.inf, False, (), dropped)
+        return GcdResult(math.inf, False, dropped)
     g = used[-1]
     for v in used[:-1]:
         g = _gcd_pair(g, v, eps, bound)
         if g is None:
-            return GcdResult(math.nan, True, tuple(used), dropped)
-    return GcdResult(float(g), False, tuple(used), dropped)
+            return GcdResult(math.nan, True, dropped)
+    return GcdResult(float(g), False, dropped)
 
 
 def lattice(gens, area):
@@ -268,15 +265,16 @@ class FoliatedSphereProduct:
         self.f = [expr.as_expression(source, 1, symbols=("tau",)) for source in invariants]
         self.df = [expr.add(expr.differentiate(e, 1), expr.differentiate_sym(e, "tau"))
                    for e in self.f]
+        self._values = expr.compile_exprs(self.f + self.df, symbols=("tau",))
         self.label = label or f"foliated-spheres[{len(self.f)}]"
 
     def row_data(self, tau, verify=False):  # exact rows: verify has nothing to check
         tau = float(tau)
         if not 0.0 < tau < math.inf:
             raise ValidationError(f"parameter must be positive and finite, got {tau}")
-        point, env = (tau,), {"tau": tau}
-        fvals = [expr.evaluate(e, point, env) for e in self.f]
-        dvals = [expr.evaluate(e, point, env) for e in self.df]
+        values = self._values((tau,), tau)
+        require_finite(values, f"foliated invariants are not finite at tau={tau}")
+        fvals, dvals = values[:len(self.f)], values[len(self.f):]
         area = 4.0 * math.pi * sum(fvals)
         deriv = 4.0 * math.pi * sum(dvals)
         gens = tuple(abs(4.0 * math.pi * d) for d in dvals)
@@ -315,9 +313,6 @@ class ScanResult:
     denominator_bound: float
     ratio_tol: float
     notes: tuple = field(default_factory=tuple)
-
-    def finite_minimum(self):
-        return _finite_floor(self.rows, self.candidates)
 
 
 def _finite_floor(rows, candidates):

@@ -346,15 +346,6 @@ def field_integral(path, components):
     return float(simpson(integrand, path.t))
 
 
-def endpoint_pairing(path, h):
-    """ENDPOINT_SIGN * (h at the far end minus h at the start)."""
-    structure = path.structure
-    h_expr = expr.as_expression(h, structure.dim, params=structure.params)
-    env = dict(structure.params)
-    return ENDPOINT_SIGN * (expr.evaluate(h_expr, path.end, env)
-                            - expr.evaluate(h_expr, path.start, env))
-
-
 def concatenate(first, second):
     """Run two paths back to back, reparametrized to [0, 1].
 

@@ -151,9 +151,9 @@ def su2_splitting(a="1"):
 
 
 def eval_components(components, point, env=None):
-    from poispath import expr
+    import oracles
 
-    return np.array([expr.evaluate(c, point, env or {}) for c in components])
+    return np.array([oracles.evaluate(c, point, env or {}) for c in components])
 
 
 def su2_matrix_basis():

@@ -86,6 +86,11 @@ MUTANTS = (
            ("tests/test_monodromy.py::TestFoliatedProduct::test_coordinate_spelling_also_works",
             "tests/test_monodromy.py::TestFoliatedProduct::"
             "test_rows_have_the_bits_of_the_substituted_invariants")),
+    Mutant("foliated-derivative-one-partial", "src/poispath/monodromy.py",
+           'expr.add(expr.differentiate(e, 1), expr.differentiate_sym(e, "tau"))',
+           "expr.differentiate(e, 1)",
+           ("tests/test_monodromy.py::TestFoliatedProduct::"
+            "test_rows_have_the_bits_of_the_substituted_invariants",)),
     Mutant("real-pow-allows-complex", "src/poispath/expr.py",
            "    if isinstance(value, complex):\n        raise ArithmeticError(",
            "    if False:\n        raise ArithmeticError(",

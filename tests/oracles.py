@@ -2,7 +2,12 @@
 
 The bracket oracles are assembled directly from raw entry dictionaries with
 the expression layer only, deliberately bypassing the library's own bracket
-and anchor code so the two can disagree. The variation reference keeps the
+and anchor code so the two can disagree. The tree-walk evaluator is the
+reference value of an expression at a point: it walks the tree in Python
+floats and math and refuses every non-finite intermediate, where the library
+only compiles expressions (expr.compile_exprs, compile_exprs_vec) and checks
+the values; the endpoint pairing ENDPOINT_SIGN * (h(end) - h(start)) of the
+path tests goes through it. The variation reference keeps the
 straightforward form of the family variation solve, so that the cached,
 blocked library solve can be held to it bit for bit, knot for knot; the
 invariance reference carries its flipped knots onto t by scipy's cubic
@@ -39,8 +44,9 @@ from scipy.interpolate import CubicHermiteSpline, CubicSpline
 
 from poispath import expr
 from poispath.config import get_default
+from poispath.errors import EvalDomainError
 from poispath.homotopy import InvarianceReport, _lie_derivative_upper
-from poispath.paths import differentiate_samples
+from poispath.paths import ENDPOINT_SIGN, differentiate_samples
 from poispath.quadrature import simpson
 
 
@@ -133,6 +139,85 @@ def koszul_bracket_oracle(pi, dim, alpha, beta, params=()):
         total = expr.sub(total, expr.differentiate(pairing, i))
         out.append(total)
     return out
+
+
+# ---------------------------------------------------------------------------
+# the tree-walk evaluator
+
+def evaluate(e, point=(), env=None):
+    """Evaluate at a point, with parameters and extra symbols bound in env,
+    by walking the tree: the reference that the compiled evaluators of expr
+    must match bit for bit.
+
+    Non-finite intermediates (poles, log of a non-positive number, overflow)
+    raise EvalDomainError instead of propagating silently, which is stricter
+    than the compiled evaluators: they check only where a float operation
+    raises, and their callers check the values.
+    """
+    env = env or {}
+
+    def walk(node):
+        if isinstance(node, expr.Num):
+            return node.value
+        if isinstance(node, expr.Var):
+            if node.index > len(point):
+                raise EvalDomainError(
+                    f"point has {len(point)} coordinates, expression uses x{node.index}")
+            return float(point[node.index - 1])
+        if isinstance(node, expr.Sym):
+            try:
+                return float(env[node.name])
+            except KeyError:
+                raise EvalDomainError(f"unbound parameter {node.name!r}") from None
+        if isinstance(node, expr.Add):
+            return _check(walk(node.left) + walk(node.right), node)
+        if isinstance(node, expr.Sub):
+            return _check(walk(node.left) - walk(node.right), node)
+        if isinstance(node, expr.Mul):
+            return _check(walk(node.left) * walk(node.right), node)
+        if isinstance(node, expr.Div):
+            denom = walk(node.right)
+            if denom == 0.0:
+                raise EvalDomainError(f"division by zero in {expr.to_source(node)}")
+            return _check(walk(node.left) / denom, node)
+        if isinstance(node, expr.Pow):
+            base = walk(node.base)
+            try:
+                value = base ** node.exponent
+            except (ValueError, OverflowError, ZeroDivisionError) as exc:
+                raise EvalDomainError(
+                    f"power domain error in {expr.to_source(node)}: {exc}") from None
+            if isinstance(value, complex):
+                raise EvalDomainError(
+                    f"negative base with fractional exponent in {expr.to_source(node)}")
+            return _check(value, node)
+        if isinstance(node, expr.Neg):
+            return -walk(node.operand)
+        if isinstance(node, expr.Call):
+            arg = walk(node.arg)
+            try:
+                value = getattr(math, node.func)(arg)
+            except (ValueError, OverflowError) as exc:
+                raise EvalDomainError(f"domain error in {expr.to_source(node)}: {exc}") from None
+            return _check(value, node)
+        raise TypeError(f"not an expression: {node!r}")
+
+    def _check(value, node):
+        if not math.isfinite(value):
+            raise EvalDomainError(f"non-finite value in {expr.to_source(node)}")
+        return value
+
+    return walk(e)
+
+
+def endpoint_pairing(path, h):
+    """ENDPOINT_SIGN * (h at the far end minus h at the start), by the tree
+    walk: the right side of the endpoint identity that the path integral of
+    the Hamiltonian field of h satisfies."""
+    structure = path.structure
+    h_expr = expr.as_expression(h, structure.dim, params=structure.params)
+    env = dict(structure.params)
+    return ENDPOINT_SIGN * (evaluate(h_expr, path.end, env) - evaluate(h_expr, path.start, env))
 
 
 def _tree_walk_code(e, params):
@@ -558,7 +643,6 @@ def curvature_reference(structure, splitting, tau):
         raise NumericalError("curvature density is not finite on the leaf")
     integral = sphere_simpson(dens, theta, phi)
     return CurvatureResult(tau=tau, integral=integral,
-                           xi=integral * np.array([1.0, 0.0, 0.0]),
                            center_residual=center_res, splitting_residual=split_res)
 
 
@@ -628,7 +712,6 @@ def curvature_whole_grid(structure, splitting, tau):
         raise NumericalError("curvature density is not finite on the leaf")
     integral = sphere_simpson(dens, theta, phi)
     return CurvatureResult(tau=tau, integral=integral,
-                           xi=integral * np.array([1.0, 0.0, 0.0]),
                            center_residual=center_res, splitting_residual=split_res)
 
 

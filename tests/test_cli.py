@@ -459,6 +459,18 @@ class TestEvaluationFailures:
         assert err.startswith("numerical failure:") and "not finite" in err
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("invariant", [
+        "log(tau-2)", "1/(tau-1)", "exp(700*tau)*exp(700*tau)",
+    ], ids=["log-domain", "pole", "overflow"])
+    def test_foliated_invariants_off_their_domain_exit_3(self, invariant):
+        # the compiled point evaluator of the invariants raises on the first
+        # two; the product overflows to inf, which the finiteness gate refuses
+        code, out, err = run_cli("monodromy", f"builtin:foliated_spheres?f1={invariant}",
+                                 "--tau", "1")
+        assert (code, out) == (3, "")
+        assert err.startswith("numerical failure: ")
+        assert err.count("\n") == 1
+
     @pytest.mark.parametrize("method, message", [
         ("rk45", "base integration failed: right-hand side is not finite (NaN) at t=0.0, "
                  "y=[-1.0, 0.0, 0.0]"),

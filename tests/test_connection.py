@@ -37,13 +37,15 @@ def _single_grid_area(family, tau):
     return connection._sphere_area_once(family, tau, family.grid)
 
 
-class TestLeafForm:
-    def test_plane_orientation(self):
-        w = connection.leaf_form(symplectic_plane(), [0.0, 0.0], [1.0, 0.0], [0.0, 1.0])
-        assert w == pytest.approx(1.0, abs=1e-14)
+def _form(structure, x, u, v):
+    """leaf_form_many at the one point x, each argument passed as one row."""
+    rows = (np.asarray(w, dtype=float)[None] for w in (x, u, v))
+    return float(connection.leaf_form_many(structure, *rows)[0])
 
+
+class TestLeafForm:
     def test_su2_equator_value(self):
-        w = connection.leaf_form(su2(), [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0])
+        w = _form(su2(), [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0])
         assert w == pytest.approx(1.0, abs=1e-12)
 
     def test_antisymmetry_and_bilinearity(self):
@@ -51,12 +53,11 @@ class TestLeafForm:
         x = np.array([0.6, -0.8, 0.3])
         rng = np.random.default_rng(21)
         al, be = rng.uniform(-1, 1, size=(2, 3))
-        u = p.sharp_at(x, al)
-        v = p.sharp_at(x, be)
-        wuv = connection.leaf_form(p, x, u, v)
-        wvu = connection.leaf_form(p, x, v, u)
+        u, v = p.sharp_many([x, x], [al, be])
+        wuv = _form(p, x, u, v)
+        wvu = _form(p, x, v, u)
         assert wuv == pytest.approx(-wvu, abs=1e-12)
-        w2 = connection.leaf_form(p, x, 2.0 * u, v)
+        w2 = _form(p, x, 2.0 * u, v)
         assert w2 == pytest.approx(2 * wuv, rel=1e-12)
 
     def test_reproduces_pairing_with_sharp(self):
@@ -69,13 +70,12 @@ class TestLeafForm:
             if np.linalg.norm(x) < 0.3:
                 continue
             al, be = rng.uniform(-1, 1, size=(2, 3))
-            u = p.sharp_at(x, al)
-            v = p.sharp_at(x, be)
+            u, v = p.sharp_many([x, x], [al, be])
             direct = float(al @ p.pi_at(x) @ be)
-            got = connection.leaf_form(p, x, u, v)
+            got = _form(p, x, u, v)
             assert got == pytest.approx(direct, rel=1e-10, abs=1e-12)
 
-    def test_batch_matches_scalar_via_general_path(self):
+    def test_batch_matches_single_rows(self):
         p = su2_scaled("1 + R^2")
         rng = np.random.default_rng(23)
         xs = rng.uniform(-1.5, 1.5, size=(12, 3))
@@ -84,41 +84,30 @@ class TestLeafForm:
         bes = rng.uniform(-1, 1, size=(len(xs), 3))
         us = p.sharp_many(xs, als)
         vs = p.sharp_many(xs, bes)
-        batch = connection.leaf_form_many(p, xs, us, vs)
-        P4 = PoissonStructure(4, {(1, 2): "1", (3, 4): "1"})
-        # also exercise the lstsq path on a 4-dim structure
-        w = connection.leaf_form(P4, np.zeros(4), [1, 0, 0, 0], [0, 1, 0, 0])
-        assert w == pytest.approx(1.0, abs=1e-12)
+        batch = connection.leaf_form_many(p, xs, us, vs).copy()
         for m in range(len(xs)):
-            s = connection.leaf_form(p, xs[m], us[m], vs[m])
-            assert batch[m] == pytest.approx(s, rel=1e-12, abs=1e-14)
+            assert batch[m] == _form(p, xs[m], us[m], vs[m])
 
     def test_non_tangent_vector_rejected(self):
         with pytest.raises(ValidationError):
-            connection.leaf_form(su2(), [1.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0])
+            _form(su2(), [1.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0])
 
     def test_zero_structure_rejected(self):
         zero = PoissonStructure(3, {})
         with pytest.raises(ValidationError):
-            connection.leaf_form(zero, [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0])
+            _form(zero, [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0])
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, 1e308])
-    @pytest.mark.parametrize("dim", [3, 4])
-    def test_non_finite_value_fails_closed(self, dim, bad):
-        # a NaN or inf vector is bad input in every dimension; a finite one
-        # whose product overflows fails the density check (dimension 3) or
-        # the value's own check
-        if dim == 3:
-            p, x, (u, v) = su2(), [1.0, 0.0, 0.0], np.eye(3)[1:]
-        else:
-            p = PoissonStructure(4, {(1, 2): "1", (3, 4): "x1"})
-            x, (u, v) = [0.5, 0.0, 0.0, 0.0], np.eye(4)[:2]
-        u, v = u.copy(), v.copy()
-        u[np.argmax(u)] = v[np.argmax(v)] = bad
-        error = NumericalError if math.isfinite(bad) else ValidationError
-        with pytest.raises(error) as info:
-            connection.leaf_form(p, x, u, v)
-        assert type(info.value) is error
+    @pytest.mark.parametrize("rows", [1, 3])
+    def test_non_finite_value_fails_closed(self, rows, bad):
+        # one row whose vectors hold a NaN or an inf, or are finite but make
+        # the density overflow, fails the density check of the whole batch
+        xs = np.tile([1.0, 0.0, 0.0], (rows, 1))
+        us, vs = np.tile(np.eye(3)[1:, None], (1, rows, 1))
+        us[-1, 1] = vs[-1, 2] = bad
+        with pytest.raises(NumericalError) as info:
+            connection.leaf_form_many(su2(), xs, us, vs)
+        assert type(info.value) is NumericalError
 
 
 class TestSphereArea:
@@ -281,11 +270,11 @@ def test_sphere_kernels_compile_once_per_structure_and_rate(monkeypatch):
                         lambda *a, **k: compiled.append(a) or compile_vec(*a, **k))
     s = su2_scaled("1 + R^2")
     family = connection.RadialSphereFamily(s)
-    x, u, v = [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]
+    x, u, v = [[1.0, 0.0, 0.0]], [[0.0, 1.0, 0.0]], [[0.0, 0.0, 1.0]]
     rounds = []
     for _ in range(2):
         before = len(compiled)
-        family.area(0.7), family.row_data(0.9), connection.leaf_form(s, x, u, v)
+        family.area(0.7), family.row_data(0.9), connection.leaf_form_many(s, x, u, v)
         rounds.append(len(compiled) - before)
     assert rounds == [2, 0]
     assert sorted(s._evaluators) == [("sphere", False), ("sphere", True)]

@@ -130,10 +130,7 @@ def test_a_nan_at_a_bound_site_fails_closed(monkeypatch, inject, message):
 # -- the gate is the one place ------------------------------------------------
 
 # (module, enclosing qualified name) -> why the check stays written by hand
-EXEMPT = {
-    ("expr.py", "evaluate._check"): "the reference evaluator's domain rule "
-                                    "(EvalDomainError), hot on FoliatedSphereProduct rows",
-}
+EXEMPT = {}
 
 
 def _hand_written_finite_raises(source, name):

@@ -202,8 +202,7 @@ class TestVariation:
 
     def test_resolution_check_optional(self, group_family):
         result = solve_variation(group_family, check_resolution=False)
-        assert not result.resolution_checked
-        assert result.resolution_change == 0.0
+        assert result.resolution_change == 0.0 and not result.grid_coarse
 
     def test_nan_resolution_change_flags_the_grid(self, su2, monkeypatch):
         # a NaN endpoint of the fine field makes the change NaN, which must

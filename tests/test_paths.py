@@ -170,7 +170,7 @@ class TestIntegrals:
         assert got == pytest.approx(CIRCLE_INTEGRAL_X1, abs=1e-9)
 
     def test_endpoint_identity_on_circle(self, circle):
-        got = paths.endpoint_pairing(circle, "x1")
+        got = oracles.endpoint_pairing(circle, "x1")
         assert got == pytest.approx(CIRCLE_INTEGRAL_X1, abs=1e-9)
         assert paths.ENDPOINT_SIGN == -1.0
 
@@ -180,7 +180,7 @@ class TestIntegrals:
             c0, c1, c2, c3 = (float(v) for v in rng.uniform(-2, 2, size=4))
             h = f"{c0!r}*x1 + {c1!r}*x2 + {c2!r}*x3 + {c3!r}*x1*x2"
             lhs = paths.path_integral(circle, h)
-            rhs = paths.endpoint_pairing(circle, h)
+            rhs = oracles.endpoint_pairing(circle, h)
             assert lhs == pytest.approx(rhs, abs=1e-7)
 
     def test_zero_path_integrates_to_zero(self):
@@ -194,7 +194,7 @@ class TestReverseConcatenate:
         back = paths.reverse(circle)
         assert paths.path_integral(back, "x1") == pytest.approx(
             -CIRCLE_INTEGRAL_X1, abs=1e-9)
-        assert paths.endpoint_pairing(back, "x1") == pytest.approx(
+        assert oracles.endpoint_pairing(back, "x1") == pytest.approx(
             -CIRCLE_INTEGRAL_X1, abs=1e-9)
 
     def test_reverse_twice_restores_samples(self, circle):
