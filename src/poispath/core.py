@@ -133,8 +133,9 @@ class PoissonStructure:
 
     def evaluator(self, key, build):
         """The evaluator of the expressions build() returns, compiled once per
-        key and kept on the structure, so it dies with it: "pi", "dpi" and the
-        sphere, Jacobian and curvature kernels of connection and monodromy."""
+        key and kept on the structure, so it dies with it: "pi", "dpi", the
+        sphere, Jacobian and curvature kernels of connection and monodromy,
+        and the coupling-factor kernel of the homotopy variation solve."""
         if key not in self._evaluators:
             self._evaluators[key] = expr.compile_exprs_vec(build(), params=self.params)
         return self._evaluators[key]

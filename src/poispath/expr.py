@@ -762,10 +762,11 @@ def compile_exprs(exprs, symbols=(), params=None):
 
     ``x`` is an indexable point. Parameters are folded into the generated code
     as constants. A division by zero, an overflow or a math function off its
-    domain raises EvalDomainError. A float operation that overflows to inf
-    raises nothing, so a non-finite value is returned as it is, and a later
-    operation may make it finite again (1 / inf is 0): callers check the
-    values, not the intermediates.
+    domain raises EvalDomainError, which names the symbol values and the
+    point. A float operation that overflows to inf raises nothing, so a
+    non-finite value is returned as it is, and a later operation may make it
+    finite again (1 / inf is 0): callers check the values, not the
+    intermediates.
     """
     raw, source, _ = _build(list(exprs), symbols, params, vector=False)
 
@@ -773,7 +774,10 @@ def compile_exprs(exprs, symbols=(), params=None):
         try:
             return raw(x, *sym_values)
         except (ArithmeticError, ValueError) as exc:
-            raise EvalDomainError(f"expression evaluation left its domain: {exc}") from None
+            where = [f"{name}={float(v)!r}" for name, v in zip(symbols, sym_values)]
+            where.append(f"x=[{', '.join(repr(float(v)) for v in x)}]")
+            raise EvalDomainError(f"expression evaluation left its domain at "
+                                  f"{', '.join(where)}: {exc}") from None
 
     at_point.source = source
     return at_point

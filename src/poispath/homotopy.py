@@ -15,10 +15,10 @@ samples. On top of that live
     The first request solves the pinned coarse, pinned fine and flipped
     coarse fields (and the requested one) in one RK4 pass over all their
     slices (the base solve and this pass both step through paths.rk4_step),
-    with one dpi_many call per block on the fine slices only, since the
-    coarse slices are the even fine ones; a field still missing later is
-    solved alone. The contraction adds its terms in coupling_many's einsum
-    order, so a field's bits do not depend on the batch it was solved in;
+    on the fine base only, since the coarse slices are the even fine ones;
+    a field still missing later is solved alone. The contraction adds its
+    terms in coupling_many's einsum order, so a field's bits do not depend
+    on the batch it was solved in;
   * the transport field of the transposed equation (coupling arguments
     swapped), which reproduces the base motion exactly: d(gamma)/deps equals
     #b_transport. The invariance identity is stated through this field.
@@ -35,8 +35,14 @@ da/deps is always taken by finite differences across the solved slices, not
 symbolically: a(eps, t) = alpha(eps, t, gamma(eps, t)) drags the unknown
 d(gamma)/deps into any symbolic attempt.
 
-Both RK4 loops write the four stage values of each step into rotating
-buffers. The base solve's stage kernel (_sharp_exprs) folds the signs out of
+Memory: only the solved arrays (gamma and a over the fine slices, and da/deps
+over the coarse ones) and the variation knots span the whole family. The
+variation batch forms E = (d_i Pi^(jk)) a_j with one fused kernel per block
+of t nodes and takes the fine da/deps per block too, and invariance_report
+evaluates X, L_X Pi, the midpoints of b and the densities one slice at a
+time; each writes into buffers allocated once per call. Both RK4 loops write
+the four stage values of each step into rotating buffers. The base solve's
+stage kernel (_sharp_exprs) folds the signs out of
 each term Pi^(jk) alpha_j, so a negated term is subtracted, and keeps a
 structurally zero term only where it carries a non-finite alpha_j to gamma;
 gamma has the bits of sharp_many.
@@ -52,7 +58,8 @@ import numpy as np
 from . import expr
 from .config import get_default
 from .errors import NumericalError, ValidationError, require_finite, require_within
-from .paths import CotangentPath, differentiate_samples, even_intervals, hermite, rk4_step
+from .paths import (CotangentPath, differentiate_samples, end_rows, even_intervals, hermite,
+                    rk4_step)
 # bound only for perfbench's tracer, which wraps path_defect under this module
 from .paths import path_defect  # noqa: F401
 from .quadrature import simpson
@@ -60,9 +67,10 @@ from .quadrature import simpson
 _TIME = "t"
 _EPS = "eps"
 
-# time steps per block: dpi_many nodes of the variation solve, and stage
-# times of the hoisted generator terms of the base solve; even, so that each
-# two-cell RK4 step of the variation solve lies inside one block
+# time steps per block: the t nodes of one coupling-factor call and one
+# da/deps piece of the variation solve, and the stage times of the hoisted
+# generator terms of the base solve; even, so that each two-cell RK4 step of
+# the variation solve lies inside one block
 _DPI_BLOCK = 64
 
 # (fine, sign) of the variation fields that a family's first request solves
@@ -87,7 +95,8 @@ class PathFamily:
     which is exact because linspace(lo, hi, 2M - 1)[::2] equals
     linspace(lo, hi, M) and the RK4 rows do not depend on each other.
     Solved arrays and variation fields (knots on t[::2]) are cached and
-    read-only.
+    read-only. da/deps is held over the coarse slices only: a variation
+    batch takes it over the fine ones block by block.
     """
 
     def __init__(self, structure, generator, x0, eps_range=(0.0, 1.0),
@@ -116,7 +125,7 @@ class PathFamily:
         self.gamma = None
         self.a = None
         self.d_eps_a = None
-        self._fine = None      # (gamma, a, d_eps_a) over eps_fine
+        self._fine = None      # (gamma, a) over eps_fine
         self._fields = {}      # (fine, sign) -> variation field b
         params = structure.params
         self._gen_fn = expr.compile_exprs_vec(
@@ -204,8 +213,7 @@ class PathFamily:
         a = np.empty_like(gamma)
         for m in range(M):
             a[m] = self._gen_fn(gamma[m].T, t, eps[m]).T
-        d_eps_a = differentiate_samples(a, eps[1] - eps[0])
-        return gamma, a, d_eps_a
+        return gamma, a
 
     def solve(self):
         if self.gamma is None:
@@ -238,9 +246,10 @@ class PathFamily:
             self.solve()
             keys = [key] if self._fields else list(dict.fromkeys((key,) + _FIRST_BATCH))
             rows = np.arange(len(self.eps_fine))
-            parts = [(rows, self._fine[2], s) if f else (rows[::2], self.d_eps_a, s)
+            fine = _d_eps_by_block(self._fine[1], self.eps_fine[1] - self.eps_fine[0])
+            parts = [(rows, fine, s) if f else (rows[::2], lambda span: self.d_eps_a[:, span], s)
                      for f, s in keys]
-            fields = _variation_fields(self.structure, self.t, *self._fine[:2], parts)
+            fields = _variation_fields(self.structure, self.t, *self._fine, parts)
             for k, b in zip(keys, fields):
                 if b is not None:
                     self._fields[k] = _frozen(b)
@@ -319,19 +328,68 @@ class VariationResult:
     grid_coarse: bool
 
 
-def _coupling_factor(D, a, rows):
-    """E[..., j, k, i, r] = (d_i Pi^(jk)) a_j, the first product that
-    coupling_many's einsum forms, from D[..., m, i, j, k] at the points
-    m = rows[r] and a[..., j, r]. One node's (n, n, n, R) block is
-    contiguous."""
-    E = np.take(np.ascontiguousarray(np.moveaxis(D, (-4, -3), (-1, -2))), rows, axis=-1)
-    E *= a[..., :, None, None, :]
-    return E
+def _factor_exprs(structure):
+    """E^(jk)_i = (d_i Pi^(jk)) a_j for j, k, i in lexicographic order, the
+    first product that coupling_many's einsum forms, as expressions in the
+    coordinates x1..xn and the covector a_j = x(n + j).
+
+    Each is one product of a_j and the entry gradient that dpi_many fills:
+    an upper entry's partial, a Neg of it for the lower partner (as _fill
+    negates) and 0.0 on the diagonal and for absent entries. Nodes are built
+    without folding, so every value has the bits of dpi_many's times a_j."""
+    n = structure.dim
+    grads = {p: [expr.differentiate(e, i) for i in range(1, n + 1)]
+             for p, e in structure.upper_entries()}
+    out = []
+    for j, k, i in itertools.product(range(1, n + 1), range(1, n + 1), range(n)):
+        if (j, k) in grads:
+            g = grads[(j, k)][i]
+        elif (k, j) in grads:
+            g = expr.Neg(grads[(k, j)][i])
+        else:
+            g = expr.Num(0.0)
+        out.append(expr.Mul(g, expr.Var(n + j)))
+    return out
+
+
+def _coupling_kernel(structure):
+    return structure.evaluator("coupling factor", lambda: _factor_exprs(structure))
+
+
+def _block_factors(kernel, gamma_f, a_f, rows, span, cells):
+    """E = (d_i Pi^(jk)) a_j (see _factor_exprs) at the t nodes of
+    span and the fine eps slices rows: one (n, n, n, R) view per node, [j,
+    k, i, r] at slice rows[r], for R rows.
+
+    The points and covectors are gathered node-major into the first 2n
+    rows of cells, a flat buffer of at least (2n + kernel.slots) * nodes * R
+    floats, and the kernel writes its rows into the rest of it, so a caller
+    that passes one buffer for every block allocates nothing per block."""
+    n, R = gamma_f.shape[2], len(rows)
+    nodes = gamma_f[0, span].shape[0]
+    m = nodes * R
+    x = cells[:2 * n * m].reshape(2 * n, nodes, R)
+    # rows are in range; mode "clip" writes into out, where "raise" buffers
+    for values, out in ((gamma_f, x[:n]), (a_f, x[n:])):
+        np.take(values[:, span].transpose(2, 1, 0), rows, axis=2, out=out, mode="clip")
+    E = kernel(x.reshape(2 * n, m),
+               rows=cells[2 * n * m:(2 * n + kernel.slots) * m].reshape(-1, m))
+    return list(np.moveaxis(E.reshape(n, n, n, nodes, R), 3, 0))
+
+
+def _d_eps_by_block(a, step):
+    """da/deps over every eps slice of a (M, nodes, n), as a function of a
+    slice of t nodes: the interior rows by the stencil over that block, the
+    end rows sliced from end_rows of the whole a (their BLAS sum depends on
+    the shape), so that each block has the bits of
+    differentiate_samples(a, step)."""
+    ends = end_rows(a, step)
+    return lambda span: differentiate_samples(a[:, span], step, ends[:, span])
 
 
 def _coupling(E, b, buf, out):
     """(d_i Pi^(jk)) a_j b_k per row, written to out (n, R), from one node's
-    E (see _coupling_factor) and the component-major state b (n, R).
+    E (see _block_factors) and the component-major state b (n, R).
 
     The (j, k) terms (D a) b are added from a +0.0 accumulator in
     lexicographic order, which is how coupling_many's einsum adds them, so
@@ -348,19 +406,21 @@ def _variation_fields(structure, t, gamma_f, a_f, parts):
     parts, one paths.rk4_step of size 2h per two grid cells, so that the
     step's half points are stored nodes.
 
-    Each part is (rows, d_eps_a, sign): the fine eps slices of the grid,
-    da/deps over them and the coupling sign. Returns one field per part, its
-    knots on t[::2] as an (M, N/2 + 1, n) view, or None where its values are
-    not finite; every row has the bits of a separate solve with
-    coupling_many.
+    Each part is (rows, d_eps, sign): the fine eps slices of the grid, a
+    function giving da/deps over them at a slice of t nodes, (len(rows),
+    nodes, n), and the coupling sign. Returns one field per part, its knots
+    on t[::2] as an (M, N/2 + 1, n) view, or None where its values are not
+    finite; every row has the bits of a separate solve with coupling_many.
 
-    The state is component-major, (n, R). Per block of _DPI_BLOCK time
-    nodes, one dpi_many call covers all fine slices (the coarse ones are
-    the even fine ones), and E = (d_i Pi^(jk)) a_j is formed once; each
-    stage is one _coupling call, scaled by the sign and added to da/deps in
-    the next of four rotating buffers (see PathFamily._solve_on).
-    Non-finite values are left to the end: a diverging part must not stop
-    the others, or warn while they are solved.
+    Only gamma_f, a_f and the knots span the whole family. The state is
+    component-major, (n, R). Per block of _DPI_BLOCK time steps, one kernel
+    call forms E = (d_i Pi^(jk)) a_j at the rows' gathered points
+    (_block_factors), and the parts' da/deps are laid out node by node; both
+    go into buffers allocated once per batch. Each stage is one _coupling
+    call, scaled by the sign and added to da/deps in the next of four
+    rotating buffers (see PathFamily._solve_on). Non-finite values are left
+    to the end: a diverging part must not stop the others, or warn while
+    they are solved.
     """
     n, N = gamma_f.shape[2], len(t) - 1
     h = t[1] - t[0]
@@ -371,16 +431,17 @@ def _variation_fields(structure, t, gamma_f, a_f, parts):
     cur = np.zeros((n, rows.size))
     buf = np.empty((n, n, n, rows.size))
     buffers = itertools.cycle(np.empty((4, n, rows.size)))
+    kernel = _coupling_kernel(structure)
+    nodes = min(_DPI_BLOCK, N) + 1
+    cells = np.empty((2 * n + kernel.slots) * nodes * rows.size)
+    d_eps = np.empty((nodes, n, rows.size))
     with np.errstate(all="ignore"):
         for start in range(0, N, _DPI_BLOCK):
             stop = min(start + _DPI_BLOCK, N)
             span = slice(start, stop + 1)
-            # node-major points, so that each node's dpi block is contiguous
-            points = gamma_f[:, span].transpose(1, 0, 2).reshape(-1, n)
-            D = structure.dpi_many(points).reshape(stop + 1 - start, -1, n, n, n)
-            E = list(_coupling_factor(D, a_f[rows, span].transpose(1, 2, 0), rows))
-            F = list(np.concatenate([d[:, span].transpose(1, 2, 0) for _, d, _ in parts],
-                                    axis=2))
+            E = _block_factors(kernel, gamma_f, a_f, rows, span, cells)
+            F = np.concatenate([d(span).transpose(1, 2, 0) for _, d, _ in parts], axis=2,
+                               out=d_eps[:stop + 1 - start])
 
             def rhs(j, b):
                 k = _coupling(E[i + j - start], b, buf, next(buffers))
@@ -506,44 +567,46 @@ def invariance_report(family, field):
     (in the test suite, 4.75e-3 where x2 starts at 0.1 cos(eps), against
     1.5e-11 or less where the start is fixed).
     Non-finite field values or L_X Pi densities raise NumericalError.
+
+    X, L_X Pi, the knot slopes, b between the knots and the density are
+    taken one slice at a time; X, L_X Pi and b go through buffers allocated
+    once per call. Of what the report makes, only the (M, nodes) line and
+    bulk integrands and X at t = 1, (n, M), span the whole family.
     """
     S = family.structure
     X = expr.components(field, S.dim, params=S.params, what="vector field")
     knots = family.variation_field(-1.0)
+    X_fn = expr.compile_exprs_vec(X, params=S.params)
+    lx_fn = expr.compile_exprs_vec(_lie_derivative_upper(S, X), params=S.params)
 
     M, nodes, n = family.gamma.shape
-    flat = family.gamma.reshape(M * nodes, n)
-    X_fn = expr.compile_exprs_vec(X, params=S.params)
-    X_vals = X_fn(flat.T).T.reshape(M, nodes, n)
-    require_finite(X_vals, "vector field X is not finite along the family")
-
-    line = simpson(np.einsum("mti,mti->mt", family.a, X_vals), family.t, axis=1)
-    lhs = float(line[-1] - line[0])
-
-    endpoint = float(simpson(np.einsum("mi,mi->m", knots[:, -1], X_vals[:, -1]), family.eps))
-
-    lx_fn = expr.compile_exprs_vec(_lie_derivative_upper(S, X), params=S.params)
-    # one slice at a time through one buffer: the kernel's rows over all
-    # M * nodes points would raise the peak memory by megabytes; so would
-    # the knot slopes over all slices
-    buf = np.empty((lx_fn.slots, nodes))
-    lx = np.empty((M, nodes, n * (n - 1) // 2))
-    b = np.empty((M, nodes, n))
-    b[:, ::2] = knots
+    # X, L_X Pi and b over all slices would raise the peak memory by
+    # megabytes. X stays component-major, as its evaluator writes it, so
+    # that each einsum reads its operands in the stride order of a
+    # whole-family evaluation and keeps its bits (with a contiguous (M, n)
+    # X at t = 1, endpoint_term moved in its last bits on 9 of the 50
+    # perfbench homotopy inputs of seeds 1-5)
+    X_rows, lx_rows = np.empty((X_fn.slots, nodes)), np.empty((lx_fn.slots, nodes))
+    X_end = np.empty((n, M))
+    b = np.empty((nodes, n))
+    line, density = np.empty((M, nodes)), np.zeros((M, nodes))
     step = family.t[2] - family.t[0]
-    for m, g in enumerate(family.gamma):
-        lx[m] = lx_fn(g.T, rows=buf).T
-        # db/dt at the knots from the transport field's own equation
-        slope = family.d_eps_a[m, ::2] - S.coupling_many(g[::2], family.a[m, ::2], knots[m])
+    for m, (g, a) in enumerate(zip(family.gamma, family.a)):
+        X_vals = X_fn(g.T, rows=X_rows).T
+        require_finite(X_vals, "vector field X is not finite along the family")
+        np.einsum("ti,ti->t", a, X_vals, out=line[m])
+        X_end[:, m] = X_vals[-1]
+        lx = lx_fn(g.T, rows=lx_rows)
+        # b between the knots: db/dt at the knots from the transport
+        # field's own equation
+        slope = family.d_eps_a[m, ::2] - S.coupling_many(g[::2], a[::2], knots[m])
         c0, c1, c2, c3 = hermite(knots[m], step * slope)
-        b[m, 1::2] = c0 + 0.5 * (c1 + 0.5 * (c2 + 0.5 * c3))
-    density = np.zeros((M, nodes))
-    col = 0
-    for j in range(n):
-        for k in range(j + 1, n):
-            density += lx[:, :, col] * (family.a[:, :, j] * b[:, :, k]
-                                        - family.a[:, :, k] * b[:, :, j])
-            col += 1
+        b[::2], b[1::2] = knots[m], c0 + 0.5 * (c1 + 0.5 * (c2 + 0.5 * c3))
+        for col, (j, k) in enumerate(itertools.combinations(range(n), 2)):
+            density[m] += lx[col] * (a[:, j] * b[:, k] - a[:, k] * b[:, j])
+    line = simpson(line, family.t, axis=1)
+    lhs = float(line[-1] - line[0])
+    endpoint = float(simpson(np.einsum("mi,mi->m", knots[:, -1], X_end.T), family.eps))
     require_finite(density, "(L_X Pi)(a, b) density is not finite along the family")
     bulk = float(simpson(simpson(density, family.t, axis=1), family.eps))
 

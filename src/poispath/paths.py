@@ -186,19 +186,32 @@ def _stencils():
         (fd_weights(np.arange(7) - i), fd_weights(np.arange(7) - 6 + i)) for i in range(3)]
 
 
-def differentiate_samples(y, h):
-    """Sixth-order derivative of uniformly sampled values, axis 0."""
+def end_rows(y, h):
+    """The three first and the three last rows of differentiate_samples(y,
+    h), in row order, as one (6, ...) array."""
+    _, ends = _stencils()
+    return np.stack([np.tensordot(wl, y[:7], axes=(0, 0)) / h for wl, _ in ends]
+                    + [np.tensordot(wr, y[-7:], axes=(0, 0)) / h for _, wr in ends[::-1]])
+
+
+def differentiate_samples(y, h, ends=None):
+    """Sixth-order derivative of uniformly sampled values, axis 0.
+
+    The interior rows are elementwise, so a slice of y along its other axes
+    gets the bits of the same slice of the whole result. The end rows are
+    not: they go through np.tensordot (BLAS), whose summation order, and so
+    whose bits, depend on the array's shape. A caller that differentiates
+    y piece by piece passes ends, end_rows of the whole y sliced as the
+    piece is."""
     y = np.asarray(y, dtype=float)
     m = y.shape[0]
     if m < 7:
         raise ValidationError("need at least 7 samples for the derivative stencils")
     d = np.empty_like(y)
-    w, ends = _stencils()
+    w, _ = _stencils()
     core = sum(w[k] * y[k:m - 6 + k] for k in range(7))
     d[3:m - 3] = core / h
-    for i, (wl, wr) in enumerate(ends):
-        d[i] = np.tensordot(wl, y[:7], axes=(0, 0)) / h
-        d[m - 1 - i] = np.tensordot(wr, y[m - 7:], axes=(0, 0)) / h
+    d[:3], d[m - 3:] = np.split(end_rows(y, h) if ends is None else ends, 2)
     return d
 
 

@@ -107,6 +107,18 @@ MUTANTS = (
            "            elif k == 0 and all(zero[j]):", "            elif False:",
            ("tests/test_homotopy.py::TestSolveOnce::"
             "test_non_finite_generator_on_an_unread_component_fails_closed",)),
+    Mutant("coupling-factor-lower-unnegated", "src/poispath/homotopy.py",
+           "g = expr.Neg(grads[(k, j)][i])", "g = grads[(k, j)][i]",
+           ("tests/test_homotopy.py::"
+            "test_fused_coupling_factor_matches_the_retired_route_bit_for_bit",
+            "tests/test_homotopy.py::TestSolveOnce::test_bitwise_equal_to_separate_solves")),
+    Mutant("fine-da-deps-ends-per-block", "src/poispath/homotopy.py",
+           "differentiate_samples(a[:, span], step, ends[:, span])",
+           "differentiate_samples(a[:, span], step)",
+           ("tests/test_homotopy.py::TestSolveOnce::"
+            "test_fine_d_eps_by_block_has_the_bits_of_the_whole_array",
+            "tests/test_homotopy.py::TestSolveOnce::test_a_later_lone_field_matches_the_reference",
+            "tests/test_homotopy.py::TestSolveOnce::test_bitwise_equal_to_separate_solves")),
     Mutant("coupling-reduce-k-j-order", "src/poispath/homotopy.py",
            "np.add.reduce(buf.reshape(-1, *b.shape)",
            "np.add.reduce(buf.transpose(1, 0, 2, 3).reshape(-1, *b.shape)",

@@ -14,6 +14,9 @@ invariance reference carries its flipped knots onto t by scipy's cubic
 Hermite interpolant and evaluates over every node at once; its base comes
 from the straightforward RK4 of the family base (the compiled generator and
 sharp_many at every stage), not from the library's staged kernel. The
+coupling factor E = (d_i Pi^(jk)) a_j comes by the variation batch's
+retired route: dpi_many over every fine slice, a transposed copy, np.take
+and an in-place product, which the fused kernel must match bit for bit. The
 matrix fill writes pi_many and dpi_many entry by entry, the loop that the
 flat scatters replaced. The RK4 reference of `path --method rk4` writes each
 stage out, in the float order that the shared RK4 step must keep. The matrix
@@ -288,6 +291,29 @@ def base_reference(family, eps):
     for m in range(len(eps)):
         a[m] = gen(gamma[m].T, t, eps[m]).T
     return gamma, a, differentiate_samples(a, eps[1] - eps[0])
+
+
+def coupling_factor(D, a, rows):
+    """E[..., j, k, i, r] = (d_i Pi^(jk)) a_j, the first product that
+    coupling_many's einsum forms, from D[..., m, i, j, k] at the points
+    m = rows[r] and a[..., j, r]: D moved to (j, k, i, m) by a transposed
+    copy, gathered by np.take and multiplied by a in place. One node's
+    (n, n, n, R) block is contiguous."""
+    E = np.take(np.ascontiguousarray(np.moveaxis(D, (-4, -3), (-1, -2))), rows, axis=-1)
+    E *= a[..., :, None, None, :]
+    return E
+
+
+def block_factors_reference(structure, gamma_f, a_f, rows, span):
+    """E of homotopy._block_factors by the retired route: one dpi_many call
+    over every fine slice at the t nodes of span (node-major points), filled
+    by PoissonStructure._fill, then coupling_factor at the given rows;
+    (nodes, n, n, n, R)."""
+    n = gamma_f.shape[2]
+    nodes = gamma_f[0, span].shape[0]
+    D = structure.dpi_many(gamma_f[:, span].transpose(1, 0, 2).reshape(-1, n))
+    return coupling_factor(D.reshape(nodes, -1, n, n, n), a_f[rows, span].transpose(1, 2, 0),
+                           rows)
 
 
 def variation_field_reference(structure, t, gamma, a, d_eps_a, sign):

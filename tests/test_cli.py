@@ -471,6 +471,19 @@ class TestEvaluationFailures:
         assert err.startswith("numerical failure: ")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("argv, where", [
+        (("monodromy", "builtin:foliated_spheres?f1=log(tau-2)", "--tau", "1"),
+         "tau=1.0, x=[1.0]"),
+        (("path", "builtin:linear?preset=su2", "--generator", "0,0,log(x1-2)", "--x0=1,0,0",
+          "--method", "rk4"), "t=0.0, x=[1.0, 0.0, 0.0]"),
+    ], ids=["foliated", "path-rk4"])
+    def test_a_domain_error_names_the_point(self, argv, where):
+        # the point evaluator names its symbol values and point
+        code, out, err = run_cli(*argv)
+        assert (code, out) == (3, "")
+        assert err == ("numerical failure: expression evaluation left its domain "
+                       f"at {where}: math domain error\n")
+
     @pytest.mark.parametrize("method, message", [
         ("rk45", "base integration failed: right-hand side is not finite (NaN) at t=0.0, "
                  "y=[-1.0, 0.0, 0.0]"),

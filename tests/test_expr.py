@@ -1,5 +1,6 @@
 import copy
 import math
+import re
 import warnings
 
 import numpy as np
@@ -283,16 +284,28 @@ class TestCompiled:
         f = expr.compile_exprs([e], symbols=("t",), params={"c": 3.0})
         assert f((2.0,), 0.5) == (3.0,)
 
+    def test_a_domain_error_names_the_symbol_values_and_the_point(self):
+        f = expr.compile_exprs([expr.parse("x1 + log(x2 - t)", 2, symbols=("t",))],
+                               symbols=("t",))
+        assert f((1.0, 3.0), 2.0) == (1.0,)
+        with pytest.raises(EvalDomainError, match=re.escape(
+                "left its domain at t=2.0, x=[1.0, 0.5]: math domain error")):
+            f(np.array([1.0, 0.5]), 2.0)
+
     def test_fractional_power_of_a_negative_constant_is_a_domain_error(self):
         # the parameter is folded in as a literal, where Python floats would
         # make the power complex; oracles.evaluate refuses it too
         e = expr.parse("c^0.5*x1", 1, params=("c",))
         with pytest.raises(EvalDomainError, match="negative base with fractional exponent"):
             oracles.evaluate(e, (1.0,), {"c": -8.0})
-        for f, x in ((expr.compile_exprs([e], params={"c": -8.0}), (1.0,)),
-                     (expr.compile_exprs_vec([e], params={"c": -8.0}), np.ones((1, 4)))):
-            with pytest.raises(EvalDomainError, match="^expression evaluation left its "
-                               "domain: negative base with fractional exponent"):
+        # the point evaluator names the point; the batch one raises only on
+        # constants, which no point changes
+        for f, x, where in ((expr.compile_exprs([e], params={"c": -8.0}), (1.0,), " at x=[1.0]"),
+                            (expr.compile_exprs_vec([e], params={"c": -8.0}), np.ones((1, 4)),
+                             "")):
+            with pytest.raises(EvalDomainError, match=re.escape(
+                    f"expression evaluation left its domain{where}: negative base with "
+                    "fractional exponent")):
                 f(x)
         with pytest.raises(EvalDomainError, match="negative base"):
             expr.compile_exprs([expr.parse("x1^1.5", 1)])((-4.0,))

@@ -2,6 +2,7 @@
 
 import dataclasses
 import functools
+import itertools
 import warnings
 from types import SimpleNamespace
 
@@ -456,6 +457,29 @@ class TestSolveOnce:
             with pytest.raises(NumericalError, match="variation equation"):
                 fam.variation_field(-1.0, fine=fine)
 
+    def test_fine_d_eps_by_block_has_the_bits_of_the_whole_array(self):
+        # the interior rows are elementwise; the end rows' BLAS sums change
+        # their bits with the array's shape, so they come from the whole
+        fam = SOLVE_ONCE_CASES["su2_scaled-drift"]().solve()
+        a_f, step = fam._fine[1], fam.eps_fine[1] - fam.eps_fine[0]
+        by_block, whole = homotopy._d_eps_by_block(a_f, step), differentiate_samples(a_f, step)
+        N = fam.t_intervals
+        for start in range(0, N, homotopy._DPI_BLOCK):
+            span = slice(start, min(start + homotopy._DPI_BLOCK, N) + 1)
+            _same_bits(by_block(span), whole[:, span])
+
+    @pytest.mark.parametrize("case", ["su2_scaled-drift", "su3-partial-block"])
+    def test_a_later_lone_field_matches_the_reference(self, case):
+        # the first request batches three fields; the fine flipped one is
+        # solved alone afterwards, over da/deps taken block by block
+        fam = SOLVE_ONCE_CASES[case]()
+        solve_variation(fam)
+        assert (True, -1.0) not in fam._fields
+        gamma_f, a_f, d_eps_a_f = oracles.base_reference(fam, fam.eps_fine)
+        want = oracles.variation_field_reference(fam.structure, fam.t, gamma_f, a_f,
+                                                 d_eps_a_f, -1.0)
+        _same_bits(fam.variation_field(-1.0, fine=True), want)
+
     def test_each_grid_and_sign_is_solved_once(self, su2, monkeypatch):
         solves, passes = [], []
         solve_on, fields = PathFamily._solve_on, homotopy._variation_fields
@@ -489,7 +513,9 @@ class TestSolveOnce:
         # MiB with one scipy spline over all rows, 13.1 MiB with the
         # in-house spline per field over slopes solved in one pass (12.14
         # MiB measured before the next change), 9.09 MiB with fields kept as
-        # their knots; the bound is that plus about 15 %
+        # their knots, 5.45 MiB with the fused coupling-factor kernel and
+        # da/deps per block in buffers allocated once per batch; the bound
+        # is that plus about 15 %
         structure = helpers.su2_scaled("1 + R^2")
         generator = SOLVE_ONCE_CASES["su2_scaled-drift"]().generator
         fam = PathFamily(structure, generator, (0.8, 0.1, 0.3)).solve()
@@ -500,19 +526,20 @@ class TestSolveOnce:
             for fine, sign in homotopy._FIRST_BATCH:
                 fam.variation_field(sign, fine=fine)
 
-        assert helpers.traced_peak_mib(fields) <= 10.5
+        assert helpers.traced_peak_mib(fields) <= 6.3
 
     def test_invariance_report_stays_within_the_memory_bound(self):
         # tracemalloc peak over the start of one report on a default-grid
         # family whose flipped field is cached: 5.76 MiB with a spline over
         # all slices, 12.38 MiB with Hermite knot slopes over all slices at
-        # once, 5.27 MiB with them and the midpoints taken slice by slice;
-        # the bound is that plus about 15 %
+        # once, 5.27 MiB with them and the midpoints taken slice by slice,
+        # 1.34 MiB with X, L_X Pi and b taken slice by slice too; the bound
+        # is that plus about 15 %
         structure = helpers.su2_scaled("1 + R^2")
         generator = SOLVE_ONCE_CASES["su2_scaled-drift"]().generator
         fam = PathFamily(structure, generator, (0.8, 0.1, 0.3)).solve()
         field = [f"0.3 + 0.1*x{(k + 1) % 3 + 1}^2 - 0.2*x{k + 1}" for k in range(3)]
-        assert helpers.traced_peak_mib(lambda: invariance_report(fam, field)) <= 6.0
+        assert helpers.traced_peak_mib(lambda: invariance_report(fam, field)) <= 1.55
 
     def test_cached_arrays_are_read_only(self, group_family):
         result = solve_variation(group_family)
@@ -631,14 +658,15 @@ class TestStageKernel:
         # variation batch of a default-grid family: 20.59 MiB before the
         # stages wrote into rotating buffers, 20.58 MiB after, 15.67 MiB with
         # fields kept as their knots and the coarse base as views of the
-        # fine; the bound is that plus about 15 %
+        # fine, 10.15 MiB with the fused coupling-factor kernel and no fine
+        # da/deps held; the bound is that plus about 15 %
         structure = helpers.su2_scaled("1 + R^2")
         generator = SOLVE_ONCE_CASES["su2_scaled-drift"]().generator
 
         def solve():
             PathFamily(structure, generator, (0.8, 0.1, 0.3)).solve().variation_field(1.0)
 
-        assert helpers.traced_peak_mib(solve) <= 18.0
+        assert helpers.traced_peak_mib(solve) <= 11.7
 
 
 _ENTRIES = st.one_of(st.sampled_from([0.0, -0.0, np.inf, -np.inf, np.nan]),
@@ -664,11 +692,52 @@ def test_block_contraction_matches_the_einsum_bit_for_bit(case):
     with np.errstate(all="ignore"):
         want = PoissonStructure.coupling_many(SimpleNamespace(dpi_many=lambda xs: D),
                                               None, a, b)
-        E = homotopy._coupling_factor(D, a.T, np.arange(rows))
+        E = oracles.coupling_factor(D, a.T, np.arange(rows))
         got = homotopy._coupling(E, b.T, np.empty((n, n, n, rows)), np.empty((n, rows))).T
     nan = np.isnan(want)
     np.testing.assert_array_equal(np.isnan(got), nan)
     assert got[~nan].tobytes() == want[~nan].tobytes()
+
+
+# entries whose partials are finite, +-0.0 (a product with a zero
+# coordinate, a constant entry and its negated partner), or inf and NaN
+# (sqrt, log and a quotient at or below zero)
+_FACTOR_ENTRIES = ("{u}*{v}", "-2.5*{u}*{v}", "sqrt({u})", "log({u}) + {v}", "{u}^2/{v}",
+                   "3", "exp({u})*{v}")
+
+
+@st.composite
+def _factor_case(draw):
+    """A random structure of dimension 1 to 4 with absent entries, fine-slice
+    arrays (M, T, n) holding +-0.0, inf and NaN, rows and a span of t
+    nodes."""
+    n = draw(st.integers(1, 4))
+    coord = st.integers(1, n).map(lambda k: f"x{k}")
+    pi = {}
+    for i, j in itertools.combinations(range(1, n + 1), 2):
+        entry = draw(st.one_of(st.none(), st.sampled_from(_FACTOR_ENTRIES)))
+        if entry is not None:
+            pi[(i, j)] = entry.format(u=draw(coord), v=draw(coord))
+    M, T = draw(st.integers(1, 5)), draw(st.integers(1, 4))
+    gamma_f, a_f = (draw(arrays(float, (M, T, n), elements=_ENTRIES)) for _ in range(2))
+    rows = np.array(draw(st.lists(st.integers(0, M - 1), min_size=1, max_size=2 * M)))
+    lo = draw(st.integers(0, T - 1))
+    return PoissonStructure(n, pi), gamma_f, a_f, rows, slice(lo, draw(st.integers(lo + 1, T)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_factor_case())
+def test_fused_coupling_factor_matches_the_retired_route_bit_for_bit(case):
+    # the kernel's E against dpi_many -> _fill -> moveaxis -> take -> E *= a;
+    # the buffer starts full of NaN, so a row left unwritten would show
+    S, gamma_f, a_f, rows, span = case
+    n, nodes = S.dim, gamma_f[0, span].shape[0]
+    kernel = homotopy._coupling_kernel(S)
+    cells = np.full((2 * n + kernel.slots) * nodes * len(rows), np.nan)
+    with np.errstate(all="ignore"):
+        got = np.stack(homotopy._block_factors(kernel, gamma_f, a_f, rows, span, cells))
+        want = oracles.block_factors_reference(S, gamma_f, a_f, rows, span)
+    _same_bits(got, want)
 
 
 @pytest.fixture(scope="module")
