@@ -1,6 +1,7 @@
 """Leafwise symplectic geometry: the induced 2-form, the sphere families
-(RadialSphereFamily and its chart form SigmaSphereFamily) with their areas
-and dA/dtau, and the transverse variation covector of the radial family.
+(RadialSphereFamily, the round chart, and SigmaSphereFamily, any chart)
+with their areas and dA/dtau, and the transverse variation covector of the
+radial family.
 
 The induced form on a leaf inverts the anchor on tangent vectors:
 omega(u, v) = -<alpha, v> where #alpha = u. In dimension 3, the only one the
@@ -9,27 +10,30 @@ dual vector p = (Pi^23, Pi^31, Pi^12), which gives the closed forms
 
     #alpha = p x alpha,   omega(u, v) = -det(u, p, v) / |p|^2,
 
-that leaf_form_many evaluates on batches of points. Spheres about the
-origin are integrated in the usual polar chart with the theta nodes pulled
-half a cell off the poles; Simpson weights on both axes. dA/dtau of a sphere family is differentiated
-under the integral, in the same pass over the nodes as the area. Every
-sphere takes one quadrature entry (_sphere_area_once); the families' area
-and rate checks repeat it on the doubled grid, so silent quadrature garbage
-gets raised as NumericalError instead of returned.
+that leaf_form_many evaluates on batches of points. A sphere family is a
+chart sigma(tau, theta, phi), the radial one the round chart
+tau (sin theta cos phi, sin theta sin phi, cos theta), integrated over the
+polar nodes with theta pulled half a cell off the poles; Simpson weights
+on both axes. dA/dtau is differentiated under the integral, with the
+exact tau-derivative of the chart, in the same pass over the nodes as the
+area. Every sphere takes one quadrature entry (_sphere_area_once); the
+families' area and rate checks repeat it on the doubled grid, so silent
+quadrature garbage gets raised as NumericalError instead of returned.
 
-The pass runs in blocks of theta rows (theta_blocks), sized so that a
-block's arena rows stay within those of a rate row; the curvature route of
-monodromy walks the same blocks. Each block is one call of a fused kernel,
-compiled from one CSE graph once per structure and cached on it
-(PoissonStructure.evaluator): p, its Jacobian, |p|^2, p.u, p.v, |u|^2,
-|v|^2, the density and its tau-derivative, with every sum in the order of
-the np.cross/einsum code it replaced, so the values are the same bit for
-bit. leaf_form_many passes the kernel rows of the calling thread's scratch
-arena (expr.arena_rows) to write. The radial chart (chart_rows) writes its
-columns into the rows above the kernel's, and the chart evaluators of a
-sigma family are passed arena rows too, their values copied there: a row
-allocates no block arrays. Kernel results stay valid until the next arena
-call on that thread.
+Every chart takes one route (_chart_evaluators): its parts in theta
+alone and in phi alone run once per pass on the 1-D nodes, the rest on
+each block of theta rows by broadcasting. The blocks (theta_blocks) keep
+the kernel's arena rows and the chart's within _ARENA_ROWS rows of
+_BLOCK_NODES nodes; the curvature route of monodromy walks the round
+chart's blocks with its own kernel. Each block is one call of a fused
+kernel, compiled from one CSE graph once per structure and cached on it:
+p, its Jacobian, |p|^2, p.u, p.v, |u|^2, |v|^2, the density and its
+tau-derivative, with every sum in the order of the np.cross/einsum code it
+replaced, so the values are the same bit for bit. The kernel writes rows
+of the calling thread's scratch arena (expr.arena_rows), and the chart
+writes its columns into the rows above them: a row allocates no block
+arrays. Kernel results stay valid until the next arena call on that
+thread.
 """
 
 from __future__ import annotations
@@ -46,10 +50,16 @@ from .quadrature import simpson
 
 _TANGENCY_TOL = 1e-8
 
-_ANGLES = ("theta", "phi")
+_NAMES = ("tau", "theta", "phi")
+
+# the radius-tau sphere about the origin; the parentheses give the nodes the
+# float order tau * (sin * cos)
+_ROUND_CHART = expr.components(
+    ("tau*(sin(theta)*cos(phi))", "tau*(sin(theta)*sin(phi))", "tau*cos(theta)"), 0,
+    symbols=_NAMES, what="round chart", count=3)
 
 # nodes per block of a sphere quadrature pass; with the 12 slots of a rate
-# kernel and its 18 chart rows, the arena cells a sphere pass may take
+# kernel and the 18 of the round chart's, the arena cells a pass may take
 _BLOCK_NODES = 1 << 13
 _ARENA_ROWS = 30
 
@@ -177,25 +187,7 @@ def sphere_grid(n_theta, n_phi):
     return theta, phi
 
 
-def _chart(tau, theta, phi, out=None):
-    """The radius-tau sphere x, u = d_theta x and v = d_phi x on the theta x
-    phi nodes, component by component: out holds nine (theta, phi) arrays
-    (a new (9, theta, phi) array when None). Returns x, u, v."""
-    st, ct = np.sin(theta)[:, None], np.cos(theta)[:, None]
-    sf, cf = np.sin(phi), np.cos(phi)
-    if out is None:
-        out = np.empty((9, theta.size, phi.size))
-    x0, x1, x2, u0, u1, u2, v0, v1, v2 = out
-    for o, a, b in ((x0, st, cf), (x1, st, sf), (u0, ct, cf), (u1, ct, sf),
-                    (v0, -st, sf), (v1, st, cf)):
-        np.multiply(tau, np.multiply(a, b, out=o), out=o)
-    np.multiply(tau, ct, out=x2)
-    np.multiply(tau, -st, out=u2)
-    v2[...] = tau * 0.0
-    return out[0:3], out[3:6], out[6:9]
-
-
-def theta_blocks(n_theta, n_phi, rows=_ARENA_ROWS):
+def theta_blocks(n_theta, n_phi, rows):
     """Slices of the theta rows of a sphere pass whose nodes take `rows`
     arena rows each: as many theta rows per block as keep the arena within
     _ARENA_ROWS rows of _BLOCK_NODES nodes."""
@@ -203,15 +195,33 @@ def theta_blocks(n_theta, n_phi, rows=_ARENA_ROWS):
     return [slice(lo, lo + step) for lo in range(0, n_theta, step)]
 
 
-def chart_rows(skip, tau, theta, phi, rate=False):
-    """The radius-tau sphere on the theta x phi nodes in arena rows skip and
-    up, above an evaluator's skip slots: x, u = d_theta x, v = d_phi x, and
-    with rate their tau-derivatives chart / tau. Returns those 9 or 18 rows."""
-    cols = expr.arena_rows(skip + 9 * (1 + rate), theta.size * phi.size)[skip:]
-    _chart(tau, theta, phi, [c.reshape(theta.size, phi.size) for c in cols[:9]])
-    if rate:
-        np.divide(cols[:9], tau, out=cols[9:])
-    return cols
+def _chart_evaluators(structure, sigma, rate):
+    """The chart sigma(tau, theta, phi), its theta and phi tangents and, with
+    rate, the tau-derivatives of those nine after them, as three numpy
+    evaluators, compiled on first use and cached on the structure per chart
+    (expr.dag_key) and rate.
+
+    expr.split_free cuts the columns twice. The subtrees that read no phi go
+    to the first evaluator, of (tau, theta), which runs on the 1-D theta
+    nodes. Of the rest, the subtrees that read no theta, nor a value of the
+    first, go to the second, of (tau, phi), which runs on the 1-D phi nodes.
+    The third computes the columns from theirs on a block of (theta, phi)
+    nodes by broadcasting. Chart symbols shadow parameters of their names.
+    """
+    def make():
+        cols = sigma + [expr.differentiate_sym(c, a) for a in _NAMES[1:] for c in sigma]
+        if rate:
+            cols += [expr.differentiate_sym(c, "tau") for c in cols]
+        by_theta, cols = expr.split_free(cols, "_t", coords=("phi",))
+        theta_names = tuple(f"_t{k}" for k in range(len(by_theta)))
+        by_phi, cols = expr.split_free(cols, "_p", coords=("theta",) + theta_names)
+        phi_names = tuple(f"_p{k}" for k in range(len(by_phi)))
+        params = {k: v for k, v in structure.params.items() if k not in _NAMES}
+        return [expr.compile_exprs_vec(exprs, symbols=names, params=params)
+                for exprs, names in ((by_theta, ("tau", "theta")), (by_phi, ("tau", "phi")),
+                                     (cols, _NAMES + theta_names + phi_names))]
+
+    return structure.cached(("chart", expr.dag_key(sigma), rate), make)
 
 
 def sphere_simpson(dens, theta, phi):
@@ -224,8 +234,9 @@ def sphere_quadrature(structure, nodes, theta, phi, rate=False):
     """Area of one sphere of a family and, with rate set, dA/dtau, from one
     pass over the (theta, phi) nodes of sphere_grid in blocks of theta rows.
 
-    nodes(rows, rate) gives the chart x, u = d_theta x and v = d_phi x on
-    theta[rows] x phi as (3, m) arrays, then with rate set x_t, u_t, v_t, their
+    nodes yields each block's slice of theta and its columns, (9, m) or with
+    rate (18, m) rows: the chart x, u = d_theta x and v = d_phi x on
+    theta[rows] x phi, then with rate set x_t, u_t, v_t, their
     tau-derivatives. leaf_form_many turns each block into the density
     dens = -det(u, p, v)/|p|^2 and its derivative under the integral, by the
     chain rule with q = J_p(x) x_t:
@@ -235,9 +246,9 @@ def sphere_quadrature(structure, nodes, theta, phi, rate=False):
     A non-finite density, Jacobian or rate density is a NumericalError.
     """
     vals = np.empty((1 + rate, theta.size, phi.size))
-    for rows in theta_blocks(theta.size, phi.size):
-        x, u, v, *moving = nodes(rows, rate)
-        leaf_form_many(structure, x.T, u.T, v.T, [w.T for w in moving] if rate else None,
+    for rows, cols in nodes:
+        x, u, v, *moving = (cols[k:k + 3].T for k in range(0, len(cols), 3))
+        leaf_form_many(structure, x, u, v, moving or None,
                        out=vals[:, rows].reshape(len(vals), -1))
     area = sphere_simpson(vals[0], theta, phi)
     return (area, sphere_simpson(vals[1], theta, phi)) if rate else area
@@ -247,13 +258,16 @@ def _sphere_area_once(family, tau, grid, rate=False):
     """sphere_quadrature of the family's sphere at tau on grid: the one entry
     through which every sphere area and dA/dtau is computed."""
     theta, phi = sphere_grid(*grid)
-    return sphere_quadrature(family.structure, family._nodes(tau, theta, phi), theta, phi, rate)
+    nodes = family._nodes(tau, theta, phi, rate, _sphere_kernel(family.structure, rate).slots)
+    return sphere_quadrature(family.structure, nodes, theta, phi, rate)
 
 
 class RadialSphereFamily:
-    """Sphere leaves of a dim-3 structure, parametrized by radius, and the
-    rules every sphere family shares: the radius guard, and the area check
-    and the rate check under grid doubling.
+    """Sphere leaves of a dim-3 structure, parametrized by radius: the round
+    chart sigma = tau (sin theta cos phi, sin theta sin phi, cos theta). Its
+    rules are those every sphere family shares: the radius guard, the
+    chart's nodes, and the area check and the rate check under grid
+    doubling.
 
     row_data(tau) returns (area, dA/dtau, generator magnitudes) from one
     sphere_quadrature pass, without the grid-doubling re-run unless asked
@@ -267,6 +281,7 @@ class RadialSphereFamily:
         if structure.dim != 3:
             raise ValidationError("sphere families need dimension 3")
         self.structure = structure
+        self.sigma = _ROUND_CHART
         self.grid = tuple(grid or get_default("area_grid"))
         self.label = label or structure.label or "radial-family"
 
@@ -276,15 +291,23 @@ class RadialSphereFamily:
             raise ValidationError(f"sphere radius must be positive and finite, got {tau}")
         return tau
 
-    def _nodes(self, tau, theta, phi):
-        """The radius-tau sphere: d_tau = chart / tau. The chart goes into
-        arena rows above those the kernel writes."""
-        def nodes(rows, rate):
-            cols = chart_rows(_sphere_kernel(self.structure, rate).slots, tau, theta[rows],
-                              phi, rate)
-            return [cols[k:k + 3] for k in range(0, len(cols), 3)]
-
-        return nodes
+    def _nodes(self, tau, theta, phi, rate, skip):
+        """The chart at tau on theta x phi, a block of theta rows at a time
+        (_chart_evaluators). Yields each block's slice of theta and its
+        columns x, u = d_theta x and v = d_phi x, then with rate x_t, u_t and
+        v_t, as (9, m) or (18, m) rows of the arena from row skip up, valid
+        until the next block. The theta-side and phi-side values are computed
+        once per pass into new arrays; theta_blocks sizes the blocks for the
+        skip rows and the block evaluator's slots."""
+        on_theta, on_phi, on_block = _chart_evaluators(self.structure, self.sigma, rate)
+        by_theta, by_phi = on_theta((), tau, theta), on_phi((), tau, phi)
+        used = skip + on_block.slots
+        for rows in theta_blocks(theta.size, phi.size, used):
+            th = theta[rows, None]
+            cells = expr.arena_rows(used, th.size * phi.size)[skip:]
+            cols = on_block((), tau, th, phi, *by_theta[:, rows, None], *by_phi,
+                            rows=cells.reshape(-1, th.size, phi.size))
+            yield rows, cols.reshape(len(cols), -1)
 
     def area(self, tau):
         """Symplectic area of the sphere at tau. The quadrature is repeated on
@@ -323,12 +346,10 @@ class SigmaSphereFamily(RadialSphereFamily):
 
     The chart must stay inside leaves of a dim-3 structure; the tangency
     check in the leaf form evaluation rejects charts that cut across them.
-    Everything but the radius guard and the chart nodes is the radial
-    family's: the tau-derivatives of sigma, sigma_theta and sigma_phi are
-    compiled beside the chart, so rows at the ends of tau_range need no
-    samples outside it. Both write arena rows over the angle rows; their
-    subtrees in tau alone are cut out (expr.split_free) and evaluated once
-    per tau, into a new one-column array, by an evaluator beside each.
+    Everything but the tau-range guard and the label is the radial family's,
+    run on this chart: the tau-derivatives of sigma, sigma_theta and
+    sigma_phi are compiled beside it, so rows at the ends of tau_range need
+    no samples outside it.
     """
 
     # perfbench's tracer wraps row_data in each family class's own namespace
@@ -336,26 +357,15 @@ class SigmaSphereFamily(RadialSphereFamily):
 
     def __init__(self, structure, sigma, tau_range, grid=None, label=None):
         super().__init__(structure, grid, label or "sigma-family")
-        names = ("tau",) + _ANGLES
-        parsed = expr.components(sigma, 0, symbols=names, params=structure.params,
-                                 what="sigma", count=3)
+        self.sigma = expr.components(sigma, 0, symbols=_NAMES, params=structure.params,
+                                     what="sigma", count=3)
         try:
             lo, hi = (float(v) for v in tau_range)
         except (TypeError, ValueError):
             raise ValidationError(f"tau_range must be a [lo, hi] pair, got {tau_range!r}")
         if not -math.inf < lo < hi < math.inf:
             raise ValidationError(f"tau_range needs finite hi > lo, got [{lo:g}, {hi:g}]")
-        self.sigma = parsed
         self.tau_range = (lo, hi)
-        # sigma with its theta and phi tangents, then their tau-derivatives
-        chart = parsed + [expr.differentiate_sym(c, a) for a in _ANGLES for c in parsed]
-        self._fns = []
-        for exprs in (chart, [expr.differentiate_sym(c, "tau") for c in chart]):
-            free, rest = expr.split_free(exprs, "_tau", coords=_ANGLES)
-            symbols = names + tuple(f"_tau{k}" for k in range(len(free)))
-            self._fns.append((
-                expr.compile_exprs_vec(free, symbols=("tau",), params=structure.params),
-                expr.compile_exprs_vec(rest, symbols=symbols, params=structure.params)))
 
     def _radius(self, tau):
         tau = float(tau)
@@ -363,27 +373,6 @@ class SigmaSphereFamily(RadialSphereFamily):
         if not lo <= tau <= hi:
             raise ValidationError(f"tau {tau:g} outside the family range [{lo:g}, {hi:g}]")
         return tau
-
-    def _nodes(self, tau, theta, phi):
-        """The chart at tau. Each block writes theta and phi into arena rows
-        above the slots of the sphere kernel and of the chart evaluators,
-        and copies the chart columns into the rows above those two."""
-        def nodes(rows, rate):
-            fns = self._fns[:1 + rate]
-            skip = max(_sphere_kernel(self.structure, rate).slots, *(fn.slots for _, fn in fns))
-            th = theta[rows]
-            m = th.size * phi.size
-            cols = expr.arena_rows(skip + 2 + 9 * len(fns), m)[skip:]
-            angles = cols[:2]
-            angles[0].reshape(th.size, phi.size)[...] = th[:, None]
-            angles[1].reshape(th.size, phi.size)[...] = phi
-            for k, (free, fn) in enumerate(fns):
-                scalars = free(np.empty((0, 1)), tau)[:, 0]
-                cols[2 + 9 * k:11 + 9 * k] = fn(angles, tau, *angles, *scalars,
-                                                rows=expr.arena_rows(fn.slots, m))
-            return [cols[k:k + 3] for k in range(2, len(cols), 3)]
-
-        return nodes
 
 
 def sphere_area(structure, tau, grid=None):

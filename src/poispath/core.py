@@ -132,12 +132,16 @@ class PoissonStructure:
     # -- numeric access -----------------------------------------------------
 
     def evaluator(self, key, build):
-        """The evaluator of the expressions build() returns, compiled once per
-        key and kept on the structure, so it dies with it: "pi", "dpi", the
-        sphere, Jacobian and curvature kernels of connection and monodromy,
-        and the coupling-factor kernel of the homotopy variation solve."""
+        """The evaluator of the expressions build() returns, cached: "pi",
+        "dpi", the sphere, Jacobian and curvature kernels of connection and
+        monodromy, and the coupling-factor kernel of the homotopy solve."""
+        return self.cached(key, lambda: expr.compile_exprs_vec(build(), params=self.params))
+
+    def cached(self, key, make):
+        """make(), called once per key and kept on the structure, so that it
+        dies with it: every evaluator, and the chart evaluators of connection."""
         if key not in self._evaluators:
-            self._evaluators[key] = expr.compile_exprs_vec(build(), params=self.params)
+            self._evaluators[key] = make()
         return self._evaluators[key]
 
     def _points(self, xs):

@@ -34,8 +34,8 @@ from . import expr
 from .config import get_default
 # the families and leaf_form_many are re-exported: perfbench's tracer wraps
 # them under this module
-from .connection import (RadialSphereFamily, SigmaSphereFamily, chart_rows,  # noqa: F401
-                         leaf_form_many, sphere_grid, sphere_simpson, theta_blocks)
+from .connection import (RadialSphereFamily, SigmaSphereFamily,  # noqa: F401
+                         leaf_form_many, sphere_grid, sphere_simpson)
 from .errors import NumericalError, ValidationError, require_finite, require_within
 
 VERDICT_OK = "INTEGRABLE_EVIDENCE"
@@ -70,7 +70,7 @@ def _wedge(coef, a, b, pairs=((0, 1), (0, 2), (1, 2))):
 
 def _curvature_exprs(structure, M):
     """Omega, alpha = M u and beta = M v of the splitting M as nine
-    expressions in the columns x, u = x_theta, v = x_phi that _chart writes
+    expressions in the columns x, u = x_theta, v = x_phi of the round chart
     (the sphere kernel's Var(3k + i) layout). By the chain rule, the chart's
     mixed second derivatives cancelling,
 
@@ -120,21 +120,22 @@ def curvature_periods(structure, splitting, tau):
     finite (ValidationError); non-finite curvature, residuals or densities
     raise NumericalError.
 
-    The grid is walked in blocks of theta rows (connection.theta_blocks):
-    each block writes its chart into arena rows above the kernel's slots and
-    keeps the maxima and flags of the checks, which are raised after the
-    walk, in the order above; om_scale comes from the whole grid.
+    The grid is walked through the radial family's nodes, in blocks of
+    theta rows whose chart the family writes into arena rows above the
+    kernel's slots; each block keeps the maxima and flags of the checks,
+    which are raised after the walk, in the order above; om_scale comes from
+    the whole grid.
     """
-    tau = RadialSphereFamily(structure)._radius(tau)
+    family = RadialSphereFamily(structure)
+    tau = family._radius(tau)
     M = _parse_splitting(splitting, structure)
     kernel = _curvature_kernel(structure, M)
-    theta, phi = sphere_grid(*get_default("area_grid"))
+    theta, phi = sphere_grid(*family.grid)
     dens = np.empty((theta.size, phi.size))
     checks = []
     # garbage at degenerate points is caught by the checks after the walk
     with np.errstate(all="ignore"):
-        for rows in theta_blocks(theta.size, phi.size, kernel.slots + 9):
-            cols = chart_rows(kernel.slots, tau, theta[rows], phi)
+        for rows, cols in family._nodes(tau, theta, phi, False, kernel.slots):
             values = kernel(cols, rows=expr.arena_rows(kernel.slots, cols.shape[1]))
             Om, alpha, beta = (values[k:k + 3].T for k in (0, 3, 6))
             pts, dth, dph = (cols[k:k + 3].T for k in (0, 3, 6))

@@ -142,6 +142,14 @@ MUTANTS = (
             "tests/test_monodromy.py::TestScan::"
             "test_sign_change_across_a_singular_radius_is_no_collapse",
             "tests/test_cli.py::TestScanCommand::test_zero_between_samples_is_non_integrable")),
+    Mutant("chart-phi-side-along-theta", "src/poispath/connection.py",
+           "*by_theta[:, rows, None], *by_phi,",
+           "*by_theta[:, rows, None], *np.resize(by_phi, (len(by_phi), th.size))[..., None],",
+           ("tests/test_connection.py::test_sigma_rows_keep_the_bits_of_the_plain_chart",
+            "tests/test_connection.py::"
+            "test_sphere_kernel_matches_the_reference_row_bit_for_bit",
+            "tests/test_monodromy.py::TestCurvatureBlocks::"
+            "test_matches_the_whole_grid_route_bit_for_bit")),
     Mutant("sphere-kernel-cached-without-rate", "src/poispath/connection.py",
            'structure.evaluator(("sphere", rate), build)', 'structure.evaluator("sphere", build)',
            ("tests/test_connection.py::test_sphere_kernels_compile_once_per_structure_and_rate",

@@ -36,8 +36,11 @@ uses), alpha and beta differentiated in the angles and compiled with
 them, the route that the pointwise curvature kernel replaced. The
 whole-grid curvature route is curvature_periods before its block walk: the
 same kernel writing a new array over every node at once and each check on
-whole-grid arrays. The sigma nodes are the chart-family nodes before the
-arena: meshgrid angles and evaluators writing new arrays.
+whole-grid arrays. The round chart is the hand-written polar chart that the
+library's compiled round chart replaced: numpy products of sin and cos on
+fresh arrays, which the curvature references take for their nodes. The
+sigma nodes are the chart-family nodes before the arena: meshgrid angles
+and evaluators writing new arrays.
 """
 
 import math
@@ -459,21 +462,47 @@ def stencil_area_derivative(area, tau, step=1e-3):
     return (a[0] - 8.0 * a[1] + 8.0 * a[2] - a[3]) / (12.0 * step)
 
 
-def radial_nodes(tau, theta, phi):
-    """nodes(rows, rate) of the radius-tau sphere for sphere_row_reference:
-    the polar chart by broadcasting, and with rate its tau-derivatives
-    chart / tau, as (3, m) arrays."""
-    def nodes(rows, rate):
+def round_chart(tau, theta, phi, out=None):
+    """The radius-tau sphere x, u = d_theta x and v = d_phi x on the theta x
+    phi nodes, component by component, with numpy on fresh products: out
+    holds nine (theta, phi) arrays (a new (9, theta, phi) array when None).
+    Returns x, u, v. The library's round chart must match it bit for bit."""
+    st, ct = np.sin(theta)[:, None], np.cos(theta)[:, None]
+    sf, cf = np.sin(phi), np.cos(phi)
+    if out is None:
+        out = np.empty((9, theta.size, phi.size))
+    x0, x1, x2, u0, u1, u2, v0, v1, v2 = out
+    for o, a, b in ((x0, st, cf), (x1, st, sf), (u0, ct, cf), (u1, ct, sf),
+                    (v0, -st, sf), (v1, st, cf)):
+        np.multiply(tau, np.multiply(a, b, out=o), out=o)
+    np.multiply(tau, ct, out=x2)
+    np.multiply(tau, -st, out=u2)
+    v2[...] = tau * 0.0
+    return out[0:3], out[3:6], out[6:9]
+
+
+def _reference_blocks(theta, phi):
+    """Slices of theta rows of about _BLOCK_NODES nodes each."""
+    from poispath.connection import _BLOCK_NODES
+
+    step = max(1, _BLOCK_NODES // phi.size)
+    return [slice(lo, lo + step) for lo in range(0, theta.size, step)]
+
+
+def radial_nodes(tau, theta, phi, rate):
+    """The blocks of the radius-tau sphere for sphere_row_reference: each
+    block's slice of theta and its columns as (9, m) or with rate (18, m)
+    rows, the polar chart by broadcasting, and with rate its exact
+    tau-derivatives: the unit chart."""
+    for rows in _reference_blocks(theta, phi):
         st, ct = np.sin(theta[rows])[:, None], np.cos(theta[rows])[:, None]
         sf, cf = np.sin(phi), np.cos(phi)
         shape = (st.size, phi.size)
-        x = tau * np.stack([st * cf, st * sf, np.broadcast_to(ct, shape)])
-        dth = tau * np.stack([ct * cf, ct * sf, np.broadcast_to(-st, shape)])
-        dph = tau * np.stack([-st * sf, st * cf, np.zeros(shape)])
-        chart = [c.reshape(3, -1) for c in (x, dth, dph)]
-        return chart + [c / tau for c in chart] if rate else chart
-
-    return nodes
+        unit = [np.stack([st * cf, st * sf, np.broadcast_to(ct, shape)]),
+                np.stack([ct * cf, ct * sf, np.broadcast_to(-st, shape)]),
+                np.stack([-st * sf, st * cf, np.zeros(shape)])]
+        cols = [tau * c for c in unit] + (unit if rate else [])
+        yield rows, np.concatenate([c.reshape(3, -1) for c in cols])
 
 
 def _det(a, b, c):
@@ -490,8 +519,10 @@ def sphere_row_reference(structure, nodes, theta, phi, rate=False):
         rate = -(det(u_t, p, v) + det(u, q, v) + det(u, p, v_t)
                  + 2 dens (p.q)) / |p|^2,   q = einsum(J_p, x_t)
 
-    with p and J_p from their own compiled evaluators. No checks."""
-    from poispath.connection import _BLOCK_NODES, sphere_simpson
+    with p and J_p from their own compiled evaluators. nodes yields each
+    block's slice of theta and its columns, as sphere_quadrature's do. No
+    checks."""
+    from poispath.connection import sphere_simpson
 
     comps = [structure.entry(2, 3), structure.entry(3, 1), structure.entry(1, 2)]
     p_fn = expr.compile_exprs_vec(comps, params=structure.params)
@@ -499,10 +530,8 @@ def sphere_row_reference(structure, nodes, theta, phi, rate=False):
                                     params=structure.params)
     dens = np.empty((theta.size, phi.size))
     drate = np.empty_like(dens)
-    step = max(1, _BLOCK_NODES // phi.size)
-    for lo in range(0, theta.size, step):
-        rows = slice(lo, lo + step)
-        x, u, v, *moving = nodes(rows, rate)
+    for rows, cols in nodes:
+        x, u, v, *moving = (cols[k:k + 3] for k in range(0, len(cols), 3))
         p = p_fn(x)
         pr = p.T
         nrm2 = np.einsum("mi,mi->m", pr, pr)
@@ -562,7 +591,7 @@ def curvature_reference(structure, splitting, tau):
 
     alpha = M sigma_theta and beta = M sigma_phi as expressions in the
     angles. Same grid, checks and Simpson rule as the library route."""
-    from poispath.connection import _chart, sphere_grid, sphere_simpson
+    from poispath.connection import sphere_grid, sphere_simpson
     from poispath.errors import NumericalError, ValidationError
     from poispath.monodromy import CurvatureResult
 
@@ -608,7 +637,7 @@ def curvature_reference(structure, splitting, tau):
         omega.append(expr.neg(expr.add(curl, coupling)))
 
     theta, phi = sphere_grid(n_theta, n_phi)
-    x, dth, dph = _chart(tau, theta, phi)
+    x, dth, dph = round_chart(tau, theta, phi)
     shape = x.shape[1:]
     pts = x.reshape(3, -1)
     m = pts.shape[1]
@@ -678,7 +707,7 @@ def curvature_whole_grid(structure, splitting, tau):
     expressions in plain rendering over every node at once, then each check
     on whole-grid arrays, raising as soon as it fails. The library's walk
     must match it bit for bit, in values and in the error it raises."""
-    from poispath.connection import RadialSphereFamily, _chart, sphere_grid, sphere_simpson
+    from poispath.connection import RadialSphereFamily, sphere_grid, sphere_simpson
     from poispath.errors import NumericalError, ValidationError
     from poispath.monodromy import CurvatureResult, _curvature_exprs, _parse_splitting
 
@@ -686,7 +715,7 @@ def curvature_whole_grid(structure, splitting, tau):
     M = _parse_splitting(splitting, structure)
     theta, phi = sphere_grid(*get_default("area_grid"))
     cols = np.empty((9, theta.size, phi.size))
-    pts, dth, dph = (c.reshape(3, -1).T for c in _chart(tau, theta, phi, cols))
+    pts, dth, dph = (c.reshape(3, -1).T for c in round_chart(tau, theta, phi, cols))
     kernel = expr.compile_exprs_vec(_curvature_exprs(structure, M), params=structure.params)
     with np.errstate(all="ignore"):
         values = kernel(cols.reshape(9, -1))
@@ -741,20 +770,16 @@ def curvature_whole_grid(structure, splitting, tau):
                            center_residual=center_res, splitting_residual=split_res)
 
 
-def sigma_nodes(family, tau, theta, phi):
-    """nodes(rows, rate) of a SigmaSphereFamily as they were before the
-    arena: theta and phi from np.meshgrid, and the chart and its
-    tau-derivatives from two evaluators writing new arrays over a zero dummy
-    x, with tau passed in as the scalar it is."""
+def sigma_nodes(family, tau, theta, phi, rate, skip):
+    """SigmaSphereFamily._nodes as it was before the arena: theta and phi
+    from np.meshgrid, and the chart and its tau-derivatives from two
+    evaluators writing new arrays over a zero dummy x, with tau passed in as
+    the scalar it is. The columns are new arrays, so skip is not read."""
     names = ("tau", "theta", "phi")
     chart = family.sigma + [expr.differentiate_sym(c, a) for a in names[1:] for c in family.sigma]
     fns = [expr.compile_exprs_vec(e, symbols=names, params=family.structure.params)
            for e in (chart, [expr.differentiate_sym(c, "tau") for c in chart])]
-
-    def nodes(rows, rate):
+    for rows in _reference_blocks(theta, phi):
         T, F = (a.ravel() for a in np.meshgrid(theta[rows], phi, indexing="ij"))
         dummy = np.zeros((1, T.size))
-        vals = [fn(dummy, tau, T, F) for fn in fns[:2 if rate else 1]]
-        return [v[k:k + 3] for v in vals for k in (0, 3, 6)]
-
-    return nodes
+        yield rows, np.concatenate([fn(dummy, tau, T, F) for fn in fns[:1 + rate]])

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from helpers import ROUND_CHART, su2, su2_scaled, symplectic_plane, traced_peak_mib
-from poispath import connection, expr, monodromy
+from poispath import connection, expr, monodromy, registry
 from poispath.core import PoissonStructure
 from poispath.errors import NumericalError, ValidationError
 
@@ -131,6 +131,15 @@ class TestSphereArea:
         rough = su2_scaled("1 + sin(200*x1)/2")
         with pytest.raises(NumericalError):
             connection.sphere_area(rough, 1.0)
+
+    def test_parameters_named_like_chart_symbols_leave_the_chart_alone(self):
+        # the round chart's tau, theta and phi shadow structure parameters
+        plain, named = (registry.load(f"builtin:su2_scaled?a=1+R^2{extra}").structure
+                        for extra in ("", "&tau=5&theta=2&phi=3"))
+        assert named.params == {"tau": 5.0, "theta": 2.0, "phi": 3.0}
+        areas = [_single_grid_area(connection.RadialSphereFamily(s, (40, 20)), 1.3)
+                 for s in (plain, named)]
+        assert _bits(areas[1]) == _bits(areas[0])
 
     def test_rejects_wrong_dimension(self):
         with pytest.raises(ValidationError):
@@ -268,16 +277,23 @@ def test_sphere_kernels_compile_once_per_structure_and_rate(monkeypatch):
     compile_vec, compiled = expr.compile_exprs_vec, []
     monkeypatch.setattr(expr, "compile_exprs_vec",
                         lambda *a, **k: compiled.append(a) or compile_vec(*a, **k))
-    s = su2_scaled("1 + R^2")
-    family = connection.RadialSphereFamily(s)
+    # loading a source builds its family and compiles no chart
+    s = registry.load("builtin:su2_scaled?a=1+R^2").structure
+    assert [key for key in s._evaluators if key[0] == "chart"] == []
     x, u, v = [[1.0, 0.0, 0.0]], [[0.0, 1.0, 0.0]], [[0.0, 0.0, 1.0]]
     rounds = []
     for _ in range(2):
         before = len(compiled)
+        family = connection.RadialSphereFamily(s)
         family.area(0.7), family.row_data(0.9), connection.leaf_form_many(s, x, u, v)
         rounds.append(len(compiled) - before)
-    assert rounds == [2, 0]
-    assert sorted(s._evaluators) == [("sphere", False), ("sphere", True)]
+    # per rate, the sphere kernel and the chart's theta, phi and block
+    # evaluators, and nothing once they are cached
+    assert rounds == [8, 0]
+    chart = ("chart", expr.dag_key(family.sigma))
+    # beside "pi" and "dpi", which the load compiled
+    assert set(s._evaluators) - {"pi", "dpi"} == {("sphere", False), ("sphere", True),
+                                                  (*chart, False), (*chart, True)}
 
 
 def _bits(values):
@@ -310,7 +326,7 @@ def test_sphere_kernel_matches_the_reference_row_bit_for_bit(case, rate, grid):
         got = monodromy.RadialSphereFamily(s, grid=grid).row_data(tau)[:2]
     else:
         got = _single_grid_area(connection.RadialSphereFamily(s, grid), tau)
-    want = oracles.sphere_row_reference(s, oracles.radial_nodes(tau, theta, phi),
+    want = oracles.sphere_row_reference(s, oracles.radial_nodes(tau, theta, phi, rate),
                                         theta, phi, rate)
     assert _bits(got) == _bits(want)
 
@@ -323,13 +339,17 @@ def test_sphere_kernel_matches_the_reference_row_bit_for_bit(case, rate, grid):
     assert _bits(got) == _bits(want)
 
 
-# the round chart, a sheared one, and one whose subtrees in tau alone are
-# scalars of the plain route (a Python float power, a numpy exp of one)
+# the round chart, a sheared one, one whose subtrees in tau alone are
+# scalars of the plain route (a Python float power, a numpy exp of one),
+# one whose subtrees in phi alone read tau, and one whose first column is a
+# root in theta alone
 SIGMA_CHARTS = (
     ROUND_CHART,
     ("tau*sin(theta)*cos(phi + theta)", "tau*sin(theta)*sin(phi + theta)", "tau*cos(theta)"),
     ("sqrt(tau^2)*sin(theta)*cos(phi)", "(tau^3/tau^2)*sin(theta)*sin(phi)",
      "exp(log(tau))*cos(theta)"),
+    ("tau*sin(theta)*cos(phi + tau)", "tau*sin(theta)*sin(phi + tau)", "tau*cos(theta)"),
+    ("tau*cos(theta)", "tau*sin(theta)*cos(phi)", "tau*sin(theta)*sin(phi)"),
 )
 
 
@@ -342,7 +362,7 @@ def test_sigma_rows_keep_the_bits_of_the_plain_chart(case, chart, rate, grid):
     rows = [lambda: _single_grid_area(sigma, tau), lambda: sigma.row_data(tau)[:2]][rate]
     got = rows()
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(sigma, "_nodes", lambda t, theta, phi: oracles.sigma_nodes(sigma, t, theta, phi))
+        patch.setattr(sigma, "_nodes", functools.partial(oracles.sigma_nodes, sigma))
         want = rows()
     assert _bits(got) == _bits(want)
 

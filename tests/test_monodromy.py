@@ -88,7 +88,10 @@ class TestCurvature:
         monkeypatch.setattr(expr, "compile_exprs_vec",
                             lambda *a, **k: calls.append(a) or compile_vec(*a, **k))
         monodromy.curvature_periods(p, su2_splitting("1 + R^2"), 1.0)
-        assert len(calls) == 1
+        # the curvature kernel and the round chart's three evaluators
+        assert len(calls) == 4
+        monodromy.curvature_periods(p, su2_splitting("1 + R^2"), 1.3)
+        assert len(calls) == 4
 
     def test_dimension_and_radius_guards(self):
         with pytest.raises(ValidationError):
@@ -142,9 +145,10 @@ class TestCurvatureBlocks:
     def test_short_grid_ends_in_a_short_block(self, a):
         s, spl = _curvature_case(a)
         kernel = monodromy._curvature_kernel(s, monodromy._parse_splitting(spl, s))
+        chart = connection._chart_evaluators(s, connection._ROUND_CHART, False)[2]
         n_theta, n_phi = SHORT_BLOCK_GRID
         blocks = [range(n_theta + 1)[b] for b in
-                  connection.theta_blocks(n_theta + 1, n_phi + 1, kernel.slots + 9)]
+                  connection.theta_blocks(n_theta + 1, n_phi + 1, kernel.slots + chart.slots)]
         assert len(blocks) > 1 and 0 < len(blocks[-1]) < len(blocks[0])
 
     @pytest.mark.parametrize("changes, error", [
@@ -193,11 +197,13 @@ class TestCurvatureKernelCache:
         return calls
 
     def test_an_equal_splitting_compiles_nothing(self, p, compiles):
+        # the first call compiles its kernel and the round chart's three
+        # evaluators
         first = _outcome(monodromy.curvature_periods, p, su2_splitting("1 + R^2"), 0.7)
-        assert len(compiles) == 1
+        assert len(compiles) == 4
         # freshly parsed from new strings, structurally equal
         again = _outcome(monodromy.curvature_periods, p, su2_splitting("1 + R^2"), 0.7)
-        assert len(compiles) == 1
+        assert len(compiles) == 4
         assert again == first
 
     @pytest.mark.parametrize("change", [(0, 1, "x3/((1.0000000000000002 + R^2)*R^2)"),
@@ -209,19 +215,22 @@ class TestCurvatureKernelCache:
         spl[i][j] = text
         monodromy.curvature_periods(p, spl, 0.7)
         monodromy.curvature_periods(p, spl, 1.3)
-        assert len(compiles) == 2
+        assert len(compiles) == 5
 
     def test_dropping_the_structure_drops_its_kernels(self):
         p = su2_scaled("1 + R^2")
         monodromy.RadialSphereFamily(p, grid=(40, 20)).row_data(0.7)
         monodromy.curvature_periods(p, su2_splitting("1 + R^2"), 0.7)
-        # the structure's cache holds its sphere kernel and its curvature kernel
+        # the structure's cache holds its sphere kernel, its curvature kernel
+        # and the round chart's evaluators
         (curvature,) = [key for key in p._evaluators if key[0] == "curvature"]
         kernels = [p._evaluators[key] for key in (("sphere", True), curvature)]
+        kernels += [fn for key in p._evaluators if key[0] == "chart" for fn in p._evaluators[key]]
         refs = [weakref.ref(x) for x in (p, *kernels)]
+        assert len(refs) == 9
         del p, kernels
         gc.collect()
-        assert [r() for r in refs] == [None, None, None]
+        assert [r() for r in refs] == [None] * 9
 
 
 class TestGcd:
