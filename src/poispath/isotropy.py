@@ -140,6 +140,7 @@ def isotropy_data(structure, x):
     if cmax > 0:
         killing_rank = int(np.linalg.matrix_rank(killing, tol=killing_tol))
         normalized_det = float(np.linalg.det(killing / cmax**2))
+        require_finite(normalized_det, f"Killing form determinant is not finite at {x.tolist()}")
     else:
         killing_rank = 0
         normalized_det = 0.0

@@ -113,6 +113,15 @@ class TestValidate:
         assert code == 2
         assert "Jacobi" in err or "jacobi" in err
 
+    def test_failed_gate_reports_the_residual_at_the_seeded_points(self, tmp_path):
+        # the largest Jacobiator entry over np.random.default_rng(20240)'s
+        # 100 points in [-2, 2]^3; this one varies from point to point
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"dim": 3, "pi": {"1,2": "x3", "2,3": "x1*x2"}}))
+        assert run_cli("validate", str(bad)) == (
+            2, "", "error: Jacobi identity fails: max residual 3.565e+00 over 100 points "
+                   "in [-2.0, 2.0]^3 exceeds 1.0e-09\n")
+
     @pytest.mark.parametrize("flag, value, message", [
         ("--points", "0", "sample count must be at least 1"),
         ("--points", "-1", "sample count must be at least 1"),
@@ -712,7 +721,8 @@ class TestDeterminism:
 
 class TestStartup:
     """No command imports scipy: it is the tests' oracle, not a runtime
-    dependency."""
+    dependency. Nor does a command that loads a structure import
+    numpy.random."""
 
     def _run(self, *argv, cwd="/"):
         proc = subprocess.run([sys.executable, *argv], capture_output=True,
@@ -759,6 +769,26 @@ class TestStartup:
         _, imported = self._imported(*argv, cwd=tmp_path)
         assert "poispath.quadrature" in imported
         assert [m for m in imported if m.split(".")[0] == "scipy"] == []
+
+    @pytest.mark.parametrize("argv", [
+        ("validate", "builtin:linear?preset=su3"),
+        ("monodromy", "builtin:su2_scaled?a=1+R^2", "--tau", "0.7"),
+    ], ids=" ".join)
+    def test_structure_loading_commands_load_no_numpy_random(self, argv):
+        # the Jacobi gate draws its points in core; numpy.random would bring
+        # hashlib, OpenSSL and secrets into every cold process
+        script = ("import runpy, sys\n"
+                  "sys.argv[0] = 'poispath'\n"
+                  "try:\n"
+                  "    runpy.run_module('poispath', run_name='__main__')\n"
+                  "except SystemExit as stop:\n"
+                  "    code = stop.code\n"
+                  "print(sorted(m for m in ('numpy.random', 'hashlib', 'secrets')"
+                  " if m in sys.modules), file=sys.stderr)\n"
+                  "sys.exit(code)\n")
+        proc = self._run("-c", script, *argv)
+        assert json.loads(proc.stdout)
+        assert proc.stderr.decode().splitlines()[-1] == "[]"
 
     def test_no_module_imports_scipy_and_numpy_is_the_only_dependency(self):
         import poispath

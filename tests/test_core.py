@@ -1,12 +1,14 @@
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 import oracles
 from helpers import (SU2_PI, eval_components, linear_in_new_coordinates, linear_structure, su2,
                      su2_scaled, su3, symplectic_plane)
-from poispath import expr
+from poispath import core, expr
 from poispath.core import PoissonStructure
 from poispath.errors import ValidationError
 
@@ -205,6 +207,35 @@ class TestJacobi:
         a = su2_scaled("1 + R^2").validate(seed=123)
         b = su2_scaled("1 + R^2").validate(seed=123)
         assert a == b
+
+    # 1.7e308 is finite but 2 * box is not
+    @pytest.mark.parametrize("box", [-1.0, -5e-324, math.inf, -math.inf, math.nan, 1.7e308])
+    def test_a_bad_sample_box_is_a_validation_error(self, box):
+        with pytest.raises(ValidationError, match="sample box must be non-negative"):
+            su2().validate(box=box)
+
+    def test_a_zero_box_samples_the_origin(self):
+        assert su2().validate(box=0.0) == 0.0
+
+
+# the largest box whose width 2 * box is finite, and boxes near zero
+_BOXES = [0.0, 5e-324, 1e-3, 0.5, 1.0, 2.0, 3.7, 1e300, np.nextafter(2.0**1023, 0)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2**130), n=st.integers(1, 50), dim=st.integers(1, 8),
+       box=st.sampled_from(_BOXES))
+# one to five 32-bit words of entropy, at the word boundaries
+@example(seed=0, n=1, dim=1, box=2.0)
+@example(seed=2**32 - 1, n=3, dim=8, box=2.0)
+@example(seed=2**32, n=50, dim=3, box=2.0)
+@example(seed=2**63 + 12345, n=7, dim=2, box=1.0)
+@example(seed=2**128 + 7, n=4, dim=5, box=0.5)
+@example(seed=10**40, n=2, dim=4, box=3.7)
+def test_sample_points_are_numpys_draw_bit_for_bit(seed, n, dim, box):
+    want = np.random.default_rng(seed).uniform(-box, box, size=(n, dim))
+    got = core._uniform_points(seed, box, n, dim)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 def _gl_change(seed, n):

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from helpers import su2, su2_splitting
-from poispath import connection, monodromy, paths
+from poispath import connection, isotropy, monodromy, paths
 from poispath.errors import NumericalError, ValidationError, require_finite, require_within
 from poispath.homotopy import flow_by_action
 
@@ -114,12 +114,22 @@ def _flow_defect(monkeypatch):
     return lambda: flow_by_action(circle, ("0", "0", "0"))
 
 
+def _killing_determinant(monkeypatch):
+    """A NaN determinant of the su2 Killing form at the origin, where the
+    algebra is semisimple; `abs(nan) > 1e-6` alone would read "not
+    semisimple"."""
+    monkeypatch.setattr(isotropy.np.linalg, "det", lambda matrix: math.nan)
+    return lambda: isotropy.isotropy_data(su2(), np.zeros(3))
+
+
 @pytest.mark.parametrize("inject, message", [
     (_area_doubling, "sphere area at tau=1.0 unstable under grid doubling"),
     (_rate_doubling, "area derivative at tau=1.0 unstable under grid doubling"),
     (_center_residual, "curvature center residual is not finite on the leaf"),
     (_flow_defect, "flow defect nan exceeds"),
-], ids=["area-doubling", "rate-doubling", "center-residual", "flow-defect"])
+    (_killing_determinant, "Killing form determinant is not finite at [0.0, 0.0, 0.0]"),
+], ids=["area-doubling", "rate-doubling", "center-residual", "flow-defect",
+        "killing-determinant"])
 def test_a_nan_at_a_bound_site_fails_closed(monkeypatch, inject, message):
     call = inject(monkeypatch)
     with pytest.raises(NumericalError) as info:
