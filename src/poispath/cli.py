@@ -230,8 +230,7 @@ def cmd_path(args):
     comps = _components(args.generator, "--generator")
     x0 = _point(args.x0, structure.dim, "--x0")
     path = pth.integrate_base(structure, comps, x0,
-                              n_intervals=args.n_intervals, method=args.method,
-                              rtol=args.rtol, atol=args.atol)
+                              n_intervals=args.n_intervals, rtol=args.rtol, atol=args.atol)
     return {
         "source": record.source,
         "structure": structure.to_dict(),
@@ -244,7 +243,7 @@ def cmd_path(args):
         "a": path.a,
         "settings": {
             "n_intervals": path.n_intervals,
-            "method": args.method,
+            "method": "rk45",  # the only integrator; stored path files keep the key
             "ode_rtol": args.rtol,
             "ode_atol": args.atol,
         },
@@ -520,8 +519,6 @@ def build_parser():
                    help="covector components, expressions in t and x")
     p.add_argument("--x0", required=True, help="start point, comma-separated")
     p.add_argument("--n-intervals", type=int, default=None, help="time grid intervals")
-    p.add_argument("--method", default=config.get_default("ode_method"),
-                   choices=["rk45", "rk4"], help="ODE method")
     p.add_argument("--rtol", type=float, default=config.get_default("ode_rtol"))
     p.add_argument("--atol", type=float, default=config.get_default("ode_atol"))
 

@@ -11,7 +11,6 @@ DEFAULTS = {
     "jacobi_points": 100,
     "jacobi_tol": 1e-9,
     # ODE integration of cotangent paths
-    "ode_method": "rk45",       # "rk45" (adaptive) or "rk4" (fixed step)
     "ode_rtol": 1e-10,
     "ode_atol": 1e-10,
     "t_intervals": 1000,        # time grid: t_intervals + 1 nodes on [0, 1]

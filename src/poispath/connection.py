@@ -395,7 +395,6 @@ class AreaVariation:
     what period scans compare against.
     """
 
-    tau: float
     area: float
     derivative: float
     xi: np.ndarray
@@ -437,5 +436,4 @@ def area_variation(structure, tau, grid=None):
     area, d = family._rate(tau, verify=True)
 
     xi = (d / pairing) * zeta
-    return AreaVariation(tau=tau, area=area, derivative=d, xi=xi,
-                         zeta=zeta, base_point=x0)
+    return AreaVariation(area=area, derivative=d, xi=xi, zeta=zeta, base_point=x0)

@@ -323,7 +323,6 @@ class VariationResult:
     b: np.ndarray            # (M, N/2 + 1, n), b[:, 0] = 0
     var: np.ndarray          # (M, n) endpoint curve b(eps, 1), the last knot
     max_variation: float
-    order: str
     resolution_change: float
     grid_coarse: bool
 
@@ -485,8 +484,8 @@ def solve_variation(family, order="pinned", check_resolution=True):
         change = delta / scale
         coarse_flag = not change <= 0.10
     return VariationResult(eps=family.eps, t=family.t[::2], b=b, var=var,
-                           max_variation=max_var, order=order,
-                           resolution_change=change, grid_coarse=coarse_flag)
+                           max_variation=max_var, resolution_change=change,
+                           grid_coarse=coarse_flag)
 
 
 @dataclass

@@ -47,7 +47,6 @@ VERDICT_OPEN = "INCONCLUSIVE"
 
 @dataclass
 class CurvatureResult:
-    tau: float
     integral: float           # quadrature of <Omega, zeta> over the chart
     center_residual: float
     splitting_residual: float
@@ -181,8 +180,8 @@ def curvature_periods(structure, splitting, tau):
                               "chart is not following the leaves")
     require_finite(dens, "curvature density is not finite on the leaf")
     integral = sphere_simpson(dens, theta, phi)
-    return CurvatureResult(tau=tau, integral=integral,
-                           center_residual=center_res, splitting_residual=split_res)
+    return CurvatureResult(integral=integral, center_residual=center_res,
+                           splitting_residual=split_res)
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import expr
 from .config import get_default
-from .errors import NumericalError, ValidationError, require_finite, require_within
+from .errors import NumericalError, ValidationError, require_finite
 from .quadrature import simpson
 
 ENDPOINT_SIGN = -1.0
@@ -273,16 +273,15 @@ def rk4_step(rhs, y, h):
     return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def integrate_base(structure, a, x0, n_intervals=None, method=None,
-                   rtol=None, atol=None):
+def integrate_base(structure, a, x0, n_intervals=None, rtol=None, atol=None):
     """Drive the base point by a time-dependent covector field.
 
-    Solves gamma' = #(a(t, gamma)) from gamma(0) = x0 over [0, 1] and samples
-    the solution and the covector on a uniform grid. a is a sequence of
-    component expressions (strings are parsed; the time variable is ``t``).
+    Solves gamma' = #(a(t, gamma)) from gamma(0) = x0 over [0, 1] with the
+    adaptive RK45 of solve_ivp and samples the solution and the covector on a
+    uniform grid. a is a sequence of component expressions (strings are
+    parsed; the time variable is ``t``).
     """
     n = even_intervals(get_default("t_intervals") if n_intervals is None else n_intervals)
-    method = (method or get_default("ode_method")).lower()
     rtol = get_default("ode_rtol") if rtol is None else float(rtol)
     atol = get_default("ode_atol") if atol is None else float(atol)
     dim = structure.dim
@@ -301,29 +300,13 @@ def integrate_base(structure, a, x0, n_intervals=None, method=None,
     field_exprs = structure.sharp_form(a_exprs)
     field = expr.compile_exprs(field_exprs, symbols=(_TIME,), params=structure.params)
     grid = np.linspace(0.0, 1.0, n + 1)
-
-    if method == "rk45":
+    # a diverging base overflows; the check below raises on it
+    with np.errstate(all="ignore"):
         sol = solve_ivp(lambda t, y: field(y, t), (0.0, 1.0), x0,
                         t_eval=grid, rtol=rtol, atol=atol)
-        if not sol.success:
-            raise NumericalError(f"base integration failed: {sol.message}")
-        gamma = sol.y.T
-    elif method == "rk4":
-        gamma = np.empty((n + 1, dim))
-        gamma[0] = x0
-        h = 1.0 / n
-
-        def rhs(j, y):
-            return np.asarray(field(y, (t0, t0 + 0.5 * h, t0 + h)[j]))
-
-        # a diverging base overflows; the check below raises on it
-        with np.errstate(all="ignore"):
-            for k in range(n):
-                t0 = grid[k]
-                gamma[k + 1] = rk4_step(rhs, gamma[k], h)
-    else:
-        raise ValidationError(f"unknown integration method {method!r}")
-
+    if not sol.success:
+        raise NumericalError(f"base integration failed: {sol.message}")
+    gamma = sol.y.T
     require_finite(gamma, "base integration produced non-finite values")
     a_fn = expr.compile_exprs_vec(a_exprs, symbols=(_TIME,), params=structure.params)
     a_vals = a_fn(gamma.T, grid).T
@@ -357,32 +340,6 @@ def field_integral(path, components):
     integrand = np.einsum("mi,mi->m", path.a, X)
     require_finite(integrand, "field integrand is not finite along the path")
     return float(simpson(integrand, path.t))
-
-
-def concatenate(first, second):
-    """Run two paths back to back, reparametrized to [0, 1].
-
-    Requires matching structures, equal grids, and first.end == second.start
-    to 1e-8.
-    The covector doubles under the reparametrization so the compatibility
-    gamma' = #a survives; integrals of the pieces add. The defect is carried
-    over as the max of the inputs, since the seam is generally a corner the
-    smooth-stencil estimate cannot see.
-    """
-    if first.structure is not second.structure and \
-            first.structure.to_dict() != second.structure.to_dict():
-        raise ValidationError("paths live over different structures")
-    if first.n_intervals != second.n_intervals:
-        raise ValidationError(
-            f"grid mismatch: {first.n_intervals} vs {second.n_intervals} intervals")
-    gap = float(np.max(np.abs(first.end - second.start)))
-    require_within(gap, 1e-8, f"endpoint mismatch {gap:.3e} exceeds 1.0e-08")
-    n = first.n_intervals
-    grid = np.linspace(0.0, 1.0, 2 * n + 1)
-    gamma = np.vstack([first.gamma, second.gamma[1:]])
-    a = 2.0 * np.vstack([first.a, second.a[1:]])
-    return CotangentPath(first.structure, grid, gamma, a,
-                         defect=max(first.defect, second.defect))
 
 
 def reverse(path):

@@ -37,8 +37,15 @@ class Mutant(NamedTuple):
 MUTANTS = (
     Mutant("rk4-update-grouped", "src/poispath/paths.py",
            "(k1 + 2.0 * k2 + 2.0 * k3 + k4)", "(k1 + 2.0 * (k2 + k3) + k4)",
-           ("tests/test_paths.py::TestRk4Step::test_rk4_path_keeps_the_written_out_order",
+           ("tests/test_homotopy.py::TestStageKernel::"
+            "test_stage_kernel_matches_the_sharp_many_route",
             "tests/test_homotopy.py::TestSolveOnce::test_bitwise_equal_to_separate_solves")),
+    Mutant("base-gate-dropped", "src/poispath/paths.py",
+           '    require_finite(gamma, "base integration produced non-finite values")\n', "",
+           ("tests/test_paths.py::TestIntegrateBase::"
+            "test_overflowing_base_fails_closed_without_warnings",
+            "tests/test_cli.py::TestEvaluationFailures::test_a_nan_field_exits_3_and_says_so"
+            "[overflow-base integration produced non-finite values]")),
     Mutant("require-within-passes-nan", "src/poispath/errors.py",
            "    if not value <= bound:", "    if value > bound:",
            ("tests/test_errors.py::TestRequireWithin::test_nan_or_excess_fails",

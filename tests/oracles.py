@@ -18,12 +18,11 @@ coupling factor E = (d_i Pi^(jk)) a_j comes by the variation batch's
 retired route: dpi_many over every fine slice, a transposed copy, np.take
 and an in-place product, which the fused kernel must match bit for bit. The
 matrix fill writes pi_many and dpi_many entry by entry, the loop that the
-flat scatters replaced. The RK4 reference of `path --method rk4` writes each
-stage out, in the float order that the shared RK4 step must keep. The matrix
-Lie path reference solves dg/dt = A(t) g in a matrix realization, the group
-endpoint that the group-path family is checked against. The tree-walk
-emitter compiles expressions with every subtree written out where it occurs,
-the form the CSE emitter must reproduce bit for bit. The area-derivative
+flat scatters replaced. The matrix Lie path reference solves dg/dt = A(t) g
+in a matrix realization, the group endpoint that the group-path family is
+checked against. The tree-walk emitter compiles expressions with every
+subtree written out where it occurs, the form the CSE emitter must reproduce
+bit for bit. The area-derivative
 stencil differentiates quadrature areas in tau, a route that never touches
 the library's under-the-integral derivative. The sphere row
 reference is the quadrature pass as it was before the fused sphere kernel:
@@ -399,30 +398,6 @@ def invariance_reference(structure, t, eps, gamma, a, d_eps_a, knots, field):
                                 np.max(np.linalg.norm(knots[:, -1], axis=1))))
 
 
-def rk4_path_reference(structure, a, x0, n):
-    """gamma of integrate_base(method="rk4") by its written-out RK4 loop,
-    the order the library kept before its fixed-step integrators shared
-    paths.rk4_step: the compiled sharp of a at every stage, and the update
-    with integer weights."""
-    a_exprs = expr.components(a, structure.dim, symbols=("t",), params=structure.params)
-    field = expr.compile_exprs(structure.sharp_form(a_exprs), symbols=("t",),
-                               params=structure.params)
-    grid = np.linspace(0.0, 1.0, n + 1)
-    gamma = np.empty((n + 1, structure.dim))
-    gamma[0] = x0
-    h = 1.0 / n
-    y = np.asarray(x0, dtype=float)
-    for k in range(n):
-        t0 = grid[k]
-        k1 = np.asarray(field(y, t0))
-        k2 = np.asarray(field(y + 0.5 * h * k1, t0 + 0.5 * h))
-        k3 = np.asarray(field(y + 0.5 * h * k2, t0 + 0.5 * h))
-        k4 = np.asarray(field(y + h * k3, t0 + h))
-        y = y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        gamma[k + 1] = y
-    return gamma
-
-
 def matrix_lie_path_reference(basis, coeffs, n_steps):
     """g(1) for dg/dt = A(t) g, g(0) = I, A(t) = sum_k c_k(t) E_k, from
     coefficient samples coeffs (m >= 4, k) on a uniform grid over [0, 1]
@@ -697,8 +672,8 @@ def curvature_reference(structure, splitting, tau):
     if not np.all(np.isfinite(dens)):
         raise NumericalError("curvature density is not finite on the leaf")
     integral = sphere_simpson(dens, theta, phi)
-    return CurvatureResult(tau=tau, integral=integral,
-                           center_residual=center_res, splitting_residual=split_res)
+    return CurvatureResult(integral=integral, center_residual=center_res,
+                           splitting_residual=split_res)
 
 
 def curvature_whole_grid(structure, splitting, tau):
@@ -766,8 +741,8 @@ def curvature_whole_grid(structure, splitting, tau):
     if not np.all(np.isfinite(dens)):
         raise NumericalError("curvature density is not finite on the leaf")
     integral = sphere_simpson(dens, theta, phi)
-    return CurvatureResult(tau=tau, integral=integral,
-                           center_residual=center_res, splitting_residual=split_res)
+    return CurvatureResult(integral=integral, center_residual=center_res,
+                           splitting_residual=split_res)
 
 
 def sigma_nodes(family, tau, theta, phi, rate, skip):

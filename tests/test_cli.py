@@ -65,6 +65,13 @@ class TestUsageAndConfig:
         code, _, _ = run_cli("bracket", "builtin:linear")
         assert code == 1
 
+    def test_path_takes_no_method_flag(self):
+        # RK45 is path's one integrator, so there is nothing to choose
+        code, out, err = run_cli("path", "builtin:linear?preset=su2", "--generator", "0,0,1",
+                                 "--x0", "1,0,0", "--method", "rk4")
+        assert (code, out) == (1, "")
+        assert "unrecognized arguments: --method rk4" in err
+
     def test_help_exits_clean(self):
         code, _, _ = run_cli("--help")
         assert code == 0
@@ -75,10 +82,24 @@ class TestUsageAndConfig:
         assert report["area_grid"] == [200, 100]
 
     def test_every_default_is_read_and_every_read_is_a_default(self):
-        # a key nothing reads would still be printed as a setting
-        src = Path(config.__file__).parent
-        read = {name for path in src.glob("*.py")
-                for name in re.findall(r'get_default\(\s*"(\w+)"\s*\)', path.read_text())}
+        # a key nothing reads would still be printed as a setting; a read is a
+        # string literal passed to get_default or config.get_default outside
+        # config.py (show-config's loop over every key is not one), so a
+        # comment or a docstring cannot count as one
+        read = set()
+        for path in Path(config.__file__).parent.glob("*.py"):
+            if path.name == "config.py":
+                continue
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Call) and node.args and (
+                        isinstance(node.func, ast.Name) and node.func.id == "get_default"
+                        or isinstance(node.func, ast.Attribute)
+                        and node.func.attr == "get_default"
+                        and isinstance(node.func.value, ast.Name)
+                        and node.func.value.id == "config") \
+                        and isinstance(node.args[0], ast.Constant) \
+                        and isinstance(node.args[0].value, str):
+                    read.add(node.args[0].value)
         assert read == set(config.DEFAULTS)
 
     def test_report_can_go_to_a_file(self, tmp_path):
@@ -319,10 +340,9 @@ class TestPathPipeline:
         assert code == 2 and out == ""
         assert "non-finite" in err and "gamma" in err
 
-    @pytest.mark.parametrize("method", ["rk45", "rk4"])
-    def test_non_finite_start_point_exits_2(self, method):
+    def test_non_finite_start_point_exits_2(self):
         code, out, err = run_cli("path", "builtin:linear?preset=su2", "--generator",
-                                 "0,0,1", "--x0=nan,0,0", "--method", method)
+                                 "0,0,1", "--x0=nan,0,0")
         assert code == 2 and out == ""
         assert "--x0 must have finite components" in err
 
@@ -443,7 +463,7 @@ class TestEvaluationFailures:
         ("path", "builtin:linear?preset=su2", "--generator", "0,0,exp(1000*x1)",
          "--x0", "1,0,0"),
         ("path", "builtin:linear?preset=su2", "--generator", "0,0,log(x1-1)",
-         "--x0", "1,0,0", "--method", "rk4"),
+         "--x0", "1,0,0"),
         ("validate", "builtin:su2_scaled?a=c^0.5&c=-8"),
         ("hamiltonian", "builtin:su2_scaled?a=1&c=-8", "--h", "c^0.5*x1", "--at", "1,0,0"),
     ], ids=["constant-pole-h", "constant-pole-alpha", "constant-pole-generator",
@@ -483,9 +503,9 @@ class TestEvaluationFailures:
     @pytest.mark.parametrize("argv, where", [
         (("monodromy", "builtin:foliated_spheres?f1=log(tau-2)", "--tau", "1"),
          "tau=1.0, x=[1.0]"),
-        (("path", "builtin:linear?preset=su2", "--generator", "0,0,log(x1-2)", "--x0=1,0,0",
-          "--method", "rk4"), "t=0.0, x=[1.0, 0.0, 0.0]"),
-    ], ids=["foliated", "path-rk4"])
+        (("path", "builtin:linear?preset=su2", "--generator", "0,0,log(x1-2)", "--x0=1,0,0"),
+         "t=0.0, x=[1.0, 0.0, 0.0]"),
+    ], ids=["foliated", "path"])
     def test_a_domain_error_names_the_point(self, argv, where):
         # the point evaluator names its symbol values and point
         code, out, err = run_cli(*argv)
@@ -493,14 +513,20 @@ class TestEvaluationFailures:
         assert err == ("numerical failure: expression evaluation left its domain "
                        f"at {where}: math domain error\n")
 
-    @pytest.mark.parametrize("method, message", [
+    PATH_FAILURES = {
+        # a NaN field: the RK45 step-size failure names the state
+        "rk45": ("builtin:linear?preset=su2", "--generator", "0,0,x1^0.5", "--x0=-1,0,0"),
+        # a base that overflows to inf: the gate on the samples
+        "overflow": ("builtin:symplectic", "--generator", "1.5e308,0", "--x0=0,1e308"),
+    }
+
+    @pytest.mark.parametrize("case, message", [
         ("rk45", "base integration failed: right-hand side is not finite (NaN) at t=0.0, "
                  "y=[-1.0, 0.0, 0.0]"),
-        ("rk4", "base integration produced non-finite values"),
+        ("overflow", "base integration produced non-finite values"),
     ])
-    def test_a_nan_field_exits_3_and_says_so(self, method, message):
-        code, out, err = run_cli("path", "builtin:linear?preset=su2", "--generator",
-                                 "0,0,x1^0.5", "--x0=-1,0,0", "--method", method)
+    def test_a_nan_field_exits_3_and_says_so(self, case, message):
+        code, out, err = run_cli("path", *self.PATH_FAILURES[case])
         assert (code, out) == (3, "")
         assert err == f"numerical failure: {message}\n"
 
@@ -753,9 +779,7 @@ class TestStartup:
         ("area-variation", "builtin:su2_scaled?a=1+R^2", "--tau", "0.5"),
         ("monodromy", "builtin:su2_scaled?a=1+R^2", "--tau", "0.5"),
         ("path", "builtin:linear?preset=su2", "--generator", "0,0,1", "--x0", "1,0,0",
-         "--method", "rk45", "--out", "path.json"),
-        ("path", "builtin:linear?preset=su2", "--generator", "0,0,1", "--x0", "1,0,0",
-         "--method", "rk4"),
+         "--out", "path.json"),
         ("integrate-field", "--path", "path.json", "--X", "0,x3,-x2"),
         ("scan", "builtin:su2_scaled?a=1+R^2", "--tau-range", "0.5:2", "--samples", "4"),
         ("transport", "--path", "path.json", "--s0", "0.3,0.2,0.1"),
