@@ -138,8 +138,9 @@ def leaf_form_many(structure, xs, us, vs, moving=None, out=None):
     (2, m) array (a new one when None), and out[0] is returned.
 
     Raises ValidationError if the structure vanishes somewhere or a vector
-    sticks out of its leaf, and NumericalError if the Jacobian of p, the
-    rate density or the density is not finite.
+    sticks out of its leaf, and NumericalError if a tangency residual or
+    vector norm, the Jacobian of p, the rate density or the density is not
+    finite.
     """
     rate = moving is not None
     cols = [c for w in (xs, us, vs, *(moving or ())) for c in np.asarray(w, dtype=float).T]
@@ -156,7 +157,11 @@ def leaf_form_many(structure, xs, us, vs, moving=None, out=None):
     for pw, ww, name in ((pu, uu, "first"), (pv, vv, "second")):
         wn = np.sqrt(ww)
         resid = np.abs(pw)
-        if np.any((resid > bound * wn) & (wn > 1e-300)):
+        # a vector of norm at most 1e-300 passes; a NaN residual or norm
+        # fails, since NaN <= x is false
+        if not np.all(resid <= np.where(wn <= 1e-300, np.inf, bound * wn)):
+            require_finite((resid, wn), f"tangency residual of the {name} argument is not "
+                           "finite on the sphere")
             mask = wn > 1e-300
             worst = float(np.max(resid[mask] / (scale[mask] * wn[mask])))
             raise ValidationError(

@@ -8,10 +8,12 @@ samples. On top of that live
   * the variation field b of the homotopy equation
         db_i/dt = da_i/deps + (d_i Pi^(jk)) a_j b_k,   b(eps, 0) = 0,
     whose endpoint curve b(eps, 1) decides membership in a homotopy class.
-    A family keeps one field per (eps grid, coupling sign), as its RK4
-    knots on t[::2]; t = 1 is a knot, so the endpoint curve is the last
-    knot, and only invariance_report reads b between knots (a cubic
-    Hermite through the knots, with slopes from the equation itself).
+    A family keeps one field per (eps grid, coupling sign): over the
+    coarse grid its RK4 knots on t[::2] (t = 1 is a knot, so the endpoint
+    curve is the last knot, and only invariance_report reads b between
+    knots, a cubic Hermite through the knots with slopes from the equation
+    itself), over the fine grid only its endpoint curve, which is all that
+    the resolution check reads.
     The first request solves the pinned coarse, pinned fine and flipped
     coarse fields (and the requested one) in one RK4 pass over all their
     slices (the base solve and this pass both step through paths.rk4_step),
@@ -35,17 +37,18 @@ da/deps is always taken by finite differences across the solved slices, not
 symbolically: a(eps, t) = alpha(eps, t, gamma(eps, t)) drags the unknown
 d(gamma)/deps into any symbolic attempt.
 
-Memory: only the solved arrays (gamma and a over the fine slices, and da/deps
-over the coarse ones) and the variation knots span the whole family. The
-variation batch forms E = (d_i Pi^(jk)) a_j with one fused kernel per block
-of t nodes and takes the fine da/deps per block too, and invariance_report
-evaluates X, L_X Pi, the midpoints of b and the densities one slice at a
-time; each writes into buffers allocated once per call. Both RK4 loops write
-the four stage values of each step into rotating buffers. The base solve's
-stage kernel (_sharp_exprs) folds the signs out of
-each term Pi^(jk) alpha_j, so a negated term is subtracted, and keeps a
-structurally zero term only where it carries a non-finite alpha_j to gamma;
-gamma has the bits of sharp_many.
+Memory: four arrays span the whole family: gamma over the fine slices, a
+over the coarse ones, the coarse fields' knots and the fine fields' endpoint
+curves. The variation batch evaluates a at the odd fine slices' points one
+block of t nodes at a time, forms E = (d_i Pi^(jk)) a_j with one fused
+kernel, and takes each grid's da/deps per block too; invariance_report
+evaluates X, L_X Pi, da/deps, the midpoints of b and the densities one
+slice at a time; each writes into buffers allocated once per call. Both RK4
+loops write the four stage values of each step into rotating buffers. The
+base solve's stage kernel (_sharp_exprs) folds the signs out of each term
+Pi^(jk) alpha_j, so a negated term is subtracted, and keeps a structurally
+zero term only where it carries a non-finite alpha_j to gamma; gamma has the
+bits of sharp_many.
 """
 
 from __future__ import annotations
@@ -58,8 +61,8 @@ import numpy as np
 from . import expr
 from .config import get_default
 from .errors import NumericalError, ValidationError, require_finite, require_within
-from .paths import (CotangentPath, differentiate_samples, end_rows, even_intervals, hermite,
-                    rk4_step)
+from .paths import (CotangentPath, differentiate_samples, end_rows, even_intervals, fd_weights,
+                    hermite, rk4_step)
 # bound only for perfbench's tracer, which wraps path_defect under this module
 from .paths import path_defect  # noqa: F401
 from .quadrature import simpson
@@ -67,11 +70,18 @@ from .quadrature import simpson
 _TIME = "t"
 _EPS = "eps"
 
-# time steps per block: the t nodes of one coupling-factor call and one
-# da/deps piece of the variation solve, and the stage times of the hoisted
-# generator terms of the base solve; even, so that each two-cell RK4 step of
-# the variation solve lies inside one block
-_DPI_BLOCK = 64
+# time steps per factor block: the t nodes of one coupling-factor call of
+# the variation solve, and the stage times of the hoisted generator terms of
+# the base solve; even, so that each two-cell RK4 step of the variation solve
+# lies inside one block. 16 keeps the factor buffer (about 0.7 MB for su2's
+# 27-slot coupling kernel on the default grid) small against the family's
+# arrays
+_DPI_BLOCK = 16
+
+# factor blocks per covector block, over which a variation batch evaluates
+# the fine covectors and takes da/deps: their cost is mostly per call, and
+# a larger block holds more (4 raised the traced op peak by 0.6 MiB)
+_COVECTOR_BLOCKS = 2
 
 # (fine, sign) of the variation fields that a family's first request solves
 # in one pass: pinned coarse, pinned fine and flipped coarse, the fields that
@@ -91,12 +101,14 @@ class PathFamily:
     generator there is no way to keep the slices honest cotangent paths.
 
     The base is solved once, on the fine grid eps_fine of 2M - 1 slices that
-    the resolution check needs; gamma and a are views of its even slices,
-    which is exact because linspace(lo, hi, 2M - 1)[::2] equals
-    linspace(lo, hi, M) and the RK4 rows do not depend on each other.
-    Solved arrays and variation fields (knots on t[::2]) are cached and
-    read-only. da/deps is held over the coarse slices only: a variation
-    batch takes it over the fine ones block by block.
+    the resolution check needs; gamma is a view of its even slices, which is
+    exact because linspace(lo, hi, 2M - 1)[::2] equals linspace(lo, hi, M)
+    and the RK4 rows do not depend on each other. The covectors a are held
+    over the coarse slices only, with the end rows of their da/deps
+    (paths.end_rows); a variation batch evaluates a over the fine ones, and
+    takes da/deps on both grids, block by block. Solved arrays and
+    variation fields (coarse knots on t[::2], fine endpoint curves) are
+    cached and read-only.
     """
 
     def __init__(self, structure, generator, x0, eps_range=(0.0, 1.0),
@@ -124,9 +136,9 @@ class PathFamily:
         self.eps_fine = _frozen(np.linspace(lo, hi, 2 * self.eps_intervals + 1))
         self.gamma = None
         self.a = None
-        self.d_eps_a = None
-        self._fine = None      # (gamma, a) over eps_fine
-        self._fields = {}      # (fine, sign) -> variation field b
+        self._gamma_f = None   # gamma over eps_fine
+        self._a_ends = None    # end rows of da/deps over eps (paths.end_rows of a)
+        self._fields = {}      # (fine, sign) -> variation field
         params = structure.params
         self._gen_fn = expr.compile_exprs_vec(
             self.generator, symbols=(_TIME, _EPS), params=params)
@@ -166,17 +178,18 @@ class PathFamily:
 
     def _solve_on(self, eps):
         """Vectorized RK4 (paths.rk4_step) of gamma' = #alpha over all given
-        eps slices.
+        eps slices; returns gamma, (M, N + 1, n).
 
         The state is component-major, (n, M) for M slices. The generator's
         subtrees that read no coordinate are evaluated once per block of
         _DPI_BLOCK steps, over the stage times t_i, t_i + h/2, t_i + h and
-        all slices, and split into per-stage argument lists. Each RK4 stage
-        then runs one CSE-compiled kernel (_sharp_exprs), which shares
-        subtrees between the rest of the generator and Pi, so gamma has the
-        bits of the unstaged route. The kernel writes its rows into the next
-        of four rotating buffers, taken in call order, as rk4_step holds
-        four stage values until its step ends."""
+        all slices, into one buffer per solve, and split into per-stage
+        argument lists. Each RK4 stage then runs one CSE-compiled kernel
+        (_sharp_exprs), which shares subtrees between the rest of the
+        generator and Pi, so gamma has the bits of the unstaged route. The
+        kernel writes its rows into the next of four rotating buffers, taken
+        in call order, as rk4_step holds four stage values until its step
+        ends."""
         n, N, M = self.structure.dim, self.t_intervals, len(eps)
         t, h = self.t, 1.0 / N
         gamma = np.empty((M, N + 1, n))
@@ -188,15 +201,24 @@ class PathFamily:
         # each buffer is split into its rows once: the kernel writes them,
         # and rhs returns the first n of them as one array
         buffers = itertools.cycle([(b[:n], tuple(b)) for b in np.empty((4, stage.slots, M))])
+        # the free terms' points of a whole block, times stage-major, then
+        # step, then slice; a shorter last block takes a prefix of each
+        free_fn = self._free_fn
+        points = 3 * min(_DPI_BLOCK, N) * M
+        if free_fn is not None:
+            free_rows, t_at, eps_at = (np.empty((free_fn.slots, points)), np.empty(points),
+                                       np.tile(eps, points // M))
         # a diverging base overflows; the check below raises on it
         with np.errstate(all="ignore"):
             for lo in range(0, N, _DPI_BLOCK):
                 ti = t[lo:min(lo + _DPI_BLOCK, N)]
                 times = np.stack([ti, ti + 0.5 * h, ti + h])
-                free = np.empty((0, 3, len(ti), M))
-                if self._free_fn is not None:
-                    free = self._free_fn(np.empty((0, times.size * M)), np.repeat(times, M),
-                                         np.tile(eps, times.size)).reshape(-1, 3, len(ti), M)
+                free = np.empty((0, *times.shape, M))
+                if free_fn is not None:
+                    m = times.size * M
+                    np.copyto(t_at[:m].reshape(free.shape[1:]), times[..., None])
+                    free = free_fn(np.empty((0, m)), t_at[:m], eps_at[:m],
+                                   rows=free_rows[:, :m]).reshape(-1, *free.shape[1:])
                 # the kernel's symbol values at stage time j of step r
                 args = [[(tv, eps, *free[:, j, r]) for r, tv in enumerate(times[j].tolist())]
                         for j in range(3)]
@@ -210,18 +232,23 @@ class PathFamily:
                     state = rk4_step(rhs, state, h)
                     gamma[:, lo + r + 1] = state.T
         require_finite(gamma, "family base integration produced non-finite values")
+        return gamma
+
+    def _covectors(self, gamma, eps):
+        """a = alpha(eps, t, gamma) over the given slices, one evaluation per
+        slice with its eps as a scalar."""
         a = np.empty_like(gamma)
-        for m in range(M):
-            a[m] = self._gen_fn(gamma[m].T, t, eps[m]).T
-        return gamma, a
+        for m in range(len(eps)):
+            a[m] = self._gen_fn(gamma[m].T, self.t, eps[m]).T
+        return a
 
     def solve(self):
         if self.gamma is None:
-            self._fine = tuple(_frozen(v) for v in self._solve_on(self.eps_fine))
-            # views of read-only arrays are read-only
-            self.gamma, self.a = self._fine[0][::2], self._fine[1][::2]
-            self.d_eps_a = _frozen(
-                differentiate_samples(self.a, self.eps[1] - self.eps[0]))
+            gamma_f = _frozen(self._solve_on(self.eps_fine))
+            # a view of a read-only array is read-only
+            self._gamma_f, self.gamma = gamma_f, gamma_f[::2]
+            self.a = _frozen(self._covectors(self.gamma, self.eps))
+            self._a_ends = _frozen(end_rows(self.a, self.eps[1] - self.eps[0]))
         return self
 
     def slice_path(self, m):
@@ -232,9 +259,11 @@ class PathFamily:
 
     def variation_field(self, sign, fine=False):
         """Variation field b with coupling sign +1 (pinned) or -1 (flipped,
-        the transport field) over the coarse or the fine eps grid: its RK4
-        knots on t[::2], a read-only (M, N/2 + 1, n) array, solved once per
-        (grid, sign).
+        the transport field), solved once per (grid, sign) and read-only.
+        Over the coarse eps grid it is b's RK4 knots on t[::2], an (M, N/2 +
+        1, n) array; over the fine grid only its endpoint curve b(eps_fine,
+        1), a (2M - 1, n) array, which is all that the resolution check
+        reads.
 
         The first request solves, in one pass of _variation_fields, the
         requested field and those of _FIRST_BATCH (the three that
@@ -245,12 +274,7 @@ class PathFamily:
         if key not in self._fields:
             self.solve()
             keys = [key] if self._fields else list(dict.fromkeys((key,) + _FIRST_BATCH))
-            rows = np.arange(len(self.eps_fine))
-            fine = _d_eps_by_block(self._fine[1], self.eps_fine[1] - self.eps_fine[0])
-            parts = [(rows, fine, s) if f else (rows[::2], lambda span: self.d_eps_a[:, span], s)
-                     for f, s in keys]
-            fields = _variation_fields(self.structure, self.t, *self._fine, parts)
-            for k, b in zip(keys, fields):
+            for k, b in _variation_fields(self, keys).items():
                 if b is not None:
                     self._fields[k] = _frozen(b)
             if key not in self._fields:
@@ -355,35 +379,25 @@ def _coupling_kernel(structure):
     return structure.evaluator("coupling factor", lambda: _factor_exprs(structure))
 
 
-def _block_factors(kernel, gamma_f, a_f, rows, span, cells):
-    """E = (d_i Pi^(jk)) a_j (see _factor_exprs) at the t nodes of
-    span and the fine eps slices rows: one (n, n, n, R) view per node, [j,
-    k, i, r] at slice rows[r], for R rows.
+def _block_factors(kernel, gamma, a, rows, cells):
+    """E = (d_i Pi^(jk)) a_j (see _factor_exprs) at one block of t nodes
+    and the fine eps slices rows: one (n, n, n, R) view per node, [j, k, i,
+    r] at slice rows[r], for R rows. gamma and a are the block's points and
+    covectors over every fine slice, node-major, (n, nodes, slices).
 
-    The points and covectors are gathered node-major into the first 2n
-    rows of cells, a flat buffer of at least (2n + kernel.slots) * nodes * R
-    floats, and the kernel writes its rows into the rest of it, so a caller
-    that passes one buffer for every block allocates nothing per block."""
-    n, R = gamma_f.shape[2], len(rows)
-    nodes = gamma_f[0, span].shape[0]
+    The points and covectors are gathered into the first 2n rows of cells,
+    a flat buffer of at least (2n + kernel.slots) * nodes * R floats, and
+    the kernel writes its rows into the rest of it, so a caller that passes
+    one buffer for every block allocates nothing per block."""
+    (n, nodes, _), R = gamma.shape, len(rows)
     m = nodes * R
     x = cells[:2 * n * m].reshape(2 * n, nodes, R)
     # rows are in range; mode "clip" writes into out, where "raise" buffers
-    for values, out in ((gamma_f, x[:n]), (a_f, x[n:])):
-        np.take(values[:, span].transpose(2, 1, 0), rows, axis=2, out=out, mode="clip")
+    for values, out in ((gamma, x[:n]), (a, x[n:])):
+        np.take(values, rows, axis=2, out=out, mode="clip")
     E = kernel(x.reshape(2 * n, m),
                rows=cells[2 * n * m:(2 * n + kernel.slots) * m].reshape(-1, m))
     return list(np.moveaxis(E.reshape(n, n, n, nodes, R), 3, 0))
-
-
-def _d_eps_by_block(a, step):
-    """da/deps over every eps slice of a (M, nodes, n), as a function of a
-    slice of t nodes: the interior rows by the stencil over that block, the
-    end rows sliced from end_rows of the whole a (their BLAS sum depends on
-    the shape), so that each block has the bits of
-    differentiate_samples(a, step)."""
-    ends = end_rows(a, step)
-    return lambda span: differentiate_samples(a[:, span], step, ends[:, span])
 
 
 def _coupling(E, b, buf, out):
@@ -399,59 +413,106 @@ def _coupling(E, b, buf, out):
     return np.add.reduce(buf.reshape(-1, *b.shape), axis=0, initial=0.0, out=out)
 
 
-def _variation_fields(structure, t, gamma_f, a_f, parts):
-    """Variation fields of several (grid, sign) pairs in one RK4 pass: RK4
-    for db/dt = da/deps + sign (d_i Pi^(jk)) a_j b_k over the rows of all
-    parts, one paths.rk4_step of size 2h per two grid cells, so that the
-    step's half points are stored nodes.
+def _variation_fields(family, parts):
+    """Variation fields of a solved family for several (fine, sign) parts in
+    one RK4 pass: RK4 for db/dt = da/deps + sign (d_i Pi^(jk)) a_j b_k over
+    the eps slices of all parts, one paths.rk4_step of size 2h per two grid
+    cells, so that the step's half points are stored nodes.
 
-    Each part is (rows, d_eps, sign): the fine eps slices of the grid, a
-    function giving da/deps over them at a slice of t nodes, (len(rows),
-    nodes, n), and the coupling sign. Returns one field per part, its knots
-    on t[::2] as an (M, N/2 + 1, n) view, or None where its values are not
-    finite; every row has the bits of a separate solve with coupling_many.
+    Returns {part: field}: a coarse part's knots on t[::2], an (M, N/2 + 1,
+    n) view, a fine part's endpoint curve b(eps_fine, 1), (2M - 1, n), and
+    None where the values are not finite. Every row has the bits of a
+    separate solve with coupling_many.
 
-    Only gamma_f, a_f and the knots span the whole family. The state is
-    component-major, (n, R). Per block of _DPI_BLOCK time steps, one kernel
-    call forms E = (d_i Pi^(jk)) a_j at the rows' gathered points
-    (_block_factors), and the parts' da/deps are laid out node by node; both
-    go into buffers allocated once per batch. Each stage is one _coupling
-    call, scaled by the sign and added to da/deps in the next of four
-    rotating buffers (see PathFamily._solve_on). Non-finite values are left
-    to the end: a diverging part must not stop the others, or warn while
-    they are solved.
+    Only the family's fine gamma and coarse a, and the coarse knots, span
+    the whole family. The state is component-major, (n, R). Per covector
+    block of _COVECTOR_BLOCKS * _DPI_BLOCK time steps:
+      * a over the fine slices: the even ones are the family's a, the odd
+        ones are evaluated at their points by the family's generator
+        evaluator with eps per point (elementwise, so the floats of
+        PathFamily's slice-by-slice evaluation);
+      * each grid's da/deps, once: the interior rows by the stencil over
+        the block, the end rows sliced from paths.end_rows of the whole
+        grid (their BLAS sum depends on the array's shape), for the fine
+        grid from a on its 7 + 7 edge slices, evaluated once per batch.
+    Per factor block of _DPI_BLOCK steps, one kernel call forms
+    E = (d_i Pi^(jk)) a_j at the rows' gathered points (_block_factors).
+    All of it goes into buffers allocated once per batch. Each stage is one
+    _coupling call, scaled by the sign and added to da/deps in the next of
+    four rotating buffers (see PathFamily._solve_on).
+
+    Non-finite values are left to the end: a diverging part must not stop
+    the others, or warn while they are solved. A fine part is checked at its
+    endpoint only, which loses nothing. _coupling adds every (j, k) term,
+    the zero factors included, so a non-finite E, da/deps or state entry
+    makes every component of that row's next stage non-finite (0 * inf is
+    NaN), and RK4 only scales and adds, so it reaches t = 1.
     """
-    n, N = gamma_f.shape[2], len(t) - 1
+    t, gamma_f, eps_f = family.t, family._gamma_f, family.eps_fine
+    n, N, M, S = gamma_f.shape[2], len(t) - 1, len(family.eps), len(eps_f)
     h = t[1] - t[0]
-    rows = np.concatenate([part[0] for part in parts])
-    sign = np.concatenate([np.full(len(part[0]), float(part[2])) for part in parts])
-    knots = np.empty((rows.size, N // 2 + 1, n))
+    parts = sorted(parts, key=lambda part: part[0])     # coarse parts first
+    grids = {fine for fine, _ in parts}
+    steps = {False: family.eps[1] - family.eps[0], True: eps_f[1] - eps_f[0]}
+    ends = {False: family._a_ends}
+    if True in grids:
+        edge = np.r_[0:7, S - 7:S]
+        ends[True] = end_rows(family._covectors(gamma_f[edge], eps_f[edge]), steps[True])
+    slices = np.arange(S)
+    rows = np.concatenate([slices if fine else slices[::2] for fine, _ in parts])
+    sign = np.concatenate([np.full(S if fine else M, s) for fine, s in parts])
+    coarse = M * sum(not fine for fine, _ in parts)
+    knots = np.empty((coarse, N // 2 + 1, n))
     knots[:, 0] = 0.0
     cur = np.zeros((n, rows.size))
     buf = np.empty((n, n, n, rows.size))
     buffers = itertools.cycle(np.empty((4, n, rows.size)))
-    kernel = _coupling_kernel(structure)
-    nodes = min(_DPI_BLOCK, N) + 1
-    cells = np.empty((2 * n + kernel.slots) * nodes * rows.size)
+    kernel, gen = _coupling_kernel(family.structure), family._gen_fn
+    # a covector block's points on the M - 1 odd fine slices, node-major,
+    # with their t and eps, and a over all its fine slices; a shorter last
+    # block takes a prefix of each
+    nodes = min(_COVECTOR_BLOCKS * _DPI_BLOCK, N) + 1
+    odd = (M - 1) * nodes
+    points, t_at, eps_at = np.empty((n, odd)), np.empty(odd), np.tile(eps_f[1::2], nodes)
+    a_rows, a_block = np.empty((gen.slots, odd)), np.empty((n, nodes, S))
     d_eps = np.empty((nodes, n, rows.size))
+    cells = np.empty((2 * n + kernel.slots) * (min(_DPI_BLOCK, N) + 1) * rows.size)
     with np.errstate(all="ignore"):
-        for start in range(0, N, _DPI_BLOCK):
-            stop = min(start + _DPI_BLOCK, N)
-            span = slice(start, stop + 1)
-            E = _block_factors(kernel, gamma_f, a_f, rows, span, cells)
-            F = np.concatenate([d(span).transpose(1, 2, 0) for _, d, _ in parts], axis=2,
-                               out=d_eps[:stop + 1 - start])
+        for lo in range(0, N, _COVECTOR_BLOCKS * _DPI_BLOCK):
+            hi = min(lo + _COVECTOR_BLOCKS * _DPI_BLOCK, N)
+            span = slice(lo, hi + 1)
+            m = (hi + 1 - lo) * (M - 1)
+            np.copyto(points[:, :m].reshape(n, -1, M - 1), gamma_f[1::2, span].transpose(2, 1, 0))
+            np.copyto(t_at[:m].reshape(-1, M - 1), t[span, None])
+            a = a_block[:, :hi + 1 - lo]
+            a[:, :, ::2] = family.a[:, span].transpose(2, 1, 0)
+            a[:, :, 1::2] = gen(points[:, :m], t_at[:m], eps_at[:m],
+                                rows=a_rows[:, :m]).reshape(n, -1, M - 1)
+            pieces = {fine: differentiate_samples(
+                a.transpose(2, 1, 0) if fine else family.a[:, span], steps[fine],
+                ends[fine][:, span]) for fine in grids}
+            F = np.concatenate([pieces[fine].transpose(1, 2, 0) for fine, _ in parts], axis=2,
+                               out=d_eps[:hi + 1 - lo])
+            for start in range(lo, hi, _DPI_BLOCK):
+                stop = min(start + _DPI_BLOCK, hi)
+                E = _block_factors(kernel, gamma_f[:, start:stop + 1].transpose(2, 1, 0),
+                                   a[:, start - lo:stop + 1 - lo], rows, cells)
 
-            def rhs(j, b):
-                k = _coupling(E[i + j - start], b, buf, next(buffers))
-                np.multiply(sign, k, out=k)
-                return np.add(F[i + j - start], k, out=k)
+                def rhs(j, b):
+                    k = _coupling(E[i + j - start], b, buf, next(buffers))
+                    np.multiply(sign, k, out=k)
+                    return np.add(F[i + j - lo], k, out=k)
 
-            for i in range(start, stop, 2):
-                cur = rk4_step(rhs, cur, 2.0 * h)
-                knots[:, i // 2 + 1] = cur.T
-    return [b if np.all(np.isfinite(b)) else None
-            for b in np.split(knots, np.cumsum([len(p[0]) for p in parts])[:-1])]
+                for i in range(start, stop, 2):
+                    cur = rk4_step(rhs, cur, 2.0 * h)
+                    knots[:, i // 2 + 1] = cur[:, :coarse].T
+    fields, first = {}, 0
+    for fine, s in parts:
+        size = S if fine else M
+        b = cur[:, first:first + size].T.copy() if fine else knots[first:first + size]
+        fields[(fine, s)] = b if np.all(np.isfinite(b)) else None
+        first += size
+    return fields
 
 
 _ORDER_SIGNS = {"pinned": 1.0, "flipped": -1.0}
@@ -465,7 +526,8 @@ def solve_variation(family, order="pinned", check_resolution=True):
     With check_resolution the endpoint curve is compared with the one over
     the family's fine grid (eps step halved) on shared nodes; a change above
     10% flags the grid as coarse. The returned field b is the family's cached,
-    read-only array of knots on t[::2].
+    read-only array of knots on t[::2]; of the fine field, only its endpoint
+    curve is solved.
     """
     if order not in _ORDER_SIGNS:
         raise ValidationError(f"order must be 'pinned' or 'flipped', got {order!r}")
@@ -478,9 +540,9 @@ def solve_variation(family, order="pinned", check_resolution=True):
     coarse_flag = False
     if check_resolution:
         b_f = family.variation_field(sign, fine=True)
-        delta = float(np.max(np.abs(b_f[::2, -1] - var)))
+        delta = float(np.max(np.abs(b_f[::2] - var)))
         floor = 1e-8 * max(1.0, float(np.max(np.abs(family.a))))
-        scale = max(float(np.max(np.abs(b_f[:, -1]))), floor)
+        scale = max(float(np.max(np.abs(b_f))), floor)
         change = delta / scale
         coarse_flag = not change <= 0.10
     return VariationResult(eps=family.eps, t=family.t[::2], b=b, var=var,
@@ -537,6 +599,20 @@ def _lie_derivative_upper(structure, X):
     return out
 
 
+def _d_eps_row(family, m, w):
+    """Row m of differentiate_samples(family.a, step) at the knots t[::2],
+    with its bits, for w = fd_weights(arange(-3, 4)), the stencil's central
+    weights: the interior rows are elementwise, and the end rows are the
+    family's end_rows of the whole a."""
+    M = len(family.eps)
+    if 3 <= m < M - 3:
+        # numpy reduces an outer axis term by term, from the initial value
+        # in order, as the stencil's sum adds them
+        return np.add.reduce(w[:, None, None] * family.a[m - 3:m + 4, ::2], axis=0,
+                             initial=0.0) / (family.eps[1] - family.eps[0])
+    return family._a_ends[m if m < 3 else m - M + 6, ::2]
+
+
 @dataclass
 class InvarianceReport:
     lhs: float
@@ -567,10 +643,11 @@ def invariance_report(family, field):
     1.5e-11 or less where the start is fixed).
     Non-finite field values or L_X Pi densities raise NumericalError.
 
-    X, L_X Pi, the knot slopes, b between the knots and the density are
-    taken one slice at a time; X, L_X Pi and b go through buffers allocated
-    once per call. Of what the report makes, only the (M, nodes) line and
-    bulk integrands and X at t = 1, (n, M), span the whole family.
+    X, L_X Pi, da/deps at the knots (_d_eps_row), the knot slopes, b
+    between the knots and the density are taken one slice at a time; X,
+    L_X Pi and b go through buffers allocated once per call. Of what the
+    report makes, only the (M, nodes) line and bulk integrands and X at
+    t = 1, (n, M), span the whole family.
     """
     S = family.structure
     X = expr.components(field, S.dim, params=S.params, what="vector field")
@@ -589,7 +666,7 @@ def invariance_report(family, field):
     X_end = np.empty((n, M))
     b = np.empty((nodes, n))
     line, density = np.empty((M, nodes)), np.zeros((M, nodes))
-    step = family.t[2] - family.t[0]
+    step, w = family.t[2] - family.t[0], fd_weights(np.arange(-3, 4))
     for m, (g, a) in enumerate(zip(family.gamma, family.a)):
         X_vals = X_fn(g.T, rows=X_rows).T
         require_finite(X_vals, "vector field X is not finite along the family")
@@ -598,7 +675,7 @@ def invariance_report(family, field):
         lx = lx_fn(g.T, rows=lx_rows)
         # b between the knots: db/dt at the knots from the transport
         # field's own equation
-        slope = family.d_eps_a[m, ::2] - S.coupling_many(g[::2], a[::2], knots[m])
+        slope = _d_eps_row(family, m, w) - S.coupling_many(g[::2], a[::2], knots[m])
         c0, c1, c2, c3 = hermite(knots[m], step * slope)
         b[::2], b[1::2] = knots[m], c0 + 0.5 * (c1 + 0.5 * (c2 + 0.5 * c3))
         for col, (j, k) in enumerate(itertools.combinations(range(n), 2)):

@@ -82,17 +82,19 @@ def solve_ivp(fun, t_span, y0, *, rtol, atol, t_eval=None):
     and, at t_eval, its dense output, so y and nfev carry scipy's bits. Without
     t_eval, y holds y0 and the state after each step. The caller checks y0 and
     the tolerances. integrate_base and transport call it through this name.
-    A step-size failure after a NaN of fun at a finite state names that state.
+    A step-size failure after a non-finite value of fun at a finite state
+    names that state, and whether the value was NaN or inf.
     """
     t0, tf = map(float, t_span)
-    nfev, nan_at = 0, None
+    nfev, bad_at = 0, None
 
     def rhs(t, y):
-        nonlocal nfev, nan_at
+        nonlocal nfev, bad_at
         nfev += 1
         value = np.asarray(fun(t, y), dtype=float)
-        if nan_at is None and np.isnan(value).any() and np.isfinite(y).all():
-            nan_at = f"right-hand side is not finite (NaN) at t={float(t)!r}, y={y.tolist()}"
+        if bad_at is None and not np.isfinite(value).all() and np.isfinite(y).all():
+            kind = "NaN" if np.isnan(value).any() else "inf"
+            bad_at = f"right-hand side is not finite ({kind}) at t={float(t)!r}, y={y.tolist()}"
         return value
 
     y = np.asarray(y0).astype(float, copy=False)
@@ -116,7 +118,7 @@ def solve_ivp(fun, t_span, y0, *, rtol, atol, t_eval=None):
         rejected = False
         while True:
             if not h_abs >= min_step:  # a NaN step fails here too
-                return OdeResult(_stack(samples, t_eval), False, nan_at or _TOO_SMALL_STEP, nfev)
+                return OdeResult(_stack(samples, t_eval), False, bad_at or _TOO_SMALL_STEP, nfev)
             t_new = min(t + h_abs, tf)
             h = t_new - t
             h_abs = np.abs(h)

@@ -72,8 +72,8 @@ MUTANTS = (
             "test_invariance_report_matches_the_reference",
             "tests/test_homotopy.py::TestInvariance::test_all_terms_nonzero_yet_balanced")),
     Mutant("invariance-midpoint-slope-sign-flipped", "src/poispath/homotopy.py",
-           "family.d_eps_a[m, ::2] - S.coupling_many(",
-           "family.d_eps_a[m, ::2] + S.coupling_many(",
+           "_d_eps_row(family, m, w) - S.coupling_many(",
+           "_d_eps_row(family, m, w) + S.coupling_many(",
            ("tests/test_homotopy.py::TestSolveOnce::"
             "test_invariance_report_matches_the_reference",
             "tests/test_homotopy.py::TestInvariance::test_all_terms_nonzero_yet_balanced")),
@@ -82,8 +82,8 @@ MUTANTS = (
            ("tests/test_paths.py::TestTransport::test_matches_a_dense_tight_reference",
             "tests/test_paths.py::TestTransport::test_reverse_inverts_transport")),
     Mutant("coarse-views-odd-slices", "src/poispath/homotopy.py",
-           "self._fine[0][::2], self._fine[1][::2]",
-           "self._fine[0][1::2], self._fine[1][1::2]",
+           "self._gamma_f, self.gamma = gamma_f, gamma_f[::2]",
+           "self._gamma_f, self.gamma = gamma_f, gamma_f[1::2]",
            ("tests/test_homotopy.py::TestSolveOnce::test_bitwise_equal_to_separate_solves",
             "tests/test_homotopy.py::TestSolveOnce::"
             "test_invariance_report_matches_the_reference")),
@@ -120,12 +120,28 @@ MUTANTS = (
             "test_fused_coupling_factor_matches_the_retired_route_bit_for_bit",
             "tests/test_homotopy.py::TestSolveOnce::test_bitwise_equal_to_separate_solves")),
     Mutant("fine-da-deps-ends-per-block", "src/poispath/homotopy.py",
-           "differentiate_samples(a[:, span], step, ends[:, span])",
-           "differentiate_samples(a[:, span], step)",
+           "ends[fine][:, span]) for fine in grids}",
+           "None if fine else ends[fine][:, span]) for fine in grids}",
            ("tests/test_homotopy.py::TestSolveOnce::"
             "test_fine_d_eps_by_block_has_the_bits_of_the_whole_array",
             "tests/test_homotopy.py::TestSolveOnce::test_a_later_lone_field_matches_the_reference",
             "tests/test_homotopy.py::TestSolveOnce::test_bitwise_equal_to_separate_solves")),
+    Mutant("fine-endpoint-finiteness-dropped", "src/poispath/homotopy.py",
+           "fields[(fine, s)] = b if np.all(np.isfinite(b)) else None",
+           "fields[(fine, s)] = b if fine or np.all(np.isfinite(b)) else None",
+           ("tests/test_homotopy.py::TestSolveOnce::"
+            "test_a_diverging_field_does_not_fail_its_batch",)),
+    Mutant("solve-ivp-names-nan-only", "src/poispath/paths.py",
+           "if bad_at is None and not np.isfinite(value).all() and",
+           "if bad_at is None and np.isnan(value).any() and",
+           ("tests/test_paths.py::TestIntegrateBase::"
+            "test_an_overflowing_field_is_named_in_the_failure",)),
+    Mutant("tangency-nan-reads-tangent", "src/poispath/connection.py",
+           "if not np.all(resid <= np.where(wn <= 1e-300, np.inf, bound * wn)):",
+           "if np.any((resid > bound * wn) & (wn > 1e-300)):",
+           ("tests/test_errors.py::test_a_nan_at_a_bound_site_fails_closed[tangency]",
+            "tests/test_cli.py::TestChartFamilies::"
+            "test_a_nan_tangent_vector_exits_3_at_the_tangency_check")),
     Mutant("coupling-reduce-k-j-order", "src/poispath/homotopy.py",
            "np.add.reduce(buf.reshape(-1, *b.shape)",
            "np.add.reduce(buf.transpose(1, 0, 2, 3).reshape(-1, *b.shape)",

@@ -931,13 +931,13 @@ class TestChartFamilies:
         assert "not finite" in err
 
     def test_non_finite_density_exits_3(self, tmp_path):
-        # the second component is inf - inf at phi = 0, where the tangency
-        # check cannot see it
-        chart = tmp_path / "nan.json"
+        # the chart's derivatives are about 1e160, so |u|^2, |v|^2 and the
+        # density overflow while the tangency residuals stay finite: only
+        # the density checks can see it
+        chart = tmp_path / "overflow.json"
         chart.write_text(json.dumps({
-            "sigma": ["tau*sin(theta)*cos(phi)",
-                      "tau*sin(theta)*sin(phi)*(1+(sin(phi)^2)^0.5 - (sin(phi)^2)^0.5)",
-                      "tau*cos(theta)"],
+            "sigma": ["tau*sin(1e160*theta)*cos(1e160*phi)",
+                      "tau*sin(1e160*theta)*sin(1e160*phi)", "tau*cos(1e160*theta)"],
             "tau_range": [0.5, 2],
         }))
         for command, message in (("area", "leaf density is not finite"),
@@ -946,6 +946,22 @@ class TestChartFamilies:
                                      "--tau", "1", "--family", str(chart))
             assert code == 3 and out == ""
             assert message in err
+
+    def test_a_nan_tangent_vector_exits_3_at_the_tangency_check(self, tmp_path):
+        # the second component's phi-derivative is 0 * inf at phi = 0, so
+        # the second tangent vector holds a NaN; a NaN residual is no pass
+        chart = tmp_path / "nan.json"
+        chart.write_text(json.dumps({
+            "sigma": ["tau*sin(theta)*cos(phi)",
+                      "tau*sin(theta)*sin(phi)*(1+(sin(phi)^2)^0.5 - (sin(phi)^2)^0.5)",
+                      "tau*cos(theta)"],
+            "tau_range": [0.5, 2],
+        }))
+        for command in ("area", "area-variation"):
+            code, out, err = run_cli(command, "builtin:linear?preset=su2",
+                                     "--tau", "1", "--family", str(chart))
+            assert code == 3 and out == ""
+            assert "tangency residual of the second argument is not finite" in err
 
     def test_monodromy_rejects_chart_plus_splitting(self, sigma_file):
         code, _, err = run_cli("monodromy", "builtin:su2_scaled?a=1",

@@ -108,6 +108,27 @@ def _center_residual(monkeypatch):
     return lambda: monodromy.curvature_periods(su2(), su2_splitting(), 1.5)
 
 
+def _tangency(monkeypatch):
+    """A NaN in the sphere kernel's p.u root alone (its rows end with dens,
+    |p|^2, p.u, p.v, |u|^2, |v|^2): the density stays finite, so only the
+    tangency check can see it; `NaN > bound` alone reads "tangent"."""
+    make = connection._sphere_kernel
+
+    def patched(structure, rate):
+        kernel = make(structure, rate)
+
+        def edited(cols, rows=None):
+            out = kernel(cols, rows=rows)
+            out[-4, 0] = math.nan
+            return out
+
+        edited.slots = kernel.slots
+        return edited
+
+    monkeypatch.setattr(connection, "_sphere_kernel", patched)
+    return lambda: connection.sphere_area(su2(), 1.0)
+
+
 def _flow_defect(monkeypatch):
     circle = paths.integrate_base(su2(), ("0", "0", "1"), (1.0, 0.0, 0.0))
     monkeypatch.setattr(paths, "path_defect", lambda *args: math.nan)
@@ -126,9 +147,10 @@ def _killing_determinant(monkeypatch):
     (_area_doubling, "sphere area at tau=1.0 unstable under grid doubling"),
     (_rate_doubling, "area derivative at tau=1.0 unstable under grid doubling"),
     (_center_residual, "curvature center residual is not finite on the leaf"),
+    (_tangency, "tangency residual of the first argument is not finite on the sphere"),
     (_flow_defect, "flow defect nan exceeds"),
     (_killing_determinant, "Killing form determinant is not finite at [0.0, 0.0, 0.0]"),
-], ids=["area-doubling", "rate-doubling", "center-residual", "flow-defect",
+], ids=["area-doubling", "rate-doubling", "center-residual", "tangency", "flow-defect",
         "killing-determinant"])
 def test_a_nan_at_a_bound_site_fails_closed(monkeypatch, inject, message):
     call = inject(monkeypatch)

@@ -20,7 +20,8 @@ from poispath.core import PoissonStructure
 from poispath.errors import ParseError, NumericalError, ValidationError
 from poispath.homotopy import (PathFamily, flow_by_action, invariance_report, is_homotopy,
                                solve_variation)
-from poispath.paths import differentiate_samples, field_integral, integrate_base, path_defect
+from poispath.paths import (differentiate_samples, fd_weights, field_integral, integrate_base,
+                            path_defect)
 
 # right-translated derivative of exp(t E3) exp(eps t (1-t) E1) on the
 # rotation algebra; the group endpoint exp(E3) does not depend on eps
@@ -216,7 +217,7 @@ class TestVariation:
         def nan_fine(sign, fine=False):
             b = field(sign, fine).copy()
             if fine:
-                b[3, -1, 0] = np.nan
+                b[3, 0] = np.nan
             return b
 
         monkeypatch.setattr(fam, "variation_field", nan_fine)
@@ -388,11 +389,10 @@ class TestSolveOnce:
         fam = SOLVE_ONCE_CASES[case]().solve()
         gamma, a, d_eps_a, fields = _solve_once_reference(case)
         _same_bits(fam.eps_fine[::2], fam.eps)
-        for got, want in zip(fam._fine, oracles.base_reference(fam, fam.eps_fine)):
-            _same_bits(got, want)
+        _same_bits(fam._gamma_f, oracles.base_reference(fam, fam.eps_fine)[0])
         _same_bits(fam.gamma, gamma)
         _same_bits(fam.a, a)
-        _same_bits(fam.d_eps_a, d_eps_a)
+        _same_bits(fam._a_ends, np.concatenate([d_eps_a[:3], d_eps_a[-3:]]))
         # a different first request makes a different batch (here all four
         # fields, the requested one first), with the same bits
         flipped_first = SOLVE_ONCE_CASES[case]().solve()
@@ -409,7 +409,8 @@ class TestSolveOnce:
                 _same_bits(result.b, b)
                 _same_bits(result.var, b[:, -1])
                 _same_bits(result.var, result.b[:, -1])
-                _same_bits(family.variation_field(sign, fine=True), b_fine)
+                # the fine field is solved as its endpoint curve only
+                _same_bits(family.variation_field(sign, fine=True), b_fine[:, -1])
                 assert result.resolution_change == change
         assert np.max(np.abs(fields[-1.0][0])) > 0.0
 
@@ -466,16 +467,42 @@ class TestSolveOnce:
             with pytest.raises(NumericalError, match="variation equation"):
                 fam.variation_field(-1.0, fine=fine)
 
-    def test_fine_d_eps_by_block_has_the_bits_of_the_whole_array(self):
-        # the interior rows are elementwise; the end rows' BLAS sums change
-        # their bits with the array's shape, so they come from the whole
+    def test_fine_d_eps_by_block_has_the_bits_of_the_whole_array(self, monkeypatch):
+        # the batch takes each grid's da/deps once per covector block, from
+        # a evaluated at the block's points on the fine grid: the interior
+        # rows are elementwise; the end rows' BLAS sums change their bits
+        # with the array's shape, so they come from the whole grid (the fine
+        # one's from a on its edge slices)
         fam = SOLVE_ONCE_CASES["su2_scaled-drift"]().solve()
-        a_f, step = fam._fine[1], fam.eps_fine[1] - fam.eps_fine[0]
-        by_block, whole = homotopy._d_eps_by_block(a_f, step), differentiate_samples(a_f, step)
-        N = fam.t_intervals
-        for start in range(0, N, homotopy._DPI_BLOCK):
-            span = slice(start, min(start + homotopy._DPI_BLOCK, N) + 1)
-            _same_bits(by_block(span), whole[:, span])
+        pieces, differentiate = [], homotopy.differentiate_samples
+
+        def spied(y, h, ends=None):
+            d = differentiate(y, h, ends)
+            pieces.append(d.copy())
+            return d
+
+        monkeypatch.setattr(homotopy, "differentiate_samples", spied)
+        fam.variation_field(1.0)
+        whole = {len(eps): oracles.base_reference(fam, eps)[2]
+                 for eps in (fam.eps, fam.eps_fine)}
+        N, B = fam.t_intervals, homotopy._COVECTOR_BLOCKS * homotopy._DPI_BLOCK
+        spans = [slice(start, min(start + B, N) + 1) for start in range(0, N, B)]
+        taken = {size: 0 for size in whole}
+        for piece in pieces:
+            span = spans[taken[len(piece)]]
+            taken[len(piece)] += 1
+            _same_bits(piece, whole[len(piece)][:, span])
+        # one piece per grid and block
+        assert taken == {size: len(spans) for size in whole}
+
+    @pytest.mark.parametrize("case", ["su2_scaled-drift", "su3-partial-block"])
+    def test_d_eps_rows_of_the_report_have_the_bits_of_the_whole_array(self, case):
+        # invariance_report takes da/deps one slice at a time, at the knots
+        fam = SOLVE_ONCE_CASES[case]().solve()
+        whole = _solve_once_reference(case)[2]
+        w = fd_weights(np.arange(-3, 4))
+        for m in range(len(fam.eps)):
+            _same_bits(homotopy._d_eps_row(fam, m, w), whole[m, ::2])
 
     @pytest.mark.parametrize("case", ["su2_scaled-drift", "su3-partial-block"])
     def test_a_later_lone_field_matches_the_reference(self, case):
@@ -487,7 +514,7 @@ class TestSolveOnce:
         gamma_f, a_f, d_eps_a_f = oracles.base_reference(fam, fam.eps_fine)
         want = oracles.variation_field_reference(fam.structure, fam.t, gamma_f, a_f,
                                                  d_eps_a_f, -1.0)
-        _same_bits(fam.variation_field(-1.0, fine=True), want)
+        _same_bits(fam.variation_field(-1.0, fine=True), want[:, -1])
 
     def test_each_grid_and_sign_is_solved_once(self, su2, monkeypatch):
         solves, passes = [], []
@@ -497,9 +524,9 @@ class TestSolveOnce:
             solves.append(len(eps))
             return solve_on(self, eps)
 
-        def counted_fields(structure, t, gamma_f, a_f, parts):
-            passes.append([(len(rows), sign) for rows, _, sign in parts])
-            return fields(structure, t, gamma_f, a_f, parts)
+        def counted_fields(family, parts):
+            passes.append(list(parts))
+            return fields(family, parts)
 
         monkeypatch.setattr(PathFamily, "_solve_on", counted_solve_on)
         monkeypatch.setattr(homotopy, "_variation_fields", counted_fields)
@@ -509,11 +536,11 @@ class TestSolveOnce:
         solve_variation(fam)
         invariance_report(fam, ("0", "0", "0.5"))
         # the first request solves the three fields of `variation --X`
-        assert [sorted(p) for p in passes] == [[(9, -1.0), (9, 1.0), (17, 1.0)]]
+        first = [(False, -1.0), (False, 1.0), (True, 1.0)]
+        assert [sorted(p) for p in passes] == [first]
         solve_variation(fam, order="flipped")
         assert solves == [17]
-        assert [sorted(p) for p in passes] == [[(9, -1.0), (9, 1.0), (17, 1.0)],
-                                               [(17, -1.0)]]
+        assert [sorted(p) for p in passes] == [first, [(True, -1.0)]]
 
     def test_three_fields_stay_within_the_memory_bound(self):
         # tracemalloc peak over the start while a default-grid family solves
@@ -523,8 +550,10 @@ class TestSolveOnce:
         # in-house spline per field over slopes solved in one pass (12.14
         # MiB measured before the next change), 9.09 MiB with fields kept as
         # their knots, 5.45 MiB with the fused coupling-factor kernel and
-        # da/deps per block in buffers allocated once per batch; the bound
-        # is that plus about 15 %
+        # da/deps per block in buffers allocated once per batch, 2.48 MiB
+        # with 16-step factor blocks, fine fields kept as their endpoint
+        # curves and the fine covectors evaluated per block; the bound is
+        # that plus about 15 %
         structure = helpers.su2_scaled("1 + R^2")
         generator = SOLVE_ONCE_CASES["su2_scaled-drift"]().generator
         fam = PathFamily(structure, generator, (0.8, 0.1, 0.3)).solve()
@@ -535,30 +564,48 @@ class TestSolveOnce:
             for fine, sign in homotopy._FIRST_BATCH:
                 fam.variation_field(sign, fine=fine)
 
-        assert helpers.traced_peak_mib(fields) <= 6.3
+        assert helpers.traced_peak_mib(fields) <= 2.9
 
     def test_invariance_report_stays_within_the_memory_bound(self):
         # tracemalloc peak over the start of one report on a default-grid
         # family whose flipped field is cached: 5.76 MiB with a spline over
         # all slices, 12.38 MiB with Hermite knot slopes over all slices at
         # once, 5.27 MiB with them and the midpoints taken slice by slice,
-        # 1.34 MiB with X, L_X Pi and b taken slice by slice too; the bound
-        # is that plus about 15 %
+        # 1.34 MiB with X, L_X Pi and b taken slice by slice too, 1.34 MiB
+        # with da/deps taken slice by slice as well; the bound is that plus
+        # about 15 %
         structure = helpers.su2_scaled("1 + R^2")
         generator = SOLVE_ONCE_CASES["su2_scaled-drift"]().generator
         fam = PathFamily(structure, generator, (0.8, 0.1, 0.3)).solve()
         field = [f"0.3 + 0.1*x{(k + 1) % 3 + 1}^2 - 0.2*x{k + 1}" for k in range(3)]
         assert helpers.traced_peak_mib(lambda: invariance_report(fam, field)) <= 1.55
 
+    def test_a_variation_op_stays_within_the_memory_bound(self):
+        # tracemalloc peak over the start of the library calls of one
+        # `poispath variation --X` on a default-grid family: the solve,
+        # is_homotopy, solve_variation and invariance_report; 5.48 MiB when
+        # this bound was set, which is that plus about 15 %
+        structure = helpers.su2_scaled("1 + R^2")
+        generator = SOLVE_ONCE_CASES["su2_scaled-drift"]().generator
+        field = [f"0.3 + 0.1*x{(k + 1) % 3 + 1}^2 - 0.2*x{k + 1}" for k in range(3)]
+
+        def variation():
+            fam = PathFamily(structure, generator, (0.8, 0.1, 0.3))
+            is_homotopy(fam)
+            solve_variation(fam)
+            invariance_report(fam, field)
+
+        assert helpers.traced_peak_mib(variation) <= 6.3
+
     def test_cached_arrays_are_read_only(self, group_family):
         result = solve_variation(group_family)
         assert result.b is group_family.variation_field(1.0)
         # the coarse base is a view of the fine solve's even slices
-        assert np.shares_memory(group_family.gamma, group_family._fine[0])
-        assert np.shares_memory(group_family.a, group_family._fine[1])
+        assert np.shares_memory(group_family.gamma, group_family._gamma_f)
         cached = (group_family.t, group_family.eps, group_family.eps_fine,
-                  group_family.gamma, group_family.a, group_family.d_eps_a,
-                  result.t, result.b, group_family.variation_field(1.0, fine=True),
+                  group_family.gamma, group_family.a, group_family._gamma_f,
+                  group_family._a_ends, result.t, result.b,
+                  group_family.variation_field(1.0, fine=True),
                   group_family.variation_field(-1.0))
         for array in cached:
             with pytest.raises(ValueError, match="read-only"):
@@ -657,8 +704,9 @@ class TestStageKernel:
     @given(fam=_stage_case())
     def test_stage_kernel_matches_the_sharp_many_route(self, fam):
         fam.solve()
-        for got, want in zip(fam._fine, oracles.base_reference(fam, fam.eps_fine)):
-            _same_bits(got, want)
+        gamma_f, a_f, _ = oracles.base_reference(fam, fam.eps_fine)
+        _same_bits(fam._gamma_f, gamma_f)
+        _same_bits(fam.a, a_f[::2])
 
     def test_solve_and_first_field_stay_within_the_memory_bound(self):
         # tracemalloc peak over the start of the base solve and the first
@@ -666,6 +714,8 @@ class TestStageKernel:
         # stages wrote into rotating buffers, 20.58 MiB after, 15.67 MiB with
         # fields kept as their knots and the coarse base as views of the
         # fine, 10.15 MiB with the fused coupling-factor kernel and no fine
+        # da/deps held, 5.48 MiB with 16-step factor blocks, fine fields
+        # kept as their endpoint curves and no fine covectors or coarse
         # da/deps held; the bound is that plus about 15 %
         structure = helpers.su2_scaled("1 + R^2")
         generator = SOLVE_ONCE_CASES["su2_scaled-drift"]().generator
@@ -673,7 +723,7 @@ class TestStageKernel:
         def solve():
             PathFamily(structure, generator, (0.8, 0.1, 0.3)).solve().variation_field(1.0)
 
-        assert helpers.traced_peak_mib(solve) <= 11.7
+        assert helpers.traced_peak_mib(solve) <= 6.3
 
 
 _ENTRIES = st.one_of(st.sampled_from([0.0, -0.0, np.inf, -np.inf, np.nan]),
@@ -745,7 +795,8 @@ def test_fused_coupling_factor_matches_the_retired_route_bit_for_bit(case):
     kernel = homotopy._coupling_kernel(S)
     cells = np.full((2 * n + kernel.slots) * nodes * len(rows), np.nan)
     with np.errstate(all="ignore"):
-        got = np.stack(homotopy._block_factors(kernel, gamma_f, a_f, rows, span, cells))
+        got = np.stack(homotopy._block_factors(kernel, gamma_f[:, span].transpose(2, 1, 0),
+                                               a_f[:, span].transpose(2, 1, 0), rows, cells))
         want = oracles.block_factors_reference(S, gamma_f, a_f, rows, span)
     _same_bits_but_nan_payloads(got, want)
 

@@ -78,6 +78,15 @@ class TestIntegrateBase:
                                match="^base integration produced non-finite values$"):
                 paths.integrate_base(p, ("1.5e308", "0"), (0.0, 1e308), n_intervals=8)
 
+    def test_an_overflowing_field_is_named_in_the_failure(self):
+        # the field is inf at the start point, a finite state: the failure
+        # names the overflow, its t and its state, not only the step size
+        p = registry.load("builtin:symplectic").structure
+        with pytest.raises(NumericalError) as info:
+            paths.integrate_base(p, ("1e300*x2", "0"), (0.0, 1e300), n_intervals=1000)
+        assert str(info.value) == ("base integration failed: right-hand side is not finite "
+                                   "(inf) at t=0.0, y=[0.0, 1e+300]")
+
     def test_fixed_step_agrees_with_adaptive(self):
         # the family's fixed-step RK4 base (its eps-free slice) against RK45
         p = su2_scaled("1 + R^2")
