@@ -43,12 +43,13 @@ curves. The variation batch evaluates a at the odd fine slices' points one
 block of t nodes at a time, forms E = (d_i Pi^(jk)) a_j with one fused
 kernel, and takes each grid's da/deps per block too; invariance_report
 evaluates X, L_X Pi, da/deps, the midpoints of b and the densities one
-slice at a time; each writes into buffers allocated once per call. Both RK4
-loops write the four stage values of each step into rotating buffers. The
-base solve's stage kernel (_sharp_exprs) folds the signs out of each term
-Pi^(jk) alpha_j, so a negated term is subtracted, and keeps a structurally
-zero term only where it carries a non-finite alpha_j to gamma; gamma has the
-bits of sharp_many.
+slice at a time; each writes into buffers allocated once per call. Every
+row of the paths stencil is elementwise, so da/deps taken per block or per
+slice has the bits of the whole family's. Both RK4 loops write the four
+stage values of each step into rotating buffers. The base solve's stage
+kernel (_sharp_exprs) folds the signs out of each term Pi^(jk) alpha_j, so
+a negated term is subtracted, and keeps a structurally zero term only where
+it carries a non-finite alpha_j to gamma; gamma has the bits of sharp_many.
 """
 
 from __future__ import annotations
@@ -61,7 +62,7 @@ import numpy as np
 from . import expr
 from .config import get_default
 from .errors import NumericalError, ValidationError, require_finite, require_within
-from .paths import (CotangentPath, differentiate_samples, end_rows, even_intervals, fd_weights,
+from .paths import (CotangentPath, derivative_row, differentiate_samples, even_intervals,
                     hermite, rk4_step)
 # bound only for perfbench's tracer, which wraps path_defect under this module
 from .paths import path_defect  # noqa: F401
@@ -104,11 +105,10 @@ class PathFamily:
     the resolution check needs; gamma is a view of its even slices, which is
     exact because linspace(lo, hi, 2M - 1)[::2] equals linspace(lo, hi, M)
     and the RK4 rows do not depend on each other. The covectors a are held
-    over the coarse slices only, with the end rows of their da/deps
-    (paths.end_rows); a variation batch evaluates a over the fine ones, and
-    takes da/deps on both grids, block by block. Solved arrays and
-    variation fields (coarse knots on t[::2], fine endpoint curves) are
-    cached and read-only.
+    over the coarse slices only; a variation batch evaluates a over the
+    fine ones, and takes da/deps on both grids, block by block. Solved
+    arrays and variation fields (coarse knots on t[::2], fine endpoint
+    curves) are cached and read-only.
     """
 
     def __init__(self, structure, generator, x0, eps_range=(0.0, 1.0),
@@ -137,7 +137,6 @@ class PathFamily:
         self.gamma = None
         self.a = None
         self._gamma_f = None   # gamma over eps_fine
-        self._a_ends = None    # end rows of da/deps over eps (paths.end_rows of a)
         self._fields = {}      # (fine, sign) -> variation field
         params = structure.params
         self._gen_fn = expr.compile_exprs_vec(
@@ -234,21 +233,17 @@ class PathFamily:
         require_finite(gamma, "family base integration produced non-finite values")
         return gamma
 
-    def _covectors(self, gamma, eps):
-        """a = alpha(eps, t, gamma) over the given slices, one evaluation per
-        slice with its eps as a scalar."""
-        a = np.empty_like(gamma)
-        for m in range(len(eps)):
-            a[m] = self._gen_fn(gamma[m].T, self.t, eps[m]).T
-        return a
-
     def solve(self):
         if self.gamma is None:
             gamma_f = _frozen(self._solve_on(self.eps_fine))
             # a view of a read-only array is read-only
             self._gamma_f, self.gamma = gamma_f, gamma_f[::2]
-            self.a = _frozen(self._covectors(self.gamma, self.eps))
-            self._a_ends = _frozen(end_rows(self.a, self.eps[1] - self.eps[0]))
+            # a = alpha(eps, t, gamma), one evaluation per slice with its
+            # eps as a scalar
+            a = np.empty_like(self.gamma)
+            for m, eps in enumerate(self.eps):
+                a[m] = self._gen_fn(self.gamma[m].T, self.t, eps).T
+            self.a = _frozen(a)
         return self
 
     def slice_path(self, m):
@@ -431,10 +426,9 @@ def _variation_fields(family, parts):
         ones are evaluated at their points by the family's generator
         evaluator with eps per point (elementwise, so the floats of
         PathFamily's slice-by-slice evaluation);
-      * each grid's da/deps, once: the interior rows by the stencil over
-        the block, the end rows sliced from paths.end_rows of the whole
-        grid (their BLAS sum depends on the array's shape), for the fine
-        grid from a on its 7 + 7 edge slices, evaluated once per batch.
+      * each grid's da/deps, once, by the stencil over the block's t nodes
+        (its rows are elementwise, so they have the bits of the whole
+        grid's).
     Per factor block of _DPI_BLOCK steps, one kernel call forms
     E = (d_i Pi^(jk)) a_j at the rows' gathered points (_block_factors).
     All of it goes into buffers allocated once per batch. Each stage is one
@@ -454,10 +448,6 @@ def _variation_fields(family, parts):
     parts = sorted(parts, key=lambda part: part[0])     # coarse parts first
     grids = {fine for fine, _ in parts}
     steps = {False: family.eps[1] - family.eps[0], True: eps_f[1] - eps_f[0]}
-    ends = {False: family._a_ends}
-    if True in grids:
-        edge = np.r_[0:7, S - 7:S]
-        ends[True] = end_rows(family._covectors(gamma_f[edge], eps_f[edge]), steps[True])
     slices = np.arange(S)
     rows = np.concatenate([slices if fine else slices[::2] for fine, _ in parts])
     sign = np.concatenate([np.full(S if fine else M, s) for fine, s in parts])
@@ -489,8 +479,8 @@ def _variation_fields(family, parts):
             a[:, :, 1::2] = gen(points[:, :m], t_at[:m], eps_at[:m],
                                 rows=a_rows[:, :m]).reshape(n, -1, M - 1)
             pieces = {fine: differentiate_samples(
-                a.transpose(2, 1, 0) if fine else family.a[:, span], steps[fine],
-                ends[fine][:, span]) for fine in grids}
+                a.transpose(2, 1, 0) if fine else family.a[:, span], steps[fine])
+                for fine in grids}
             F = np.concatenate([pieces[fine].transpose(1, 2, 0) for fine, _ in parts], axis=2,
                                out=d_eps[:hi + 1 - lo])
             for start in range(lo, hi, _DPI_BLOCK):
@@ -599,20 +589,6 @@ def _lie_derivative_upper(structure, X):
     return out
 
 
-def _d_eps_row(family, m, w):
-    """Row m of differentiate_samples(family.a, step) at the knots t[::2],
-    with its bits, for w = fd_weights(arange(-3, 4)), the stencil's central
-    weights: the interior rows are elementwise, and the end rows are the
-    family's end_rows of the whole a."""
-    M = len(family.eps)
-    if 3 <= m < M - 3:
-        # numpy reduces an outer axis term by term, from the initial value
-        # in order, as the stencil's sum adds them
-        return np.add.reduce(w[:, None, None] * family.a[m - 3:m + 4, ::2], axis=0,
-                             initial=0.0) / (family.eps[1] - family.eps[0])
-    return family._a_ends[m if m < 3 else m - M + 6, ::2]
-
-
 @dataclass
 class InvarianceReport:
     lhs: float
@@ -643,7 +619,7 @@ def invariance_report(family, field):
     1.5e-11 or less where the start is fixed).
     Non-finite field values or L_X Pi densities raise NumericalError.
 
-    X, L_X Pi, da/deps at the knots (_d_eps_row), the knot slopes, b
+    X, L_X Pi, da/deps at the knots (paths.derivative_row), the knot slopes, b
     between the knots and the density are taken one slice at a time; X,
     L_X Pi and b go through buffers allocated once per call. Of what the
     report makes, only the (M, nodes) line and bulk integrands and X at
@@ -666,7 +642,7 @@ def invariance_report(family, field):
     X_end = np.empty((n, M))
     b = np.empty((nodes, n))
     line, density = np.empty((M, nodes)), np.zeros((M, nodes))
-    step, w = family.t[2] - family.t[0], fd_weights(np.arange(-3, 4))
+    step, d_eps = family.t[2] - family.t[0], family.eps[1] - family.eps[0]
     for m, (g, a) in enumerate(zip(family.gamma, family.a)):
         X_vals = X_fn(g.T, rows=X_rows).T
         require_finite(X_vals, "vector field X is not finite along the family")
@@ -675,7 +651,8 @@ def invariance_report(family, field):
         lx = lx_fn(g.T, rows=lx_rows)
         # b between the knots: db/dt at the knots from the transport
         # field's own equation
-        slope = _d_eps_row(family, m, w) - S.coupling_many(g[::2], a[::2], knots[m])
+        slope = derivative_row(family.a[:, ::2], m, d_eps) - S.coupling_many(
+            g[::2], a[::2], knots[m])
         c0, c1, c2, c3 = hermite(knots[m], step * slope)
         b[::2], b[1::2] = knots[m], c0 + 0.5 * (c1 + 0.5 * (c2 + 0.5 * c3))
         for col, (j, k) in enumerate(itertools.combinations(range(n), 2)):

@@ -181,40 +181,41 @@ def fd_weights(offsets):
 
 
 @functools.cache
-def _stencils():
-    """The 7-point weights of differentiate_samples: central, then for the
-    three nodes at each end the one-sided (left, right) pairs."""
-    return fd_weights(np.arange(-3, 4)), [
-        (fd_weights(np.arange(7) - i), fd_weights(np.arange(7) - 6 + i)) for i in range(3)]
+def _stencils(ndim):
+    """The weights of differentiate_samples, term-major, shaped to broadcast
+    over samples with ndim axes: [k, r] weighs sample k of a window of seven
+    in the derivative at its node r, so [:, 3] is the central stencil and
+    the other columns are the one-sided ones of the three rows at each end."""
+    w = np.stack([fd_weights(np.arange(7) - r) for r in range(7)], axis=1)
+    w = w.reshape(7, 7, *(1,) * (ndim - 1))
+    w.setflags(write=False)
+    return w
 
 
-def end_rows(y, h):
-    """The three first and the three last rows of differentiate_samples(y,
-    h), in row order, as one (6, ...) array."""
-    _, ends = _stencils()
-    return np.stack([np.tensordot(wl, y[:7], axes=(0, 0)) / h for wl, _ in ends]
-                    + [np.tensordot(wr, y[-7:], axes=(0, 0)) / h for _, wr in ends[::-1]])
-
-
-def differentiate_samples(y, h, ends=None):
+def differentiate_samples(y, h):
     """Sixth-order derivative of uniformly sampled values, axis 0.
 
-    The interior rows are elementwise, so a slice of y along its other axes
-    gets the bits of the same slice of the whole result. The end rows are
-    not: they go through np.tensordot (BLAS), whose summation order, and so
-    whose bits, depend on the array's shape. A caller that differentiates
-    y piece by piece passes ends, end_rows of the whole y sliced as the
-    piece is."""
+    Every row adds its seven weighted samples term by term, from a 0.0
+    accumulator, elementwise, so a slice of y along its other axes gets
+    the bits of the same slice of the whole result."""
     y = np.asarray(y, dtype=float)
     m = y.shape[0]
     if m < 7:
         raise ValidationError("need at least 7 samples for the derivative stencils")
     d = np.empty_like(y)
-    w, _ = _stencils()
-    core = sum(w[k] * y[k:m - 6 + k] for k in range(7))
-    d[3:m - 3] = core / h
-    d[:3], d[m - 3:] = np.split(end_rows(y, h) if ends is None else ends, 2)
-    return d
+    w = _stencils(y.ndim)
+    d[3:m - 3] = sum(w[k, 3] * y[k:m - 6 + k] for k in range(7))
+    # numpy reduces an outer axis term by term, from the initial value
+    np.add.reduce(w[:, :3] * y[:7, None], axis=0, initial=0.0, out=d[:3])
+    np.add.reduce(w[:, 4:] * y[m - 7:, None], axis=0, initial=0.0, out=d[m - 3:])
+    return np.divide(d, h, out=d)
+
+
+def derivative_row(y, i, h):
+    """Row i of differentiate_samples(y, h), with its bits, from the seven
+    samples that the row reads."""
+    s = min(max(i - 3, 0), len(y) - 7)
+    return np.add.reduce(_stencils(y.ndim)[:, i - s] * y[s:s + 7], axis=0, initial=0.0) / h
 
 
 def path_defect(structure, t, gamma, a):

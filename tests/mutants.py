@@ -72,8 +72,8 @@ MUTANTS = (
             "test_invariance_report_matches_the_reference",
             "tests/test_homotopy.py::TestInvariance::test_all_terms_nonzero_yet_balanced")),
     Mutant("invariance-midpoint-slope-sign-flipped", "src/poispath/homotopy.py",
-           "_d_eps_row(family, m, w) - S.coupling_many(",
-           "_d_eps_row(family, m, w) + S.coupling_many(",
+           "derivative_row(family.a[:, ::2], m, d_eps) - S.coupling_many(",
+           "derivative_row(family.a[:, ::2], m, d_eps) + S.coupling_many(",
            ("tests/test_homotopy.py::TestSolveOnce::"
             "test_invariance_report_matches_the_reference",
             "tests/test_homotopy.py::TestInvariance::test_all_terms_nonzero_yet_balanced")),
@@ -119,13 +119,25 @@ MUTANTS = (
            ("tests/test_homotopy.py::"
             "test_fused_coupling_factor_matches_the_retired_route_bit_for_bit",
             "tests/test_homotopy.py::TestSolveOnce::test_bitwise_equal_to_separate_solves")),
-    Mutant("fine-da-deps-ends-per-block", "src/poispath/homotopy.py",
-           "ends[fine][:, span]) for fine in grids}",
-           "None if fine else ends[fine][:, span]) for fine in grids}",
-           ("tests/test_homotopy.py::TestSolveOnce::"
-            "test_fine_d_eps_by_block_has_the_bits_of_the_whole_array",
-            "tests/test_homotopy.py::TestSolveOnce::test_a_later_lone_field_matches_the_reference",
-            "tests/test_homotopy.py::TestSolveOnce::test_bitwise_equal_to_separate_solves")),
+    Mutant("stencil-end-rows-through-blas", "src/poispath/paths.py",
+           "    np.add.reduce(w[:, :3] * y[:7, None], axis=0, initial=0.0, out=d[:3])\n"
+           "    np.add.reduce(w[:, 4:] * y[m - 7:, None], axis=0, initial=0.0, out=d[m - 3:])\n",
+           "    d[:3] = [np.tensordot(w[:, r].ravel(), y[:7], axes=(0, 0)) for r in range(3)]\n"
+           "    d[m - 3:] = [np.tensordot(w[:, r].ravel(), y[m - 7:], axes=(0, 0))\n"
+           "                 for r in range(4, 7)]\n",
+           ("tests/test_paths.py::TestDerivativeStencils::"
+            "test_a_slice_has_the_bits_of_the_whole_result",
+            "tests/test_homotopy.py::TestSolveOnce::"
+            "test_fine_d_eps_by_block_has_the_bits_of_the_whole_array")),
+    Mutant("derivative-row-central-at-the-ends", "src/poispath/paths.py",
+           "np.add.reduce(_stencils(y.ndim)[:, i - s] * y[s:s + 7]",
+           "np.add.reduce(_stencils(y.ndim)[:, 3] * y[s:s + 7]",
+           ("tests/test_paths.py::TestDerivativeStencils::"
+            "test_a_row_has_the_bits_of_the_whole_result",
+            "tests/test_homotopy.py::TestSolveOnce::"
+            "test_d_eps_rows_of_the_report_have_the_bits_of_the_whole_array[su2_scaled-drift]",
+            "tests/test_homotopy.py::TestSolveOnce::"
+            "test_invariance_report_matches_the_reference[su2_scaled-drift]")),
     Mutant("fine-endpoint-finiteness-dropped", "src/poispath/homotopy.py",
            "fields[(fine, s)] = b if np.all(np.isfinite(b)) else None",
            "fields[(fine, s)] = b if fine or np.all(np.isfinite(b)) else None",

@@ -20,8 +20,7 @@ from poispath.core import PoissonStructure
 from poispath.errors import ParseError, NumericalError, ValidationError
 from poispath.homotopy import (PathFamily, flow_by_action, invariance_report, is_homotopy,
                                solve_variation)
-from poispath.paths import (differentiate_samples, fd_weights, field_integral, integrate_base,
-                            path_defect)
+from poispath.paths import differentiate_samples, field_integral, integrate_base, path_defect
 
 # right-translated derivative of exp(t E3) exp(eps t (1-t) E1) on the
 # rotation algebra; the group endpoint exp(E3) does not depend on eps
@@ -392,7 +391,6 @@ class TestSolveOnce:
         _same_bits(fam._gamma_f, oracles.base_reference(fam, fam.eps_fine)[0])
         _same_bits(fam.gamma, gamma)
         _same_bits(fam.a, a)
-        _same_bits(fam._a_ends, np.concatenate([d_eps_a[:3], d_eps_a[-3:]]))
         # a different first request makes a different batch (here all four
         # fields, the requested one first), with the same bits
         flipped_first = SOLVE_ONCE_CASES[case]().solve()
@@ -469,15 +467,13 @@ class TestSolveOnce:
 
     def test_fine_d_eps_by_block_has_the_bits_of_the_whole_array(self, monkeypatch):
         # the batch takes each grid's da/deps once per covector block, from
-        # a evaluated at the block's points on the fine grid: the interior
-        # rows are elementwise; the end rows' BLAS sums change their bits
-        # with the array's shape, so they come from the whole grid (the fine
-        # one's from a on its edge slices)
+        # a evaluated at the block's points on the fine grid; every row of
+        # the stencil, the end rows too, is elementwise over the t nodes
         fam = SOLVE_ONCE_CASES["su2_scaled-drift"]().solve()
         pieces, differentiate = [], homotopy.differentiate_samples
 
-        def spied(y, h, ends=None):
-            d = differentiate(y, h, ends)
+        def spied(y, h):
+            d = differentiate(y, h)
             pieces.append(d.copy())
             return d
 
@@ -496,13 +492,22 @@ class TestSolveOnce:
         assert taken == {size: len(spans) for size in whole}
 
     @pytest.mark.parametrize("case", ["su2_scaled-drift", "su3-partial-block"])
-    def test_d_eps_rows_of_the_report_have_the_bits_of_the_whole_array(self, case):
-        # invariance_report takes da/deps one slice at a time, at the knots
+    def test_d_eps_rows_of_the_report_have_the_bits_of_the_whole_array(self, case, monkeypatch):
+        # invariance_report takes da/deps one slice at a time, at the knots,
+        # through paths.derivative_row
         fam = SOLVE_ONCE_CASES[case]().solve()
         whole = _solve_once_reference(case)[2]
-        w = fd_weights(np.arange(-3, 4))
-        for m in range(len(fam.eps)):
-            _same_bits(homotopy._d_eps_row(fam, m, w), whole[m, ::2])
+        rows, derivative_row = [], homotopy.derivative_row
+
+        def spied(y, i, h):
+            rows.append(derivative_row(y, i, h))
+            return rows[-1]
+
+        monkeypatch.setattr(homotopy, "derivative_row", spied)
+        invariance_report(fam, ["1"] * fam.structure.dim)
+        assert len(rows) == len(fam.eps)
+        for m, row in enumerate(rows):
+            _same_bits(row, whole[m, ::2])
 
     @pytest.mark.parametrize("case", ["su2_scaled-drift", "su3-partial-block"])
     def test_a_later_lone_field_matches_the_reference(self, case):
@@ -604,7 +609,7 @@ class TestSolveOnce:
         assert np.shares_memory(group_family.gamma, group_family._gamma_f)
         cached = (group_family.t, group_family.eps, group_family.eps_fine,
                   group_family.gamma, group_family.a, group_family._gamma_f,
-                  group_family._a_ends, result.t, result.b,
+                  result.t, result.b,
                   group_family.variation_field(1.0, fine=True),
                   group_family.variation_field(-1.0))
         for array in cached:

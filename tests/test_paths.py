@@ -40,16 +40,51 @@ class TestDerivativeStencils:
             paths.differentiate_samples(np.zeros((5, 2)), 0.1)
 
     def test_cached_weights_are_the_solved_ones(self):
-        # the edge rows and the interior, each against a fresh weight solve
+        # the end rows and the interior, each against a fresh weight solve,
+        # its seven terms added in order to a 0.0 accumulator
         h = 0.05
         y = np.random.default_rng(4).normal(size=(12, 3))
         d = paths.differentiate_samples(y, h)
-        for row, offsets in ((4, np.arange(-3, 4)), (0, np.arange(7)),
-                             (2, np.arange(7) - 2), (10, np.arange(7) - 5)):
+        for row, offsets in ((0, np.arange(7)), (1, np.arange(7) - 1), (2, np.arange(7) - 2),
+                             (4, np.arange(-3, 4)), (9, np.arange(7) - 4),
+                             (10, np.arange(7) - 5), (11, np.arange(7) - 6)):
             w, nodes = paths.fd_weights(offsets), y[row + offsets]
-            want = (sum(w[k] * nodes[k] for k in range(7)) if row == 4
-                    else np.tensordot(w, nodes, axes=(0, 0))) / h
-            assert d[row].tobytes() == want.tobytes()
+            want = 0.0
+            for k in range(7):
+                want = want + w[k] * nodes[k]
+            assert d[row].tobytes() == (want / h).tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(m=st.integers(7, 40), trailing=st.lists(st.integers(1, 12), min_size=1, max_size=2),
+           cut=st.tuples(st.integers(0, 11), st.integers(1, 12), st.integers(1, 3)),
+           seed=st.integers(0, 2**32 - 1))
+    def test_a_slice_has_the_bits_of_the_whole_result(self, m, trailing, cut, seed):
+        # every row is elementwise over the other axes, so differentiating a
+        # slice of y along them, contiguous or not, gives the same bits as
+        # slicing the whole result; the variation batch differentiates a
+        # transposed block of t nodes
+        rng = np.random.default_rng(seed)
+        shape = (m, *trailing)
+        y = rng.normal(size=shape) * 10.0 ** rng.integers(-6, 7, size=shape)
+        s = slice(min(cut[0], trailing[0] - 1), cut[1], cut[2])
+        h = float(rng.uniform(1e-3, 1.0))
+        whole = paths.differentiate_samples(y, h)
+        assert paths.differentiate_samples(y[:, s], h).tobytes() == whole[:, s].tobytes()
+        # y's values with axis 0 the innermost in memory
+        view = np.moveaxis(np.ascontiguousarray(np.moveaxis(y, 0, -1)), -1, 0)
+        assert paths.differentiate_samples(view, h).tobytes() == whole.tobytes()
+        assert paths.differentiate_samples(view[:, s], h).tobytes() == whole[:, s].tobytes()
+
+    def test_a_row_has_the_bits_of_the_whole_result(self):
+        # invariance_report takes da/deps one row at a time, at every other t
+        rng = np.random.default_rng(7)
+        base = rng.normal(size=(5, 23, 9)) * 10.0 ** rng.integers(-6, 7, size=(5, 23, 9))
+        h = 0.03
+        for y in (base.transpose(1, 2, 0), base.transpose(1, 0, 2)[:, ::2],
+                  base[:, ::-2].transpose(1, 2, 0)[:, ::3], base[0, :, 4]):
+            whole = paths.differentiate_samples(y, h)
+            for i in range(len(y)):
+                assert paths.derivative_row(y, i, h).tobytes() == whole[i].tobytes()
 
 
 class TestIntegrateBase:
