@@ -2,25 +2,23 @@
 
 A family is given by a generator: covector components alpha_i(eps, t, x)
 pulled back along the solved base slices, gamma(eps, 0) = x0(eps). Solving
-the family fills uniform grids in t and eps with base points and covector
-samples. On top of that live
+the family fills a uniform (eps, t) grid with base points. On top of that live
 
   * the variation field b of the homotopy equation
         db_i/dt = da_i/deps + (d_i Pi^(jk)) a_j b_k,   b(eps, 0) = 0,
     whose endpoint curve b(eps, 1) decides membership in a homotopy class.
-    A family keeps one field per (eps grid, coupling sign): over the
-    coarse grid its RK4 knots on t[::2] (t = 1 is a knot, so the endpoint
-    curve is the last knot, and only invariance_report reads b between
-    knots, a cubic Hermite through the knots with slopes from the equation
-    itself), over the fine grid only its endpoint curve, which is all that
-    the resolution check reads.
-    The first request solves the pinned coarse, pinned fine and flipped
-    coarse fields (and the requested one) in one RK4 pass over all their
-    slices (the base solve and this pass both step through paths.rk4_step),
-    on the fine base only, since the coarse slices are the even fine ones;
-    a field still missing later is solved alone. The contraction adds its
-    terms in coupling_many's einsum order, so a field's bits do not depend
-    on the batch it was solved in;
+    A family keeps one endpoint curve per (eps grid, coupling sign), and
+    the RK4 knots on t[::2] of the coarse flipped field only: t = 1 is a
+    knot, and invariance_report, the only reader of b before t = 1, reads
+    that field, between its knots through a cubic Hermite with slopes from
+    the equation itself. solve() runs the base solve and the pinned coarse,
+    pinned fine and flipped coarse fields in one streamed pass over blocks
+    of t steps (both RK4 loops step through paths.rk4_step), on the fine
+    base only, since the coarse slices are the even fine ones; a field
+    still missing later (the fine flipped one) re-streams the base in a
+    pass of its own. The contraction adds its terms in coupling_many's
+    einsum order, so a field's bits do not depend on the pass it was
+    solved in;
   * the transport field of the transposed equation (coupling arguments
     swapped), which reproduces the base motion exactly: d(gamma)/deps equals
     #b_transport. The invariance identity is stated through this field.
@@ -37,23 +35,28 @@ da/deps is always taken by finite differences across the solved slices, not
 symbolically: a(eps, t) = alpha(eps, t, gamma(eps, t)) drags the unknown
 d(gamma)/deps into any symbolic attempt.
 
-Memory: four arrays span the whole family: gamma over the fine slices, a
-over the coarse ones, the coarse fields' knots and the fine fields' endpoint
-curves. The variation batch evaluates a at the odd fine slices' points one
-block of t nodes at a time, forms E = (d_i Pi^(jk)) a_j with one fused
-kernel, and takes each grid's da/deps per block too; invariance_report
-evaluates X, L_X Pi, da/deps, the midpoints of b and the densities one
-slice at a time; each writes into buffers allocated once per call. Every
-row of the paths stencil is elementwise, so da/deps taken per block or per
-slice has the bits of the whole family's. Both RK4 loops write the four
-stage values of each step into rotating buffers. The base solve's stage
-kernel (_sharp_exprs) folds the signs out of each term Pi^(jk) alpha_j, so
-a negated term is subtracted, and keeps a structurally zero term only where
-it carries a non-finite alpha_j to gamma; gamma has the bits of sharp_many.
+Memory: three arrays span the whole family: gamma over the coarse slices,
+the coarse flipped field's knots and the endpoint curves. The pass holds
+the fine base only for one covector block of t steps at a time, in a ring,
+and copies its even slices into gamma; per block it evaluates a on every
+fine slice, takes each grid's da/deps and forms E = (d_i Pi^(jk)) a_j with
+one fused kernel per factor block, and keeps only max|a| over the coarse
+slices. a over a coarse slice is evaluated again wherever it is read
+(PathFamily.covectors), with the same bits. invariance_report takes X,
+L_X Pi, a, da/deps (through a window of seven slices), the midpoints of b
+and the integrals over t one slice at a time. Each writes into buffers
+allocated once per call. Every row of the paths stencil is elementwise, so
+da/deps taken per block, per slice or over a window has the bits of the
+whole family's. Both RK4 loops write the four stage values of each step
+into rotating buffers. The base solve's stage kernel (_sharp_exprs) folds
+the signs out of each term Pi^(jk) alpha_j, so a negated term is
+subtracted, and keeps a structurally zero term only where it carries a
+non-finite alpha_j to gamma; gamma has the bits of sharp_many.
 """
 
 from __future__ import annotations
 
+import collections
 import itertools
 from dataclasses import dataclass
 
@@ -74,25 +77,36 @@ _EPS = "eps"
 # time steps per factor block: the t nodes of one coupling-factor call of
 # the variation solve, and the stage times of the hoisted generator terms of
 # the base solve; even, so that each two-cell RK4 step of the variation solve
-# lies inside one block. 16 keeps the factor buffer (about 0.7 MB for su2's
-# 27-slot coupling kernel on the default grid) small against the family's
+# lies inside one block. The factor cells size the pass's one scratch
+# buffer (see _stream): about 0.39 MB for su2's 27-slot coupling kernel on
+# the default grid at 8, 0.73 MB at 16, against the family's 1.45 MB of
 # arrays
-_DPI_BLOCK = 16
+_DPI_BLOCK = 8
 
-# factor blocks per covector block, over which a variation batch evaluates
-# the fine covectors and takes da/deps: their cost is mostly per call, and
-# a larger block holds more (4 raised the traced op peak by 0.6 MiB)
-_COVECTOR_BLOCKS = 2
+# factor blocks per covector block: the t steps of the base ring and of one
+# evaluation of the fine covectors and of each grid's da/deps, whose cost is
+# mostly per call; a larger block holds more
+_COVECTOR_BLOCKS = 4
 
-# (fine, sign) of the variation fields that a family's first request solves
-# in one pass: pinned coarse, pinned fine and flipped coarse, the fields that
+# (fine, sign) of the variation fields that solve() solves in its pass:
+# pinned coarse, pinned fine and flipped coarse, the fields that
 # `poispath variation --X` reads
 _FIRST_BATCH = ((False, 1.0), (True, 1.0), (False, -1.0))
+
+# the one field kept on its knots: the coarse transport field, which
+# invariance_report reads between t = 0 and t = 1
+_KNOTTED = (False, -1.0)
 
 
 def _frozen(array):
     array.setflags(write=False)
     return array
+
+
+def _solved(field):
+    if field is None:
+        raise NumericalError("variation equation produced non-finite values")
+    return field
 
 
 class PathFamily:
@@ -101,14 +115,14 @@ class PathFamily:
     Arbitrary sample-level families are rejected by construction: without a
     generator there is no way to keep the slices honest cotangent paths.
 
-    The base is solved once, on the fine grid eps_fine of 2M - 1 slices that
-    the resolution check needs; gamma is a view of its even slices, which is
-    exact because linspace(lo, hi, 2M - 1)[::2] equals linspace(lo, hi, M)
-    and the RK4 rows do not depend on each other. The covectors a are held
-    over the coarse slices only; a variation batch evaluates a over the
-    fine ones, and takes da/deps on both grids, block by block. Solved
-    arrays and variation fields (coarse knots on t[::2], fine endpoint
-    curves) are cached and read-only.
+    solve() streams the base over the fine grid eps_fine of 2M - 1 slices
+    that the resolution check needs, block by block, and keeps gamma, its
+    even slices, which is exact because linspace(lo, hi, 2M - 1)[::2] equals
+    linspace(lo, hi, M) and the RK4 rows do not depend on each other. The
+    same pass solves the variation fields of _FIRST_BATCH (see _stream).
+    The covectors a are not kept: covectors(m) evaluates them over a coarse
+    slice. gamma, the endpoint curves and the transport knots are cached and
+    read-only.
     """
 
     def __init__(self, structure, generator, x0, eps_range=(0.0, 1.0),
@@ -135,9 +149,9 @@ class PathFamily:
         self.eps = _frozen(np.linspace(lo, hi, self.eps_intervals + 1))
         self.eps_fine = _frozen(np.linspace(lo, hi, 2 * self.eps_intervals + 1))
         self.gamma = None
-        self.a = None
-        self._gamma_f = None   # gamma over eps_fine
-        self._fields = {}      # (fine, sign) -> variation field
+        self.covector_max = None   # max |a| over the coarse slices
+        self._knots = None         # the _KNOTTED field on t[::2]
+        self._fields = {}          # (fine, sign) -> endpoint curve, None if not finite
         params = structure.params
         self._gen_fn = expr.compile_exprs_vec(
             self.generator, symbols=(_TIME, _EPS), params=params)
@@ -175,106 +189,130 @@ class PathFamily:
     def start_points(self, eps):
         return self._x0_fn((), np.asarray(eps)).T
 
-    def _solve_on(self, eps):
-        """Vectorized RK4 (paths.rk4_step) of gamma' = #alpha over all given
-        eps slices; returns gamma, (M, N + 1, n).
+    def _base_blocks(self, scratch=None):
+        """Vectorized RK4 (paths.rk4_step) of gamma' = #alpha over the eps_fine
+        slices, streamed: per block of _COVECTOR_BLOCKS * _DPI_BLOCK steps
+        (the last one may be shorter), yields (lo, nodes), where nodes holds
+        the block's t nodes lo..hi over every fine slice, an (n, hi + 1 - lo,
+        2M - 1) view of a ring that the next block overwrites; its node 0 is
+        the last node of the block before (the start points in the first).
+        A block with non-finite values raises NumericalError.
 
-        The state is component-major, (n, M) for M slices. The generator's
-        subtrees that read no coordinate are evaluated once per block of
-        _DPI_BLOCK steps, over the stage times t_i, t_i + h/2, t_i + h and
-        all slices, into one buffer per solve, and split into per-stage
-        argument lists. Each RK4 stage then runs one CSE-compiled kernel
-        (_sharp_exprs), which shares subtrees between the rest of the
-        generator and Pi, so gamma has the bits of the unstaged route. The
-        kernel writes its rows into the next of four rotating buffers, taken
-        in call order, as rk4_step holds four stage values until its step
-        ends."""
-        n, N, M = self.structure.dim, self.t_intervals, len(eps)
-        t, h = self.t, 1.0 / N
-        gamma = np.empty((M, N + 1, n))
+        The state is component-major, (n, S) for S slices. The generator's
+        subtrees that read no coordinate are evaluated once per _DPI_BLOCK
+        steps, over the stage times t_i, t_i + h/2, t_i + h and all slices,
+        into the front of scratch (a flat buffer, a new one when None), and
+        split into per-stage argument lists. Each RK4 stage then runs one
+        CSE-compiled kernel (_sharp_exprs), which shares subtrees between the
+        rest of the generator and Pi, so gamma has the bits of the unstaged
+        route. The kernel writes its rows into the next of four rotating
+        buffers, taken in call order, as rk4_step holds four stage values
+        until its step ends."""
+        eps, n, N = self.eps_fine, self.structure.dim, self.t_intervals
+        t, h, S = self.t, 1.0 / N, len(eps)
         state = self.start_points(eps).T
         require_finite(state, f"start point ({', '.join(map(str, self.x0_exprs))}) is not "
                        "finite over the eps range", ValidationError)
-        gamma[:, 0] = state.T
+        ring = np.empty((n, min(_COVECTOR_BLOCKS * _DPI_BLOCK, N) + 1, S))
+        ring[:, -1] = state
         stage = self._stage_fn
         # each buffer is split into its rows once: the kernel writes them,
         # and rhs returns the first n of them as one array
-        buffers = itertools.cycle([(b[:n], tuple(b)) for b in np.empty((4, stage.slots, M))])
-        # the free terms' points of a whole block, times stage-major, then
+        buffers = itertools.cycle([(b[:n], tuple(b)) for b in np.empty((4, stage.slots, S))])
+        # the free terms' points of a factor block, times stage-major, then
         # step, then slice; a shorter last block takes a prefix of each
-        free_fn = self._free_fn
-        points = 3 * min(_DPI_BLOCK, N) * M
+        free_fn, B = self._free_fn, ring.shape[1] - 1
+        points = 3 * min(_DPI_BLOCK, N) * S
         if free_fn is not None:
-            free_rows, t_at, eps_at = (np.empty((free_fn.slots, points)), np.empty(points),
-                                       np.tile(eps, points // M))
-        # a diverging base overflows; the check below raises on it
-        with np.errstate(all="ignore"):
-            for lo in range(0, N, _DPI_BLOCK):
-                ti = t[lo:min(lo + _DPI_BLOCK, N)]
-                times = np.stack([ti, ti + 0.5 * h, ti + h])
-                free = np.empty((0, *times.shape, M))
-                if free_fn is not None:
-                    m = times.size * M
-                    np.copyto(t_at[:m].reshape(free.shape[1:]), times[..., None])
-                    free = free_fn(np.empty((0, m)), t_at[:m], eps_at[:m],
-                                   rows=free_rows[:, :m]).reshape(-1, *free.shape[1:])
-                # the kernel's symbol values at stage time j of step r
-                args = [[(tv, eps, *free[:, j, r]) for r, tv in enumerate(times[j].tolist())]
-                        for j in range(3)]
+            size = free_fn.slots * points
+            free_rows = (np.empty(size) if scratch is None else scratch[:size]).reshape(-1, points)
+            t_at, eps_at = np.empty(points), np.tile(eps, points // S)
+        for lo in range(0, N, B):
+            hi = min(lo + B, N)
+            ring[:, 0] = ring[:, -1]
+            # a diverging base overflows; the check below raises on it
+            with np.errstate(all="ignore"):
+                for start in range(lo, hi, _DPI_BLOCK):
+                    ti = t[start:min(start + _DPI_BLOCK, hi)]
+                    times = np.stack([ti, ti + 0.5 * h, ti + h])
+                    free = np.empty((0, *times.shape, S))
+                    if free_fn is not None:
+                        m = times.size * S
+                        np.copyto(t_at[:m].reshape(free.shape[1:]), times[..., None])
+                        free = free_fn(np.empty((0, m)), t_at[:m], eps_at[:m],
+                                       rows=free_rows[:, :m]).reshape(-1, *free.shape[1:])
+                    # the kernel's symbol values at stage time j of step r
+                    args = [[(tv, eps, *free[:, j, r]) for r, tv in enumerate(times[j].tolist())]
+                            for j in range(3)]
 
-                def rhs(j, y):
-                    out, rows = next(buffers)
-                    stage(y, *args[j][r], rows=rows)
-                    return out
+                    def rhs(j, y):
+                        out, rows = next(buffers)
+                        stage(y, *args[j][r], rows=rows)
+                        return out
 
-                for r in range(len(ti)):
-                    state = rk4_step(rhs, state, h)
-                    gamma[:, lo + r + 1] = state.T
-        require_finite(gamma, "family base integration produced non-finite values")
-        return gamma
+                    for r in range(len(ti)):
+                        state = rk4_step(rhs, state, h)
+                        ring[:, start - lo + r + 1] = state
+            nodes = ring[:, :hi + 1 - lo]
+            require_finite(nodes, "family base integration produced non-finite values")
+            yield lo, nodes
 
     def solve(self):
+        """Solve the base and the fields of _FIRST_BATCH in one streamed
+        pass (_stream), once."""
         if self.gamma is None:
-            gamma_f = _frozen(self._solve_on(self.eps_fine))
-            # a view of a read-only array is read-only
-            self._gamma_f, self.gamma = gamma_f, gamma_f[::2]
-            # a = alpha(eps, t, gamma), one evaluation per slice with its
-            # eps as a scalar
-            a = np.empty_like(self.gamma)
-            for m, eps in enumerate(self.eps):
-                a[m] = self._gen_fn(self.gamma[m].T, self.t, eps).T
-            self.a = _frozen(a)
+            gamma = np.empty((len(self.eps), self.t_intervals + 1, self.structure.dim))
+            fields, self.covector_max = _stream(self, _FIRST_BATCH, gamma)
+            self._keep(fields)
+            self.gamma = _frozen(gamma)
         return self
+
+    def _keep(self, fields):
+        for key, b in fields.items():
+            if key == _KNOTTED and b is not None:
+                self._knots, b = _frozen(b), b[:, -1]
+            self._fields[key] = None if b is None else _frozen(b)
+
+    def covectors(self, m):
+        """a = alpha(eps, t, gamma) over the m-th coarse slice, (N + 1, n),
+        evaluated anew on each call, with its eps as a scalar; the pass
+        evaluates a with eps per point, which has the same bits."""
+        if self.gamma is None:
+            self.solve()
+        return self._gen_fn(self.gamma[m].T, self.t, self.eps[m]).T.copy()
 
     def slice_path(self, m):
         """The m-th eps slice as a standalone cotangent path."""
         self.solve()
         return CotangentPath(self.structure, self.t.copy(), self.gamma[m].copy(),
-                             self.a[m].copy())
+                             self.covectors(m))
 
     def variation_field(self, sign, fine=False):
-        """Variation field b with coupling sign +1 (pinned) or -1 (flipped,
-        the transport field), solved once per (grid, sign) and read-only.
-        Over the coarse eps grid it is b's RK4 knots on t[::2], an (M, N/2 +
-        1, n) array; over the fine grid only its endpoint curve b(eps_fine,
-        1), a (2M - 1, n) array, which is all that the resolution check
-        reads.
+        """Endpoint curve b(eps, 1) of the variation field with coupling sign
+        +1 (pinned) or -1 (flipped, the transport field): over the coarse eps
+        grid an (M, n) array, over the fine one a (2M - 1, n) array, which is
+        all that the resolution check reads. Solved once per (grid, sign) and
+        read-only.
 
-        The first request solves, in one pass of _variation_fields, the
-        requested field and those of _FIRST_BATCH (the three that
-        `poispath variation --X` reads). A field that is still missing
-        later is solved alone. A batched field with non-finite values is
-        not kept, so only a request for it raises NumericalError."""
+        solve() solves the three fields of _FIRST_BATCH, which `poispath
+        variation --X` reads. Any other (today only the fine flipped field,
+        which `variation --order flipped` reads) is solved alone, by a pass
+        that streams the base again. A field with non-finite values is not
+        kept, and a request for it raises NumericalError."""
         key = (bool(fine), float(sign))
         if key not in self._fields:
             self.solve()
-            keys = [key] if self._fields else list(dict.fromkeys((key,) + _FIRST_BATCH))
-            for k, b in _variation_fields(self, keys).items():
-                if b is not None:
-                    self._fields[k] = _frozen(b)
             if key not in self._fields:
-                raise NumericalError("variation equation produced non-finite values")
-        return self._fields[key]
+                self._keep(_stream(self, [key])[0])
+        return _solved(self._fields[key])
+
+    def transport_knots(self):
+        """The coarse flipped (transport) field on its RK4 knots t[::2], an
+        (M, N/2 + 1, n) array with b[:, 0] = 0 and the endpoint curve as its
+        last knot; solved by solve(), read-only."""
+        if self.gamma is None:
+            self.solve()
+        return _solved(self._knots)
 
 
 def _signed(e, memo):
@@ -336,11 +374,9 @@ def _sharp_exprs(structure, alpha):
 
 @dataclass
 class VariationResult:
-    """A variation field on its RK4 knots t = family.t[::2]."""
+    """The endpoint curve of a variation field and its resolution check."""
     eps: np.ndarray
-    t: np.ndarray
-    b: np.ndarray            # (M, N/2 + 1, n), b[:, 0] = 0
-    var: np.ndarray          # (M, n) endpoint curve b(eps, 1), the last knot
+    var: np.ndarray          # (M, n) endpoint curve b(eps, 1)
     max_variation: float
     resolution_change: float
     grid_coarse: bool
@@ -408,85 +444,94 @@ def _coupling(E, b, buf, out):
     return np.add.reduce(buf.reshape(-1, *b.shape), axis=0, initial=0.0, out=out)
 
 
-def _variation_fields(family, parts):
-    """Variation fields of a solved family for several (fine, sign) parts in
-    one RK4 pass: RK4 for db/dt = da/deps + sign (d_i Pi^(jk)) a_j b_k over
-    the eps slices of all parts, one paths.rk4_step of size 2h per two grid
-    cells, so that the step's half points are stored nodes.
+def _stream(family, parts, gamma=None):
+    """One streamed pass over the blocks of family._base_blocks: the
+    variation fields of several (fine, sign) parts, by RK4 for db/dt =
+    da/deps + sign (d_i Pi^(jk)) a_j b_k over the eps slices of all parts,
+    one paths.rk4_step of size 2h per two grid cells, so that the step's half
+    points are stored nodes. With gamma, an (M, N + 1, n) array, the pass
+    copies the base's even slices into it.
 
-    Returns {part: field}: a coarse part's knots on t[::2], an (M, N/2 + 1,
-    n) view, a fine part's endpoint curve b(eps_fine, 1), (2M - 1, n), and
-    None where the values are not finite. Every row has the bits of a
-    separate solve with coupling_many.
+    Returns (fields, a_max). fields maps each part to its endpoint curve
+    b(eps, 1), (M, n) or (2M - 1, n), the _KNOTTED part to its knots on
+    t[::2], (M, N/2 + 1, n), and a part with non-finite values to None.
+    Every row has the bits of a separate solve with coupling_many. a_max is
+    max |a| over the coarse slices, taken by np.maximum, so a NaN stays.
 
-    Only the family's fine gamma and coarse a, and the coarse knots, span
-    the whole family. The state is component-major, (n, R). Per covector
-    block of _COVECTOR_BLOCKS * _DPI_BLOCK time steps:
-      * a over the fine slices: the even ones are the family's a, the odd
-        ones are evaluated at their points by the family's generator
-        evaluator with eps per point (elementwise, so the floats of
-        PathFamily's slice-by-slice evaluation);
+    Of the base, only one block of t nodes is held, in the ring of
+    _base_blocks. The state is component-major, (n, R). Per covector block
+    of _COVECTOR_BLOCKS * _DPI_BLOCK time steps:
+      * a over every fine slice, by the family's generator evaluator with t
+        and eps per point (elementwise, so the floats of
+        PathFamily.covectors);
       * each grid's da/deps, once, by the stencil over the block's t nodes
         (its rows are elementwise, so they have the bits of the whole
         grid's).
     Per factor block of _DPI_BLOCK steps, one kernel call forms
     E = (d_i Pi^(jk)) a_j at the rows' gathered points (_block_factors).
-    All of it goes into buffers allocated once per batch. Each stage is one
-    _coupling call, scaled by the sign and added to da/deps in the next of
-    four rotating buffers (see PathFamily._solve_on).
+    The base's free-term rows, the covector rows and the factor cells are
+    never live at once, and share one scratch buffer; everything goes into
+    buffers allocated once per pass. Each stage is one _coupling call,
+    scaled by the sign and added to da/deps in the next of four rotating
+    buffers (see PathFamily._base_blocks).
 
     Non-finite values are left to the end: a diverging part must not stop
-    the others, or warn while they are solved. A fine part is checked at its
-    endpoint only, which loses nothing. _coupling adds every (j, k) term,
-    the zero factors included, so a non-finite E, da/deps or state entry
-    makes every component of that row's next stage non-finite (0 * inf is
-    NaN), and RK4 only scales and adds, so it reaches t = 1.
+    the others, or warn while they are solved. An endpoint curve is checked
+    alone, which loses nothing. _coupling adds every (j, k) term, the zero
+    factors included, so a non-finite E, da/deps or state entry makes every
+    component of that row's next stage non-finite (0 * inf is NaN), and RK4
+    only scales and adds, so it reaches t = 1.
     """
-    t, gamma_f, eps_f = family.t, family._gamma_f, family.eps_fine
-    n, N, M, S = gamma_f.shape[2], len(t) - 1, len(family.eps), len(eps_f)
+    t, eps_f = family.t, family.eps_fine
+    n, N, M, S = family.structure.dim, len(t) - 1, len(family.eps), len(eps_f)
     h = t[1] - t[0]
-    parts = sorted(parts, key=lambda part: part[0])     # coarse parts first
     grids = {fine for fine, _ in parts}
     steps = {False: family.eps[1] - family.eps[0], True: eps_f[1] - eps_f[0]}
     slices = np.arange(S)
     rows = np.concatenate([slices if fine else slices[::2] for fine, _ in parts])
     sign = np.concatenate([np.full(S if fine else M, s) for fine, s in parts])
-    coarse = M * sum(not fine for fine, _ in parts)
-    knots = np.empty((coarse, N // 2 + 1, n))
-    knots[:, 0] = 0.0
+    # each part's columns of the state
+    sizes = [S if fine else M for fine, _ in parts]
+    cols = {part: slice(end - size, end)
+            for part, size, end in zip(parts, sizes, np.cumsum(sizes))}
+    knots = None
+    if _KNOTTED in cols:
+        knots = np.empty((M, N // 2 + 1, n))
+        knots[:, 0] = 0.0
     cur = np.zeros((n, rows.size))
     buf = np.empty((n, n, n, rows.size))
     buffers = itertools.cycle(np.empty((4, n, rows.size)))
-    kernel, gen = _coupling_kernel(family.structure), family._gen_fn
-    # a covector block's points on the M - 1 odd fine slices, node-major,
-    # with their t and eps, and a over all its fine slices; a shorter last
-    # block takes a prefix of each
-    nodes = min(_COVECTOR_BLOCKS * _DPI_BLOCK, N) + 1
-    odd = (M - 1) * nodes
-    points, t_at, eps_at = np.empty((n, odd)), np.empty(odd), np.tile(eps_f[1::2], nodes)
-    a_rows, a_block = np.empty((gen.slots, odd)), np.empty((n, nodes, S))
-    d_eps = np.empty((nodes, n, rows.size))
-    cells = np.empty((2 * n + kernel.slots) * (min(_DPI_BLOCK, N) + 1) * rows.size)
-    with np.errstate(all="ignore"):
-        for lo in range(0, N, _COVECTOR_BLOCKS * _DPI_BLOCK):
-            hi = min(lo + _COVECTOR_BLOCKS * _DPI_BLOCK, N)
-            span = slice(lo, hi + 1)
-            m = (hi + 1 - lo) * (M - 1)
-            np.copyto(points[:, :m].reshape(n, -1, M - 1), gamma_f[1::2, span].transpose(2, 1, 0))
-            np.copyto(t_at[:m].reshape(-1, M - 1), t[span, None])
-            a = a_block[:, :hi + 1 - lo]
-            a[:, :, ::2] = family.a[:, span].transpose(2, 1, 0)
-            a[:, :, 1::2] = gen(points[:, :m], t_at[:m], eps_at[:m],
-                                rows=a_rows[:, :m]).reshape(n, -1, M - 1)
-            pieces = {fine: differentiate_samples(
-                a.transpose(2, 1, 0) if fine else family.a[:, span], steps[fine])
-                for fine in grids}
+    kernel, gen, free_fn = _coupling_kernel(family.structure), family._gen_fn, family._free_fn
+    # t and eps at a covector block's points, node-major, and a over them;
+    # a shorter last block takes a prefix of each
+    nodes_max = min(_COVECTOR_BLOCKS * _DPI_BLOCK, N) + 1
+    t_at, eps_at = np.empty(nodes_max * S), np.tile(eps_f, nodes_max)
+    a_block = np.empty((n, nodes_max, S))
+    d_eps = np.empty((nodes_max, n, rows.size))
+    scratch = np.empty(max(0 if free_fn is None else free_fn.slots * 3 * min(_DPI_BLOCK, N) * S,
+                           gen.slots * nodes_max * S,
+                           (2 * n + kernel.slots) * (min(_DPI_BLOCK, N) + 1) * rows.size))
+    a_max = 0.0
+    for lo, nodes in family._base_blocks(scratch):
+        span = nodes.shape[1]
+        hi, m = lo + span - 1, span * S
+        with np.errstate(all="ignore"):
+            if gamma is not None:
+                gamma[:, lo:hi + 1] = nodes[:, :, ::2].transpose(2, 1, 0)
+            np.copyto(t_at[:m].reshape(span, S), t[lo:hi + 1, None])
+            a = a_block[:, :span]
+            np.copyto(a, gen(nodes.reshape(n, m), t_at[:m], eps_at[:m],
+                             rows=scratch[:gen.slots * m].reshape(-1, m)).reshape(a.shape))
+            by_slice = a.transpose(2, 1, 0)
+            a_max = np.maximum(a_max, np.max(np.abs(by_slice[::2])))
+            pieces = {fine: differentiate_samples(by_slice if fine else by_slice[::2], steps[fine])
+                      for fine in grids}
             F = np.concatenate([pieces[fine].transpose(1, 2, 0) for fine, _ in parts], axis=2,
-                               out=d_eps[:hi + 1 - lo])
+                               out=d_eps[:span])
             for start in range(lo, hi, _DPI_BLOCK):
                 stop = min(start + _DPI_BLOCK, hi)
-                E = _block_factors(kernel, gamma_f[:, start:stop + 1].transpose(2, 1, 0),
-                                   a[:, start - lo:stop + 1 - lo], rows, cells)
+                E = _block_factors(kernel, nodes[:, start - lo:stop + 1 - lo],
+                                   a[:, start - lo:stop + 1 - lo], rows, scratch)
 
                 def rhs(j, b):
                     k = _coupling(E[i + j - start], b, buf, next(buffers))
@@ -495,35 +540,33 @@ def _variation_fields(family, parts):
 
                 for i in range(start, stop, 2):
                     cur = rk4_step(rhs, cur, 2.0 * h)
-                    knots[:, i // 2 + 1] = cur[:, :coarse].T
-    fields, first = {}, 0
-    for fine, s in parts:
-        size = S if fine else M
-        b = cur[:, first:first + size].T.copy() if fine else knots[first:first + size]
-        fields[(fine, s)] = b if np.all(np.isfinite(b)) else None
-        first += size
-    return fields
+                    if knots is not None:
+                        knots[:, i // 2 + 1] = cur[:, cols[_KNOTTED]].T
+    fields = {}
+    for part in parts:
+        b = knots if part == _KNOTTED else cur[:, cols[part]].T.copy()
+        fields[part] = b if np.all(np.isfinite(b)) else None
+    return fields, a_max
 
 
 _ORDER_SIGNS = {"pinned": 1.0, "flipped": -1.0}
 
 
 def solve_variation(family, order="pinned", check_resolution=True):
-    """Variation field of a solved family.
+    """Variation endpoint curve of a solved family.
 
     order "pinned" is the convention fixed by the group-path test; "flipped"
     exists for the sign-discrimination check and equals the transport field.
     With check_resolution the endpoint curve is compared with the one over
     the family's fine grid (eps step halved) on shared nodes; a change above
-    10% flags the grid as coarse. The returned field b is the family's cached,
-    read-only array of knots on t[::2]; of the fine field, only its endpoint
-    curve is solved.
+    10% flags the grid as coarse. Of the fine field, only its endpoint curve
+    is solved; the flipped one is not in the family's first pass, so its
+    check streams the base again (see PathFamily.variation_field).
     """
     if order not in _ORDER_SIGNS:
         raise ValidationError(f"order must be 'pinned' or 'flipped', got {order!r}")
     sign = _ORDER_SIGNS[order]
-    b = family.variation_field(sign)
-    var = b[:, -1].copy()
+    var = family.variation_field(sign).copy()
     max_var = float(np.max(np.linalg.norm(var, axis=1)))
 
     change = 0.0
@@ -531,13 +574,12 @@ def solve_variation(family, order="pinned", check_resolution=True):
     if check_resolution:
         b_f = family.variation_field(sign, fine=True)
         delta = float(np.max(np.abs(b_f[::2] - var)))
-        floor = 1e-8 * max(1.0, float(np.max(np.abs(family.a))))
+        floor = 1e-8 * max(1.0, float(family.covector_max))
         scale = max(float(np.max(np.abs(b_f))), floor)
         change = delta / scale
         coarse_flag = not change <= 0.10
-    return VariationResult(eps=family.eps, t=family.t[::2], b=b, var=var,
-                           max_variation=max_var, resolution_change=change,
-                           grid_coarse=coarse_flag)
+    return VariationResult(eps=family.eps, var=var, max_variation=max_var,
+                           resolution_change=change, grid_coarse=coarse_flag)
 
 
 @dataclass
@@ -619,15 +661,20 @@ def invariance_report(family, field):
     1.5e-11 or less where the start is fixed).
     Non-finite field values or L_X Pi densities raise NumericalError.
 
-    X, L_X Pi, da/deps at the knots (paths.derivative_row), the knot slopes, b
-    between the knots and the density are taken one slice at a time; X,
-    L_X Pi and b go through buffers allocated once per call. Of what the
-    report makes, only the (M, nodes) line and bulk integrands and X at
-    t = 1, (n, M), span the whole family.
+    The report streams the coarse slices: X, L_X Pi, a
+    (PathFamily.covectors), da/deps at the knots, the knot slopes, b between
+    the knots, the density and its integral over t are taken one slice at a
+    time. da/deps comes from paths.derivative_row over a window of the
+    knots of the seven slices that the slice's stencil row reads, so a is
+    evaluated up to three slices ahead. The line integrand is formed on the
+    first and last slices only, the two that lhs reads. X, L_X Pi, b and
+    the density go through buffers allocated once per call. Of what the
+    report makes, only the integrals over t and the density peaks, (M,),
+    and X at t = 1, (n, M), span the whole family.
     """
     S = family.structure
     X = expr.components(field, S.dim, params=S.params, what="vector field")
-    knots = family.variation_field(-1.0)
+    knots = family.transport_knots()
     X_fn = expr.compile_exprs_vec(X, params=S.params)
     lx_fn = expr.compile_exprs_vec(_lie_derivative_upper(S, X), params=S.params)
 
@@ -640,28 +687,42 @@ def invariance_report(family, field):
     # perfbench homotopy inputs of seeds 1-5)
     X_rows, lx_rows = np.empty((X_fn.slots, nodes)), np.empty((lx_fn.slots, nodes))
     X_end = np.empty((n, M))
-    b = np.empty((nodes, n))
-    line, density = np.empty((M, nodes)), np.zeros((M, nodes))
+    b, density = np.empty((nodes, n)), np.empty(nodes)
+    line, inner, peak = {}, np.empty(M), np.empty(M)
+    # the knots of a over slices s..s + 6, and a over the slices read into
+    # the window but not yet reported
+    window, ahead, read = np.empty((7, *knots.shape[1:])), collections.deque(), 0
     step, d_eps = family.t[2] - family.t[0], family.eps[1] - family.eps[0]
-    for m, (g, a) in enumerate(zip(family.gamma, family.a)):
+    for m, g in enumerate(family.gamma):
+        s = min(max(m - 3, 0), M - 7)
+        while read < s + 7:
+            ahead.append(family.covectors(read))
+            if read >= 7:
+                window[:-1] = window[1:]
+            window[min(read, 6)] = ahead[-1][::2]
+            read += 1
+        a = ahead.popleft()
         X_vals = X_fn(g.T, rows=X_rows).T
         require_finite(X_vals, "vector field X is not finite along the family")
-        np.einsum("ti,ti->t", a, X_vals, out=line[m])
+        if m in (0, M - 1):
+            line[m] = simpson(np.einsum("ti,ti->t", a, X_vals), family.t)
         X_end[:, m] = X_vals[-1]
         lx = lx_fn(g.T, rows=lx_rows)
         # b between the knots: db/dt at the knots from the transport
         # field's own equation
-        slope = derivative_row(family.a[:, ::2], m, d_eps) - S.coupling_many(
+        slope = derivative_row(window, m - s, d_eps) - S.coupling_many(
             g[::2], a[::2], knots[m])
         c0, c1, c2, c3 = hermite(knots[m], step * slope)
         b[::2], b[1::2] = knots[m], c0 + 0.5 * (c1 + 0.5 * (c2 + 0.5 * c3))
+        density.fill(0.0)
         for col, (j, k) in enumerate(itertools.combinations(range(n), 2)):
-            density[m] += lx[col] * (a[:, j] * b[:, k] - a[:, k] * b[:, j])
-    line = simpson(line, family.t, axis=1)
-    lhs = float(line[-1] - line[0])
+            density += lx[col] * (a[:, j] * b[:, k] - a[:, k] * b[:, j])
+        peak[m] = np.max(np.abs(density))
+        inner[m] = simpson(density, family.t)
+    lhs = float(line[M - 1] - line[0])
     endpoint = float(simpson(np.einsum("mi,mi->m", knots[:, -1], X_end.T), family.eps))
-    require_finite(density, "(L_X Pi)(a, b) density is not finite along the family")
-    bulk = float(simpson(simpson(density, family.t, axis=1), family.eps))
+    require_finite(peak, "(L_X Pi)(a, b) density is not finite along the family")
+    bulk = float(simpson(inner, family.eps))
 
     residual = abs(lhs - endpoint - bulk)
     return InvarianceReport(lhs=lhs, endpoint_term=endpoint, bulk_term=bulk,

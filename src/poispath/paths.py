@@ -293,7 +293,7 @@ def integrate_base(structure, a, x0, n_intervals=None, rtol=None, atol=None):
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (dim,):
         raise ValidationError(f"start point must have shape ({dim},), got {x0.shape}")
-    require_finite(x0, f"start point must be finite, got {x0}", ValidationError)
+    require_finite(x0, f"start point must be finite, got {x0.tolist()}", ValidationError)
     if not _MIN_RTOL <= rtol < math.inf:
         raise ValidationError(f"ODE rtol must be finite and at least {_MIN_RTOL:.3g}, "
                               f"got {rtol}")
@@ -364,7 +364,7 @@ def transport(path, s0):
     s0 = np.asarray(s0, dtype=float)
     if s0.shape != (n,):
         raise ValidationError(f"covector must have shape ({n},)")
-    require_finite(s0, f"covector must be finite, got {s0}", ValidationError)
+    require_finite(s0, f"covector must be finite, got {s0.tolist()}", ValidationError)
     # (gamma, a) between samples: cubic Hermite pieces with the stencil
     # slopes, on the uniform grid that path_defect also assumes
     xa = np.hstack([path.gamma, path.a])

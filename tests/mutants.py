@@ -63,17 +63,18 @@ MUTANTS = (
             "tests/test_paths.py::TestIntegrals::test_endpoint_identity_random_hamiltonians",
             "tests/test_acceptance.py::test_criterion_11_endpoint_identity_single_sign")),
     Mutant("variation-t-full-grid", "src/poispath/homotopy.py",
-           "VariationResult(eps=family.eps, t=family.t[::2],",
-           "VariationResult(eps=family.eps, t=family.t,",
-           ("tests/test_homotopy.py::TestSolveOnce::test_bitwise_equal_to_separate_solves",)),
+           "step, d_eps = family.t[2] - family.t[0],", "step, d_eps = family.t[1] - family.t[0],",
+           ("tests/test_homotopy.py::TestSolveOnce::"
+            "test_invariance_report_matches_the_reference",
+            "tests/test_homotopy.py::TestInvariance::test_all_terms_nonzero_yet_balanced")),
     Mutant("invariance-splines-pinned", "src/poispath/homotopy.py",
-           "family.variation_field(-1.0)", "family.variation_field(1.0)",
+           "_KNOTTED = (False, -1.0)", "_KNOTTED = (False, 1.0)",
            ("tests/test_homotopy.py::TestSolveOnce::"
             "test_invariance_report_matches_the_reference",
             "tests/test_homotopy.py::TestInvariance::test_all_terms_nonzero_yet_balanced")),
     Mutant("invariance-midpoint-slope-sign-flipped", "src/poispath/homotopy.py",
-           "derivative_row(family.a[:, ::2], m, d_eps) - S.coupling_many(",
-           "derivative_row(family.a[:, ::2], m, d_eps) + S.coupling_many(",
+           "derivative_row(window, m - s, d_eps) - S.coupling_many(",
+           "derivative_row(window, m - s, d_eps) + S.coupling_many(",
            ("tests/test_homotopy.py::TestSolveOnce::"
             "test_invariance_report_matches_the_reference",
             "tests/test_homotopy.py::TestInvariance::test_all_terms_nonzero_yet_balanced")),
@@ -82,11 +83,18 @@ MUTANTS = (
            ("tests/test_paths.py::TestTransport::test_matches_a_dense_tight_reference",
             "tests/test_paths.py::TestTransport::test_reverse_inverts_transport")),
     Mutant("coarse-views-odd-slices", "src/poispath/homotopy.py",
-           "self._gamma_f, self.gamma = gamma_f, gamma_f[::2]",
-           "self._gamma_f, self.gamma = gamma_f, gamma_f[1::2]",
+           "gamma[:, lo:hi + 1] = nodes[:, :, ::2]", "gamma[:, lo:hi + 1] = nodes[:, :, ::-2]",
            ("tests/test_homotopy.py::TestSolveOnce::test_bitwise_equal_to_separate_solves",
             "tests/test_homotopy.py::TestSolveOnce::"
             "test_invariance_report_matches_the_reference")),
+    Mutant("streamed-ring-carries-a-stale-node", "src/poispath/homotopy.py",
+           "ring[:, 0] = ring[:, -1]", "ring[:, 0] = ring[:, -2]",
+           ("tests/test_homotopy.py::TestSolveOnce::test_streamed_blocks_match_the_reference",
+            "tests/test_homotopy.py::TestSolveOnce::test_bitwise_equal_to_separate_solves")),
+    Mutant("report-window-off-by-one", "src/poispath/homotopy.py",
+           "s = min(max(m - 3, 0), M - 7)", "s = min(max(m - 4, 0), M - 7)",
+           ("tests/test_homotopy.py::TestSolveOnce::"
+            "test_d_eps_rows_of_the_report_have_the_bits_of_the_whole_array",)),
     Mutant("foliated-df-drops-x1", "src/poispath/monodromy.py",
            'expr.add(expr.differentiate(e, 1), expr.differentiate_sym(e, "tau"))',
            'expr.differentiate_sym(e, "tau")',
@@ -139,8 +147,8 @@ MUTANTS = (
             "tests/test_homotopy.py::TestSolveOnce::"
             "test_invariance_report_matches_the_reference[su2_scaled-drift]")),
     Mutant("fine-endpoint-finiteness-dropped", "src/poispath/homotopy.py",
-           "fields[(fine, s)] = b if np.all(np.isfinite(b)) else None",
-           "fields[(fine, s)] = b if fine or np.all(np.isfinite(b)) else None",
+           "fields[part] = b if np.all(np.isfinite(b)) else None",
+           "fields[part] = b if part[0] or np.all(np.isfinite(b)) else None",
            ("tests/test_homotopy.py::TestSolveOnce::"
             "test_a_diverging_field_does_not_fail_its_batch",)),
     Mutant("solve-ivp-names-nan-only", "src/poispath/paths.py",
