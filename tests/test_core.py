@@ -225,17 +225,23 @@ _BOXES = [0.0, 5e-324, 1e-3, 0.5, 1.0, 2.0, 3.7, 1e300, np.nextafter(2.0**1023, 
 @settings(max_examples=300, deadline=None)
 @given(seed=st.integers(0, 2**130), n=st.integers(1, 50), dim=st.integers(1, 8),
        box=st.sampled_from(_BOXES))
-# one to five 32-bit words of entropy, at the word boundaries
+# one to three 64-bit words of seed, at the word boundaries
 @example(seed=0, n=1, dim=1, box=2.0)
-@example(seed=2**32 - 1, n=3, dim=8, box=2.0)
-@example(seed=2**32, n=50, dim=3, box=2.0)
-@example(seed=2**63 + 12345, n=7, dim=2, box=1.0)
-@example(seed=2**128 + 7, n=4, dim=5, box=0.5)
-@example(seed=10**40, n=2, dim=4, box=3.7)
-def test_sample_points_are_numpys_draw_bit_for_bit(seed, n, dim, box):
-    want = np.random.default_rng(seed).uniform(-box, box, size=(n, dim))
-    got = core._uniform_points(seed, box, n, dim)
-    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+@example(seed=2**64 - 1, n=8, dim=8, box=2.0)
+@example(seed=2**64, n=50, dim=3, box=2.0)
+@example(seed=2**128 + 7, n=9, dim=5, box=0.5)
+@example(seed=20240, n=50, dim=3, box=2.0)
+def test_sample_points_fill_the_box_and_follow_the_seed(seed, n, dim, box):
+    points = core._sample_points(seed, box, n, dim)
+    assert points.shape == (n, dim) and points.dtype == float
+    assert np.all((-box <= points) & (points <= box))
+    # a subnormal box rounds the points onto three values, -box, 0 and box
+    if n >= 8 and box >= np.finfo(float).tiny:
+        assert np.all((points < 0).any(axis=0) & (points > 0).any(axis=0))
+    assert core._sample_points(seed, box, n, dim).tobytes() == points.tobytes()
+    if box >= 1e-3:
+        for other in (seed ^ 1, seed ^ 1 << 64, seed ^ 1 << 100):
+            assert core._sample_points(other, box, n, dim).tobytes() != points.tobytes()
 
 
 def _gl_change(seed, n):

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from helpers import su2, su2_splitting
-from poispath import connection, isotropy, monodromy, paths
+from poispath import cli, connection, isotropy, monodromy, paths
 from poispath.errors import NumericalError, ValidationError, require_finite, require_within
 from poispath.homotopy import flow_by_action
 
@@ -143,6 +143,30 @@ def _killing_determinant(monkeypatch):
     return lambda: isotropy.isotropy_data(su2(), np.zeros(3))
 
 
+def _field_integrand(monkeypatch):
+    """A stored path with one NaN covector sample: Simpson's sum would carry
+    the NaN into the reported integral."""
+    a = np.zeros((9, 3))
+    a[4, 0] = math.nan
+    path = paths.CotangentPath(su2(), np.linspace(0.0, 1.0, 9), np.zeros((9, 3)), a, defect=0.0)
+    return lambda: paths.field_integral(path, ("1", "0", "0"))
+
+
+def _structure_derivative(monkeypatch):
+    """A NaN derivative of Pi at the origin, where su2's whole dual is the
+    isotropy: the structure constants would be read off it."""
+    structure = su2()
+    monkeypatch.setattr(structure, "dpi_at", lambda x: np.full((3, 3, 3), math.nan))
+    return lambda: isotropy.isotropy_data(structure, np.zeros(3))
+
+
+def _at_value(monkeypatch):
+    """The reported expressions evaluate to NaN at the --at point."""
+    monkeypatch.setattr(cli.expr, "compile_exprs_vec",
+                        lambda exprs, params=None: lambda cols: np.full((len(exprs), 1), math.nan))
+    return lambda: cli._add_values({}, su2(), ("x1",), "1,0,0")
+
+
 @pytest.mark.parametrize("inject, message", [
     (_area_doubling, "sphere area at tau=1.0 unstable under grid doubling"),
     (_rate_doubling, "area derivative at tau=1.0 unstable under grid doubling"),
@@ -150,8 +174,11 @@ def _killing_determinant(monkeypatch):
     (_tangency, "tangency residual of the first argument is not finite on the sphere"),
     (_flow_defect, "flow defect nan exceeds"),
     (_killing_determinant, "Killing form determinant is not finite at [0.0, 0.0, 0.0]"),
+    (_field_integrand, "field integrand is not finite along the path"),
+    (_structure_derivative, "structure derivative is not finite at [0.0, 0.0, 0.0]"),
+    (_at_value, "value is not finite at --at [1.0, 0.0, 0.0]"),
 ], ids=["area-doubling", "rate-doubling", "center-residual", "tangency", "flow-defect",
-        "killing-determinant"])
+        "killing-determinant", "field-integrand", "structure-derivative", "at-value"])
 def test_a_nan_at_a_bound_site_fails_closed(monkeypatch, inject, message):
     call = inject(monkeypatch)
     with pytest.raises(NumericalError) as info:
