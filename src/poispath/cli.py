@@ -283,12 +283,14 @@ def cmd_integrate_field(args):
 def cmd_transport(args):
     path = _read_path(args.path)
     s0 = _point(args.s0, path.structure.dim, "--s0")
+    s1 = pth.transport(path, s0)
     return {
         "path": args.path,
         "s0": s0,
-        "s1": pth.transport(path, s0),
+        "s1": s1,
+        "sampling_error": pth.sampling_error(path, s0, s1),
         "defect": path.defect,
-        "settings": _settings("ode_rtol", "ode_atol"),
+        "settings": {"n_intervals": path.n_intervals},
     }
 
 

@@ -81,7 +81,15 @@ MUTANTS = (
     Mutant("transport-hermite-zero-slopes", "src/poispath/paths.py",
            "hermite(xa, differentiate_samples(xa, 1.0))", "hermite(xa, 0.0 * xa)",
            ("tests/test_paths.py::TestTransport::test_matches_a_dense_tight_reference",
-            "tests/test_paths.py::TestTransport::test_reverse_inverts_transport")),
+            "tests/test_paths.py::TestTransport::test_matches_dop853_on_the_readme_case")),
+    Mutant("transport-product-order-reversed", "src/poispath/paths.py",
+           "_mul(P[..., 1::2], P[..., :P.shape[2] - 1:2])",
+           "_mul(P[..., :P.shape[2] - 1:2], P[..., 1::2])",
+           ("tests/test_paths.py::TestTransport::test_step_product_matches_the_sequential_rk4",)),
+    Mutant("transport-stage-at-wrong-node", "src/poispath/paths.py",
+           "K4 = _mul(B[..., 2::2], eye + h * K3)", "K4 = _mul(B[..., 1::2], eye + h * K3)",
+           ("tests/test_paths.py::TestTransport::test_matches_dop853_on_the_readme_case",
+            "tests/test_paths.py::TestTransport::test_sampling_error_tracks_the_dop853_error")),
     Mutant("coarse-views-odd-slices", "src/poispath/homotopy.py",
            "gamma[:, lo:hi + 1] = nodes[:, :, ::2]", "gamma[:, lo:hi + 1] = nodes[:, :, ::-2]",
            ("tests/test_homotopy.py::TestSolveOnce::test_bitwise_equal_to_separate_solves",

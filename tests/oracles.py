@@ -39,19 +39,23 @@ whole-grid arrays. The round chart is the hand-written polar chart that the
 library's compiled round chart replaced: numpy products of sin and cos on
 fresh arrays, which the curvature references take for their nodes. The
 sigma nodes are the chart-family nodes before the arena: meshgrid angles
-and evaluators writing new arrays.
+and evaluators writing new arrays. The transport references are RK4 on the
+covector itself, step after step over transport's stage points, which its
+product of step matrices must match, and scipy's DOP853 on the base and the
+covector together from the generator, with no samples at all.
 """
 
 import math
 
 import numpy as np
+from scipy.integrate import solve_ivp
 from scipy.interpolate import CubicHermiteSpline, CubicSpline
 
 from poispath import expr
 from poispath.config import get_default
 from poispath.errors import EvalDomainError
 from poispath.homotopy import InvarianceReport, _lie_derivative_upper
-from poispath.paths import ENDPOINT_SIGN, differentiate_samples
+from poispath.paths import _SUBSTEPS, ENDPOINT_SIGN, differentiate_samples, hermite
 from poispath.quadrature import simpson
 
 
@@ -396,6 +400,54 @@ def invariance_reference(structure, t, eps, gamma, a, d_eps_a, knots, field):
                             residual=abs(lhs - endpoint - bulk),
                             max_transport_endpoint=float(
                                 np.max(np.linalg.norm(knots[:, -1], axis=1))))
+
+
+def transport_rk4_reference(path, s0):
+    """s(1) of the path's transport by RK4 on the covector itself, one step
+    after the other in time order, _SUBSTEPS steps per interval: each stage
+    finds its Hermite piece from its time t as int(t N) and takes
+    coupling_many at that one point, where transport multiplies step
+    matrices by a tree."""
+    S, N = path.structure, path.n_intervals
+    n = S.dim
+    xa = np.hstack([path.gamma, path.a])
+    c0, c1, c2, c3 = hermite(xa, differentiate_samples(xa, 1.0))
+
+    def rhs(t, s):
+        i = min(int(t * N), N - 1)
+        u = t * N - i
+        x = c0[i] + u * (c1[i] + u * (c2[i] + u * c3[i]))
+        return -S.coupling_many(x[None, :n], x[None, n:], s[None, :])[0]
+
+    s, h = np.asarray(s0, dtype=float), 1.0 / (_SUBSTEPS * N)
+    for step in range(_SUBSTEPS * N):
+        t = step * h
+        k1 = rhs(t, s)
+        k2 = rhs(t + 0.5 * h, s + 0.5 * h * k1)
+        k3 = rhs(t + 0.5 * h, s + 0.5 * h * k2)
+        k4 = rhs(t + h, s + h * k3)
+        s = s + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return s
+
+
+def transport_dop853_reference(structure, generator, x0, s0):
+    """s(1) with the base and the covector integrated together from the
+    generator a(t, x) by scipy's DOP853 at rtol = atol = 1e-13:
+    gamma' = #a, s_i' = -(d_i Pi^(jk)) a_j s_k. No samples, no interpolant."""
+    n = structure.dim
+    a_exprs = expr.components(generator, n, symbols=("t",), params=structure.params,
+                              what="covector")
+    a_fn = expr.compile_exprs(a_exprs, symbols=("t",), params=structure.params)
+
+    def rhs(t, y):
+        x, a, s = y[None, :n], np.asarray(a_fn(y[:n], t), dtype=float)[None], y[None, n:]
+        return np.concatenate([structure.sharp_many(x, a)[0],
+                               -structure.coupling_many(x, a, s)[0]])
+
+    sol = solve_ivp(rhs, (0.0, 1.0), np.concatenate([x0, s0]).astype(float),
+                    method="DOP853", rtol=1e-13, atol=1e-13)
+    assert sol.success, sol.message
+    return sol.y[n:, -1]
 
 
 def matrix_lie_path_reference(basis, coeffs, n_steps):

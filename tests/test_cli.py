@@ -311,9 +311,10 @@ class TestPathPipeline:
         code, out, err = run_cli("integrate-field", "--path", str(target), "--X", "0,x3,-x2")
         assert code == 2 and out == ""
         assert "odd sample count" in err and "has 1000" in err
-        # transport takes any count
-        code, _, err = run_cli("transport", "--path", str(target), "--s0", "0,0,1")
+        # transport takes any count; an odd one has no half grid to estimate on
+        code, out, err = run_cli("transport", "--path", str(target), "--s0", "0,0,1")
         assert code == 0, err
+        assert json.loads(out)["sampling_error"] is None
 
     @pytest.mark.parametrize("argv", [("transport", "--s0", "0,0,1"),
                                       ("integrate-field", "--X", "0,x3,-x2")],
@@ -334,6 +335,16 @@ class TestPathPipeline:
         code, out, err = run_cli(argv[0], "--path", str(target), *argv[1:])
         assert code == 2 and out == ""
         assert "'t' must run evenly from 0 to 1" in err
+
+    def test_an_overflowing_transport_exits_3(self, circle_path, tmp_path):
+        # finite samples whose step matrices overflow: the product fails closed
+        data = json.loads(circle_path.read_text())
+        data["a"] = [[1e150 * c for c in row] for row in data["a"]]
+        target = tmp_path / "huge.json"
+        target.write_text(json.dumps(data))
+        code, out, err = run_cli("transport", "--path", str(target), "--s0", "0,1,0")
+        assert (code, out) == (3, "")
+        assert "transport produced non-finite values" in err
 
     def test_non_finite_path_file_rejected_by_transport(self, nan_path):
         code, out, err = run_cli("transport", "--path", nan_path, "--s0", "1,0,0")

@@ -152,6 +152,16 @@ def _field_integrand(monkeypatch):
     return lambda: paths.field_integral(path, ("1", "0", "0"))
 
 
+def _transport_product(monkeypatch):
+    """A stored path with one NaN covector sample: the step matrices carry
+    the NaN into s(1). Through the CLI, NumericalError exits 3."""
+    a = np.zeros((13, 3))
+    a[6, 0] = math.nan
+    gamma = np.tile([1.0, 0.0, 0.0], (13, 1))
+    path = paths.CotangentPath(su2(), np.linspace(0.0, 1.0, 13), gamma, a, defect=0.0)
+    return lambda: paths.transport(path, np.array([0.3, 0.2, 0.1]))
+
+
 def _structure_derivative(monkeypatch):
     """A NaN derivative of Pi at the origin, where su2's whole dual is the
     isotropy: the structure constants would be read off it."""
@@ -175,10 +185,12 @@ def _at_value(monkeypatch):
     (_flow_defect, "flow defect nan exceeds"),
     (_killing_determinant, "Killing form determinant is not finite at [0.0, 0.0, 0.0]"),
     (_field_integrand, "field integrand is not finite along the path"),
+    (_transport_product, "transport produced non-finite values"),
     (_structure_derivative, "structure derivative is not finite at [0.0, 0.0, 0.0]"),
     (_at_value, "value is not finite at --at [1.0, 0.0, 0.0]"),
 ], ids=["area-doubling", "rate-doubling", "center-residual", "tangency", "flow-defect",
-        "killing-determinant", "field-integrand", "structure-derivative", "at-value"])
+        "killing-determinant", "field-integrand", "transport-product", "structure-derivative",
+        "at-value"])
 def test_a_nan_at_a_bound_site_fails_closed(monkeypatch, inject, message):
     call = inject(monkeypatch)
     with pytest.raises(NumericalError) as info:

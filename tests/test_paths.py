@@ -9,7 +9,7 @@ from scipy.integrate import solve_ivp as scipy_solve_ivp
 
 import oracles
 from helpers import su2, su2_scaled
-from poispath import config, homotopy, paths, registry
+from poispath import homotopy, paths, registry
 from poispath.errors import NumericalError, ValidationError
 
 # drift of the base curve for the rotation generator, frozen from the
@@ -279,21 +279,61 @@ class TestTransport:
         assert np.max(np.abs(t1 - t2)) < 1e-7
 
     @pytest.mark.parametrize("a", ["1 + R^2", "exp(R^2/3)"])
-    def test_matches_a_dense_tight_reference(self, a, monkeypatch):
+    def test_matches_a_dense_tight_reference(self, a):
         # the reference transports along the same path sampled 16000 times,
-        # at tolerances 1e-13; at 200 and 1000 samples the error measured
-        # 1.2e-10 to 1.8e-10 on 1 + R^2 and 4.7e-11 to 5.7e-11 on exp(R^2/3),
-        # where the RK45 tolerance 1e-10, not the interpolant, sets it
+        # its base solved at tolerances 1e-13; at 200 and 1000 samples the
+        # base's own tolerance 1e-10 and the sampling set the error
         p, s0 = su2_scaled(a), np.array([0.3, -0.8, 0.5])
         generator, x0 = ("x3/5", "0.3*sin(t)", "1"), (1.0, 0.0, 0.2)
-        with monkeypatch.context() as tight:
-            tight.setitem(config.DEFAULTS, "ode_rtol", 1e-13)
-            tight.setitem(config.DEFAULTS, "ode_atol", 1e-13)
-            want = paths.transport(
-                paths.integrate_base(p, generator, x0, n_intervals=16000), s0)
+        want = paths.transport(paths.integrate_base(p, generator, x0, n_intervals=16000,
+                                                    rtol=1e-13, atol=1e-13), s0)
         for n in (200, 1000):
             got = paths.transport(paths.integrate_base(p, generator, x0, n_intervals=n), s0)
             assert np.max(np.abs(got - want)) <= 5e-10
+
+    @pytest.mark.parametrize("n", [9, 21, 150])
+    def test_step_product_matches_the_sequential_rk4(self, n):
+        # 150 intervals are 300 steps: a full product block and a short one
+        p, s0 = su2_scaled("1 + R^2"), np.array([0.3, -0.8, 0.5])
+        fine = paths.integrate_base(p, ("x3/5", "0.3*sin(t)", "1"), (1.0, 0.0, 0.2),
+                                    n_intervals=2 * n)
+        path = paths.CotangentPath(p, np.linspace(0.0, 1.0, n + 1), fine.gamma[::2],
+                                   fine.a[::2])
+        got = paths.transport(path, s0)
+        assert np.max(np.abs(got - oracles.transport_rk4_reference(path, s0))) <= 1e-13
+
+    # the README case, and the error of the retired RK45 route (at tolerance
+    # 1e-10) against the same reference: within 1.5 times that route at 20 to
+    # 100 intervals; at 1,000 within its error, which its tolerance set
+    @pytest.mark.parametrize("n, bound", [(20, 1.5 * 1.11e-6), (40, 1.5 * 5.01e-8),
+                                          (100, 1.5 * 1.08e-9), (1000, 2.4e-10)])
+    def test_matches_dop853_on_the_readme_case(self, n, bound):
+        p, generator = su2_scaled("1 + R^2"), ("x2", "-x1", "1")
+        x0, s0 = np.array([1.0, 0.5, 0.0]), np.array([0.3, 0.2, 0.1])
+        want = oracles.transport_dop853_reference(p, generator, x0, s0)
+        got = paths.transport(paths.integrate_base(p, generator, x0, n_intervals=n), s0)
+        assert np.max(np.abs(got - want)) <= bound
+
+    @pytest.mark.parametrize("n", [20, 40, 100])
+    def test_sampling_error_tracks_the_dop853_error(self, n):
+        # measured: 1.87e-6 for 1.20e-6, 7.6e-8 for 5.7e-8, 1.45e-9 for 1.43e-9
+        p, generator = su2_scaled("1 + R^2"), ("x2", "-x1", "1")
+        x0, s0 = np.array([1.0, 0.5, 0.0]), np.array([0.3, 0.2, 0.1])
+        want = oracles.transport_dop853_reference(p, generator, x0, s0)
+        path = paths.integrate_base(p, generator, x0, n_intervals=n)
+        s1 = paths.transport(path, s0)
+        ratio = paths.sampling_error(path, s0, s1) / np.max(np.abs(s1 - want))
+        assert 0.5 <= ratio <= 2.0
+
+    @pytest.mark.parametrize("n, has_estimate", [(8, False), (10, False), (11, False),
+                                                 (12, True), (13, False)])
+    def test_sampling_error_needs_an_even_count_and_seven_half_samples(self, n, has_estimate):
+        path = paths.CotangentPath(su2(), np.linspace(0.0, 1.0, n + 1),
+                                   np.tile([1.0, 0.0, 0.0], (n + 1, 1)),
+                                   np.tile([0.0, 0.0, 1.0], (n + 1, 1)))
+        s0 = np.array([0.3, 0.2, 0.1])
+        estimate = paths.sampling_error(path, s0, paths.transport(path, s0))
+        assert (estimate is not None) is has_estimate
 
     def test_bad_covector_shape(self):
         p = paths.constant_path(su2(), (1.0, 0.0, 0.0), n_intervals=100)
@@ -311,11 +351,11 @@ class TestTransport:
 @st.composite
 def ode_case(draw):
     """A random smooth system y' = M sin(y) + c cos(w t) - y^3/10 of
-    dimension 1-8, its start, tolerances and whether to sample a t grid."""
+    dimension 1-8, its start, tolerances and t grid."""
     n = draw(st.integers(1, 8))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     M, c, w = rng.normal(size=(n, n)), rng.normal(size=n), rng.uniform(0.5, 6.0)
-    t_eval = np.linspace(0.0, 1.0, draw(st.integers(2, 300))) if draw(st.booleans()) else None
+    t_eval = np.linspace(0.0, 1.0, draw(st.integers(2, 300)))
     return (lambda t, y: M @ np.sin(y) + c * np.cos(w * t) - 0.1 * y**3,
             rng.normal(size=n), dict(rtol=10.0 ** draw(st.floats(-12, -3)),
                                      atol=10.0 ** draw(st.floats(-12, -3)), t_eval=t_eval))
@@ -339,7 +379,7 @@ class TestSolveIvp:
         fun, y0, options = case
         assert _same_solve(fun, y0, **options).success
 
-    @pytest.mark.parametrize("t_eval", [None, np.linspace(0.0, 1.0, 101)])
+    @pytest.mark.parametrize("t_eval", [np.linspace(0.0, 1.0, 2), np.linspace(0.0, 1.0, 101)])
     def test_too_small_step_fails_as_scipy_does(self, t_eval):
         # y' = y^2 from 2 blows up at t = 1/2
         sol = _same_solve(lambda t, y: y**2, np.array([2.0]), rtol=1e-8, atol=1e-8,
@@ -354,7 +394,7 @@ class TestSolveIvp:
         assert (sol.success, sol.nfev, sol.y.size) == (False, 2, 0)
         assert sol.message == "right-hand side is not finite (NaN) at t=0.0, y=[1.0, 1.0]"
 
-    @pytest.mark.parametrize("t_eval", [None, np.linspace(0.0, 1.0, 101)])
+    @pytest.mark.parametrize("t_eval", [np.linspace(0.0, 1.0, 2), np.linspace(0.0, 1.0, 101)])
     def test_nan_field_past_a_time_is_named_with_scipy_steps(self, t_eval):
         # y' = sqrt(1/2 - t) is NaN past t = 1/2: the steps shrink towards it
         # as scipy's do, and the failure names the first NaN
