@@ -11,14 +11,14 @@ the family fills a uniform (eps, t) grid with base points. On top of that live
     the RK4 knots on t[::2] of the coarse flipped field only: t = 1 is a
     knot, and invariance_report, the only reader of b before t = 1, reads
     that field, between its knots through a cubic Hermite with slopes from
-    the equation itself. solve() runs the base solve and the pinned coarse,
-    pinned fine and flipped coarse fields in one streamed pass over blocks
-    of t steps (both RK4 loops step through paths.rk4_step), on the fine
-    base only, since the coarse slices are the even fine ones; a field
-    still missing later (the fine flipped one) re-streams the base in a
-    pass of its own. The contraction adds its terms in coupling_many's
-    einsum order, so a field's bits do not depend on the pass it was
-    solved in;
+    the derivative stencil over the knots. solve() runs the base solve and
+    the pinned coarse, pinned fine and flipped coarse fields in one
+    streamed pass over blocks of t steps (both RK4 loops step through
+    paths.rk4_step), on the fine base only, since the coarse slices are the
+    even fine ones; a field still missing later (the fine flipped one)
+    re-streams the base in a pass of its own. The contraction adds its
+    terms in coupling_many's einsum order, so a field's bits do not depend
+    on the pass it was solved in;
   * the transport field of the transposed equation (coupling arguments
     swapped), which reproduces the base motion exactly: d(gamma)/deps equals
     #b_transport. The invariance identity is stated through this field.
@@ -43,20 +43,19 @@ fine slice, takes each grid's da/deps and forms E = (d_i Pi^(jk)) a_j with
 one fused kernel per factor block, and keeps only max|a| over the coarse
 slices. a over a coarse slice is evaluated again wherever it is read
 (PathFamily.covectors), with the same bits. invariance_report takes X,
-L_X Pi, a, da/deps (through a window of seven slices), the midpoints of b
-and the integrals over t one slice at a time. Each writes into buffers
-allocated once per call. Every row of the paths stencil is elementwise, so
-da/deps taken per block, per slice or over a window has the bits of the
-whole family's. Both RK4 loops write the four stage values of each step
-into rotating buffers. The base solve's stage kernel (_sharp_exprs) folds
-the signs out of each term Pi^(jk) alpha_j, so a negated term is
-subtracted, and keeps a structurally zero term only where it carries a
-non-finite alpha_j to gamma; gamma has the bits of sharp_many.
+L_X Pi, a, the midpoints of b and the integrals over t one slice at a
+time, into buffers allocated once per call, and no da/deps. Every row of
+the paths stencil is elementwise, so da/deps taken per block has the bits
+of the whole family's. Both RK4 loops write the four stage values of
+each step into rotating buffers. The base solve's stage kernel
+(_sharp_exprs) folds the signs out of each term Pi^(jk) alpha_j, so a
+negated term is subtracted, and keeps a structurally zero term only where
+it carries a non-finite alpha_j to gamma; gamma has the bits of
+sharp_many.
 """
 
 from __future__ import annotations
 
-import collections
 import itertools
 from dataclasses import dataclass
 
@@ -65,8 +64,7 @@ import numpy as np
 from . import expr
 from .config import get_default
 from .errors import NumericalError, ValidationError, require_finite, require_within
-from .paths import (CotangentPath, derivative_row, differentiate_samples, even_intervals,
-                    hermite, rk4_step)
+from .paths import CotangentPath, differentiate_samples, even_intervals, hermite, rk4_step
 # bound only for perfbench's tracer, which wraps path_defect under this module
 from .paths import path_defect  # noqa: F401
 from .quadrature import simpson
@@ -651,29 +649,31 @@ def invariance_report(family, field):
     holds exactly for the transport field (the one moving the base), and
     that field is used here. The bulk term reads it on t, between its knots
     on t[::2] too: there it is the midpoint of the cubic Hermite piece
-    through two knots, with the knots' slopes db/dt from the field's own
-    equation. The variation field starts at b(eps, 0) = 0, which is the
-    true one only when the start point does not move with eps: for such a
-    family the residual reports the quadrature and interpolation error
-    only. Where the start point moves, the identity also has the start
-    point's term, which this report leaves out, and the residual carries it
-    (in the test suite, 4.75e-3 where x2 starts at 0.1 cos(eps), against
-    1.5e-11 or less where the start is fixed).
+    through two knots (paths.hermite), with the knot slopes from the
+    derivative stencil over the knots. The stencil reads seven knots, so the
+    family needs at least 12 t intervals, the floor of paths.sampling_error;
+    fewer raise ValidationError. The variation field starts at b(eps, 0) =
+    0, which is the true one only when the start point does not move with
+    eps: for such a family the residual reports the quadrature and
+    interpolation error only. Where the start point moves, the identity
+    also has the start point's term, which this report leaves out, and the
+    residual carries it (in the test suite, 4.75e-3 where x2 starts at 0.1
+    cos(eps), against 1.5e-11 or less where the start is fixed).
     Non-finite field values or L_X Pi densities raise NumericalError.
 
     The report streams the coarse slices: X, L_X Pi, a
-    (PathFamily.covectors), da/deps at the knots, the knot slopes, b between
-    the knots, the density and its integral over t are taken one slice at a
-    time. da/deps comes from paths.derivative_row over a window of the
-    knots of the seven slices that the slice's stencil row reads, so a is
-    evaluated up to three slices ahead. The line integrand is formed on the
-    first and last slices only, the two that lhs reads. X, L_X Pi, b and
-    the density go through buffers allocated once per call. Of what the
-    report makes, only the integrals over t and the density peaks, (M,),
-    and X at t = 1, (n, M), span the whole family.
+    (PathFamily.covectors, read once per slice), b between the knots, the
+    density and its integral over t are taken one slice at a time. The line
+    integrand is formed on the first and last slices only, the two that lhs
+    reads. X, L_X Pi, b and the density go through buffers allocated once
+    per call. Of what the report makes, only the integrals over t and the
+    density peaks, (M,), and X at t = 1, (n, M), span the whole family.
     """
     S = family.structure
     X = expr.components(field, S.dim, params=S.params, what="vector field")
+    if family.t_intervals < 12:
+        raise ValidationError(f"the invariance report needs at least 12 t intervals, got "
+                              f"{family.t_intervals}")
     knots = family.transport_knots()
     X_fn = expr.compile_exprs_vec(X, params=S.params)
     lx_fn = expr.compile_exprs_vec(_lie_derivative_upper(S, X), params=S.params)
@@ -689,30 +689,15 @@ def invariance_report(family, field):
     X_end = np.empty((n, M))
     b, density = np.empty((nodes, n)), np.empty(nodes)
     line, inner, peak = {}, np.empty(M), np.empty(M)
-    # the knots of a over slices s..s + 6, and a over the slices read into
-    # the window but not yet reported
-    window, ahead, read = np.empty((7, *knots.shape[1:])), collections.deque(), 0
-    step, d_eps = family.t[2] - family.t[0], family.eps[1] - family.eps[0]
     for m, g in enumerate(family.gamma):
-        s = min(max(m - 3, 0), M - 7)
-        while read < s + 7:
-            ahead.append(family.covectors(read))
-            if read >= 7:
-                window[:-1] = window[1:]
-            window[min(read, 6)] = ahead[-1][::2]
-            read += 1
-        a = ahead.popleft()
+        a = family.covectors(m)
         X_vals = X_fn(g.T, rows=X_rows).T
         require_finite(X_vals, "vector field X is not finite along the family")
         if m in (0, M - 1):
             line[m] = simpson(np.einsum("ti,ti->t", a, X_vals), family.t)
         X_end[:, m] = X_vals[-1]
         lx = lx_fn(g.T, rows=lx_rows)
-        # b between the knots: db/dt at the knots from the transport
-        # field's own equation
-        slope = derivative_row(window, m - s, d_eps) - S.coupling_many(
-            g[::2], a[::2], knots[m])
-        c0, c1, c2, c3 = hermite(knots[m], step * slope)
+        c0, c1, c2, c3 = hermite(knots[m])
         b[::2], b[1::2] = knots[m], c0 + 0.5 * (c1 + 0.5 * (c2 + 0.5 * c3))
         density.fill(0.0)
         for col, (j, k) in enumerate(itertools.combinations(range(n), 2)):

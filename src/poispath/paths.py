@@ -151,15 +151,6 @@ def solve_ivp(fun, t_span, y0, *, rtol, atol, t_eval):
                      nfev)
 
 
-def hermite(y, dy):
-    """Power coefficients (c0, c1, c2, c3) of the cubic Hermite pieces
-    through the node values y and the per-step slopes dy (the derivative
-    times the step), along axis 0: between nodes i and i + 1 the curve is
-    c0[i] + c1[i] s + c2[i] s^2 + c3[i] s^3 for s from 0 to 1."""
-    rise = y[1:] - y[:-1]
-    return y[:-1], dy[:-1], 3 * rise - 2 * dy[:-1] - dy[1:], dy[:-1] + dy[1:] - 2 * rise
-
-
 def fd_weights(offsets):
     """First-derivative weights on the given node offsets (in steps h):
     sum_j w_j f(x + o_j h) = h f'(x) + O(h^k) for k offsets, from the
@@ -202,11 +193,15 @@ def differentiate_samples(y, h):
     return np.divide(d, h, out=d)
 
 
-def derivative_row(y, i, h):
-    """Row i of differentiate_samples(y, h), with its bits, from the seven
-    samples that the row reads."""
-    s = min(max(i - 3, 0), len(y) - 7)
-    return np.add.reduce(_stencils(y.ndim)[:, i - s] * y[s:s + 7], axis=0, initial=0.0) / h
+def hermite(y):
+    """Power coefficients (c0, c1, c2, c3) of the cubic Hermite pieces
+    through uniform samples y (at least 7), along axis 0, with the per-step
+    slopes (the derivative times the step) of differentiate_samples: between
+    samples i and i + 1 the curve is c0[i] + c1[i] s + c2[i] s^2 + c3[i] s^3
+    for s from 0 to 1. Exact on cubics, up to rounding."""
+    dy = differentiate_samples(y, 1.0)
+    rise = y[1:] - y[:-1]
+    return y[:-1], dy[:-1], 3 * rise - 2 * dy[:-1] - dy[1:], dy[:-1] + dy[1:] - 2 * rise
 
 
 def path_defect(structure, t, gamma, a):
@@ -369,7 +364,7 @@ def transport(path, s0):
     T = eye
     with np.errstate(all="ignore"):  # a NaN or an overflow fails the gate below
         xa = np.hstack([path.gamma, path.a])
-        c0, c1, c2, c3 = (c[:, None] for c in hermite(xa, differentiate_samples(xa, 1.0)))
+        c0, c1, c2, c3 = (c[:, None] for c in hermite(xa))
         u = np.arange(2 * _SUBSTEPS)[:, None] / (2 * _SUBSTEPS)  # node m at t = m h / 2
         nodes = np.vstack([(c0 + u * (c1 + u * (c2 + u * c3))).reshape(-1, 2 * n), xa[-1:]])
         for lo in range(0, len(nodes) - 1, 2 * _BLOCK):  # step j reads nodes 2j to 2j + 2

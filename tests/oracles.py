@@ -374,7 +374,8 @@ def invariance_reference(structure, t, eps, gamma, a, d_eps_a, knots, field):
     """The five numbers of homotopy.invariance_report from reference arrays:
     the flipped field's knots (from variation_field_reference) carried onto
     t by scipy's CubicHermiteSpline, with slopes db/dt = da/deps -
-    coupling_many(gamma, a, b) at the knots over every slice at once, and
+    coupling_many(gamma, a, b) at the knots over every slice at once (the
+    report takes them from the derivative stencil over the knots), and
     X and L_X Pi evaluated over every node at once."""
     M, nodes, n = gamma.shape
     coupling = structure.coupling_many(gamma[:, ::2].reshape(-1, n), a[:, ::2].reshape(-1, n),
@@ -411,7 +412,7 @@ def transport_rk4_reference(path, s0):
     S, N = path.structure, path.n_intervals
     n = S.dim
     xa = np.hstack([path.gamma, path.a])
-    c0, c1, c2, c3 = hermite(xa, differentiate_samples(xa, 1.0))
+    c0, c1, c2, c3 = hermite(xa)
 
     def rhs(t, s):
         i = min(int(t * N), N - 1)

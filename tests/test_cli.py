@@ -430,6 +430,22 @@ class TestVariationCommand:
         assert err.count("\n") == 1
         assert err.startswith("numerical failure:") and "not finite" in err
 
+    def test_the_identity_needs_12_t_intervals(self, tmp_path):
+        # the report's knot slopes take the 7-point stencil over every other
+        # t node: t_grid 11 (10 intervals) is refused, 13 runs
+        fam = tmp_path / "fam.json"
+        fam.write_text(json.dumps({**GROUP_FAMILY, "eps_grid": 9, "t_grid": 11}))
+        code, out, err = run_cli("variation", "builtin:linear?preset=su2",
+                                 "--family", str(fam), "--X", "0,0,0.5")
+        assert (code, out) == (2, "")
+        assert err == "error: the invariance report needs at least 12 t intervals, got 10\n"
+        fam.write_text(json.dumps({**GROUP_FAMILY, "eps_grid": 9, "t_grid": 13}))
+        report = run_json("variation", "builtin:linear?preset=su2",
+                          "--family", str(fam), "--X", "0,0,0.5")
+        assert report["settings"]["t_intervals"] == 12
+        # a coarse grid, so a coarse residual: 1.2e-5
+        assert abs(report["identity"]["residual"]) <= 1e-4
+
     def test_family_file_must_be_complete(self, tmp_path):
         fam = tmp_path / "fam.json"
         fam.write_text(json.dumps({"generator": ["0", "0", "1"]}))

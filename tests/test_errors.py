@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from helpers import su2, su2_splitting
-from poispath import cli, connection, isotropy, monodromy, paths
+from poispath import cli, connection, expr, isotropy, monodromy, paths
 from poispath.errors import NumericalError, ValidationError, require_finite, require_within
 from poispath.homotopy import flow_by_action
 
@@ -177,6 +177,61 @@ def _at_value(monkeypatch):
     return lambda: cli._add_values({}, su2(), ("x1",), "1,0,0")
 
 
+def _jacobian_naming(monkeypatch):
+    """A NaN Jacobian of p: the rate density, which reads it, is NaN too,
+    and the Jacobian is evaluated to name the failure."""
+    monkeypatch.setattr(connection, "_jacobian", lambda p: [expr.Num(math.nan)] * 9)
+    return lambda: connection.area_variation(su2(), 1.0)
+
+
+def _structure_matrix(monkeypatch):
+    """A NaN Pi at the base point: `np.any` reads NaN as a nonzero p, and the
+    area and rate come from the sphere kernel, not from pi_at."""
+    structure = su2()
+    monkeypatch.setattr(structure, "pi_at", lambda x: np.full((3, 3), math.nan))
+    return lambda: connection.area_variation(structure, 1.0)
+
+
+def _lattice_input(monkeypatch):
+    """A NaN generator: `nan > floor` is false, so the floor would drop it."""
+    return lambda: monodromy.lattice((1.0, math.nan), 4.0)
+
+
+def _flowed_path(monkeypatch):
+    """eta is 0/0 at t = 0.5 and vanishes at both ends: the flow carries
+    the NaN into the path."""
+    circle = paths.integrate_base(su2(), ("0", "0", "1"), (1.0, 0.0, 0.0), n_intervals=100)
+
+    def call():
+        with np.errstate(all="ignore"):
+            return flow_by_action(circle, ("t*(1 - t)*(t - 0.5)/(t - 0.5)", "0", "0"))
+
+    return call
+
+
+def _curvature_density(monkeypatch):
+    """A finite curvature of norm 2.07e308 on the radius-2.3 sphere, at the
+    nodes where every |x_i| < 1.4: Omega = 2^1023 x, so each product in Pi
+    Omega stays below 2^1024, their sums are exactly 0, every earlier check
+    passes, and the pairing with the unit kernel covector x / |x| overflows."""
+    make = monodromy._curvature_kernel
+
+    def patched(structure, M):
+        kernel = make(structure, M)
+
+        def edited(cols, rows=None):
+            out = kernel(cols, rows=rows)
+            spread = np.max(np.abs(cols[:3]), axis=0) < 1.4
+            out[:3, spread] = np.ldexp(cols[:3, spread], 1023)
+            return out
+
+        edited.slots = kernel.slots
+        return edited
+
+    monkeypatch.setattr(monodromy, "_curvature_kernel", patched)
+    return lambda: monodromy.curvature_periods(su2(), su2_splitting(), 2.3)
+
+
 @pytest.mark.parametrize("inject, message", [
     (_area_doubling, "sphere area at tau=1.0 unstable under grid doubling"),
     (_rate_doubling, "area derivative at tau=1.0 unstable under grid doubling"),
@@ -188,9 +243,15 @@ def _at_value(monkeypatch):
     (_transport_product, "transport produced non-finite values"),
     (_structure_derivative, "structure derivative is not finite at [0.0, 0.0, 0.0]"),
     (_at_value, "value is not finite at --at [1.0, 0.0, 0.0]"),
+    (_jacobian_naming, "Jacobian of the structure is not finite on the sphere"),
+    (_structure_matrix, "structure matrix is not finite at [1.0, 0.0, 0.0]"),
+    (_lattice_input, "lattice input is not finite: area 4.0, generators (1.0, nan)"),
+    (_flowed_path, "action flow produced non-finite values"),
+    (_curvature_density, "curvature density is not finite on the leaf"),
 ], ids=["area-doubling", "rate-doubling", "center-residual", "tangency", "flow-defect",
         "killing-determinant", "field-integrand", "transport-product", "structure-derivative",
-        "at-value"])
+        "at-value", "jacobian", "structure-matrix", "lattice-input", "flowed-path",
+        "curvature-density"])
 def test_a_nan_at_a_bound_site_fails_closed(monkeypatch, inject, message):
     call = inject(monkeypatch)
     with pytest.raises(NumericalError) as info:

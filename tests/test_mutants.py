@@ -1,7 +1,8 @@
 """The mutant table of tests/mutants.py is well formed. Running its mutants
 is opt-in (python tests/mutants.py); here each snippet must occur exactly
-once in its file and each named test must be collected, so that a refactor
-that moves code or renames a test updates the table."""
+once in its file, each mutated file must compile and each named test must be
+collected, so that a refactor that moves code or renames a test updates the
+table."""
 
 import subprocess
 import sys
@@ -19,9 +20,14 @@ def test_ids_are_unique():
 
 @pytest.mark.parametrize("mutant", mutants.MUTANTS, ids=lambda m: m.id)
 def test_snippet_occurs_once(mutant):
-    assert (mutants.ROOT / mutant.file).read_text().count(mutant.old) == 1
+    path = mutants.ROOT / mutant.file
+    text = path.read_text()
+    assert text.count(mutant.old) == 1
     assert mutant.new != mutant.old
     assert mutant.tests
+    # a mutated file that does not compile fails every named test, which
+    # would read as a kill
+    compile(text.replace(mutant.old, mutant.new), str(path), "exec")
 
 
 def test_named_tests_are_collected():
